@@ -1,9 +1,12 @@
 """Floating-point dynamics for planar polynomial fields.
 
 Equilibrium location and classification, adaptive Runge-Kutta trajectory
-integration with dense output, Poincare return maps, and limit-cycle
-detection.  This is the empirical cross-check side of the package: nothing
-here is rigorous, and certificates always win over these numbers.
+integration, Poincare return maps, and limit-cycle detection.  All stepping
+goes through one RK 5(4) loop (``_steps``), events on a step are found by
+one bisection of its dense output (``_locate``), and every float value of a
+polynomial comes from ``Poly.evaluate``.  This is the empirical cross-check
+side of the package: nothing here is rigorous, and certificates always win
+over these numbers.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import RK45
 
 from .certify import Box2
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, Poly, VectorField
+from .poly import Point, VectorField
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
@@ -91,11 +94,7 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, stream) -> None:
-        """CSV with header t,x,y at full float precision."""
-        writer = csv.writer(stream)
-        writer.writerow(["t", "x", "y"])
-        for t, z in zip(self.times, self.states):
-            writer.writerow([f"{t:.17g}", f"{z.x:.17g}", f"{z.y:.17g}"])
+        _write_csv(stream, self.times, self.states)
 
 
 @dataclass(frozen=True)
@@ -179,34 +178,27 @@ class LimitCycleReport:
         }
 
     def write_csv(self, stream) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["t", "x", "y"])
-        for t, z in zip(self.times, self.points):
-            writer.writerow([f"{t:.17g}", f"{z.x:.17g}", f"{z.y:.17g}"])
+        _write_csv(stream, self.times, self.points)
+
+
+def _write_csv(stream, times, points) -> None:
+    """CSV with header t,x,y at full float precision."""
+    writer = csv.writer(stream)
+    writer.writerow(["t", "x", "y"])
+    for t, z in zip(times, points):
+        writer.writerow([f"{t:.17g}", f"{z.x:.17g}", f"{z.y:.17g}"])
 
 
 # --- field compilation -------------------------------------------------------
 
 
-def _compile_poly(p: Poly) -> Callable[[float, float], float]:
-    terms = [(i, j, float(c.re)) for (i, j), c in p.terms.items()]
-
-    def ev(x: float, y: float) -> float:
-        total = 0.0
-        for i, j, c in terms:
-            total += c * x ** i * y ** j
-        return total
-
-    return ev
-
-
 def compile_field(system: VectorField):
-    """ODE right-hand side f(t, [x, y]) -> [P, Q] with plain float terms."""
-    pf = _compile_poly(system.p)
-    qf = _compile_poly(system.q)
+    """ODE right-hand side f(t, [x, y]) -> [P, Q] on Python floats."""
+    p, q = system.p, system.q
 
     def fun(_t, z):
-        return [pf(z[0], z[1]), qf(z[0], z[1])]
+        xy = (float(z[0]), float(z[1]))
+        return [p.evaluate(xy).real, q.evaluate(xy).real]
 
     return fun
 
@@ -322,10 +314,47 @@ def _newton(system, jac_polys, x, y, tol, max_iter=50):
 # --- integration ---------------------------------------------------------------
 
 
-def _step_solver(system: VectorField, z0, t_span: float, tol: float):
-    fun = compile_field(system)
-    return RK45(fun, 0.0, [float(z0[0]), float(z0[1])], t_bound=t_span,
-                rtol=tol, atol=tol, max_step=abs(t_span))
+class _StepFailure(Exception):
+    """The RK integrator failed to take a step, e.g. on blow-up."""
+
+
+def _steps(system: VectorField, z0, t_span: float, tol: float):
+    """Yield the RK 5(4) solver after each accepted step over [0, t_span].
+
+    Raises _StepFailure if a step fails.  ``RK45`` and ``compile_field`` are
+    read from the module at call time, so they can be wrapped from outside.
+    """
+    solver = RK45(compile_field(system), 0.0, [float(z0[0]), float(z0[1])],
+                  t_bound=t_span, rtol=tol, atol=tol, max_step=abs(t_span))
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise _StepFailure(message)
+        yield solver
+
+
+def _locate(g, solver):
+    """Bisect the last step's dense output for a zero of ``g``.
+
+    ``g`` maps a state to a float whose sign differs at the two ends of the
+    step.  Returns (t, Point) at the first midpoint with |g| <= 1e-10, or
+    at the bracket end nearer ``solver.t`` after 200 halvings.
+    """
+    dense = solver.dense_output()
+    lo, hi = solver.t_old, solver.t
+    g_lo = g(dense(lo))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z = dense(mid)
+        g_mid = g(z)
+        if abs(g_mid) <= 1e-10:
+            return mid, Point(float(z[0]), float(z[1]))
+        if (g_mid > 0) == (g_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    z = dense(hi)
+    return hi, Point(float(z[0]), float(z[1]))
 
 
 def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
@@ -333,51 +362,38 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
     """Adaptive RK 5(4) integration from z0 over [0, t_span].
 
     Stops at t_span (COMPLETED), at the first exit from ``domain``
-    (LEFT_DOMAIN, with the boundary crossing located on the dense output), or
-    on integrator failure (STEP_FAILURE).  Negative t_span integrates
-    backward.
+    (LEFT_DOMAIN, ending within 1e-10 of the boundary crossing located on
+    the dense output), or on integrator failure (STEP_FAILURE).  Negative
+    t_span integrates backward.
     """
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError("tol must lie in [1e-13, 1e-3]")
     if t_span == 0:
         raise ValueError("t_span must be nonzero")
-    solver = _step_solver(system, z0, t_span, tol)
+    if domain is not None:
+        x_min, x_max, y_min, y_max = domain.as_floats()
+
+        def margin(z) -> float:
+            return min(z[0] - x_min, x_max - z[0], z[1] - y_min, y_max - z[1])
+
     times = [0.0]
     states = [Point(float(z0[0]), float(z0[1]))]
     status = TrajectoryStatus.COMPLETED
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            status = TrajectoryStatus.STEP_FAILURE
-            break
-        z = Point(float(solver.y[0]), float(solver.y[1]))
-        if domain is not None and not domain.contains_point(z):
-            t_exit, z_exit = _locate_exit(solver.dense_output(), domain,
-                                          solver.t_old, solver.t)
-            times.append(t_exit)
-            states.append(z_exit)
-            status = TrajectoryStatus.LEFT_DOMAIN
-            break
-        times.append(float(solver.t))
-        states.append(z)
+    try:
+        for solver in _steps(system, z0, t_span, tol):
+            z = Point(float(solver.y[0]), float(solver.y[1]))
+            if domain is not None and margin(z) < 0:
+                t, z = _locate(margin, solver)
+                times.append(t)
+                states.append(z)
+                status = TrajectoryStatus.LEFT_DOMAIN
+                break
+            times.append(float(solver.t))
+            states.append(z)
+    except _StepFailure:
+        status = TrajectoryStatus.STEP_FAILURE
     return Trajectory(times=tuple(times), states=tuple(states),
                       tolerance=tol, status=status)
-
-
-def _locate_exit(dense, domain: Box2, t_in: float, t_out: float):
-    """Bisect the dense output for the domain exit time."""
-    lo, hi = t_in, t_out
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        z = dense(mid)
-        if domain.contains_point((z[0], z[1])):
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-13 * max(1.0, abs(t_out)):
-            break
-    z = dense(hi)
-    return hi, Point(float(z[0]), float(z[1]))
 
 
 # --- Poincare sections ----------------------------------------------------------
@@ -399,45 +415,24 @@ def poincare_return(system: VectorField, section: Section, z0,
     z0 must lie on the section (within 1e-9).  The crossing is located by
     bisection on the step's dense output until the signed distance is below
     1e-10.  Raises NoReturnError if no crossing in the configured direction
-    occurs within max_time.
+    occurs within max_time, or if the integrator fails first.
     """
     if abs(section.signed_distance(z0)) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
-    solver = _step_solver(system, z0, max_time, tol)
     s_old = section.signed_distance(z0)
     armed = False
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise NoReturnError("integration failed before a return")
-        z = (float(solver.y[0]), float(solver.y[1]))
-        s_new = section.signed_distance(z)
-        if not armed:
-            if abs(s_new) > 1e-6:
-                armed = True
-        elif _direction_ok(section.direction, s_old, s_new):
-            t_cross, z_cross = _locate_crossing(
-                solver.dense_output(), section, solver.t_old, solver.t)
-            return z_cross, t_cross
-        s_old = s_new
+    try:
+        for solver in _steps(system, z0, max_time, tol):
+            s_new = section.signed_distance(solver.y)
+            if not armed:
+                armed = abs(s_new) > 1e-6
+            elif _direction_ok(section.direction, s_old, s_new):
+                t_cross, z_cross = _locate(section.signed_distance, solver)
+                return z_cross, t_cross
+            s_old = s_new
+    except _StepFailure as exc:
+        raise NoReturnError("integration failed before a return") from exc
     raise NoReturnError(f"no section return within t = {max_time}")
-
-
-def _locate_crossing(dense, section: Section, t_lo: float, t_hi: float):
-    s_lo = section.signed_distance(dense(t_lo))
-    lo, hi = t_lo, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        z = dense(mid)
-        s_mid = section.signed_distance((z[0], z[1]))
-        if abs(s_mid) <= 1e-10:
-            return mid, Point(float(z[0]), float(z[1]))
-        if (s_mid > 0) == (s_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    z = dense(hi)
-    return hi, Point(float(z[0]), float(z[1]))
 
 
 # --- limit cycles ----------------------------------------------------------------
@@ -491,7 +486,10 @@ def detect_limit_cycle(system: VectorField, section: Section, seed,
     # measure the period at the fixed point itself so the sampled loop closes
     _, period = return_map(u_star)
     z_star = section.point_at(u_star)
-    times, points = _sample_loop(system, z_star, period, tol)
+    try:
+        times, points = _sample_loop(system, z_star, period, tol)
+    except _StepFailure as exc:
+        raise CycleNotFoundError(f"loop sampling failed: {exc}") from exc
     amplitude = max(abs(p.x) for p in points)
     # probe step large enough that crossing-location error (~1e-10) stays
     # well below the divided difference
@@ -512,13 +510,9 @@ def detect_limit_cycle(system: VectorField, section: Section, seed,
 def _sample_loop(system: VectorField, z0: Point, period: float, tol: float,
                  subsamples: int = 4):
     """One full loop from z0, densely sampled from the step interpolants."""
-    solver = _step_solver(system, z0, period, tol)
     times = [0.0]
     points = [z0]
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            break
+    for solver in _steps(system, z0, period, tol):
         dense = solver.dense_output()
         for k in range(1, subsamples + 1):
             t = solver.t_old + (solver.t - solver.t_old) * k / subsamples

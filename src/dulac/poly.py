@@ -151,7 +151,7 @@ class Poly:
     The degree of the zero polynomial is -1 by convention.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_float_terms")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
         clean = {}
@@ -343,17 +343,22 @@ class Poly:
         return Poly._raw(out)
 
     def evaluate(self, z) -> complex:
-        """Horner-style float evaluation; exactly real for real coefficients."""
+        """Float sum of ``c * x**i * y**j`` in term order; exactly real for
+        real coefficients.  The float coefficients are converted on the first
+        call and cached, which is sound because a Poly never changes.
+        """
         x, y = float(z[0]), float(z[1])
-        xp = _float_powers(x, self.deg_x)
-        yp = _float_powers(y, self.deg_y)
-        re = 0.0
-        im = 0.0
-        for (i, j), c in self.terms.items():
-            m = xp[i] * yp[j]
-            re += float(c.re) * m
-            if c.im:
-                im += float(c.im) * m
+        try:
+            table = self._float_terms
+        except AttributeError:
+            table = self._float_terms = tuple(
+                (i, j, float(c.re), float(c.im))
+                for (i, j), c in self.terms.items())
+        re = im = 0.0
+        for i, j, c_re, c_im in table:
+            re += c_re * x ** i * y ** j
+            if c_im:
+                im += c_im * x ** i * y ** j
         return complex(re, im)
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
@@ -382,13 +387,6 @@ def _as_poly(v):
     if isinstance(v, (int, Fraction, CRat)):
         return Poly.const(v)
     return NotImplemented
-
-
-def _float_powers(v: float, n: int):
-    powers = [1.0]
-    for _ in range(max(n, 0)):
-        powers.append(powers[-1] * v)
-    return powers
 
 
 def _frac_powers(v: Fraction, n: int):

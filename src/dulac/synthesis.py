@@ -350,6 +350,8 @@ def flowbox_dulac(system: VectorField, transversal,
     an equilibrium is met, if g is not strictly positive at a sample, if a
     trajectory cannot be integrated across [0, t_span], or if the
     finite-difference divergence of B*X is not positive at an interior node.
+    It samples the 3-D state (x, y, B) at fixed times with ``solve_ivp``,
+    which ``flow``'s 2-D stepper does not do.
     """
     if n_across < 3 or n_along < 3:
         raise ValueError("need n_across >= 3 and n_along >= 3 for interior nodes")

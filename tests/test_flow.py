@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dulac import flow
 from dulac.certify import Box2, Conclusion, bendixson
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from dulac.flow import (
@@ -150,6 +151,29 @@ class TestIntegrate:
         assert abs(traj.endpoint.x - 2.0) < 1e-6
         assert traj.times[-1] < 5.0
 
+    @staticmethod
+    def _margin(domain: Box2, z) -> float:
+        x_min, x_max, y_min, y_max = domain.as_floats()
+        return min(z[0] - x_min, x_max - z[0], z[1] - y_min, y_max - z[1])
+
+    def test_domain_exit_through_top_face(self):
+        rot = parse_system("P = -y\nQ = x")
+        domain = Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(1, 2))
+        traj = integrate(rot, (1.0, 0.0), 5.0, 1e-10, domain)
+        assert traj.status is TrajectoryStatus.LEFT_DOMAIN
+        assert abs(self._margin(domain, traj.endpoint)) <= 1e-10
+        assert abs(traj.times[-1] - math.pi / 6) < 1e-8
+        assert abs(traj.endpoint.x - math.sqrt(3) / 2) < 1e-8
+
+    def test_domain_exit_backward(self):
+        sink = parse_system("P = -x\nQ = -y")
+        domain = Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
+        traj = integrate(sink, (-0.5, 0.25), -5.0, 1e-10, domain)
+        assert traj.status is TrajectoryStatus.LEFT_DOMAIN
+        assert abs(self._margin(domain, traj.endpoint)) <= 1e-10
+        assert abs(traj.times[-1] + math.log(2)) < 1e-8
+        assert abs(traj.endpoint.y - 0.5) < 1e-8
+
     def test_blowup_is_step_failure(self):
         system = parse_system("P = x^2\nQ = 0")
         traj = integrate(system, (1.0, 0.0), 2.0, 1e-9)
@@ -250,6 +274,24 @@ class TestDetectLimitCycle:
         with pytest.raises(CycleNotFoundError):
             detect_limit_cycle(radial, section, (1.0, 0.0), max_iters=10,
                                tol=1e-9, max_time=20.0)
+
+    def test_loop_sampling_failure_raises(self, monkeypatch):
+        # the return maps integrate up to max_time = 100 and succeed; only
+        # the loop sampling, bounded by the period, fails
+        class FailsWithinPeriod(flow.RK45):
+            def step(self):
+                message = super().step()
+                if abs(self.t_bound) < 50.0:
+                    self.status = "failed"
+                return message
+
+        monkeypatch.setattr(flow, "RK45", FailsWithinPeriod)
+        rot = parse_system("P = -y\nQ = x")
+        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
+                          direction=CrossingDirection.POSITIVE_CROSSING)
+        with pytest.raises(CycleNotFoundError):
+            detect_limit_cycle(rot, section, (1.0, 0.0), max_iters=10,
+                               tol=1e-10)
 
     def test_cycle_csv(self):
         section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),

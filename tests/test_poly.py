@@ -72,6 +72,43 @@ class TestPolyBasics:
         assert v == CRat(Fraction(39, 400))
 
 
+def _assert_matches_exact(p: Poly, x: Fraction, y: Fraction) -> None:
+    """Float value within 1e-12 of the exact one, relative to the term sizes."""
+    value = p.evaluate((float(x), float(y)))
+    exact = complex(p.evaluate_exact(x, y))
+    scale = sum(abs(complex(c)) * abs(float(x)) ** i * abs(float(y)) ** j
+                for (i, j), c in p.terms.items())
+    assert abs(value - exact) <= 1e-12 * max(scale, 1.0)
+
+
+class TestFloatEvaluator:
+    @staticmethod
+    def _point(rng):
+        # dyadic coordinates, so the float point is the exact point
+        return Fraction(rng.randint(-24, 24), 8), Fraction(rng.randint(-24, 24), 8)
+
+    def test_complex_coefficients_match_exact(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            p = rand_poly(rng, allow_complex=True)
+            _assert_matches_exact(p, *self._point(rng))
+
+    def test_derived_polynomials_after_evaluation(self):
+        # each result is a new Poly, so no float table cached on an operand
+        # may stand in for it
+        rng = random.Random(43)
+        for _ in range(100):
+            p = rand_poly(rng, allow_complex=True)
+            q = rand_poly(rng, allow_complex=True)
+            x, y = self._point(rng)
+            before = p.evaluate((float(x), float(y)))
+            q.evaluate((float(x), float(y)))
+            for r in (p + q, p - q, p * q, -p, p * 3, p.derive("x"),
+                      p.derive("y")):
+                _assert_matches_exact(r, x, y)
+            assert p.evaluate((float(x), float(y))) == before
+
+
 class TestRingAxioms:
     @settings(max_examples=60)
     @given(polys(), polys(), polys())

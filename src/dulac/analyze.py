@@ -1,10 +1,10 @@
 """Best-effort region analysis: equilibria, local certificates, coverage, cycles.
 
 The pipeline locates zeros of the field, synthesizes a local Dulac
-multiplier at each hyperbolic one, greedily doubles every certified box
-until certification fails or the region boundary is reached, attacks the
-remaining tiles with the constant multiplier, and finally scans leftover
-tiles for limit cycles from their centers.  The report is explicitly
+multiplier at each hyperbolic one and certifies it on the widest punctured
+box of half-width 2^k (k <= 6) that fits the region, attacks the remaining
+tiles with the constant multiplier, and finally scans leftover tiles for
+limit cycles from their centers.  The report is explicitly
 best-effort: an uncovered tile means "unresolved", never "no orbit".
 """
 
@@ -26,7 +26,13 @@ from .flow import (
 )
 from .multiplier import Multiplier, multiplier_from_dict, multiplier_to_dict
 from .poly import VectorField
-from .synthesis import certify_punctured_box, local_quadratic_multiplier
+from .synthesis import (
+    LOCAL_INITIAL_HALF_WIDTH,
+    LOCAL_MAX_DEPTH,
+    LOCAL_MAX_GROWTH_STEPS,
+    certify_punctured_box,
+    local_quadratic_multiplier,
+)
 
 BEST_EFFORT_NOTE = (
     "best-effort analysis: uncovered regions are unresolved, and the absence "
@@ -48,9 +54,6 @@ class AnalyzeConfig:
     grid_n: int = 32
     newton_tol: float = 1e-9
     min_radius: float = 1e-3
-    local_max_depth: int = 8
-    local_initial_half_width: float = 1.0
-    max_growth_steps: int = 6
     tile_n: int = 10
     tile_depth: int = 6
     cycle_tol: float = 1e-10
@@ -137,7 +140,7 @@ def run_analyze(system: VectorField, region: Box2,
     # Step 1: zeros of the field
     equilibria = find_equilibria(system, region, cfg.grid_n, cfg.newton_tol)
 
-    # Step 2: local multipliers at hyperbolic equilibria, then greedy doubling
+    # Step 2: local multipliers at hyperbolic equilibria
     local_certs: list = []
     cores: list = []
     for eq in equilibria:
@@ -154,30 +157,19 @@ def run_analyze(system: VectorField, region: Box2,
                 f"local synthesis failed at ({eq.location.x:.6g}, "
                 f"{eq.location.y:.6g}): {exc}")
             continue
-        cache: dict = {}
-        cert = None
-        w = Fraction(float(cfg.local_initial_half_width))
-        while w >= min_r:
-            cert = certify_punctured_box(carrier, ex, ey, w, min_r,
-                                         cfg.local_max_depth, cache)
-            if cert is not None:
+        # Step 3a: the widest certified box, out to the largest doubling of
+        # the initial half-width whose box still fits the region
+        w = Fraction(LOCAL_INITIAL_HALF_WIDTH)
+        for _ in range(LOCAL_MAX_GROWTH_STEPS):
+            if not region.contains_box(Box2.centered(ex, ey, 2 * w)):
                 break
-            w = w / 2
+            w *= 2
+        cert = certify_punctured_box(carrier, ex, ey, w, min_r, LOCAL_MAX_DEPTH)
         if cert is None:
             notes.append(
                 f"local certification failed at ({eq.location.x:.6g}, "
                 f"{eq.location.y:.6g}) down to radius {cfg.min_radius}")
             continue
-        # Step 3a: double per axis while the region holds and rings certify
-        for _ in range(cfg.max_growth_steps):
-            w2 = w * 2
-            if not region.contains_box(Box2.centered(ex, ey, w2)):
-                break
-            grown = certify_punctured_box(carrier, ex, ey, w2, min_r,
-                                          cfg.local_max_depth, cache)
-            if grown is None:
-                break
-            w, cert = w2, grown
         local_certs.append(LocalCertificate(
             equilibrium=eq, multiplier=multiplier, box=cert.box,
             certificate=cert))

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .multiplier import Multiplier, PolyMultiplier, multiplier_to_dict
+from .multiplier import BENDIXSON, Multiplier, multiplier_to_dict
 from .poly import Point, Poly, VectorField
 
 DEFAULT_MAX_DEPTH = 12
@@ -41,11 +41,6 @@ class Box2:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("box must satisfy x_min < x_max and y_min < y_max")
-
-    @classmethod
-    def from_floats(cls, x_min, x_max, y_min, y_max) -> "Box2":
-        """Exact conversion: each float becomes the rational it represents."""
-        return cls(Fraction(x_min), Fraction(x_max), Fraction(y_min), Fraction(y_max))
 
     @classmethod
     def centered(cls, cx: Fraction, cy: Fraction, half_width: Fraction) -> "Box2":
@@ -415,4 +410,4 @@ def certify_dulac(system: VectorField, b: Multiplier, box: Box2,
 def bendixson(system: VectorField, box: Box2,
               max_depth: int = DEFAULT_MAX_DEPTH) -> DulacCertificate:
     """Dulac certificate with the constant multiplier B = 1."""
-    return certify_dulac(system, PolyMultiplier(Poly.const(1)), box, max_depth)
+    return certify_dulac(system, BENDIXSON, box, max_depth)

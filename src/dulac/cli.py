@@ -49,6 +49,7 @@ from .multiplier import PolyMultiplier
 from .parse import parse_constant, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
 from .synthesis import (
+    LOCAL_MAX_DEPTH,
     Matrix2,
     local_dulac_hyperbolic,
     printed_coefficients,
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, region=True)
     p.add_argument("--point", help='equilibrium "x,y" (instead of --region)')
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=LOCAL_MAX_DEPTH)
     p.add_argument("--min-radius", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_local_dulac)
 

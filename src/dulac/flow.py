@@ -168,15 +168,6 @@ class LimitCycleReport:
             times=tuple(d["times"]),
         )
 
-    def summary(self) -> dict:
-        return {
-            "period": self.period,
-            "amplitude_x": self.amplitude_x,
-            "return_map_slope": self.return_map_slope,
-            "stability": self.stability.value,
-            "n_points": len(self.points),
-        }
-
     def write_csv(self, stream) -> None:
         _write_csv(stream, self.times, self.points)
 

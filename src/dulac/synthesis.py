@@ -211,6 +211,13 @@ def gradient_field(v: Poly) -> VectorField:
 # --- local multipliers at hyperbolic equilibria ------------------------------
 
 
+# Box search defaults: a box of half-width 1 (analyze grows it up to 2^6 while
+# it fits the region), each ring rectangle subdivided to depth 8.
+LOCAL_INITIAL_HALF_WIDTH = 1
+LOCAL_MAX_GROWTH_STEPS = 6
+LOCAL_MAX_DEPTH = 8
+
+
 def _ring_rectangles(cx: Fraction, cy: Fraction, outer: Fraction, inner: Fraction):
     return (
         Box2(cx - outer, cx - inner, cy - outer, cy + outer),
@@ -222,41 +229,39 @@ def _ring_rectangles(cx: Fraction, cy: Fraction, outer: Fraction, inner: Fractio
 
 def certify_punctured_box(carrier: Poly, cx: Fraction, cy: Fraction,
                           half_width: Fraction, min_radius: Fraction,
-                          max_depth: int, cache: Optional[dict] = None):
-    """Certify carrier > 0 on box(half_width) minus a core below min_radius.
+                          max_depth: int):
+    """Certify carrier > 0 on the widest punctured box that fits half_width.
 
-    The punctured box is decomposed into nested rings, each split into four
-    flanking rectangles certified independently.  Returns an aggregate
-    Positive certificate, or None as soon as one rectangle fails.  The cache
-    (keyed by ring radii) lets callers grow or shrink the box without
-    re-certifying shared rings.
+    The candidate half-widths are half_width/2^k.  The box of half-width w
+    is the union of the rings (w/2^j, w/2^(j+1)) whose outer half-width
+    exceeds min_radius, each split into four flanking rectangles; the core
+    inside the innermost ring stays uncertified.  Rings are certified from
+    the innermost outward until a rectangle fails.  Returns the aggregate
+    Positive certificate of the widest box whose rings all certify, or None
+    when the innermost ring fails or no ring lies above min_radius.
     """
-    if cache is None:
-        cache = {}
-    total_boxes = 0
-    max_used = 0
+    outers = []
     outer = Fraction(half_width)
     while outer > min_radius:
-        inner = outer / 2
-        key = (outer, inner)
-        result = cache.get(key)
-        if result is None:
-            result = []
-            for rect in _ring_rectangles(cx, cy, outer, inner):
-                cert = certify_positive(carrier, rect, max_depth)
-                result.append(cert)
-                if not cert.is_positive:
-                    break
-            cache[key] = result
-        if not all(c.is_positive for c in result) or len(result) < 4:
-            return None
-        for c in result:
-            total_boxes += c.outcome.box_count
-            max_used = max(max_used, c.outcome.max_depth_used)
-        outer = inner
-    box = Box2.centered(cx, cy, Fraction(half_width))
-    return Certificate(Positive(max_depth_used=max_used, box_count=total_boxes),
-                       carrier=carrier, box=box)
+        outers.append(outer)
+        outer /= 2
+    width, outcomes = None, []
+    for outer in reversed(outers):
+        ring = []
+        for rect in _ring_rectangles(cx, cy, outer, outer / 2):
+            cert = certify_positive(carrier, rect, max_depth)
+            if not cert.is_positive:
+                break
+            ring.append(cert.outcome)
+        if len(ring) < 4:
+            break
+        width = outer
+        outcomes += ring
+    if width is None:
+        return None
+    positive = Positive(max_depth_used=max(o.max_depth_used for o in outcomes),
+                        box_count=sum(o.box_count for o in outcomes))
+    return Certificate(positive, carrier=carrier, box=Box2.centered(cx, cy, width))
 
 
 def local_quadratic_multiplier(system: VectorField, eq: Point):
@@ -288,30 +293,27 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
 
 def local_dulac_hyperbolic(system: VectorField, eq: Point,
                            min_radius: float = 1e-3,
-                           max_depth: int = 8,
-                           initial_half_width: float = 1.0):
+                           max_depth: int = LOCAL_MAX_DEPTH,
+                           initial_half_width: float = LOCAL_INITIAL_HALF_WIDTH):
     """Local Dulac multiplier near a hyperbolic equilibrium.
 
-    Translates the quadratic multiplier of the Jacobian to the equilibrium,
-    then runs a halving search for the largest box half-width (from
-    ``initial_half_width`` down to ``min_radius``) whose punctured box
-    certifies the sign carrier positive.  The carrier vanishes at the
-    equilibrium itself, so certification covers the box minus a core of
-    half-width below min_radius.
+    Translates the quadratic multiplier of the Jacobian to the equilibrium
+    and certifies its sign carrier on the widest punctured box of
+    half-width ``initial_half_width/2^k`` (see certify_punctured_box).  The
+    carrier vanishes at the equilibrium itself, so the certificate covers
+    the box minus a core of half-width at most min_radius.  Raises
+    CertificationFailedError when not even the innermost ring certifies.
 
     Returns (multiplier, box, certificate).
     """
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
-    min_r = Fraction(float(min_radius))
-    cache: dict = {}
-    w = Fraction(float(initial_half_width))
-    while w >= min_r:
-        cert = certify_punctured_box(carrier, ex, ey, w, min_r, max_depth, cache)
-        if cert is not None:
-            return multiplier, cert.box, cert
-        w = w / 2
-    raise CertificationFailedError(
-        f"no punctured box down to radius {min_radius} certified")
+    cert = certify_punctured_box(carrier, ex, ey,
+                                 Fraction(float(initial_half_width)),
+                                 Fraction(float(min_radius)), max_depth)
+    if cert is None:
+        raise CertificationFailedError(
+            f"no punctured box down to radius {min_radius} certified")
+    return multiplier, cert.box, cert
 
 
 # --- flow-box multipliers -----------------------------------------------------

@@ -221,6 +221,21 @@ class TestAnalyzeGolden:
         assert r["limit_cycles"][0]["stability"] == "marginal"
         assert any("non-isolated" in n for n in r["notes"])
 
+    def test_no_vacuous_local_certificate(self, tmp_path, capsys):
+        # at min radius 1/2 no ring above the core certifies around any of
+        # the nine equilibria, so no local box may be claimed
+        path = tmp_path / "cubic_damping.vf"
+        path.write_text("P = x - 4*x^3\nQ = y - 4*y^3\n")
+        code, report = run_json(capsys, [
+            "analyze", "--system", str(path), "--region=-2:2,-2:2",
+            "--min-radius", "0.5", "--max-cycle-seeds", "2"])
+        r = report["result"]
+        assert len(r["equilibria"]) == 9
+        assert r["local_certificates"] == []
+        assert r["global_boxes_certified"] == []
+        assert sum("local certification failed" in n for n in r["notes"]) == 9
+        assert code == 2
+
     def test_inconclusive_exit_code(self, capsys):
         # disable the cycle scan: uncovered tiles remain unresolved
         code, report = run_json(capsys, [

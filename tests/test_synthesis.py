@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dulac.certify import Positive
+from dulac.analyze import AnalyzeConfig, run_analyze
+from dulac.certify import Box2, Positive, certify_positive
 from dulac.errors import (
     CertificationFailedError,
     ConstantInputError,
@@ -24,15 +26,22 @@ from dulac.synthesis import (
     QuadraticMultiplier,
     Reading,
     RECORDED_READING,
+    certify_punctured_box,
     flowbox_dulac,
     gradient_field,
     gradient_multipliers,
     local_dulac_hyperbolic,
+    local_quadratic_multiplier,
     printed_coefficients,
     quadratic_dulac_linear,
 )
 
 from conftest import batch_eval, rand_fraction, sample_box
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+VDP_TEXT = "P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1"
+# cubic damping: the local carrier changes sign near radius 1/2
+CUBIC_DAMPING = "P = x - 4*x^3\nQ = y - 4*y^3"
 
 
 def rand_matrix(rng: random.Random) -> Matrix2:
@@ -217,6 +226,62 @@ class TestLocalDulac:
         _, box, _ = local_dulac_hyperbolic(system, Point(0.0, 0.0),
                                            min_radius=1e-3)
         assert float(box.width) <= 1.0
+
+    def test_no_ring_above_min_radius_raises(self):
+        # the ring (1, 1/2) fails and no ring lies inside it above radius
+        # 1/2, so no box may be returned, not even one with zero leaves
+        system = parse_system(CUBIC_DAMPING)
+        with pytest.raises(CertificationFailedError):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=0.5)
+        _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
+        half = Fraction(1, 2)
+        assert certify_punctured_box(carrier, 0, 0, half, half, 8) is None
+
+
+def ring_rectangles(c: Fraction, outer: Fraction):
+    """Left and right columns, then the bottom and top between them."""
+    inner = outer / 2
+    return [Box2(c - outer, c - inner, c - outer, c + outer),
+            Box2(c + inner, c + outer, c - outer, c + outer),
+            Box2(c - inner, c + inner, c - outer, c - inner),
+            Box2(c - inner, c + inner, c + inner, c + outer)]
+
+
+class TestPuncturedBoxSearch:
+    @pytest.mark.parametrize("text", [VDP_TEXT, CUBIC_DAMPING],
+                             ids=["vanderpol", "cubic_damping"])
+    def test_sound_and_maximal(self, text):
+        system = parse_system(text)
+        min_r = Fraction(1, 1000)
+        _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
+        cert = certify_punctured_box(carrier, 0, 0, Fraction(1), min_r, 8)
+        w = cert.box.x_max
+        assert cert.box == Box2.centered(0, 0, w)
+        # every ring inside w replays Positive, and the leaves add up
+        outcomes = []
+        outer = w
+        while outer > min_r:
+            for rect in ring_rectangles(Fraction(0), outer):
+                replay = certify_positive(carrier, rect, 8)
+                assert replay.is_positive
+                outcomes.append(replay.outcome)
+            outer /= 2
+        assert cert.outcome.box_count == sum(o.box_count for o in outcomes)
+        assert cert.outcome.max_depth_used == max(o.max_depth_used
+                                                  for o in outcomes)
+        # the next ring out fails, unless the box already reaches the bound
+        if w < 1:
+            assert not all(certify_positive(carrier, rect, 8).is_positive
+                           for rect in ring_rectangles(Fraction(0), 2 * w))
+
+    def test_analyze_grows_box_to_region(self):
+        system = parse_system((SYSTEMS / "radial.vf").read_text())
+        region = Box2(-2, 2, -2, 2)
+        report = run_analyze(system, region,
+                             AnalyzeConfig(grid_n=8, max_cycle_seeds=2))
+        (local,) = report.local_certificates
+        assert local.box == region
+        assert local.certificate.box == region
 
 
 class TestFlowBox:

@@ -49,16 +49,18 @@ MARGINAL_FAMILY_NOTE = (
 )
 
 
+NEWTON_TOL = 1e-9
+CYCLE_MAX_ITERS = 20
+CYCLE_MAX_TIME = 200.0
+
+
 @dataclass
 class AnalyzeConfig:
     grid_n: int = 32
-    newton_tol: float = 1e-9
     min_radius: float = 1e-3
     tile_n: int = 10
     tile_depth: int = 6
     cycle_tol: float = 1e-10
-    cycle_max_iters: int = 20
-    cycle_max_time: float = 200.0
     max_cycle_seeds: int = 12
 
 
@@ -134,11 +136,16 @@ class AnalysisReport:
 def run_analyze(system: VectorField, region: Box2,
                 config: AnalyzeConfig | None = None) -> AnalysisReport:
     cfg = config or AnalyzeConfig()
+    if cfg.tile_n < 1:
+        raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
+    if cfg.max_cycle_seeds < 0:
+        raise ValueError(
+            f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
     notes: list = []
     min_r = Fraction(float(cfg.min_radius))
 
     # Step 1: zeros of the field
-    equilibria = find_equilibria(system, region, cfg.grid_n, cfg.newton_tol)
+    equilibria = find_equilibria(system, region, cfg.grid_n, NEWTON_TOL)
 
     # Step 2: local multipliers at hyperbolic equilibria
     local_certs: list = []
@@ -202,8 +209,8 @@ def run_analyze(system: VectorField, region: Box2,
                                   CrossingDirection.POSITIVE_CROSSING)
         try:
             report = detect_limit_cycle(system, section, center,
-                                        cfg.cycle_max_iters, cfg.cycle_tol,
-                                        cfg.cycle_max_time)
+                                        CYCLE_MAX_ITERS, cfg.cycle_tol,
+                                        CYCLE_MAX_TIME)
         except (CycleNotFoundError, NoReturnError, ValueError):
             continue
         if any(abs(report.period - c.period) < 1e-3 * max(1.0, c.period)

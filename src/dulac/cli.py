@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Every subcommand emits a report with the stable keys
-{"system", "command", "result", "certificate", "notes"}; certificates carry
-the exact carrier polynomial and, for violations, the witness as a rational
-pair, so they can be re-checked independently.  The ``analyze`` exit code is
-0 when the region is fully certified, 1 when a cycle was detected, 2 when
-inconclusive coverage remains, and 3 on input errors (3 is shared by all
-subcommands for bad input).
+Each subcommand handler takes the parsed arguments and the loaded system
+and returns a ``Record``: its result, text lines and, where it has them, a
+certificate, notes, CSV text and exit code.  ``main`` loads the system once,
+and ``_emit`` alone wraps the record in the report with the stable keys
+{"system", "command", "result", "certificate", "notes"}, where ``command``
+is the subcommand's name, and writes it as text, JSON or CSV.
+Certificates carry the exact carrier polynomial and, for violations, the
+witness as a rational pair, so they can be re-checked independently.  The
+``analyze`` exit code is 0 when the region is fully certified, 1 when a
+cycle was detected, 2 when inconclusive coverage remains, and 3 on input
+errors (3 is shared by all subcommands for bad input).
 """
 
 from __future__ import annotations
@@ -15,15 +19,10 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import dataclass, field
 
 from .analyze import AnalyzeConfig, exit_code, run_analyze
-from .certify import (
-    Box2,
-    DEFAULT_MAX_DEPTH,
-    OPEN_BOX_NOTE,
-    bendixson,
-    certify_dulac,
-)
+from .certify import Box2, DEFAULT_MAX_DEPTH, OPEN_BOX_NOTE, certify_dulac
 from .darboux import (
     check_integrating_factor,
     check_inverse_integrating_factor,
@@ -95,26 +94,35 @@ def _split_polys(text: str) -> list:
     return [parse_poly(c) for c in chunks if c.strip()]
 
 
-def _report(command: str, system: str, result: dict,
-            certificate: dict | None = None, notes: list | None = None) -> dict:
-    return {
-        "system": system,
-        "command": command,
-        "result": result,
-        "certificate": certificate,
-        "notes": notes or [],
-    }
+@dataclass
+class Record:
+    """What a subcommand reports; ``_emit`` wraps it in the envelope."""
+
+    result: dict
+    lines: list
+    certificate: dict | None = None
+    notes: list = field(default_factory=list)
+    csv: str | None = None
+    code: int = 0
+    system: str | None = None
 
 
-def _emit(args, report: dict, text_lines: list, csv_text: str | None = None) -> None:
+def _emit(args, system: VectorField | None, record: Record) -> None:
     if args.format == "json":
+        report = {
+            "system": record.system if system is None else system.source_text,
+            "command": args.command,
+            "result": record.result,
+            "certificate": record.certificate,
+            "notes": record.notes,
+        }
         payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_text is None:
+        if record.csv is None:
             raise ParseError("csv format is not available for this command")
-        payload = csv_text
+        payload = record.csv
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(record.lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -125,36 +133,30 @@ def _emit(args, report: dict, text_lines: list, csv_text: str | None = None) -> 
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_parse(args) -> int:
-    system = _load_system(args)
+def _cmd_parse(args, system) -> Record:
     result = {
         "P": str(system.p),
         "Q": str(system.q),
         "degree": system.degree,
         "params": {k: str(v) for k, v in system.params.items()},
     }
-    report = _report("parse", system.source_text, result)
-    _emit(args, report, [f"P = {system.p}", f"Q = {system.q}",
-                         f"degree = {system.degree}"])
-    return 0
+    return Record(result, [f"P = {system.p}", f"Q = {system.q}",
+                           f"degree = {system.degree}"])
 
 
-def _cmd_equilibria(args) -> int:
-    system = _load_system(args)
+def _cmd_equilibria(args, system) -> Record:
     region = parse_region(args.region)
     reports = find_equilibria(system, region, args.grid, args.tol)
-    result = {"equilibria": [e.to_dict() for e in reports]}
     lines = [f"{len(reports)} equilibria in {region}"]
     for e in reports:
         lines.append(
             f"  ({e.location.x:.9g}, {e.location.y:.9g})  "
             f"{e.classification.value}  hyperbolic={e.hyperbolic}  "
             f"eigenvalues={e.eigenvalues[0]:.6g}, {e.eigenvalues[1]:.6g}")
-    _emit(args, _report("equilibria", system.source_text, result), lines)
-    return 0
+    return Record({"equilibria": [e.to_dict() for e in reports]}, lines)
 
 
-def _cmd_dulac_linear(args) -> int:
+def _cmd_dulac_linear(args, system) -> Record:
     if not args.matrix:
         raise ParseError('--matrix "a,b;c,d" is required')
     m = Matrix2.parse(args.matrix)
@@ -178,18 +180,14 @@ def _cmd_dulac_linear(args) -> int:
         f"closed-form cross-check: b20={p20} b02={p02} "
         f"b11={p11} (reading: {RECORDED_READING.value})",
     ]
-    _emit(args, _report("dulac-linear", str(m), result), lines)
-    return 0
+    return Record(result, lines, system=str(m))
 
 
-def _certify_common(args, command: str) -> int:
-    system = _load_system(args)
+def _cmd_certify(args, system) -> Record:
+    """``certify``, and ``bendixson`` with its fixed multiplier "1"."""
     region = parse_region(args.region)
-    if command == "bendixson":
-        outcome = bendixson(system, region, args.depth)
-    else:
-        multiplier = parse_multiplier(args.multiplier)
-        outcome = certify_dulac(system, multiplier, region, args.depth)
+    multiplier = parse_multiplier(args.multiplier)
+    outcome = certify_dulac(system, multiplier, region, args.depth)
     cert = outcome.certificate
     result = {
         "conclusion": outcome.conclusion.value,
@@ -197,29 +195,18 @@ def _certify_common(args, command: str) -> int:
         "box": region.to_dict(),
         "certificate_full": cert.to_full_dict(),
     }
-    lines = [f"{command}: {outcome.conclusion.value}",
+    lines = [f"{args.command}: {outcome.conclusion.value}",
              f"  carrier = {cert.carrier}",
              f"  outcome = {cert.to_dict()['outcome']} (depth {cert.depth})"]
     if cert.witness_point is not None:
         lines.append(f"  witness = ({cert.outcome.witness[0]}, "
                      f"{cert.outcome.witness[1]}) with value "
                      f"{cert.outcome.value} <= 0")
-    _emit(args, _report(command, system.source_text, result,
-                        certificate=cert.to_dict(), notes=[OPEN_BOX_NOTE]),
-          lines)
-    return 0
+    return Record(result, lines, certificate=cert.to_dict(),
+                  notes=[OPEN_BOX_NOTE])
 
 
-def _cmd_certify(args) -> int:
-    return _certify_common(args, "certify")
-
-
-def _cmd_bendixson(args) -> int:
-    return _certify_common(args, "bendixson")
-
-
-def _cmd_local_dulac(args) -> int:
-    system = _load_system(args)
+def _cmd_local_dulac(args, system) -> Record:
     notes: list = []
     entries: list = []
     if args.point:
@@ -256,16 +243,13 @@ def _cmd_local_dulac(args) -> int:
             first_cert = cert
         lines.append(f"({pt[0]:.6g}, {pt[1]:.6g}): certified punctured box "
                      f"{box} with B = {multiplier}")
-    result = {"local_certificates": entries}
-    _emit(args, _report("local-dulac", system.source_text, result,
-                        certificate=first_cert.to_dict() if first_cert else None,
-                        notes=notes),
-          lines or ["no hyperbolic equilibria found"])
-    return 0
+    return Record({"local_certificates": entries},
+                  lines or ["no hyperbolic equilibria found"],
+                  certificate=first_cert.to_dict() if first_cert else None,
+                  notes=notes)
 
 
-def _cmd_cofactor(args) -> int:
-    system = _load_system(args)
+def _cmd_cofactor(args, system) -> Record:
     if not args.curves:
         raise ParseError('--curves "f1;f2;..." is required')
     entries = []
@@ -279,47 +263,36 @@ def _cmd_cofactor(args) -> int:
             entries.append({"f": str(f), "error": "not_invariant",
                             "remainder": str(exc.remainder)})
             lines.append(f"f = {f}: not invariant (remainder {exc.remainder})")
-    _emit(args, _report("cofactor", system.source_text, {"curves": entries}),
-          lines)
-    return 0
+    return Record({"curves": entries}, lines)
 
 
-def _cmd_expfactor(args) -> int:
-    system = _load_system(args)
+def _cmd_expfactor(args, system) -> Record:
     if not args.g:
         raise ParseError('--g "<poly>" is required')
-    g = parse_poly(args.g)
-    h = parse_poly(args.h)
-    ef = exponential_factor_cofactor(g, h, system)
-    result = ef.to_dict()
-    _emit(args, _report("expfactor", system.source_text, result),
-          [f"{ef}: cofactor k = {ef.k}"])
-    return 0
+    ef = exponential_factor_cofactor(parse_poly(args.g), parse_poly(args.h),
+                                     system)
+    return Record(ef.to_dict(), [f"{ef}: cofactor k = {ef.k}"])
 
 
-def _cmd_intfactor(args) -> int:
-    system = _load_system(args)
+def _cmd_intfactor(args, system) -> Record:
     mu = parse_multiplier(args.multiplier)
     report = check_integrating_factor(mu, system)
     verdict = "integrating factor" if report.is_exact else "not an integrating factor"
-    result = {"multiplier": str(mu), **report.to_dict(), "verdict": verdict}
-    _emit(args, _report("intfactor", system.source_text, result),
-          [f"mu = {mu}: {verdict} (residual {report.symbolic_residual})"])
-    return 0
+    return Record(
+        {"multiplier": str(mu), **report.to_dict(), "verdict": verdict},
+        [f"mu = {mu}: {verdict} (residual {report.symbolic_residual})"])
 
 
-def _cmd_inv_intfactor(args) -> int:
-    system = _load_system(args)
+def _cmd_inv_intfactor(args, system) -> Record:
     mu = parse_multiplier(args.multiplier)
     if not isinstance(mu, PolyMultiplier):
         raise ParseError("inverse integrating factors must be polynomials")
     report = check_inverse_integrating_factor(mu.p, system)
     verdict = ("inverse integrating factor" if report.is_exact
                else "not an inverse integrating factor")
-    result = {"V": str(mu.p), **report.to_dict(), "verdict": verdict}
-    _emit(args, _report("inv-intfactor", system.source_text, result),
-          [f"V = {mu.p}: {verdict} (residual {report.symbolic_residual})"])
-    return 0
+    return Record(
+        {"V": str(mu.p), **report.to_dict(), "verdict": verdict},
+        [f"V = {mu.p}: {verdict} (residual {report.symbolic_residual})"])
 
 
 def _build_darboux(args, system: VectorField):
@@ -339,8 +312,7 @@ def _build_darboux(args, system: VectorField):
     return curves, expf
 
 
-def _cmd_darboux(args) -> int:
-    system = _load_system(args)
+def _cmd_darboux(args, system) -> Record:
     curves, expf = _build_darboux(args, system)
     try:
         expr = darboux_first_integral(curves, expf)
@@ -348,38 +320,35 @@ def _cmd_darboux(args) -> int:
         result = {"first_integral": None, "reason": str(exc),
                   "cofactors": [c.to_dict() for c in curves]
                   + [e.to_dict() for e in expf]}
-        _emit(args, _report("darboux", system.source_text, result,
-                            notes=[str(exc)]),
-              [f"no Darboux first integral: {exc}"])
-        return 0
-    result = {"first_integral": expr.to_dict()}
-    _emit(args, _report("darboux", system.source_text, result),
-          [f"H = {expr}", "total cofactor = 0"])
-    return 0
+        return Record(result, [f"no Darboux first integral: {exc}"],
+                      notes=[str(exc)])
+    return Record({"first_integral": expr.to_dict()},
+                  [f"H = {expr}", "total cofactor = 0"])
 
 
-def _cmd_verify_integral(args) -> int:
-    system = _load_system(args)
+def _cmd_verify_integral(args, system) -> Record:
     curves, expf = _build_darboux(args, system)
     expr = darboux_first_integral(curves, expf)
     report = verify_first_integral(expr, system, trajectories=args.trajectories,
                                    t_span=args.t_span)
-    result = {"first_integral": expr.to_dict(), **report.to_dict()}
-    _emit(args, _report("verify-integral", system.source_text, result),
-          [f"H = {expr}",
-           f"symbolic residual = {report.symbolic_residual}",
-           f"max drift = {report.numeric_max_drift:.3e} over "
-           f"{report.trajectories_checked} trajectories"])
-    return 0
+    return Record(
+        {"first_integral": expr.to_dict(), **report.to_dict()},
+        [f"H = {expr}",
+         f"symbolic residual = {report.symbolic_residual}",
+         f"max drift = {report.numeric_max_drift:.3e} over "
+         f"{report.trajectories_checked} trajectories"])
 
 
-def _cmd_simulate(args) -> int:
-    system = _load_system(args)
+def _csv(report) -> str:
+    buf = io.StringIO()
+    report.write_csv(buf)
+    return buf.getvalue()
+
+
+def _cmd_simulate(args, system) -> Record:
     z0 = _parse_point(args.z0)
     domain = parse_region(args.region) if args.region else None
     traj = integrate(system, z0, args.t_span, args.tol, domain)
-    buf = io.StringIO()
-    traj.write_csv(buf)
     result = {
         "z0": list(z0),
         "t_span": args.t_span,
@@ -392,33 +361,23 @@ def _cmd_simulate(args) -> int:
     lines = [f"integrated to t = {traj.times[-1]:.9g} "
              f"({traj.status.value}, {len(traj.times) - 1} steps)",
              f"endpoint = ({traj.endpoint.x:.12g}, {traj.endpoint.y:.12g})"]
-    _emit(args, _report("simulate", system.source_text, result),
-          lines, csv_text=buf.getvalue())
-    return 0
+    return Record(result, lines, csv=_csv(traj))
 
 
-def _cmd_limit_cycle(args) -> int:
-    system = _load_system(args)
+def _cmd_limit_cycle(args, system) -> Record:
     seed = _parse_point(args.seed)
-    vx, vy = system(seed)
-    section = Section.through(seed, (vx, vy),
+    section = Section.through(seed, system(seed),
                               CrossingDirection.POSITIVE_CROSSING)
     report = detect_limit_cycle(system, section, seed, args.max_iters,
                                 args.tol, args.max_time)
-    buf = io.StringIO()
-    report.write_csv(buf)
-    result = {"limit_cycle": report.to_dict()}
     lines = [f"limit cycle: period = {report.period:.9g}, "
              f"amplitude_x = {report.amplitude_x:.9g}, "
              f"slope = {report.return_map_slope:.3e}, "
              f"stability = {report.stability.value}"]
-    _emit(args, _report("limit-cycle", system.source_text, result),
-          lines, csv_text=buf.getvalue())
-    return 0
+    return Record({"limit_cycle": report.to_dict()}, lines, csv=_csv(report))
 
 
-def _cmd_analyze(args) -> int:
-    system = _load_system(args)
+def _cmd_analyze(args, system) -> Record:
     region = parse_region(args.region)
     cfg = AnalyzeConfig(
         grid_n=args.grid,
@@ -429,7 +388,6 @@ def _cmd_analyze(args) -> int:
         max_cycle_seeds=args.max_cycle_seeds,
     )
     report = run_analyze(system, region, cfg)
-    d = report.to_dict()
     lines = [
         f"equilibria: {len(report.equilibria)}",
         f"local certificates: {len(report.local_certificates)}",
@@ -444,9 +402,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"note: {note}")
     code = exit_code(report)
     lines.append(f"exit code: {code}")
-    _emit(args, _report("analyze", system.source_text, d,
-                        notes=list(report.notes)), lines)
-    return code
+    return Record(report.to_dict(), lines, notes=list(report.notes), code=code)
 
 
 # --- parser ----------------------------------------------------------------
@@ -496,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bendixson", help="certify with B = 1")
     _add_common(p, region=True)
     p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p.set_defaults(handler=_cmd_bendixson)
+    p.set_defaults(handler=_cmd_certify, multiplier="1")
 
     p = subs.add_parser("local-dulac",
                         help="certified local multiplier at hyperbolic equilibria")
@@ -580,7 +536,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        system = _load_system(args) if "system" in args else None
+        record = args.handler(args, system)
+        _emit(args, system, record)
+        return record.code
     except (ParseError, DulacError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -218,9 +218,6 @@ class Poly:
             return -1
         return max(j for _, j in self.terms)
 
-    def coefficient(self, i: int, j: int) -> CRat:
-        return self.terms.get((i, j), CRAT_ZERO)
-
     @property
     def constant_term(self) -> CRat:
         return self.terms.get((0, 0), CRAT_ZERO)
@@ -396,16 +393,7 @@ def _frac_powers(v: Fraction, n: int):
     return powers
 
 
-X = Poly.x()
-Y = Poly.y()
-ONE = Poly.const(1)
-
-
 # -- canonical printing ------------------------------------------------------
-
-
-def _fmt_frac(q: Fraction) -> str:
-    return str(q)
 
 
 def _monomial_str(i: int, j: int) -> str:
@@ -422,7 +410,7 @@ def _monomial_str(i: int, j: int) -> str:
 
 
 def _imag_str(mag: Fraction) -> str:
-    return "i" if mag == 1 else f"{_fmt_frac(mag)}*i"
+    return "i" if mag == 1 else f"{mag}*i"
 
 
 def _term_str(c: CRat, mono: str):
@@ -431,17 +419,17 @@ def _term_str(c: CRat, mono: str):
         sign = "-" if c.re < 0 else "+"
         mag = abs(c.re)
         if not mono:
-            return sign, _fmt_frac(mag)
+            return sign, str(mag)
         if mag == 1:
             return sign, mono
-        return sign, f"{_fmt_frac(mag)}*{mono}"
+        return sign, f"{mag}*{mono}"
     if not c.re:
         sign = "-" if c.im < 0 else "+"
         body = _imag_str(abs(c.im))
         return sign, body if not mono else f"{body}*{mono}"
     # mixed complex coefficient: keep all signs inside parentheses
     im_sign = "-" if c.im < 0 else "+"
-    inner = f"{_fmt_frac(c.re)} {im_sign} {_imag_str(abs(c.im))}"
+    inner = f"{c.re} {im_sign} {_imag_str(abs(c.im))}"
     body = f"({inner})"
     return "+", body if not mono else f"{body}*{mono}"
 

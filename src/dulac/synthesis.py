@@ -97,9 +97,6 @@ class QuadraticMultiplier:
         py = Poly.y() - Poly.const(Fraction(self.origin[1]))
         return px * px * self.b20 + px * py * self.b11 + py * py * self.b02
 
-    def to_multiplier(self) -> PolyMultiplier:
-        return PolyMultiplier(self.to_poly())
-
 
 def _ansatz_discriminant(m: Matrix2) -> Fraction:
     return 3 * m.a ** 2 + 10 * m.a * m.d - 4 * m.b * m.c + 3 * m.d ** 2
@@ -238,8 +235,11 @@ def certify_punctured_box(carrier: Poly, cx: Fraction, cy: Fraction,
     inside the innermost ring stays uncertified.  Rings are certified from
     the innermost outward until a rectangle fails.  Returns the aggregate
     Positive certificate of the widest box whose rings all certify, or None
-    when the innermost ring fails or no ring lies above min_radius.
+    when the innermost ring fails or no ring lies above min_radius.  Raises
+    ValueError when min_radius is not positive: the rings would never end.
     """
+    if min_radius <= 0:
+        raise ValueError(f"min_radius must be > 0, got {float(min_radius)}")
     outers = []
     outer = Fraction(half_width)
     while outer > min_radius:

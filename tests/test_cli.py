@@ -1,10 +1,13 @@
 """CLI subcommands, report schema, exit codes, and serialization round-trips."""
 
+import argparse
 import json
 from pathlib import Path
 
+import pytest
+
 from dulac.analyze import AnalysisReport
-from dulac.cli import main, parse_region
+from dulac.cli import build_parser, main, parse_region
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -182,6 +185,77 @@ class TestErrors:
 
     def test_csv_unavailable(self, capsys):
         assert main(["parse", "--system", VDP, "--format", "csv"]) == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--tiles", "0"], ["--tiles", "-3"],
+        ["--tiles", "2", "--max-cycle-seeds", "-1"],
+    ], ids=["tiles_0", "tiles_neg", "cycle_seeds_neg"])
+    def test_analyze_bad_budget(self, capsys, flags):
+        # tiles 0 divided by zero and tiles -3 tiled nothing, so rotation,
+        # where every orbit is periodic, came out "fully certified"
+        code = main(["analyze", "--system", ROTATION, "--region=-2:2,-2:2",
+                     "--grid", "8"] + flags)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_local_dulac_nonpositive_min_radius(self, capsys):
+        for radius in ("0", "-1"):
+            code = main(["local-dulac", "--system", VDP, "--point", "0,0",
+                         "--min-radius", radius])
+            assert code == 3
+            assert "min_radius" in capsys.readouterr().err
+
+
+# one cheap invocation per subcommand
+ENVELOPE_CASES = {
+    "parse": ["--system", VDP],
+    "equilibria": ["--system", VDP, "--region=-3:3,-3:3", "--grid", "8"],
+    "dulac-linear": ["--matrix", "0,1;-1,1"],
+    "certify": ["--system", RADIAL, "--region", "1:2,1:2",
+                "--multiplier", "(x^2+y^2)/4"],
+    "bendixson": ["--system", VDP, "--region=-0.95:0.95,-4:4"],
+    "local-dulac": ["--system", VDP, "--point", "0,0"],
+    "cofactor": ["--system", CUBIC, "--curves", "x^2+y^2-1"],
+    "expfactor": ["--system", SADDLE, "--g", "0"],
+    "intfactor": ["--system", ROTATION, "--multiplier", "1"],
+    "inv-intfactor": ["--system", RADIAL, "--multiplier", "x^2+y^2"],
+    "darboux": ["--system", SADDLE, "--curves", "x;y"],
+    "verify-integral": ["--system", SADDLE, "--curves", "x;y",
+                        "--trajectories", "1", "--t-span", "1"],
+    "simulate": ["--system", ROTATION, "--z0", "1,0", "--t-span", "1.0"],
+    "limit-cycle": ["--system", VDP, "--seed", "2,0"],
+    "analyze": ["--system", RADIAL, "--region=-2:2,-2:2", "--grid", "8",
+                "--tiles", "2", "--max-cycle-seeds", "0"],
+}
+
+
+class TestEnvelope:
+    def test_cases_cover_every_subcommand(self):
+        (subs,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        assert set(subs.choices) == set(ENVELOPE_CASES)
+
+    @pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+    def test_keys_and_command(self, capsys, command):
+        code, report = run_json(capsys, [command] + ENVELOPE_CASES[command])
+        assert code == 0
+        assert set(report) == SCHEMA_KEYS
+        assert report["command"] == command
+        assert isinstance(report["system"], str) and report["system"]
+        assert isinstance(report["notes"], list)
+
+    @pytest.mark.parametrize("region", ["-0.95:0.95,-4:4", "-3:3,-3:3"],
+                             ids=["positive", "violation"])
+    def test_bendixson_is_certify_with_multiplier_one(self, capsys, region):
+        argv = ["--system", VDP, f"--region={region}"]
+        _, bend = run_json(capsys, ["bendixson"] + argv)
+        _, cert = run_json(capsys, ["certify"] + argv + ["--multiplier", "1"])
+        assert bend.pop("command") == "bendixson"
+        assert cert.pop("command") == "certify"
+        assert bend == cert
 
 
 class TestAnalyzeGolden:

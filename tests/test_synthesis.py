@@ -283,6 +283,19 @@ class TestPuncturedBoxSearch:
         assert local.box == region
         assert local.certificate.box == region
 
+    @pytest.mark.parametrize("min_r", [0, -1])
+    def test_nonpositive_min_radius_raises(self, min_r):
+        # the rings above a radius <= 0 never end
+        system = parse_system(VDP_TEXT)
+        _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
+        with pytest.raises(ValueError, match="min_radius"):
+            certify_punctured_box(carrier, 0, 0, Fraction(1), Fraction(min_r), 8)
+        with pytest.raises(ValueError, match="min_radius"):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
+        with pytest.raises(ValueError, match="min_radius"):
+            run_analyze(system, Box2(-4, 4, -4, 4),
+                        AnalyzeConfig(grid_n=8, min_radius=min_r))
+
 
 class TestFlowBox:
     def test_constant_field(self):

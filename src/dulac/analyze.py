@@ -138,6 +138,8 @@ def run_analyze(system: VectorField, region: Box2,
     cfg = config or AnalyzeConfig()
     if cfg.tile_n < 1:
         raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
+    if cfg.tile_depth < 0:
+        raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
     if cfg.max_cycle_seeds < 0:
         raise ValueError(
             f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")

@@ -2,10 +2,14 @@
 
 A polynomial with all-positive Bernstein coefficients on a box is positive
 there; a nonpositive coefficient triggers quaternary midpoint subdivision.
-All patch arithmetic is exact rational, so a Positive certificate is a
-machine-checked proof and a Violation carries an exact witness vertex.
-Wrapped around a multiplier's sign carrier this decides the no-periodic-orbit
-criterion on the open box.
+A patch holds integer numerators over one positive integer denominator,
+so a numerator has its coefficient's sign.  Conversion clears every
+denominator once and stays in integers; halving is de Casteljau with
+integer adds and shifts, and multiplies the denominator by 2^(m+n).  No
+rounding happens anywhere, so a Positive certificate is a machine-checked
+proof and a Violation carries an exact witness vertex.  Wrapped around a
+multiplier's sign carrier this decides the no-periodic-orbit criterion on
+the open box.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lshift
 from typing import Optional
 
 from .multiplier import BENDIXSON, Multiplier, multiplier_to_dict
@@ -38,7 +44,9 @@ class Box2:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("box must satisfy x_min < x_max and y_min < y_max")
 
@@ -114,106 +122,148 @@ class Box2:
 
 @dataclass(frozen=True)
 class BernsteinPatch:
-    """Exact Bernstein coefficients of a polynomial on a box.
+    """Bernstein coefficients of a polynomial on a box, as integer numerators
+    over one positive integer denominator.
 
-    ``coefficients[i][j]`` is the coefficient of B_{i,m}(u) B_{j,n}(v) after
-    the affine map of the box onto the unit square; corner coefficients equal
-    the polynomial values at the box corners, and min/max coefficients
-    enclose the range on the box.
+    ``numerators[i][j] / denominator`` is the exact coefficient of
+    B_{i,m}(u) B_{j,n}(v) after the affine map of the box onto the unit
+    square.  The denominator is positive, so a numerator has the sign of
+    its coefficient.  ``coefficients`` and the min/max/corner accessors
+    return the exact values as Fractions: corner coefficients equal the
+    polynomial values at the box corners, and min/max coefficients enclose
+    the range on the box.
     """
 
     box: Box2
     degrees: tuple
-    coefficients: tuple  # (m+1) x (n+1) nested tuples of Fraction
+    numerators: tuple  # (m+1) x (n+1) nested tuples of int
+    denominator: int
+
+    @property
+    def coefficients(self) -> tuple:
+        d = self.denominator
+        return tuple(tuple(Fraction(c, d) for c in row)
+                     for row in self.numerators)
 
     @property
     def min_coefficient(self) -> Fraction:
-        return min(c for row in self.coefficients for c in row)
+        return Fraction(min(map(min, self.numerators)), self.denominator)
 
     @property
     def max_coefficient(self) -> Fraction:
-        return max(c for row in self.coefficients for c in row)
+        return Fraction(max(map(max, self.numerators)), self.denominator)
+
+    def corner_numerators(self):
+        """Numerators at (SW, SE, NW, NE), aligned with box.corners()."""
+        c = self.numerators
+        return (c[0][0], c[-1][0], c[0][-1], c[-1][-1])
 
     def corner_coefficients(self):
         """Values at (SW, SE, NW, NE) corners, aligned with box.corners()."""
-        m, n = self.degrees
-        c = self.coefficients
-        return (c[0][0], c[m][0], c[0][n], c[m][n])
+        d = self.denominator
+        return tuple(Fraction(c, d) for c in self.corner_numerators())
 
     def subdivide(self):
-        """Split at the box midpoint; returns patches in box.split() order."""
-        left, right = _split_rows(self.coefficients)
-        sw_c, nw_c = _split_cols(left)
-        se_c, ne_c = _split_cols(right)
+        """Split at the box midpoint; returns patches in box.split() order.
+
+        Each child's denominator is the parent's times 2^(m+n).
+        """
+        m, n = self.degrees
+        left, right = _halve(self.numerators, m)
+        sw_c, nw_c = _halve_cols(left, n)
+        se_c, ne_c = _halve_cols(right, n)
         sw, se, nw, ne = self.box.split()
         deg = self.degrees
+        den = self.denominator << (m + n)
         return (
-            BernsteinPatch(sw, deg, sw_c),
-            BernsteinPatch(se, deg, se_c),
-            BernsteinPatch(nw, deg, nw_c),
-            BernsteinPatch(ne, deg, ne_c),
+            BernsteinPatch(sw, deg, sw_c, den),
+            BernsteinPatch(se, deg, se_c, den),
+            BernsteinPatch(nw, deg, nw_c, den),
+            BernsteinPatch(ne, deg, ne_c, den),
         )
 
 
-def _split_rows(coeffs):
-    """Exact de Casteljau halving along the row (x) index."""
-    m = len(coeffs) - 1
-    tri = list(coeffs)
-    left = [tri[0]]
-    right = [tri[-1]]
-    for _ in range(m):
-        tri = [tuple((a + b) / 2 for a, b in zip(tri[i], tri[i + 1]))
-               for i in range(len(tri) - 1)]
-        left.append(tri[0])
-        right.append(tri[-1])
-    right.reverse()
+def _halve(rows, m):
+    """De Casteljau halving along the row (x) index, in integers.
+
+    Row r of the triangle holds 2^r times the exact midpoint values, so
+    shifting it left by m - r puts both halves over 2^m.
+    """
+    left = [None] * (m + 1)
+    right = [None] * (m + 1)
+    left[0] = tuple(map(lshift, rows[0], repeat(m)))
+    right[m] = tuple(map(lshift, rows[m], repeat(m)))
+    tri = rows
+    for r in range(1, m + 1):
+        tri = [tuple(map(add, a, b)) for a, b in zip(tri, tri[1:])]
+        s = m - r
+        left[r] = tuple(map(lshift, tri[0], repeat(s)))
+        right[s] = tuple(map(lshift, tri[-1], repeat(s)))
     return tuple(left), tuple(right)
 
 
-def _split_cols(coeffs):
-    transposed = tuple(zip(*coeffs))
-    bottom, top = _split_rows(transposed)
+def _halve_cols(rows, n):
+    bottom, top = _halve(tuple(zip(*rows)), n)
     return tuple(zip(*bottom)), tuple(zip(*top))
+
+
+def _to_bernstein(c, shift, weights):
+    """m! times the Bernstein coefficients on [0, 1] of sum c[i] (shift + w*u)^i.
+
+    ``weights[k]`` is w^k k! (m-k)!, so that m! C(k,i) / C(m,i) becomes the
+    integer weight C(k,i) i! (m-i)!.  All arithmetic is on ints; the list c
+    is overwritten.
+    """
+    m = len(c) - 1
+    if shift:  # Taylor shift: coefficients of sum c[i] (shift + t)^i
+        for i in range(m):
+            for k in range(m - 1, i - 1, -1):
+                c[k] += shift * c[k + 1]
+    c = [ck * wk for ck, wk in zip(c, weights)]
+    for r in range(1, m + 1):  # binomial transform: sum_i C(k,i) c[i]
+        for k in range(m, r - 1, -1):
+            c[k] += c[k - 1]
+    return c
+
+
+def _axis_weights(width, m):
+    f = math.factorial
+    return [width ** k * f(k) * f(m - k) for k in range(m + 1)]
 
 
 def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     """Exact Bernstein form of a real polynomial on a box.
 
     Degrees are (deg_x p, deg_y p); raises ValueError on complex coefficients.
+    The coefficient denominators are cleared by their lcm L_c and the box
+    corners by theirs, L_b, so the patch denominator is
+    L_c * L_b^(m+n) * m! * n!.
     """
     if not p.is_real:
         raise ValueError("Bernstein certification requires real coefficients")
     m = max(p.deg_x, 0)
     n = max(p.deg_y, 0)
+    coeffs = [(e, c.re) for e, c in p.terms.items()]
+    lc = math.lcm(*(c.denominator for _, c in coeffs))
+    corners = (box.x_min, box.x_max, box.y_min, box.y_max)
+    lb = math.lcm(*(c.denominator for c in corners))
+    x0, x1, y0, y1 = (c.numerator * (lb // c.denominator) for c in corners)
 
-    # affine map of the unit square onto the box, composed exactly
-    u_image = Poly.const(box.x_min) + Poly.x() * box.width
-    v_image = Poly.const(box.y_min) + Poly.y() * box.height
-    u_pow = [Poly.const(1)]
-    for _ in range(m):
-        u_pow.append(u_pow[-1] * u_image)
-    v_pow = [Poly.const(1)]
-    for _ in range(n):
-        v_pow.append(v_pow[-1] * v_image)
-    mapped = Poly.zero()
-    for (i, j), c in p.terms.items():
-        mapped = mapped + u_pow[i] * v_pow[j] * c
+    # power coefficients of L_c L_b^(m+n) p(X/L_b, Y/L_b) in X, Y
+    lb_pow = [lb ** k for k in range(m + n + 1)]
+    a = [[0] * (n + 1) for _ in range(m + 1)]
+    for (i, j), c in coeffs:
+        a[i][j] = c.numerator * (lc // c.denominator) * lb_pow[m + n - i - j]
 
-    a = [[mapped.real_coefficient(k, l) for l in range(n + 1)]
-         for k in range(m + 1)]
-
-    # power basis -> Bernstein basis, one axis at a time
-    t = [[sum((Fraction(math.comb(i, k), math.comb(m, k)) * a[k][l]
-               for k in range(i + 1)), Fraction(0))
-          for l in range(n + 1)]
-         for i in range(m + 1)]
-    b = tuple(
-        tuple(sum((Fraction(math.comb(j, l), math.comb(n, l)) * t[i][l]
-                   for l in range(j + 1)), Fraction(0))
-              for j in range(n + 1))
-        for i in range(m + 1)
-    )
-    return BernsteinPatch(box=box, degrees=(m, n), coefficients=b)
+    # X = x0 + (x1 - x0) u and Y = y0 + (y1 - y0) v, one axis at a time
+    wx = _axis_weights(x1 - x0, m)
+    wy = _axis_weights(y1 - y0, n)
+    cols = [_to_bernstein([row[j] for row in a], x0, wx) for j in range(n + 1)]
+    b = tuple(tuple(_to_bernstein([col[k] for col in cols], y0, wy))
+              for k in range(m + 1))
+    den = lc * lb_pow[m + n] * math.factorial(m) * math.factorial(n)
+    return BernsteinPatch(box=box, degrees=(m, n), numerators=b,
+                          denominator=den)
 
 
 # --- certificates -----------------------------------------------------------
@@ -328,8 +378,10 @@ def certify_positive(p: Poly, box: Box2,
     Violation carries an exact subdivision vertex with p(vertex) <= 0.
     Inconclusive means max_depth was reached with undecided patches.
     The search order is a fixed depth-first traversal, so results are
-    deterministic.
+    deterministic.  Raises ValueError for a negative max_depth.
     """
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
     root = bernstein_coefficients(p, box)
     stack = [(root, 0)]
     leaf_count = 0
@@ -360,8 +412,9 @@ def certify_positive(p: Poly, box: Box2,
 
 
 def _corner_witness(p: Poly, patch: BernsteinPatch):
-    for corner, coeff in zip(patch.box.corners(), patch.corner_coefficients()):
-        if coeff <= 0:
+    for k, num in enumerate(patch.corner_numerators()):
+        if num <= 0:
+            corner = patch.box.corners()[k]
             value = p.evaluate_exact(corner[0], corner[1])
             return corner, value.re
     return None

@@ -207,6 +207,9 @@ def _cmd_certify(args, system) -> Record:
 
 
 def _cmd_local_dulac(args, system) -> Record:
+    # checked here too: the equilibrium search may find nothing to certify
+    if args.depth < 0:
+        raise ValueError(f"depth must be >= 0, got {args.depth}")
     notes: list = []
     entries: list = []
     if args.point:

@@ -236,10 +236,13 @@ def certify_punctured_box(carrier: Poly, cx: Fraction, cy: Fraction,
     the innermost outward until a rectangle fails.  Returns the aggregate
     Positive certificate of the widest box whose rings all certify, or None
     when the innermost ring fails or no ring lies above min_radius.  Raises
-    ValueError when min_radius is not positive: the rings would never end.
+    ValueError when min_radius is not positive (the rings would never end)
+    or max_depth is negative.
     """
     if min_radius <= 0:
         raise ValueError(f"min_radius must be > 0, got {float(min_radius)}")
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
     outers = []
     outer = Fraction(half_width)
     while outer > min_radius:

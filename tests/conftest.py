@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from dulac.flow import eigenvalues_2x2
 from dulac.poly import CRat, Poly, VectorField
 
 # --- seeded random generators (for bulk loops with frozen seeds) ---
@@ -36,6 +37,33 @@ def rand_field(rng: random.Random, max_degree: int = 5) -> VectorField:
     p = rand_poly(rng, max_degree)
     q = rand_poly(rng, max_degree)
     return VectorField(p=p, q=q)
+
+
+def perturbed_linear_field(rng: random.Random) -> VectorField:
+    """Acceptance criterion 9's law: a hyperbolic linear field whose
+    quadratic Dulac multiplier exists, plus one to three random terms of
+    degree 2 or 3 in each component."""
+    while True:
+        a, b, c, d = (Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                      for _ in range(4))
+        e1, e2 = eigenvalues_2x2(float(a), float(b), float(c), float(d))
+        if min(abs(e1.real), abs(e2.real)) < 0.1:
+            continue
+        if (a + d) == 0 or (3 * a ** 2 + 10 * a * d
+                            - 4 * b * c + 3 * d ** 2) == 0:
+            continue
+        p_terms = {(1, 0): CRat(a), (0, 1): CRat(b)}
+        q_terms = {(1, 0): CRat(c), (0, 1): CRat(d)}
+        for terms in (p_terms, q_terms):
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(0, 3)
+                j = rng.randint(0, 3 - i)
+                if i + j < 2:
+                    j = 2 - i
+                coeff = Fraction(rng.randint(-1, 1), rng.randint(10, 40))
+                if coeff:
+                    terms[(i, j)] = CRat(coeff)
+        return VectorField(Poly(p_terms), Poly(q_terms))
 
 
 # --- hypothesis strategies ---

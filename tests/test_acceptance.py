@@ -32,7 +32,6 @@ from dulac.flow import (
     Section,
     Stability,
     detect_limit_cycle,
-    eigenvalues_2x2,
     integrate,
 )
 from dulac.parse import parse_poly, parse_system
@@ -55,7 +54,7 @@ from dulac.synthesis import (
     quadratic_dulac_linear,
 )
 
-from conftest import batch_eval, rand_poly, sample_box
+from conftest import batch_eval, perturbed_linear_field, rand_poly, sample_box
 
 VDP = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
 
@@ -332,33 +331,9 @@ def test_criterion_8_gradient_multipliers():
 def test_criterion_9_local_dulac_random_perturbed():
     with Criterion(9, "local Dulac at 50 perturbed hyperbolic equilibria", 60.0):
         rng = random.Random(909)
-
-        def make_system():
-            while True:
-                a, b, c, d = (_rand_fraction(rng) for _ in range(4))
-                e1, e2 = eigenvalues_2x2(float(a), float(b), float(c), float(d))
-                if min(abs(e1.real), abs(e2.real)) < 0.1:
-                    continue
-                if (a + d) == 0 or (3 * a ** 2 + 10 * a * d
-                                    - 4 * b * c + 3 * d ** 2) == 0:
-                    continue
-                p_terms = {(1, 0): CRat(a), (0, 1): CRat(b)}
-                q_terms = {(1, 0): CRat(c), (0, 1): CRat(d)}
-                for terms in (p_terms, q_terms):
-                    for _ in range(rng.randint(1, 3)):
-                        i = rng.randint(0, 3)
-                        j = rng.randint(0, 3 - i)
-                        if i + j < 2:
-                            j = 2 - i
-                        coeff = Fraction(rng.randint(-1, 1),
-                                         rng.randint(10, 40))
-                        if coeff:
-                            terms[(i, j)] = CRat(coeff)
-                return VectorField(Poly(p_terms), Poly(q_terms))
-
         successes = 0
         for trial in range(50):
-            system = make_system()
+            system = perturbed_linear_field(rng)
             try:
                 mult, box, cert = local_dulac_hyperbolic(
                     system, Point(0.0, 0.0), min_radius=1e-3)

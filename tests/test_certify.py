@@ -1,7 +1,10 @@
 """Bernstein patches and positivity certificates."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,19 @@ from dulac.certify import (
     certify_dulac,
     certify_positive,
 )
+from dulac.multiplier import BENDIXSON, PolyMultiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
-from dulac.poly import Poly
+from dulac.poly import CRat, Point, Poly
+from dulac.synthesis import local_dulac_hyperbolic
 
-from conftest import batch_eval, polys, rand_poly, sample_box
+from conftest import (
+    batch_eval,
+    perturbed_linear_field,
+    polys,
+    rand_field,
+    rand_poly,
+    sample_box,
+)
 
 UNIT = Box2(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
 SYM = Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
@@ -134,6 +146,26 @@ class TestCertifyPositive:
         cert = certify_positive(p, UNIT, max_depth=2)
         assert isinstance(cert.outcome, Inconclusive)
         assert cert.outcome.undecided_boxes > 0
+
+    def test_depth_zero_decides_root_patch(self):
+        cert = certify_positive(parse_poly("x^2 + y^2 + 1"), UNIT, max_depth=0)
+        assert cert.outcome == Positive(max_depth_used=0, box_count=1)
+        cert = certify_positive(parse_poly("x^2 + y^2 - 1/2"), SYM, max_depth=0)
+        assert cert.outcome == Inconclusive(depth_limit=0, undecided_boxes=1)
+
+    def test_negative_depth_rejected_before_conversion(self, monkeypatch):
+        # a depth limit of -1 used to come back as Inconclusive(depth_limit=-1)
+        import dulac.certify as certify
+
+        def no_conversion(p, box):
+            raise AssertionError("converted before checking the depth")
+
+        monkeypatch.setattr(certify, "bernstein_coefficients", no_conversion)
+        p = parse_poly("x^2 + y^2 + 1")
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            certify_positive(p, SYM, -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            bendixson(parse_system("P = x\nQ = y"), SYM, max_depth=-3)
 
     def test_violation_witness_exact(self):
         rng = random.Random(13)
@@ -254,3 +286,194 @@ class TestDulacCertificates:
         assert d["certificate"]["outcome"] == "positive"
         assert d["certificate"]["witness"] is None
         assert "open box" in d["notes"][0]
+
+
+# --- differential tests against a plain Fraction reference -----------------
+#
+# The reference shares no code with dulac.certify: power coefficients of
+# p(x0 + W u, y0 + H v) by the binomial theorem, the textbook sum
+# b_kl = sum C(k,i) C(l,j) / (C(m,i) C(n,j)) a_ij, and de Casteljau halving
+# by midpoint averages.
+
+
+def _ref_bernstein(terms, m, n, box):
+    x0, y0 = box.x_min, box.y_min
+    w, h = box.x_max - box.x_min, box.y_max - box.y_min
+    a = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
+    for (i, j), c in terms.items():
+        for k in range(i + 1):
+            for l in range(j + 1):
+                a[k][l] += (c * math.comb(i, k) * x0 ** (i - k) * w ** k
+                            * math.comb(j, l) * y0 ** (j - l) * h ** l)
+    return [[sum((Fraction(math.comb(k, i) * math.comb(l, j),
+                           math.comb(m, i) * math.comb(n, j)) * a[i][j]
+                  for i in range(k + 1) for j in range(l + 1)), Fraction(0))
+             for l in range(n + 1)]
+            for k in range(m + 1)]
+
+
+def _ref_halve(seq):
+    """Left and right de Casteljau halves of a list of Fraction vectors."""
+    left, right, tri = [seq[0]], [seq[-1]], list(seq)
+    while len(tri) > 1:
+        tri = [[(a + b) / 2 for a, b in zip(u, v)]
+               for u, v in zip(tri, tri[1:])]
+        left.append(tri[0])
+        right.append(tri[-1])
+    return left, right[::-1]
+
+
+def _ref_children(b, corners):
+    """(corners, coefficients) of the SW, SE, NW, NE halves."""
+    x_min, x_max, y_min, y_max = corners
+    xm, ym = (x_min + x_max) / 2, (y_min + y_max) / 2
+    left, right = _ref_halve(b)
+    out = []
+    for ys, tb in (((y_min, ym), 0), ((ym, y_max), 1)):
+        for xs, half in (((x_min, xm), left), ((xm, x_max), right)):
+            cols = _ref_halve([list(col) for col in zip(*half)])[tb]
+            out.append(((xs[0], xs[1], ys[0], ys[1]),
+                        [list(row) for row in zip(*cols)]))
+    return out
+
+
+def _differential_polys():
+    """Seeded real polys up to degree (6, 6) with non-dyadic coefficients,
+    plus the zero, constant and one-axis extremes."""
+    rng = random.Random(3571)
+    dens = (3, 5, 7, 9, 11, 13, 21, 1)
+    out = [{}, {(0, 0): Fraction(-5, 3)}, {(6, 0): Fraction(2, 7)},
+           {(0, 6): Fraction(-1, 9), (0, 0): Fraction(1, 3)}]
+    for _ in range(8):
+        dx, dy = rng.randint(0, 6), rng.randint(0, 6)
+        terms = {(dx, dy): Fraction(rng.choice((-1, 1)), rng.choice(dens))}
+        for _ in range(rng.randint(1, 10)):
+            terms[(rng.randint(0, dx), rng.randint(0, dy))] = Fraction(
+                rng.randint(-99, 99), rng.choice(dens))
+        out.append({e: c for e, c in terms.items() if c})
+    return out
+
+
+# a float equilibrium rationalized, as analyze builds it: ~2^67 denominators
+_FLOAT_X, _FLOAT_Y = Fraction(-7.3e-5), Fraction(4.1e-5)
+DIFFERENTIAL_BOXES = [
+    Box2(Fraction(-2, 3), Fraction(1, 3), Fraction(-1, 3), Fraction(4, 3)),
+    Box2(Fraction(-3, 7), Fraction(5, 7), Fraction(1, 7), Fraction(2)),
+    Box2.centered(_FLOAT_X, _FLOAT_Y, Fraction(1, 4)),
+]
+
+
+class TestDifferential:
+    def test_float_box_has_large_denominators(self):
+        box = DIFFERENTIAL_BOXES[2]
+        assert all(c.denominator.bit_length() >= 60
+                   for c in (box.x_min, box.x_max, box.y_min, box.y_max))
+
+    @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES,
+                             ids=["thirds", "sevenths", "float"])
+    def test_matches_reference_down_to_depth_3(self, box):
+        for terms in _differential_polys():
+            p = Poly({e: CRat(c) for e, c in terms.items()})
+            m = max((i for i, _ in terms), default=0)
+            n = max((j for _, j in terms), default=0)
+            level = [(bernstein_coefficients(p, box),
+                      (box.x_min, box.x_max, box.y_min, box.y_max),
+                      _ref_bernstein(terms, m, n, box))]
+            for depth in range(4):
+                for patch, corners, ref in level:
+                    self._check(patch, corners, ref, (m, n))
+                if depth < 3:
+                    level = [(child, c_corners, c_ref)
+                             for patch, corners, ref in level
+                             for child, (c_corners, c_ref) in zip(
+                                 patch.subdivide(),
+                                 _ref_children(ref, corners))]
+
+    @staticmethod
+    def _check(patch, corners, ref, degrees):
+        m, n = degrees
+        box = patch.box
+        assert (box.x_min, box.x_max, box.y_min, box.y_max) == corners
+        assert patch.degrees == degrees
+        assert patch.denominator > 0
+        assert all(type(c) is int for row in patch.numerators for c in row)
+        assert patch.coefficients == tuple(tuple(row) for row in ref)
+        flat = [c for row in ref for c in row]
+        assert patch.min_coefficient == min(flat)
+        assert patch.max_coefficient == max(flat)
+        assert patch.corner_coefficients() == (ref[0][0], ref[m][0],
+                                               ref[0][n], ref[m][n])
+
+
+# --- golden certificates ----------------------------------------------------
+
+# full dicts recorded with the Fraction kernel that preceded the integer one
+GOLDEN = Path(__file__).parent / "data" / "certify_golden.jsonl"
+GOLDEN_SEED = 8
+
+
+def golden_cases():
+    """(name, certificate) pairs whose full dicts are pinned in GOLDEN.
+
+    The first 10 local certificates of acceptance criterion 9, then 20
+    certify_dulac queries on boxes with denominators 3, 7 and ~2^67: random
+    cubic fields under B = 1 or a random quadratic B, alternating with
+    fields whose divergence (a x - b)^2 + (c y - d)^2 + e, |e| <= 1/40,
+    has its minimum inside the box.
+    """
+    rng = random.Random(909)
+    for trial in range(10):
+        _, _, cert = local_dulac_hyperbolic(perturbed_linear_field(rng),
+                                            Point(0.0, 0.0), min_radius=1e-3)
+        yield f"criterion9-{trial}", cert
+    rng = random.Random(GOLDEN_SEED)
+    for k in range(20):
+        den = (3, 7, None)[k % 3]
+        if k % 2:
+            a, c = rng.choice((3, 5, 7)), rng.choice((3, 5, 7))
+            b, d = rng.randint(-a, a), rng.randint(-c, c)
+            e = rng.choice(("-1/40", "0", "1/40"))
+            system = parse_system(
+                f"P = ({a}*x - ({b}))^3/{3 * a} + ({e})*x"
+                f" + ({rng.randint(-5, 5)})*y^2\n"
+                f"Q = ({c}*y - ({d}))^3/{3 * c} + ({rng.randint(-5, 5)})*x^3")
+            mult = BENDIXSON
+            cx, cy = Fraction(b, a), Fraction(d, c)
+        else:
+            system = rand_field(rng, 3)
+            mult = (BENDIXSON if k % 4 == 0
+                    else PolyMultiplier(rand_poly(rng, 2)))
+            cx, cy = Fraction(rng.randint(-6, 6), 3), Fraction(rng.randint(-6, 6), 7)
+        if den:
+            box = Box2(cx - Fraction(rng.randint(1, den), den),
+                       cx + Fraction(rng.randint(1, den), den),
+                       cy - Fraction(rng.randint(1, den), den),
+                       cy + Fraction(rng.randint(1, den), den))
+        else:
+            cx += Fraction(rng.uniform(-1e-4, 1e-4))
+            cy += Fraction(rng.uniform(-1e-4, 1e-4))
+            box = Box2.centered(cx, cy, Fraction(1, 2 ** rng.randint(0, 3)))
+        result = certify_dulac(system, mult, box, rng.choice((2, 4, 6)))
+        yield f"dulac-{k}", result.certificate
+
+
+def golden_line(name, cert):
+    return json.dumps({"case": name, "certificate": cert.to_full_dict()},
+                      sort_keys=True)
+
+
+class TestGolden:
+    def test_full_dicts_unchanged(self):
+        expected = GOLDEN.read_text().splitlines()
+        got = [golden_line(name, cert) for name, cert in golden_cases()]
+        assert len(got) == len(expected) == 30
+        for line, want in zip(got, expected):
+            assert line == want
+
+    def test_outcome_mix(self):
+        # the queries cover every outcome, and not only at the root patch
+        dicts = [json.loads(line)["certificate"]
+                 for line in GOLDEN.read_text().splitlines()[10:]]
+        for kind in ("positive", "violation", "inconclusive"):
+            depths = [d["depth"] for d in dicts if d["outcome"] == kind]
+            assert len(depths) >= 4 and max(depths) >= 2

@@ -208,6 +208,26 @@ class TestErrors:
             assert code == 3
             assert "min_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "--system", RADIAL, "--region=-1:2,1:2",
+         "--multiplier", "(x^2+y^2)/4"],
+        ["bendixson", "--system", VDP, "--region=-3:3,-3:3"],
+        ["local-dulac", "--system", VDP, "--point", "0,0"],
+        # no hyperbolic equilibrium in this region: nothing reaches the
+        # certifier, so the handler itself must reject the depth
+        ["local-dulac", "--system", VDP, "--region=3:4,3:4"],
+        ["analyze", "--system", ROTATION, "--region=-2:2,-2:2", "--grid", "8"],
+    ], ids=["certify", "bendixson", "local_point", "local_region", "analyze"])
+    def test_negative_depth(self, capsys, args):
+        # a depth limit of -1 was reported as an inconclusive certificate
+        code = main(args + ["--depth", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "depth must be >= 0" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 # one cheap invocation per subcommand
 ENVELOPE_CASES = {

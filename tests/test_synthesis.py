@@ -296,6 +296,18 @@ class TestPuncturedBoxSearch:
             run_analyze(system, Box2(-4, 4, -4, 4),
                         AnalyzeConfig(grid_n=8, min_radius=min_r))
 
+    def test_negative_depth_raises(self):
+        system = parse_system(VDP_TEXT)
+        _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            certify_punctured_box(carrier, 0, 0, Fraction(1),
+                                  Fraction(1, 1000), -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
+        with pytest.raises(ValueError, match="tile depth must be >= 0"):
+            run_analyze(system, Box2(-4, 4, -4, 4),
+                        AnalyzeConfig(grid_n=8, tile_depth=-1))
+
 
 class TestFlowBox:
     def test_constant_field(self):

@@ -99,10 +99,6 @@ class AnalysisReport:
     limit_cycles: tuple
     notes: tuple
 
-    @property
-    def fully_certified(self) -> bool:
-        return not self.uncovered_regions
-
     def to_dict(self) -> dict:
         return {
             "system": self.system,

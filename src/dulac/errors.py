@@ -41,10 +41,6 @@ class NotAnEquilibriumError(DulacError):
     """The given point is not a zero of the field to tolerance."""
 
 
-class NonHyperbolicLinearizationError(DulacError):
-    """The Jacobian at the equilibrium has zero trace."""
-
-
 class CertificationFailedError(DulacError):
     """No box down to the minimum radius could be certified."""
 

@@ -1,5 +1,10 @@
 """Recursive-descent parser for polynomial expressions and `.vf` system files.
 
+One scanner, ``tokenize``, reads the characters of every input: `.vf` files,
+expressions and multipliers.  It skips blanks and ``#`` comments and gives
+each token its line and column.  Lines end where ``str.splitlines`` ends
+them, or at their ``#`` if they have a comment.
+
 Grammar for expressions (explicit operators only, no implicit products):
 
     expr   := term (('+' | '-') term)*
@@ -8,85 +13,75 @@ Grammar for expressions (explicit operators only, no implicit products):
     power  := atom ('^' INTEGER)?
     atom   := NUMBER | IDENT | '(' expr ')'
 
+NUMBER is ASCII ``[0-9]+('.'[0-9]+)?`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``.
 Division is restricted to nonzero constant divisors and exponents to literal
 nonnegative integers; anything else is rejected as a nonpolynomial construct.
 Decimal literals are converted exactly to rationals (0.5 -> 1/2).  The
 identifier ``i`` is reserved for the imaginary unit.
 
-`.vf` files are line-oriented (``#`` starts a comment):
+`.vf` files are line-oriented:
 
     line := "P = " expr | "Q = " expr | "param " ident " = " number
+
+A multiplier is an expression, or ``exp(expr)`` optionally followed by
+``* expr``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .multiplier import ExpPolyMultiplier, Multiplier, PolyMultiplier
 from .poly import CRAT_I, Poly, VectorField
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"x", "y", "i", "P", "Q", "param"}
 
+# the line breaks of str.splitlines; any other whitespace is a blank
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_TOKEN_RE = re.compile(rf"""
+    [^\S{_BREAKS}]+
+  | (?P<EOL>(?:\#[^{_BREAKS}]*)?(?P<BREAK>\r\n|[{_BREAKS}]|\Z))
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>[-+*/^()=,;:])
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NUMBER | IDENT | OP | END
+
+class Token(NamedTuple):
+    kind: str  # NUMBER | IDENT | OP | EOL | END
     text: str
     line: int
     col: int
 
 
-def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, with an EOL token where each line ends and an
+    END token where the last one ends.  Raises ParseError at a character
+    that starts no token and at a number that ends in '.'."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        col = m.start() - line_start + 1
+        if kind == "EOL":
+            if not m.group("BREAK"):
+                tokens.append(Token("END", "", line, col))
+                return tokens
+            tokens.append(Token("EOL", "", line, col))
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("malformed number", line, start_col)
-                while i < n and text[i].isdigit():
-                    i += 1
-            tokens.append(Token("NUMBER", text[start:i], line, start_col))
-            col += i - start
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in "+-*/^()=,;:":
-            tokens.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
-    return tokens
+            line_start = m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind == "NUMBER" and m.group().endswith("."):
+            raise ParseError("malformed number", line, col)
+        else:
+            tokens.append(Token(kind, m.group(), line, col))
 
 
 class _ExprParser:
@@ -205,22 +200,36 @@ class _ExprParser:
         self.fail(f"unknown identifier {name!r}", tok)
 
 
+def _expression(text: str) -> list[Token]:
+    """The tokens of ``text`` read as one expression, across its line ends."""
+    return [tok for tok in tokenize(text) if tok.kind != "EOL"]
+
+
+def _constant(tokens: list[Token]) -> Fraction:
+    # constant mode admits neither variables nor i, so the value is real
+    return _ExprParser(tokens, variables=False).parse().constant_term.re
+
+
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial expression in x, y into canonical expanded form."""
-    return _ExprParser(tokenize(text)).parse()
+    return _ExprParser(_expression(text)).parse()
 
 
-def parse_constant(text: str, line: int = 1, col: int = 1) -> Fraction:
+def parse_constant(text: str) -> Fraction:
     """Parse a constant real expression ("-3", "1/2", "0.25") to a Fraction."""
-    p = _ExprParser(tokenize(text, line, col), variables=False).parse()
-    c = p.constant_term
-    if c.im:
-        raise ParseError("expected a real constant", line, col)
-    return c.re
+    return _constant(_expression(text))
 
 
-_LINE_RE = re.compile(r"^\s*(P|Q)\s*=\s*(.*)$")
-_PARAM_RE = re.compile(r"^\s*param\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
+def _lines(tokens: list[Token]):
+    """The nonblank lines of a token stream, each closed by an END token
+    where the line ends."""
+    line = []
+    for tok in tokens:
+        if tok.kind not in ("EOL", "END"):
+            line.append(tok)
+        elif line:
+            yield line + [tok._replace(kind="END")]
+            line = []
 
 
 def parse_system(text: str) -> VectorField:
@@ -229,36 +238,30 @@ def parse_system(text: str) -> VectorField:
     Both components are expanded to canonical form with all parameters
     substituted, so printing and re-parsing round-trips to an equal field.
     """
-    components: dict[str, tuple[int, str]] = {}
+    components: dict[str, list[Token]] = {}
     params: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _PARAM_RE.match(line)
-        if m:
-            name, value_text = m.group(1), m.group(2)
+    for tokens in _lines(tokenize(text)):
+        first, second, lineno = tokens[0], tokens[1], tokens[0].line
+        if (first.text == "param" and second.kind == "IDENT"
+                and tokens[2].text == "="):
+            name = second.text
             if name in _RESERVED:
                 raise ParseError(f"parameter name {name!r} is reserved", lineno, 1)
             if name in params:
                 raise ParseError(f"duplicate parameter {name!r}", lineno, 1)
-            if not value_text.strip():
+            if tokens[3].kind == "END":
                 raise ParseError(f"missing value for parameter {name!r}", lineno, 1)
-            col = len(line) - len(value_text) + 1
-            params[name] = parse_constant(value_text, lineno, col)
-            continue
-        m = _LINE_RE.match(line)
-        if m:
-            name, expr_text = m.group(1), m.group(2)
+            params[name] = _constant(tokens[3:])
+        elif first.text in ("P", "Q") and second.text == "=":
+            name = first.text
             if name in components:
                 raise ParseError(f"duplicate definition of {name}", lineno, 1)
-            if not expr_text.strip():
+            if tokens[2].kind == "END":
                 raise ParseError(f"empty expression for {name}", lineno, 1)
-            col = len(line) - len(expr_text) + 1
-            components[name] = (lineno, expr_text, col)
-            continue
-        raise ParseError("expected 'P = ...', 'Q = ...' or 'param name = value'",
-                         lineno, 1)
+            components[name] = tokens[2:]
+        else:
+            raise ParseError("expected 'P = ...', 'Q = ...' or 'param name = value'",
+                             lineno, 1)
 
     for required in ("P", "Q"):
         if required not in components:
@@ -266,37 +269,31 @@ def parse_system(text: str) -> VectorField:
 
     env = {name: Poly.const(value) for name, value in params.items()}
     parsed = {}
-    for name, (lineno, expr_text, col) in components.items():
-        p = _ExprParser(tokenize(expr_text, lineno, col), env=env).parse()
+    for name, tokens in components.items():
+        p = _ExprParser(tokens, env=env).parse()
         if not p.is_real:
-            raise ParseError(f"{name} has nonreal coefficients", lineno, col)
+            raise ParseError(f"{name} has nonreal coefficients",
+                             tokens[0].line, tokens[0].col)
         parsed[name] = p
     return VectorField(p=parsed["P"], q=parsed["Q"], params=params,
                        source_text=text)
 
 
-_EXP_PREFIX_RE = re.compile(r"^\s*exp\s*\(")
-
-
 def parse_multiplier(text: str) -> Multiplier:
     """Parse a multiplier expression: a polynomial, or `exp(<poly>)*<poly>`."""
-    m = _EXP_PREFIX_RE.match(text)
-    if not m:
-        return PolyMultiplier(parse_poly(text))
-    depth = 1
-    i = m.end()
-    while i < len(text) and depth:
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-        i += 1
-    if depth:
-        raise ParseError("unbalanced parentheses in exp(...)")
-    g = parse_poly(text[m.end():i - 1])
-    rest = text[i:].strip()
-    if not rest:
+    parser = _ExprParser(_expression(text))
+    if [tok.text for tok in parser.tokens[:2]] != ["exp", "("]:
+        return PolyMultiplier(parser.parse())
+    parser.pos = 2
+    g = parser.expr()
+    closing = parser.advance()
+    if closing.kind == "END":
+        parser.fail("unbalanced parentheses in exp(...)", closing)
+    if closing.text != ")":
+        parser.fail(f"unexpected token {closing.text!r}", closing)
+    if parser.peek().kind == "END":
         return ExpPolyMultiplier(g=g, p=Poly.const(1))
-    if not rest.startswith("*"):
-        raise ParseError("expected '*' after exp(...)")
-    return ExpPolyMultiplier(g=g, p=parse_poly(rest[1:]))
+    if parser.peek().text != "*":
+        parser.fail("expected '*' after exp(...)")
+    parser.advance()
+    return ExpPolyMultiplier(g=g, p=parser.parse())

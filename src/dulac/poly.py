@@ -225,13 +225,6 @@ class Poly:
     def conjugate(self) -> "Poly":
         return Poly._raw({e: c.conjugate() for e, c in self.terms.items()})
 
-    def real_coefficient(self, i: int, j: int) -> Fraction:
-        """Coefficient as a Fraction; raises on a nonreal coefficient."""
-        c = self.terms.get((i, j), CRAT_ZERO)
-        if c.im:
-            raise ValueError("polynomial has a nonreal coefficient")
-        return c.re
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.terms == other.terms

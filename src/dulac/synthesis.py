@@ -28,7 +28,6 @@ from .errors import (
     ConstantInputError,
     DoubleZeroEigenvalueError,
     FlowBoxError,
-    NonHyperbolicLinearizationError,
     NotAnEquilibriumError,
     ParseError,
     SingularAnsatzError,
@@ -271,8 +270,9 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
     """Quadratic multiplier of the Jacobian, translated to the equilibrium.
 
     Returns (multiplier, sign carrier for the full nonlinear field,
-    exact equilibrium coordinates).  Raises NotAnEquilibriumError or
-    NonHyperbolicLinearizationError when the preconditions fail.
+    exact equilibrium coordinates).  Raises NotAnEquilibriumError, or the
+    errors of quadratic_dulac_linear for the Jacobian (TraceZeroError,
+    DoubleZeroEigenvalueError, SingularAnsatzError).
     """
     px, py = system.p.evaluate(eq), system.q.evaluate(eq)
     if max(abs(px.real), abs(py.real)) > 1e-10:
@@ -285,8 +285,6 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
         c=j_qx.evaluate_exact(ex, ey).re,
         d=j_qy.evaluate_exact(ex, ey).re,
     )
-    if jac.trace == 0:
-        raise NonHyperbolicLinearizationError("Jacobian trace is zero")
     quad = quadratic_dulac_linear(jac)
     b_poly = QuadraticMultiplier(quad.b20, quad.b11, quad.b02,
                                  origin=(ex, ey)).to_poly()
@@ -296,22 +294,21 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
 
 def local_dulac_hyperbolic(system: VectorField, eq: Point,
                            min_radius: float = 1e-3,
-                           max_depth: int = LOCAL_MAX_DEPTH,
-                           initial_half_width: float = LOCAL_INITIAL_HALF_WIDTH):
+                           max_depth: int = LOCAL_MAX_DEPTH):
     """Local Dulac multiplier near a hyperbolic equilibrium.
 
     Translates the quadratic multiplier of the Jacobian to the equilibrium
     and certifies its sign carrier on the widest punctured box of
-    half-width ``initial_half_width/2^k`` (see certify_punctured_box).  The
-    carrier vanishes at the equilibrium itself, so the certificate covers
-    the box minus a core of half-width at most min_radius.  Raises
+    half-width ``LOCAL_INITIAL_HALF_WIDTH/2^k`` (see certify_punctured_box).
+    The carrier vanishes at the equilibrium itself, so the certificate
+    covers the box minus a core of half-width at most min_radius.  Raises
     CertificationFailedError when not even the innermost ring certifies.
 
     Returns (multiplier, box, certificate).
     """
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
     cert = certify_punctured_box(carrier, ex, ey,
-                                 Fraction(float(initial_half_width)),
+                                 Fraction(LOCAL_INITIAL_HALF_WIDTH),
                                  Fraction(float(min_radius)), max_depth)
     if cert is None:
         raise CertificationFailedError(

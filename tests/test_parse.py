@@ -12,6 +12,9 @@ from dulac.parse import (
     parse_poly,
     parse_system,
 )
+
+PARSERS = {"poly": parse_poly, "constant": parse_constant,
+           "system": parse_system, "multiplier": parse_multiplier}
 from dulac.poly import CRat, Poly
 
 from conftest import polys
@@ -179,3 +182,148 @@ class TestParseConstantAndMultiplier:
             parse_multiplier("exp((x)")
         with pytest.raises(ParseError, match="expected '\\*'"):
             parse_multiplier("exp(x) + 1")
+
+
+# (parser, input, "<exception type>: <message>") for malformed inputs
+ERROR_CORPUS = [
+    ('poly', 'x + @', "ParseError: line 1, column 5: unexpected character '@'"),
+    ('poly', 'x $ y', "ParseError: line 1, column 3: unexpected character '$'"),
+    ('poly', 'x\t+ é', "ParseError: line 1, column 5: unexpected character 'é'"),
+    ('poly', 'x\n  + ?', "ParseError: line 2, column 5: unexpected character '?'"),
+    ('poly', 'x + ü', "ParseError: line 1, column 5: unexpected character 'ü'"),
+    ('poly', 'x ~ 1', "ParseError: line 1, column 3: unexpected character '~'"),
+    ('poly', '1.', 'ParseError: line 1, column 1: malformed number'),
+    ('poly', '1.x', 'ParseError: line 1, column 1: malformed number'),
+    ('poly', 'x + 2..5', 'ParseError: line 1, column 5: malformed number'),
+    ('poly', '3.+x', 'ParseError: line 1, column 1: malformed number'),
+    ('constant', '1.', 'ParseError: line 1, column 1: malformed number'),
+    ('poly', '(x + 1', "ParseError: line 1, column 7: expected ')'"),
+    ('poly', 'x + 1)', "ParseError: line 1, column 6: unexpected token ')'"),
+    ('poly', '((x)', "ParseError: line 1, column 5: expected ')'"),
+    ('poly', ')', "ParseError: line 1, column 1: unexpected token ')'"),
+    ('poly', '()', "ParseError: line 1, column 2: unexpected token ')'"),
+    ('poly', 'x*(y+(1)', "ParseError: line 1, column 9: expected ')'"),
+    ('poly', 'x^-1',
+     'ParseError: line 1, column 2: nonpolynomial construct: negative exponent'),
+    ('poly', 'x^1.5',
+     'ParseError: line 1, column 3: nonpolynomial construct: fractional exponent'),
+    ('poly', 'x^(2)',
+     'ParseError: line 1, column 3: exponent must be a nonnegative integer literal'),
+    ('poly', 'x^y',
+     'ParseError: line 1, column 3: exponent must be a nonnegative integer literal'),
+    ('poly', 'x^',
+     'ParseError: line 1, column 3: exponent must be a nonnegative integer literal'),
+    ('poly', 'x^^2',
+     'ParseError: line 1, column 3: exponent must be a nonnegative integer literal'),
+    ('poly', 'x +', 'ParseError: line 1, column 4: unexpected end of expression'),
+    ('poly', 'x + # c',
+     'ParseError: line 1, column 5: unexpected end of expression'),
+    ('poly', 'x +\n', 'ParseError: line 2, column 1: unexpected end of expression'),
+    ('poly', 'x + # c\n',
+     'ParseError: line 2, column 1: unexpected end of expression'),
+    ('poly', '', 'ParseError: line 1, column 1: unexpected end of expression'),
+    ('poly', '   ', 'ParseError: line 1, column 4: unexpected end of expression'),
+    ('poly', '2x', "ParseError: line 1, column 2: unexpected token 'x'"),
+    ('poly', 'x y', "ParseError: line 1, column 3: unexpected token 'y'"),
+    ('poly', 'x,y', "ParseError: line 1, column 2: unexpected token ','"),
+    ('poly', 'x = y', "ParseError: line 1, column 3: unexpected token '='"),
+    ('poly', 'x/y',
+     'ParseError: line 1, column 2: nonpolynomial construct: division by a nonconstant expression'),
+    ('poly', 'x/0', 'ParseError: line 1, column 2: division by zero'),
+    ('poly', 'x/(1-1)', 'ParseError: line 1, column 2: division by zero'),
+    ('poly', 'z + 1', "ParseError: line 1, column 1: unknown identifier 'z'"),
+    ('poly', '* x', "ParseError: line 1, column 1: unexpected token '*'"),
+    ('constant', 'x', "ParseError: line 1, column 1: unknown identifier 'x'"),
+    ('constant', 'i', "ParseError: line 1, column 1: unknown identifier 'i'"),
+    ('constant', '1/0', 'ParseError: line 1, column 2: division by zero'),
+    ('constant', '', 'ParseError: line 1, column 1: unexpected end of expression'),
+    ('constant', '1 2', "ParseError: line 1, column 3: unexpected token '2'"),
+    ('constant', '-', 'ParseError: line 1, column 2: unexpected end of expression'),
+    ('system', 'P = x\nQ = y +\n',
+     'ParseError: line 2, column 8: unexpected end of expression'),
+    ('system', 'P = x\nQ = y + # c\n',
+     'ParseError: line 2, column 9: unexpected end of expression'),
+    ('system', 'P = x\nP = y\nQ = 1',
+     'ParseError: line 2, column 1: duplicate definition of P'),
+    ('system', 'param a = 1\nparam a = 2\nP = x\nQ = y',
+     "ParseError: line 2, column 1: duplicate parameter 'a'"),
+    ('system', 'P = x', 'ParseError: missing Q component'),
+    ('system', 'Q = y', 'ParseError: missing P component'),
+    ('system', '', 'ParseError: missing P component'),
+    ('system', '# only a comment\n', 'ParseError: missing P component'),
+    ('system', 'param x = 1\nP = x\nQ = y',
+     "ParseError: line 1, column 1: parameter name 'x' is reserved"),
+    ('system', 'param P = 1\nP = x\nQ = y',
+     "ParseError: line 1, column 1: parameter name 'P' is reserved"),
+    ('system', 'param param = 1\nP = x\nQ = y',
+     "ParseError: line 1, column 1: parameter name 'param' is reserved"),
+    ('system', 'P = mu*x\nQ = y',
+     "ParseError: line 1, column 5: undefined parameter 'mu'"),
+    ('system', 'P = x\nQ = y\nparam b = a',
+     "ParseError: line 3, column 11: unknown identifier 'a'"),
+    ('system', 'P =\nQ = y',
+     'ParseError: line 1, column 1: empty expression for P'),
+    ('system', 'P = x\nQ =   # nothing\n',
+     'ParseError: line 2, column 1: empty expression for Q'),
+    ('system', 'param a =\nP = x\nQ = y',
+     "ParseError: line 1, column 1: missing value for parameter 'a'"),
+    ('system', 'P = x = y\nQ = 1',
+     "ParseError: line 1, column 7: unexpected token '='"),
+    ('system', 'x,y',
+     "ParseError: line 1, column 1: expected 'P = ...', 'Q = ...' or 'param name = value'"),
+    ('system', 'P = x\nQ = y\nR = 1',
+     "ParseError: line 3, column 1: expected 'P = ...', 'Q = ...' or 'param name = value'"),
+    ('system', 'P = i*x\nQ = y',
+     'ParseError: line 1, column 5: P has nonreal coefficients'),
+    ('system', 'P = x\n  Q = (y\n', "ParseError: line 2, column 9: expected ')'"),
+    ('system', 'param a = x\nP = x\nQ = y',
+     "ParseError: line 1, column 11: unknown identifier 'x'"),
+    ('system', 'param a = 1.\nP = x\nQ = y',
+     'ParseError: line 1, column 11: malformed number'),
+    ('system', 'P = x^1.5\nQ = y',
+     'ParseError: line 1, column 7: nonpolynomial construct: fractional exponent'),
+    ('system', 'P = P\nQ = y',
+     "ParseError: line 1, column 5: unknown identifier 'P'"),
+    ('system', 'parama = 1\nP = x\nQ = y',
+     "ParseError: line 1, column 1: expected 'P = ...', 'Q = ...' or 'param name = value'"),
+    ('system', 'param 1a = 1\nP = x\nQ = y',
+     "ParseError: line 1, column 1: expected 'P = ...', 'Q = ...' or 'param name = value'"),
+    ('system', 'P = x\nQ = y\n\n   param c = 1 2 # c',
+     "ParseError: line 4, column 16: unexpected token '2'"),
+    ('system', 'P = x/y\nQ = 1',
+     'ParseError: line 1, column 6: nonpolynomial construct: division by a nonconstant expression'),
+    ('multiplier', 'x +',
+     'ParseError: line 1, column 4: unexpected end of expression'),
+    ('multiplier', 'exp + 1',
+     "ParseError: line 1, column 1: unknown identifier 'exp'"),
+    ('multiplier', '(x', "ParseError: line 1, column 3: expected ')'"),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "kind,text,expected", ERROR_CORPUS,
+        ids=[f"{case[0]}-{n}" for n, case in enumerate(ERROR_CORPUS)])
+    def test_error_corpus(self, kind, text, expected):
+        with pytest.raises(Exception) as err:
+            PARSERS[kind](text)
+        assert f"{type(err.value).__name__}: {err.value}" == expected
+
+    @pytest.mark.parametrize("text,col", [("x^\u00b2", 3), ("\u00b2", 1),
+                                          ("\u0663*x", 1)])
+    def test_non_ascii_digits_rejected(self, text, col):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("text,message,col", [
+        ("exp(x)*@", "unexpected character '@'", 8),
+        ("exp ( x ) * (1 +", "unexpected end of expression", 17),
+        ("exp(x) + 1", "expected '\\*' after exp", 8),
+        ("exp((x)", "unbalanced parentheses", 8),
+        ("exp(x y)", "unexpected token 'y'", 7),
+    ])
+    def test_multiplier_positions_are_absolute(self, text, message, col):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_multiplier(text)
+        assert (err.value.line, err.value.col) == (1, col)

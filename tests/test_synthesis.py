@@ -13,7 +13,6 @@ from dulac.errors import (
     ConstantInputError,
     DoubleZeroEigenvalueError,
     FlowBoxError,
-    NonHyperbolicLinearizationError,
     NotAnEquilibriumError,
     SingularAnsatzError,
     TraceZeroError,
@@ -198,8 +197,12 @@ class TestLocalDulac:
 
     def test_rotation_rejected(self):
         rot = parse_system("P = -y\nQ = x")
-        with pytest.raises(NonHyperbolicLinearizationError):
+        with pytest.raises(TraceZeroError):
             local_dulac_hyperbolic(rot, Point(0.0, 0.0))
+        # a hyperbolic saddle with zero trace fails for the same reason
+        saddle = parse_system((SYSTEMS / "saddle.vf").read_text())
+        with pytest.raises(TraceZeroError, match="matrix has zero trace"):
+            local_dulac_hyperbolic(saddle, Point(0.0, 0.0))
 
     def test_not_an_equilibrium(self):
         radial = parse_system("P = x\nQ = y")
@@ -220,8 +223,7 @@ class TestLocalDulac:
         # stack down to radius 0.4 can certify
         system = parse_system("P = x - 4*x^3\nQ = y - 4*y^3")
         with pytest.raises(CertificationFailedError):
-            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=0.4,
-                                   initial_half_width=1.0)
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=0.4)
         # shrinking the core restores a certificate on a smaller box
         _, box, _ = local_dulac_hyperbolic(system, Point(0.0, 0.0),
                                            min_radius=1e-3)

@@ -21,6 +21,7 @@ from .flow import (
     EquilibriumReport,
     LimitCycleReport,
     Section,
+    check_tol,
     detect_limit_cycle,
     find_equilibria,
 )
@@ -134,6 +135,7 @@ def run_analyze(system: VectorField, region: Box2,
     cfg = config or AnalyzeConfig()
     if cfg.tile_n < 1:
         raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
+    check_tol(cfg.cycle_tol)
     if cfg.tile_depth < 0:
         raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
     if cfg.max_cycle_seeds < 0:

@@ -45,7 +45,7 @@ from .flow import (
     integrate,
 )
 from .multiplier import PolyMultiplier
-from .parse import parse_constant, parse_multiplier, parse_poly, parse_system
+from .parse import parse_list, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
 from .synthesis import (
     LOCAL_MAX_DEPTH,
@@ -66,32 +66,23 @@ def _load_system(args) -> VectorField:
 
 def parse_region(text: str) -> Box2:
     """Parse "xmin:xmax,ymin:ymax" with rational or decimal endpoints."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError('region must look like "x0:x1,y0:y1"')
-    bounds = []
-    for part in parts:
-        ends = part.split(":")
-        if len(ends) != 2:
-            raise ParseError('region must look like "x0:x1,y0:y1"')
-        bounds.extend(parse_constant(e) for e in ends)
+    shape = 'region must look like "x0:x1,y0:y1"'
+    (x0, x1), (y0, y1) = parse_list(text, [(",", 2, shape), (":", 2, shape)])
     try:
-        return Box2(bounds[0], bounds[1], bounds[2], bounds[3])
+        return Box2(x0, x1, y0, y1)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def _parse_point(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError('point must look like "x,y"')
-    return (float(parse_constant(parts[0])), float(parse_constant(parts[1])))
+    x, y = parse_list(text, [(",", 2, 'point must look like "x,y"')])
+    return float(x), float(y)
 
 
-def _split_polys(text: str) -> list:
-    """Split a curve list on ';' (or ',' as a fallback separator)."""
-    chunks = text.split(";") if ";" in text else text.split(",")
-    return [parse_poly(c) for c in chunks if c.strip()]
+def _curves(args) -> list:
+    if not args.curves:
+        raise ParseError('--curves "f1;f2;..." is required')
+    return parse_list(args.curves, [(";", None, None)], variables=True)
 
 
 @dataclass
@@ -253,11 +244,9 @@ def _cmd_local_dulac(args, system) -> Record:
 
 
 def _cmd_cofactor(args, system) -> Record:
-    if not args.curves:
-        raise ParseError('--curves "f1;f2;..." is required')
     entries = []
     lines = []
-    for f in _split_polys(args.curves):
+    for f in _curves(args):
         try:
             curve = cofactor_of(f, system)
             entries.append({"f": str(f), "k": str(curve.k)})
@@ -299,20 +288,11 @@ def _cmd_inv_intfactor(args, system) -> Record:
 
 
 def _build_darboux(args, system: VectorField):
-    if not args.curves:
-        raise ParseError('--curves "f1;f2;..." is required')
-    curves = [cofactor_of(f, system) for f in _split_polys(args.curves)]
-    expf = []
-    if args.expfactors:
-        for chunk in args.expfactors.split(";"):
-            if not chunk.strip():
-                continue
-            gh = chunk.split(":")
-            if len(gh) != 2:
-                raise ParseError('--expfactors must look like "g1:h1;g2:h2"')
-            expf.append(exponential_factor_cofactor(
-                parse_poly(gh[0]), parse_poly(gh[1]), system))
-    return curves, expf
+    curves = [cofactor_of(f, system) for f in _curves(args)]
+    pairs = parse_list(args.expfactors or "", [
+        (";", None, None),
+        (":", 2, '--expfactors must look like "g1:h1;g2:h2"')], variables=True)
+    return curves, [exponential_factor_cofactor(g, h, system) for g, h in pairs]
 
 
 def _cmd_darboux(args, system) -> Record:

@@ -407,6 +407,8 @@ def verify_first_integral(h: DarbouxExpr, system: VectorField,
     """
     from .flow import integrate
 
+    if trajectories < 0:
+        raise ValueError(f"trajectories must be >= 0, got {trajectories}")
     symbolic = h.total_cofactor()
     rng = random.Random(seed)
     factor_polys = [c.f for c, _ in h.curve_factors]

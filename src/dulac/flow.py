@@ -262,6 +262,8 @@ def find_equilibria(system: VectorField, box: Box2, grid_n: int = 32,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     x_min, x_max, y_min, y_max = box.as_floats()
     px, py, qx, qy = system.jacobian()
     found: list = []
@@ -309,12 +311,22 @@ class _StepFailure(Exception):
     """The RK integrator failed to take a step, e.g. on blow-up."""
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is an RK tolerance ``_steps`` takes."""
+    if not 1e-13 <= tol <= 1e-3:
+        raise ValueError("tol must lie in [1e-13, 1e-3]")
+
+
 def _steps(system: VectorField, z0, t_span: float, tol: float):
     """Yield the RK 5(4) solver after each accepted step over [0, t_span].
 
-    Raises _StepFailure if a step fails.  ``RK45`` and ``compile_field`` are
-    read from the module at call time, so they can be wrapped from outside.
+    Raises ValueError on a bad tol or t_span (not finite and nonzero), and
+    _StepFailure if a step fails.  ``RK45`` and ``compile_field`` are read
+    from the module at call time, so they can be wrapped from outside.
     """
+    check_tol(tol)
+    if not (math.isfinite(t_span) and t_span):
+        raise ValueError(f"time span must be finite and nonzero, got {t_span}")
     solver = RK45(compile_field(system), 0.0, [float(z0[0]), float(z0[1])],
                   t_bound=t_span, rtol=tol, atol=tol, max_step=abs(t_span))
     while solver.status == "running":
@@ -357,10 +369,6 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
     the dense output), or on integrator failure (STEP_FAILURE).  Negative
     t_span integrates backward.
     """
-    if not 1e-13 <= tol <= 1e-3:
-        raise ValueError("tol must lie in [1e-13, 1e-3]")
-    if t_span == 0:
-        raise ValueError("t_span must be nonzero")
     if domain is not None:
         x_min, x_max, y_min, y_max = domain.as_floats()
 

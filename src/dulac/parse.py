@@ -1,9 +1,9 @@
 """Recursive-descent parser for polynomial expressions and `.vf` system files.
 
 One scanner, ``tokenize``, reads the characters of every input: `.vf` files,
-expressions and multipliers.  It skips blanks and ``#`` comments and gives
-each token its line and column.  Lines end where ``str.splitlines`` ends
-them, or at their ``#`` if they have a comment.
+expressions, multipliers and the CLI's list arguments.  It skips blanks and
+``#`` comments and gives each token its line and column.  Lines end where
+``str.splitlines`` ends them, or at their ``#`` if they have a comment.
 
 Grammar for expressions (explicit operators only, no implicit products):
 
@@ -218,6 +218,31 @@ def parse_poly(text: str) -> Poly:
 def parse_constant(text: str) -> Fraction:
     """Parse a constant real expression ("-3", "1/2", "0.25") to a Fraction."""
     return _constant(_expression(text))
+
+
+def parse_list(text: str, levels, variables: bool = False) -> list:
+    """Nested lists of the constants in ``text`` (polynomials if ``variables``)
+    split on (separator, count, shape) ``levels``, outermost first.  A list
+    with a count has that many entries, or ParseError ``shape`` points at
+    its first extra separator or its end; other lists drop blank entries."""
+    return _read_list(_expression(text), levels, variables)
+
+
+def _read_list(tokens: list[Token], levels, variables: bool):
+    if not levels:
+        return _ExprParser(tokens).parse() if variables else _constant(tokens)
+    (sep, count, shape), inner = levels[0], levels[1:]
+    pieces, start = [], 0
+    for i, tok in enumerate(tokens):
+        if tok.text == sep or tok.kind == "END":
+            pieces.append(tokens[start:i] + [tok._replace(kind="END")])
+            start = i + 1
+    if count is None:
+        pieces = [p for p in pieces if len(p) > 1]
+    elif len(pieces) != count:
+        end = pieces[min(count, len(pieces)) - 1][-1]
+        raise ParseError(shape, end.line, end.col)
+    return [_read_list(p, inner, variables) for p in pieces]
 
 
 def _lines(tokens: list[Token]):

@@ -29,12 +29,11 @@ from .errors import (
     DoubleZeroEigenvalueError,
     FlowBoxError,
     NotAnEquilibriumError,
-    ParseError,
     SingularAnsatzError,
     TraceZeroError,
 )
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
-from .parse import parse_constant
+from .parse import parse_list
 from .poly import Point, Poly, VectorField, div_product, divergence
 
 
@@ -54,16 +53,10 @@ class Matrix2:
     @classmethod
     def parse(cls, text: str) -> "Matrix2":
         """Parse the CLI form "a,b;c,d" with rational entries."""
-        rows = text.split(";")
-        if len(rows) != 2:
-            raise ParseError("matrix must have two ';'-separated rows")
-        entries = []
-        for row in rows:
-            cols = row.split(",")
-            if len(cols) != 2:
-                raise ParseError("each matrix row must have two ','-separated entries")
-            entries.extend(parse_constant(c) for c in cols)
-        return cls(*entries)
+        (a, b), (c, d) = parse_list(text, [
+            (";", 2, "matrix must have two ';'-separated rows"),
+            (",", 2, "each matrix row must have two ','-separated entries")])
+        return cls(a, b, c, d)
 
     @property
     def trace(self) -> Fraction:

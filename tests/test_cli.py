@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from dulac import cli
 from dulac.analyze import AnalysisReport
 from dulac.cli import build_parser, main, parse_region
+from dulac.parse import parse_system
+from dulac.synthesis import Matrix2
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -17,6 +20,7 @@ RADIAL = str(SYSTEMS / "radial.vf")
 ROTATION = str(SYSTEMS / "rotation.vf")
 CUBIC = str(SYSTEMS / "cubic_circle.vf")
 SADDLE = str(SYSTEMS / "saddle.vf")
+SHEAR = str(SYSTEMS / "shear.vf")
 
 SCHEMA_KEYS = {"system", "command", "result", "certificate", "notes"}
 CERT_KEYS = {"outcome", "carrier", "witness", "depth"}
@@ -226,6 +230,172 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "depth must be >= 0" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+# the arguments that precede each kind of list argument
+LIST_ARGS = {
+    "region": ["certify", "--system", RADIAL, "--multiplier", "1", "--region"],
+    "point": ["local-dulac", "--system", VDP, "--point"],
+    "seed": ["limit-cycle", "--system", VDP, "--seed"],
+    "z0": ["simulate", "--system", ROTATION, "--t-span", "1", "--z0"],
+    "matrix": ["dulac-linear", "--matrix"],
+    "curves": ["cofactor", "--system", CUBIC, "--curves"],
+    "expfactors": ["darboux", "--system", SADDLE, "--curves", "x;y",
+                   "--expfactors"],
+}
+
+# (kind, value, stderr) for malformed list arguments; every one exits 3.
+# Positions are absolute in the argument, and a shape error points at the
+# first extra separator or at where its list ends.
+LIST_ARG_ERRORS = [
+    ("region", "1:2,1:@", "line 1, column 7: unexpected character '@'"),
+    ("region", "oops",
+     'line 1, column 5: region must look like "x0:x1,y0:y1"'),
+    ("region", "1:2", 'line 1, column 4: region must look like "x0:x1,y0:y1"'),
+    ("region", "1:2,3:4,5:6",
+     'line 1, column 8: region must look like "x0:x1,y0:y1"'),
+    ("region", "1:2:3,4:5",
+     'line 1, column 4: region must look like "x0:x1,y0:y1"'),
+    ("region", "1,3:4",
+     'line 1, column 2: region must look like "x0:x1,y0:y1"'),
+    ("region", "1:,3:4", "line 1, column 3: unexpected end of expression"),
+    ("region", "1:2,3:x", "line 1, column 7: unknown identifier 'x'"),
+    ("region", "2:1,1:2",
+     "box must satisfy x_min < x_max and y_min < y_max"),
+    ("region", "1:2,3:4)", "line 1, column 8: unexpected token ')'"),
+    ("region", "1.:2,3:4", "line 1, column 1: malformed number"),
+    ("region", "1:2;3:4",
+     'line 1, column 8: region must look like "x0:x1,y0:y1"'),
+    ("region", "1:2,\n3:@", "line 2, column 3: unexpected character '@'"),
+    ("point", "0", 'line 1, column 2: point must look like "x,y"'),
+    ("point", "0,0,0", 'line 1, column 4: point must look like "x,y"'),
+    ("point", "0,y", "line 1, column 3: unknown identifier 'y'"),
+    ("point", "1/0,0", "line 1, column 2: division by zero"),
+    ("seed", "2;0", 'line 1, column 4: point must look like "x,y"'),
+    ("seed", "2,(0", "line 1, column 5: expected ')'"),
+    ("z0", "1,0:", "line 1, column 4: unexpected token ':'"),
+    ("z0", ",0", "line 1, column 1: unexpected end of expression"),
+    ("matrix", "0,1;-1", "line 1, column 7: each matrix row must have "
+     "two ','-separated entries"),
+    ("matrix", "0,1,2;1,1", "line 1, column 4: each matrix row must have "
+     "two ','-separated entries"),
+    ("matrix", "1;2;3",
+     "line 1, column 4: matrix must have two ';'-separated rows"),
+    ("matrix", "0,1;-1,1;",
+     "line 1, column 9: matrix must have two ';'-separated rows"),
+    ("matrix", "0,1;-1,@", "line 1, column 8: unexpected character '@'"),
+    ("matrix", "0,1;-1,x", "line 1, column 8: unknown identifier 'x'"),
+    # curves are separated by ';' only
+    ("curves", "x,y", "line 1, column 2: unexpected token ','"),
+    ("curves", "x;y+", "line 1, column 5: unexpected end of expression"),
+    ("curves", "x;@", "line 1, column 3: unexpected character '@'"),
+    ("curves", "x; y/x", "line 1, column 5: nonpolynomial construct: "
+     "division by a nonconstant expression"),
+    ("expfactors", "y",
+     'line 1, column 2: --expfactors must look like "g1:h1;g2:h2"'),
+    ("expfactors", "y:1:2",
+     'line 1, column 4: --expfactors must look like "g1:h1;g2:h2"'),
+    # the whole list is read before its first factor is used
+    ("expfactors", "y:1;x",
+     'line 1, column 6: --expfactors must look like "g1:h1;g2:h2"'),
+    ("expfactors", "y:@", "line 1, column 3: unexpected character '@'"),
+    ("expfactors", "y:", "line 1, column 3: unexpected end of expression"),
+]
+
+# work budgets that hung or answered falsely; each must exit 3 at once
+BAD_BUDGETS = {
+    "simulate_t_span_inf": ["simulate", "--system", ROTATION, "--z0", "1,0",
+                            "--t-span", "inf"],
+    "simulate_t_span_nan": ["simulate", "--system", ROTATION, "--z0", "1,0",
+                            "--t-span", "nan"],
+    "limit_cycle_max_time_nan": ["limit-cycle", "--system", VDP, "--seed",
+                                 "2,0", "--max-time", "nan"],
+    "limit_cycle_tol_nan": ["limit-cycle", "--system", VDP, "--seed", "2,0",
+                            "--tol", "nan"],
+    "verify_integral_t_span_nan": ["verify-integral", "--system", SADDLE,
+                                   "--curves", "x;y", "--t-span", "nan"],
+    "analyze_tol_nan": ["analyze", "--system", VDP, "--region=-4:4,-4:4",
+                        "--tol", "nan"],
+    "analyze_tol_large": ["analyze", "--system", VDP, "--region=-4:4,-4:4",
+                          "--tol", "0.5"],
+    # these reported "0 equilibria" and "0 trajectories" instead
+    "equilibria_tol_nan": ["equilibria", "--system", VDP,
+                           "--region=-3:3,-3:3", "--tol", "nan"],
+    "equilibria_tol_neg": ["equilibria", "--system", RADIAL,
+                           "--region=-3:3,-3:3", "--tol", "-1"],
+    "verify_integral_trajectories_neg": ["verify-integral", "--system",
+                                         SADDLE, "--curves", "x;y",
+                                         "--trajectories", "-1"],
+}
+
+
+class TestListArguments:
+    @pytest.mark.parametrize(
+        "kind,value,message", LIST_ARG_ERRORS,
+        ids=[f"{case[0]}-{n}" for n, case in enumerate(LIST_ARG_ERRORS)])
+    def test_error_corpus(self, capsys, kind, value, message):
+        code = main(LIST_ARGS[kind] + [value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text,bounds", [
+        ("-3:3,-3:3", ("-3", "3", "-3", "3")),
+        ("-0.95:0.95,-4:4", ("-19/20", "19/20", "-4", "4")),
+        ("1:2,1:2", ("1", "2", "1", "2")),
+        ("-4:4,-4:4", ("-4", "4", "-4", "4")),
+        ("-1/2:1/2,0.25:3", ("-1/2", "1/2", "1/4", "3")),
+        (" 1 : 2 , 3 : 4 ", ("1", "2", "3", "4")),
+    ])
+    def test_region_values(self, text, bounds):
+        box = parse_region(text)
+        assert tuple(map(str, (box.x_min, box.x_max, box.y_min, box.y_max))) \
+            == bounds
+
+    @pytest.mark.parametrize("text,point", [
+        ("0,0", (0.0, 0.0)), ("2,0", (2.0, 0.0)), ("1,0", (1.0, 0.0)),
+        ("-1/2, 0.25", (-0.5, 0.25)),
+    ])
+    def test_point_values(self, text, point):
+        assert cli._parse_point(text) == point
+
+    @pytest.mark.parametrize("text,printed", [
+        ("0,1;-1,1", "0,1;-1,1"), ("1/2, -3 ; 0.25, 4", "1/2,-3;1/4,4"),
+    ])
+    def test_matrix_values(self, text, printed):
+        assert str(Matrix2.parse(text)) == printed
+
+    @pytest.mark.parametrize("text,curves", [
+        ("x^2+y^2-1", ["x^2 + y^2 - 1"]), ("x;y", ["x", "y"]),
+        (" x ; ; y ;", ["x", "y"]),
+    ])
+    def test_curve_values(self, capsys, text, curves):
+        code, report = run_json(capsys, ["cofactor", "--system", SADDLE,
+                                         "--curves", text])
+        assert code == 0
+        assert [entry["f"] for entry in report["result"]["curves"]] == curves
+
+    @pytest.mark.parametrize("text,factors", [
+        ("y:1", [("y", "1", "1")]),
+        ("y:1; ;2*y : 1", [("y", "1", "1"), ("2*y", "1", "2")]),
+    ])
+    def test_expfactor_values(self, text, factors):
+        shear = parse_system(Path(SHEAR).read_text())
+        args = argparse.Namespace(curves="x", expfactors=text)
+        _, expf = cli._build_darboux(args, shear)
+        assert [(str(e.g), str(e.h), str(e.k)) for e in expf] == factors
+
+
+class TestBadBudgets:
+    @pytest.mark.parametrize("argv", BAD_BUDGETS.values(), ids=BAD_BUDGETS)
+    def test_exits_3(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
 

@@ -32,6 +32,7 @@ from .synthesis import (
     LOCAL_MAX_DEPTH,
     LOCAL_MAX_GROWTH_STEPS,
     certify_punctured_box,
+    check_min_radius,
     local_quadratic_multiplier,
 )
 
@@ -141,8 +142,8 @@ def run_analyze(system: VectorField, region: Box2,
     if cfg.max_cycle_seeds < 0:
         raise ValueError(
             f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
+    min_r = check_min_radius(cfg.min_radius)
     notes: list = []
-    min_r = Fraction(float(cfg.min_radius))
 
     # Step 1: zeros of the field
     equilibria = find_equilibria(system, region, cfg.grid_n, NEWTON_TOL)

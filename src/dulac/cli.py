@@ -50,6 +50,7 @@ from .poly import VectorField
 from .synthesis import (
     LOCAL_MAX_DEPTH,
     Matrix2,
+    check_min_radius,
     local_dulac_hyperbolic,
     printed_coefficients,
     quadratic_dulac_linear,
@@ -201,6 +202,7 @@ def _cmd_local_dulac(args, system) -> Record:
     # checked here too: the equilibrium search may find nothing to certify
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
+    check_min_radius(args.min_radius)
     notes: list = []
     entries: list = []
     if args.point:

@@ -29,13 +29,13 @@ from .errors import (
 )
 from .multiplier import Multiplier
 from .poly import (
-    CRAT_ONE,
     CRAT_ZERO,
     CRat,
     Poly,
     VectorField,
     div_product,
     divergence,
+    kernel_basis,
     lie_derivative,
     poly_divide,
 )
@@ -265,37 +265,6 @@ def dulac_cofactor_crosscheck(b: Poly, system: VectorField,
 # --- Darboux first integrals ------------------------------------------------------
 
 
-def _kernel_basis(rows, n_cols):
-    """Exact kernel basis of a matrix with CRat entries (RREF back-solve)."""
-    work = [list(r) for r in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = CRAT_ONE / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(work):
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [CRAT_ZERO] * n_cols
-        v[fc] = CRAT_ONE
-        for pr, pc in enumerate(pivot_cols):
-            v[pc] = -work[pr][fc]
-        basis.append(v)
-    return basis
-
-
 def _normalize_integer_vector(vec):
     """Scale a rational vector to coprime integers with a positive lead."""
     denoms = [q.denominator for c in vec for q in (c.re, c.im) if q]
@@ -354,7 +323,7 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
     n = len(cofactors)
     rows = [[k.terms.get(mono, CRAT_ZERO) for k in cofactors]
             for mono in monomials]
-    basis = _kernel_basis(rows, n)
+    basis = kernel_basis(rows, n)
     if not basis:
         raise NoNontrivialRelationError("cofactor relation has trivial kernel")
 

@@ -2,8 +2,8 @@
 
 Polynomials in x, y with complex-rational coefficients are the carrier for
 every symbolic identity in this package (multipliers, divergences, cofactors,
-first integrals).  All arithmetic here is exact; floats appear only in
-point evaluation.
+first integrals).  All arithmetic here is exact, including the one linear
+solver (``kernel_basis``); floats appear only in point evaluation.
 """
 
 from __future__ import annotations
@@ -547,3 +547,37 @@ def poly_divide(n: Poly, d: Poly):
             remainder[exp] = c
             del work[exp]
     return Poly(quotient), Poly(remainder)
+
+
+def kernel_basis(rows, n_cols):
+    """Exact kernel basis of a matrix with CRat entries (RREF back-solve).
+
+    One vector per free column, with a 1 in that column.
+    """
+    work = [list(r) for r in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = CRAT_ONE / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(work):
+            break
+    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = [CRAT_ZERO] * n_cols
+        v[fc] = CRAT_ONE
+        for pr, pc in enumerate(pivot_cols):
+            v[pc] = -work[pr][fc]
+        basis.append(v)
+    return basis

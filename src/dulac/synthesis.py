@@ -14,13 +14,13 @@ Four routes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .certify import Box2, Certificate, Positive, certify_positive
 from .errors import (
@@ -32,9 +32,11 @@ from .errors import (
     SingularAnsatzError,
     TraceZeroError,
 )
+from .flow import _steps, _StepFailure
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
-from .poly import Point, Poly, VectorField, div_product, divergence
+from .poly import (CRat, Point, Poly, VectorField, div_product, divergence,
+                   kernel_basis)
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,12 @@ def _ansatz_discriminant(m: Matrix2) -> Fraction:
     return 3 * m.a ** 2 + 10 * m.a * m.d - 4 * m.b * m.c + 3 * m.d ** 2
 
 
-def _solve3(rows, rhs):
-    """Exact Gaussian elimination for a 3x3 rational system."""
-    aug = [list(rows[k]) + [rhs[k]] for k in range(3)]
-    for col in range(3):
-        pivot = next((r for r in range(col, 3) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularAnsatzError("coefficient-matching system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(3):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return aug[0][3], aug[1][3], aug[2][3]
-
-
 def quadratic_dulac_linear(m: Matrix2) -> QuadraticMultiplier:
     """Quadratic multiplier B with Div(B*Az) = |Az|^2, as an exact identity.
 
     Matches the x^2, xy, y^2 coefficients of Div(B*X) against P^2 + Q^2 and
-    solves the resulting 3x3 rational system.
+    solves the resulting 3x3 rational system exactly.  Its determinant is
+    2(a+d)(3a^2+10ad-4bc+3d^2), so the checks below leave it nonsingular.
     """
     if m.trace == 0:
         if m.det == 0:
@@ -124,13 +110,14 @@ def quadratic_dulac_linear(m: Matrix2) -> QuadraticMultiplier:
     if _ansatz_discriminant(m) == 0:
         raise SingularAnsatzError("3a^2 + 10ad - 4bc + 3d^2 = 0")
     a, b, c, d = m.a, m.b, m.c, m.d
+    # (rows | -rhs): its one kernel vector ends in 1 and starts with B
     rows = (
-        (3 * a + d, c, Fraction(0)),
-        (2 * b, 2 * (a + d), 2 * c),
-        (Fraction(0), b, a + 3 * d),
+        (3 * a + d, c, 0, -(a * a + c * c)),
+        (2 * b, 2 * (a + d), 2 * c, -2 * (a * b + c * d)),
+        (0, b, a + 3 * d, -(b * b + d * d)),
     )
-    rhs = (a * a + c * c, 2 * (a * b + c * d), b * b + d * d)
-    b20, b11, b02 = _solve3(rows, rhs)
+    (kernel,) = kernel_basis([[CRat(v) for v in row] for row in rows], 4)
+    b20, b11, b02 = (v.re for v in kernel[:3])
     return QuadraticMultiplier(b20=b20, b11=b11, b02=b02)
 
 
@@ -205,6 +192,18 @@ def gradient_field(v: Poly) -> VectorField:
 LOCAL_INITIAL_HALF_WIDTH = 1
 LOCAL_MAX_GROWTH_STEPS = 6
 LOCAL_MAX_DEPTH = 8
+
+
+def check_min_radius(min_radius: float) -> Fraction:
+    """The core half-width as an exact Fraction of its float value.
+
+    Raises ValueError unless min_radius is finite and > 0: at 0 or below the
+    rings would never end, and inf or nan has no Fraction.
+    """
+    r = float(min_radius)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"min_radius must be finite and > 0, got {min_radius}")
+    return Fraction(r)
 
 
 def _ring_rectangles(cx: Fraction, cy: Fraction, outer: Fraction, inner: Fraction):
@@ -295,14 +294,16 @@ def local_dulac_hyperbolic(system: VectorField, eq: Point,
     half-width ``LOCAL_INITIAL_HALF_WIDTH/2^k`` (see certify_punctured_box).
     The carrier vanishes at the equilibrium itself, so the certificate
     covers the box minus a core of half-width at most min_radius.  Raises
-    CertificationFailedError when not even the innermost ring certifies.
+    CertificationFailedError when not even the innermost ring certifies,
+    and ValueError before any work when min_radius is not finite and > 0.
 
     Returns (multiplier, box, certificate).
     """
+    min_r = check_min_radius(min_radius)
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
     cert = certify_punctured_box(carrier, ex, ey,
                                  Fraction(LOCAL_INITIAL_HALF_WIDTH),
-                                 Fraction(float(min_radius)), max_depth)
+                                 min_r, max_depth)
     if cert is None:
         raise CertificationFailedError(
             f"no punctured box down to radius {min_radius} certified")
@@ -340,93 +341,85 @@ def flowbox_dulac(system: VectorField, transversal,
                   t_span: float = 1.0) -> SampledMultiplier:
     """Transport a multiplier along the flow so that Div(B*X) = g (default 1).
 
-    Seeds B = 1 on the transversal segment and integrates the scalar linear
-    equation dB/dt = g(z(t)) - B*DivX(z(t)) along each trajectory.  Fails if
-    an equilibrium is met, if g is not strictly positive at a sample, if a
-    trajectory cannot be integrated across [0, t_span], or if the
-    finite-difference divergence of B*X is not positive at an interior node.
-    It samples the 3-D state (x, y, B) at fixed times with ``solve_ivp``,
-    which ``flow``'s 2-D stepper does not do.
+    Seeds B = 1 on the transversal segment and steps the state (x, y, B),
+    with dB/dt = g(z(t)) - B*DivX(z(t)), through ``flow``'s RK loop at tol
+    1e-10, reading n_along fixed times from each step's dense output.  Fails
+    if an equilibrium is met, if g is not strictly positive at a sample, if
+    a trajectory cannot be integrated across [0, t_span], or if the
+    central-difference divergence of B*X is not positive at an interior
+    node (the first such node in (i, k) order is reported).
     """
     if n_across < 3 or n_along < 3:
         raise ValueError("need n_across >= 3 and n_along >= 3 for interior nodes")
     if g is None:
         g = Poly.const(1)
     (ax, ay), (bx, by) = transversal
-    div_x = divergence(system)
+    p, q, div_x = system.p, system.q, divergence(system)
 
     def rhs(_t, state):
         z = (state[0], state[1])
-        return [
-            system.p.evaluate(z).real,
-            system.q.evaluate(z).real,
-            g.evaluate(z).real - state[2] * div_x.evaluate(z).real,
-        ]
+        return [p.evaluate(z).real, q.evaluate(z).real,
+                g.evaluate(z).real - state[2] * div_x.evaluate(z).real]
 
     times = np.linspace(0.0, t_span, n_along)
-    rows = []
-    for idx in range(n_across):
-        frac = idx / (n_across - 1)
-        seed = (ax + (bx - ax) * frac, ay + (by - ay) * frac)
-        sol = solve_ivp(rhs, (0.0, t_span), [seed[0], seed[1], 1.0],
-                        t_eval=times, rtol=1e-10, atol=1e-12)
-        if not sol.success or sol.y.shape[1] != n_along:
+    reach = abs(times)
+    # x, y, B, P, Q and g at each node (i, k)
+    x, y, b, pv, qv, gv = nodes = np.empty((6, n_across, n_along))
+    for i in range(n_across):
+        frac = i / (n_across - 1)
+        seed = (ax + (bx - ax) * frac, ay + (by - ay) * frac, 1.0)
+        states = [seed]
+        try:
+            for solver in _steps(rhs, seed, t_span, 1e-10):
+                end = np.searchsorted(reach, abs(solver.t), side="right")
+                if end > len(states):
+                    dense = solver.dense_output()
+                    states.extend(dense(times[len(states):end]).T)
+        except _StepFailure:
             raise FlowBoxError("trajectory left the integration window",
-                               node=(idx, int(sol.y.shape[1])))
-        row = []
-        for k in range(n_along):
-            z = Point(float(sol.y[0, k]), float(sol.y[1, k]))
-            speed = max(abs(system.p.evaluate(z).real),
-                        abs(system.q.evaluate(z).real))
-            if speed < 1e-8:
-                raise FlowBoxError("equilibrium encountered", node=(idx, k))
-            g_val = g.evaluate(z).real
-            if g_val <= 0:
+                               node=(i, len(states))) from None
+        for k, (xk, yk, bk) in enumerate(states):
+            z = Point(float(xk), float(yk))
+            nodes[:, i, k] = (z.x, z.y, bk, p.evaluate(z).real,
+                              q.evaluate(z).real, g.evaluate(z).real)
+            if max(abs(pv[i, k]), abs(qv[i, k])) < 1e-8:
+                raise FlowBoxError("equilibrium encountered", node=(i, k))
+            if gv[i, k] <= 0:
                 raise FlowBoxError("g is not strictly positive at a sample",
-                                   node=(idx, k))
-            row.append((z, float(sol.y[2, k]), g_val))
-        rows.append(row)
+                                   node=(i, k))
 
     ds = 1.0 / (n_across - 1)
     dt = t_span / (n_along - 1)
-    grid_nodes = [[None] * n_along for _ in range(n_across)]
-    fd_tol = 0.0
 
-    def bx_by(i, k):
-        z, b, _ = rows[i][k]
-        return (b * system.p.evaluate(z).real, b * system.q.evaluate(z).real)
+    def d_s(a):  # central differences at the interior nodes
+        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * ds)
 
-    for i in range(n_across):
-        for k in range(n_along):
-            z, b, g_val = rows[i][k]
-            if 0 < i < n_across - 1 and 0 < k < n_along - 1:
-                xs = (rows[i + 1][k][0].x - rows[i - 1][k][0].x) / (2 * ds)
-                ys = (rows[i + 1][k][0].y - rows[i - 1][k][0].y) / (2 * ds)
-                xt = (rows[i][k + 1][0].x - rows[i][k - 1][0].x) / (2 * dt)
-                yt = (rows[i][k + 1][0].y - rows[i][k - 1][0].y) / (2 * dt)
-                det = xs * yt - ys * xt
-                if abs(det) < 1e-14:
-                    raise FlowBoxError("degenerate flow-box coordinates",
-                                       node=(i, k))
-                f1s = (bx_by(i + 1, k)[0] - bx_by(i - 1, k)[0]) / (2 * ds)
-                f1t = (bx_by(i, k + 1)[0] - bx_by(i, k - 1)[0]) / (2 * dt)
-                f2s = (bx_by(i + 1, k)[1] - bx_by(i - 1, k)[1]) / (2 * ds)
-                f2t = (bx_by(i, k + 1)[1] - bx_by(i, k - 1)[1]) / (2 * dt)
-                f1x = (f1s * yt - f1t * ys) / det
-                f2y = (f2t * xs - f2s * xt) / det
-                div_val = f1x + f2y
-                if div_val <= 0:
-                    raise FlowBoxError(
-                        f"positivity fails at node ({i}, {k}): "
-                        f"finite-difference Div(B*X) = {div_val:.3e}",
-                        node=(i, k))
-                fd_tol = max(fd_tol, abs(div_val - g_val))
-            else:
-                div_val = g_val
-            grid_nodes[i][k] = GridNode(point=z, b_value=b, div_bx=div_val)
+    def d_t(a):
+        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * dt)
 
+    xs, ys, xt, yt = d_s(x), d_s(y), d_t(x), d_t(y)
+    f1, f2 = b * pv, b * qv
+    det = xs * yt - ys * xt
+    degenerate = abs(det) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        div = ((d_s(f1) * yt - d_t(f1) * ys) / det
+               + (d_t(f2) * xs - d_s(f2) * xt) / det)
+    bad = np.argwhere(degenerate | (div <= 0))
+    if len(bad):
+        i, k = bad[0]
+        node = (int(i) + 1, int(k) + 1)
+        if degenerate[i, k]:
+            raise FlowBoxError("degenerate flow-box coordinates", node=node)
+        raise FlowBoxError(f"positivity fails at node {node}: "
+                           f"finite-difference Div(B*X) = {div[i, k]:.3e}",
+                           node=node)
+    div_bx = gv.copy()
+    div_bx[1:-1, 1:-1] = div
+    grid = tuple(
+        tuple(GridNode(Point(xk, yk), bk, dk) for xk, yk, bk, dk in zip(*row))
+        for row in zip(x.tolist(), y.tolist(), b.tolist(), div_bx.tolist()))
     return SampledMultiplier(
-        grid=tuple(tuple(r) for r in grid_nodes),
+        grid=grid,
         transversal=(Point(ax, ay), Point(bx, by)),
-        fd_tolerance=fd_tol,
+        fd_tolerance=float(np.max(abs(div - gv[1:-1, 1:-1]))),
     )

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import dulac.analyze
+import dulac.flow
+import dulac.synthesis
 from dulac import cli
 from dulac.analyze import AnalysisReport
 from dulac.cli import build_parser, main, parse_region
@@ -212,6 +215,36 @@ class TestErrors:
             assert code == 3
             assert "min_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
+                             ids=lambda path: path.stem)
+    def test_bad_min_radius_exits_3_before_work(self, capsys, monkeypatch,
+                                                system):
+        def no_work(*args):
+            raise AssertionError("work started before the min_radius check")
+
+        monkeypatch.setattr(cli, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
+                            no_work)
+        commands = (["local-dulac", "--point", "0,0"],
+                    ["local-dulac", "--region=-4:4,-4:4"],
+                    ["analyze", "--region=-4:4,-4:4"])
+        for radius in ("inf", "nan", "0", "-1e-3"):
+            for command in commands:
+                code = main(command + ["--system", str(system),
+                                       f"--min-radius={radius}"])
+                captured = capsys.readouterr()
+                assert code == 3, (command, radius)
+                assert "min_radius must be finite and > 0" in captured.err
+
+    def test_simulate_stops_at_step_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.flow, "MAX_STEPS", 100)
+        code, report = run_json(capsys, ["simulate", "--system", ROTATION,
+                                         "--z0", "1,0", "--t-span", "1000"])
+        assert code == 0
+        assert report["result"]["status"] == "step_failure"
+        assert report["result"]["steps"] == 100
+
     @pytest.mark.parametrize("args", [
         ["certify", "--system", RADIAL, "--region=-1:2,1:2",
          "--multiplier", "(x^2+y^2)/4"],
@@ -327,6 +360,20 @@ BAD_BUDGETS = {
     "verify_integral_trajectories_neg": ["verify-integral", "--system",
                                          SADDLE, "--curves", "x;y",
                                          "--trajectories", "-1"],
+    # inf ended in an OverflowError traceback; on saddle.vf, 0 exited 2,
+    # because its one equilibrium never reached the ring search
+    "local_dulac_point_min_radius_inf": ["local-dulac", "--system", VDP,
+                                         "--point", "0,0", "--min-radius",
+                                         "inf"],
+    "local_dulac_region_min_radius_inf": ["local-dulac", "--system", VDP,
+                                          "--region=-4:4,-4:4",
+                                          "--min-radius", "inf"],
+    "analyze_min_radius_zero": ["analyze", "--system", SADDLE,
+                                "--region=-1:1,-1:1", "--min-radius", "0",
+                                "--max-cycle-seeds", "0"],
+    # ran a return map, then "did not converge within -1 iterations"
+    "limit_cycle_max_iters_neg": ["limit-cycle", "--system", VDP, "--seed",
+                                  "2,0", "--max-iters", "-1"],
 }
 
 

@@ -180,6 +180,16 @@ class TestIntegrate:
         assert traj.status is TrajectoryStatus.STEP_FAILURE
         assert traj.times[-1] < 2.0
 
+    def test_step_budget_is_step_failure(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 40)
+        rot = parse_system("P = -y\nQ = x")
+        traj = integrate(rot, (1.0, 0.0), 100.0, 1e-9)
+        assert traj.status is TrajectoryStatus.STEP_FAILURE
+        assert len(traj.times) == 41
+        # a run that needs fewer steps than the budget completes
+        assert integrate(rot, (1.0, 0.0), 1.0, 1e-9).status is \
+            TrajectoryStatus.COMPLETED
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             integrate(VDP, (1.0, 0.0), 1.0, tol=1e-2)
@@ -234,6 +244,13 @@ class TestPoincare:
         assert abs(t - t_oracle) < 1e-6
         assert abs(z.x - z_oracle.x) < 1e-6
 
+    def test_step_budget_is_no_return(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 5)
+        rot = parse_system("P = -y\nQ = x")
+        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
+        with pytest.raises(NoReturnError, match="integration failed"):
+            poincare_return(rot, section, (1.0, 0.0), max_time=10.0)
+
     def test_requires_point_on_section(self):
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(ValueError):
@@ -274,6 +291,22 @@ class TestDetectLimitCycle:
         with pytest.raises(CycleNotFoundError):
             detect_limit_cycle(radial, section, (1.0, 0.0), max_iters=10,
                                tol=1e-9, max_time=20.0)
+
+    def test_step_budget_is_cycle_not_found(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 5)
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
+                          direction=CrossingDirection.NEGATIVE_CROSSING)
+        with pytest.raises(CycleNotFoundError, match="return map undefined"):
+            detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+
+    def test_negative_max_iters_raises_before_any_return(self, monkeypatch):
+        def no_return(*args):
+            raise AssertionError("return map computed")
+
+        monkeypatch.setattr(flow, "poincare_return", no_return)
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0))
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            detect_limit_cycle(VDP, section, (2.0, 0.0), max_iters=-1)
 
     def test_loop_sampling_failure_raises(self, monkeypatch):
         # the return maps integrate up to max_time = 100 and succeed; only

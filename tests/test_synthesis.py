@@ -1,11 +1,13 @@
 """Multiplier synthesis: quadratic, gradient, local, and flow-box routes."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dulac import analyze, synthesis
 from dulac.analyze import AnalyzeConfig, run_analyze
 from dulac.certify import Box2, Positive, certify_positive
 from dulac.errors import (
@@ -298,6 +300,20 @@ class TestPuncturedBoxSearch:
             run_analyze(system, Box2(-4, 4, -4, 4),
                         AnalyzeConfig(grid_n=8, min_radius=min_r))
 
+    @pytest.mark.parametrize("min_r", [math.inf, math.nan, 0, -1])
+    def test_bad_min_radius_raises_before_work(self, monkeypatch, min_r):
+        def no_work(*args):
+            raise AssertionError("work started before the min_radius check")
+
+        monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
+        monkeypatch.setattr(analyze, "find_equilibria", no_work)
+        system = parse_system(VDP_TEXT)
+        with pytest.raises(ValueError, match="min_radius must be finite"):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
+        with pytest.raises(ValueError, match="min_radius must be finite"):
+            run_analyze(system, Box2(-4, 4, -4, 4),
+                        AnalyzeConfig(grid_n=8, min_radius=min_r))
+
     def test_negative_depth_raises(self):
         system = parse_system(VDP_TEXT)
         _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
@@ -354,6 +370,58 @@ class TestFlowBox:
             for node in row[1:-1]:
                 assert node.div_bx > 0
         assert fb.fd_tolerance < 5e-3  # curvilinear FD is only second order
+
+    @pytest.mark.parametrize("p,q,t_span", [
+        ("-y", "x", 1.0), ("y", "-x + (1 - x^2)*y", -0.5)])
+    def test_divergence_matches_nodewise_central_differences(self, p, q,
+                                                             t_span):
+        field = VectorField(parse_poly(p), parse_poly(q))
+        fb = flowbox_dulac(field, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
+                           n_across=5, n_along=9, t_span=t_span)
+        grid = fb.grid
+        ds, dt = 1.0 / (len(grid) - 1), t_span / (len(grid[0]) - 1)
+
+        def bx_by(i, k):
+            z, b = grid[i][k].point, grid[i][k].b_value
+            return (b * field.p.evaluate(z).real, b * field.q.evaluate(z).real)
+
+        for i in range(1, len(grid) - 1):
+            for k in range(1, len(grid[0]) - 1):
+                xs = (grid[i + 1][k].point.x - grid[i - 1][k].point.x) / (2 * ds)
+                ys = (grid[i + 1][k].point.y - grid[i - 1][k].point.y) / (2 * ds)
+                xt = (grid[i][k + 1].point.x - grid[i][k - 1].point.x) / (2 * dt)
+                yt = (grid[i][k + 1].point.y - grid[i][k - 1].point.y) / (2 * dt)
+                det = xs * yt - ys * xt
+                f1s = (bx_by(i + 1, k)[0] - bx_by(i - 1, k)[0]) / (2 * ds)
+                f1t = (bx_by(i, k + 1)[0] - bx_by(i, k - 1)[0]) / (2 * dt)
+                f2s = (bx_by(i + 1, k)[1] - bx_by(i - 1, k)[1]) / (2 * ds)
+                f2t = (bx_by(i, k + 1)[1] - bx_by(i, k - 1)[1]) / (2 * dt)
+                div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
+                assert abs(div - grid[i][k].div_bx) <= 1e-12
+        for row in (grid[0], grid[-1]):
+            assert all(node.div_bx == 1.0 for node in row)
+
+    def test_positivity_failure_reports_first_node(self):
+        vdp = VectorField(parse_poly("y"), parse_poly("-x + (1 - x^2)*y"))
+        with pytest.raises(FlowBoxError,
+                           match=r"positivity fails at node \(5, 7\)") as info:
+            flowbox_dulac(vdp, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
+                          n_across=7, n_along=9, t_span=1.2)
+        assert info.value.node == (5, 7)
+
+    def test_transversal_along_the_flow_is_degenerate(self):
+        field = VectorField(parse_poly("1"), parse_poly("0"))
+        with pytest.raises(FlowBoxError, match="degenerate") as info:
+            flowbox_dulac(field, ((0.0, 0.0), (1.0, 0.0)), Poly.const(1),
+                          n_across=5, n_along=9, t_span=1.0)
+        assert info.value.node == (1, 1)
+
+    def test_blowup_leaves_integration_window(self):
+        field = VectorField(parse_poly("x^2"), parse_poly("1"))
+        with pytest.raises(FlowBoxError, match="integration window") as info:
+            flowbox_dulac(field, ((1.0, 0.0), (1.0, 1.0)), Poly.const(1),
+                          n_across=5, n_along=9, t_span=2.0)
+        assert info.value.node == (0, 4)
 
 
 class TestQuadraticMultiplierTranslation:

@@ -25,7 +25,8 @@ from .flow import (
     detect_limit_cycle,
     find_equilibria,
 )
-from .multiplier import Multiplier, multiplier_from_dict, multiplier_to_dict
+from .jsonform import from_json, to_json
+from .multiplier import Multiplier
 from .poly import VectorField
 from .synthesis import (
     LOCAL_INITIAL_HALF_WIDTH,
@@ -73,62 +74,23 @@ class LocalCertificate:
     box: Box2
     certificate: Certificate
 
-    def to_dict(self) -> dict:
-        return {
-            "equilibrium": self.equilibrium.to_dict(),
-            "multiplier": multiplier_to_dict(self.multiplier),
-            "box": self.box.to_dict(),
-            "certificate": self.certificate.to_full_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LocalCertificate":
-        return cls(
-            equilibrium=EquilibriumReport.from_dict(d["equilibrium"]),
-            multiplier=multiplier_from_dict(d["multiplier"]),
-            box=Box2.from_dict(d["box"]),
-            certificate=Certificate.from_full_dict(d["certificate"]),
-        )
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
     system: str
-    equilibria: tuple
-    local_certificates: tuple
-    global_boxes_certified: tuple
-    uncovered_regions: tuple
-    limit_cycles: tuple
-    notes: tuple
+    equilibria: tuple[EquilibriumReport, ...]
+    local_certificates: tuple[LocalCertificate, ...]
+    global_boxes_certified: tuple[Box2, ...]
+    uncovered_regions: tuple[Box2, ...]
+    limit_cycles: tuple[LimitCycleReport, ...]
+    notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "equilibria": [e.to_dict() for e in self.equilibria],
-            "local_certificates": [c.to_dict() for c in self.local_certificates],
-            "global_boxes_certified": [b.to_dict()
-                                       for b in self.global_boxes_certified],
-            "uncovered_regions": [b.to_dict() for b in self.uncovered_regions],
-            "limit_cycles": [c.to_dict() for c in self.limit_cycles],
-            "notes": list(self.notes),
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            system=d["system"],
-            equilibria=tuple(EquilibriumReport.from_dict(e)
-                             for e in d["equilibria"]),
-            local_certificates=tuple(LocalCertificate.from_dict(c)
-                                     for c in d["local_certificates"]),
-            global_boxes_certified=tuple(Box2.from_dict(b)
-                                         for b in d["global_boxes_certified"]),
-            uncovered_regions=tuple(Box2.from_dict(b)
-                                    for b in d["uncovered_regions"]),
-            limit_cycles=tuple(LimitCycleReport.from_dict(c)
-                               for c in d["limit_cycles"]),
-            notes=tuple(d["notes"]),
-        )
+        return from_json(cls, d)
 
 
 def run_analyze(system: VectorField, region: Box2,

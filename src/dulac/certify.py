@@ -22,7 +22,9 @@ from itertools import repeat
 from operator import add, lshift
 from typing import Optional
 
-from .multiplier import BENDIXSON, Multiplier, multiplier_to_dict
+from .jsonform import from_json, to_json
+from .multiplier import BENDIXSON, Multiplier
+from .parse import parse_poly
 from .poly import Point, Poly, VectorField
 
 DEFAULT_MAX_DEPTH = 12
@@ -104,17 +106,19 @@ class Box2:
                     or other.y_max <= self.y_min or self.y_max <= other.y_min)
 
     def as_floats(self):
-        return (float(self.x_min), float(self.x_max),
-                float(self.y_min), float(self.y_max))
+        """The corners as floats; ValueError when one is beyond float range."""
+        try:
+            return (float(self.x_min), float(self.x_max),
+                    float(self.y_min), float(self.y_max))
+        except OverflowError:
+            raise ValueError(f"box {self} is beyond float range") from None
 
     def to_dict(self) -> dict:
-        return {"x_min": str(self.x_min), "x_max": str(self.x_max),
-                "y_min": str(self.y_min), "y_max": str(self.y_max)}
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Box2":
-        return cls(Fraction(d["x_min"]), Fraction(d["x_max"]),
-                   Fraction(d["y_min"]), Fraction(d["y_max"]))
+        return from_json(cls, d)
 
     def __str__(self) -> str:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
@@ -351,8 +355,6 @@ class Certificate:
 
     @classmethod
     def from_full_dict(cls, d: dict) -> "Certificate":
-        from .parse import parse_poly
-
         kind = d["outcome"]
         if kind == "positive":
             outcome = Positive(max_depth_used=d["depth"],
@@ -368,6 +370,10 @@ class Certificate:
                                    undecided_boxes=d["undecided_boxes"])
         return cls(outcome=outcome, carrier=parse_poly(d["carrier"]),
                    box=Box2.from_dict(d["box"]))
+
+    # the certificate schema is documented, so the codec uses it as is
+    to_json = to_full_dict
+    from_json = from_full_dict
 
 
 def certify_positive(p: Poly, box: Box2,
@@ -438,7 +444,7 @@ class DulacCertificate:
     def to_dict(self) -> dict:
         return {
             "certificate": self.certificate.to_dict(),
-            "multiplier": multiplier_to_dict(self.multiplier),
+            "multiplier": to_json(self.multiplier),
             "box": self.certificate.box.to_dict(),
             "conclusion": self.conclusion.value,
             "notes": [OPEN_BOX_NOTE],

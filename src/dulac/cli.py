@@ -10,7 +10,8 @@ Certificates carry the exact carrier polynomial and, for violations, the
 witness as a rational pair, so they can be re-checked independently.  The
 ``analyze`` exit code is 0 when the region is fully certified, 1 when a
 cycle was detected, 2 when inconclusive coverage remains, and 3 on input
-errors (3 is shared by all subcommands for bad input).
+errors (3 is shared by all subcommands for bad input, usage errors
+included).
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import sys
 from dataclasses import dataclass, field
 
 from .analyze import AnalyzeConfig, exit_code, run_analyze
-from .certify import Box2, DEFAULT_MAX_DEPTH, OPEN_BOX_NOTE, certify_dulac
+from .certify import (
+    Box2,
+    DEFAULT_MAX_DEPTH,
+    OPEN_BOX_NOTE,
+    Violation,
+    certify_dulac,
+)
 from .darboux import (
     check_integrating_factor,
     check_inverse_integrating_factor,
@@ -44,6 +51,7 @@ from .flow import (
     find_equilibria,
     integrate,
 )
+from .jsonform import to_json
 from .multiplier import PolyMultiplier
 from .parse import parse_list, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
@@ -77,7 +85,10 @@ def parse_region(text: str) -> Box2:
 
 def _parse_point(text: str):
     x, y = parse_list(text, [(",", 2, 'point must look like "x,y"')])
-    return float(x), float(y)
+    try:
+        return float(x), float(y)
+    except OverflowError:
+        raise ValueError(f"point {text!r} is beyond float range") from None
 
 
 def _curves(args) -> list:
@@ -145,7 +156,7 @@ def _cmd_equilibria(args, system) -> Record:
             f"  ({e.location.x:.9g}, {e.location.y:.9g})  "
             f"{e.classification.value}  hyperbolic={e.hyperbolic}  "
             f"eigenvalues={e.eigenvalues[0]:.6g}, {e.eigenvalues[1]:.6g}")
-    return Record({"equilibria": [e.to_dict() for e in reports]}, lines)
+    return Record({"equilibria": to_json(reports)}, lines)
 
 
 def _cmd_dulac_linear(args, system) -> Record:
@@ -190,7 +201,7 @@ def _cmd_certify(args, system) -> Record:
     lines = [f"{args.command}: {outcome.conclusion.value}",
              f"  carrier = {cert.carrier}",
              f"  outcome = {cert.to_dict()['outcome']} (depth {cert.depth})"]
-    if cert.witness_point is not None:
+    if isinstance(cert.outcome, Violation):  # the witness may exceed floats
         lines.append(f"  witness = ({cert.outcome.witness[0]}, "
                      f"{cert.outcome.witness[1]}) with value "
                      f"{cert.outcome.value} <= 0")
@@ -265,7 +276,7 @@ def _cmd_expfactor(args, system) -> Record:
         raise ParseError('--g "<poly>" is required')
     ef = exponential_factor_cofactor(parse_poly(args.g), parse_poly(args.h),
                                      system)
-    return Record(ef.to_dict(), [f"{ef}: cofactor k = {ef.k}"])
+    return Record(to_json(ef), [f"{ef}: cofactor k = {ef.k}"])
 
 
 def _cmd_intfactor(args, system) -> Record:
@@ -303,8 +314,7 @@ def _cmd_darboux(args, system) -> Record:
         expr = darboux_first_integral(curves, expf)
     except NoNontrivialRelationError as exc:
         result = {"first_integral": None, "reason": str(exc),
-                  "cofactors": [c.to_dict() for c in curves]
-                  + [e.to_dict() for e in expf]}
+                  "cofactors": to_json(curves + expf)}
         return Record(result, [f"no Darboux first integral: {exc}"],
                       notes=[str(exc)])
     return Record({"first_integral": expr.to_dict()},
@@ -359,7 +369,7 @@ def _cmd_limit_cycle(args, system) -> Record:
              f"amplitude_x = {report.amplitude_x:.9g}, "
              f"slope = {report.return_map_slope:.3e}, "
              f"stability = {report.stability.value}"]
-    return Record({"limit_cycle": report.to_dict()}, lines, csv=_csv(report))
+    return Record({"limit_cycle": to_json(report)}, lines, csv=_csv(report))
 
 
 def _cmd_analyze(args, system) -> Record:
@@ -519,7 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 after printing a usage error
+        return 3 if exc.code == 2 else exc.code
     try:
         system = _load_system(args) if "system" in args else None
         record = args.handler(args, system)

@@ -27,6 +27,7 @@ from .errors import (
     NotExponentialFactorError,
     NotInvariantError,
 )
+from .jsonform import to_json
 from .multiplier import Multiplier
 from .poly import (
     CRAT_ZERO,
@@ -48,9 +49,6 @@ class InvariantCurve:
     f: Poly
     k: Poly
 
-    def to_dict(self) -> dict:
-        return {"f": str(self.f), "k": str(self.k)}
-
 
 @dataclass(frozen=True)
 class ExponentialFactor:
@@ -59,9 +57,6 @@ class ExponentialFactor:
     g: Poly
     h: Poly
     k: Poly
-
-    def to_dict(self) -> dict:
-        return {"g": str(self.g), "h": str(self.h), "k": str(self.k)}
 
     def __str__(self) -> str:
         if self.h == Poly.const(1):
@@ -105,11 +100,11 @@ class DarbouxExpr:
     def to_dict(self) -> dict:
         return {
             "curve_factors": [
-                {**c.to_dict(), "exponent": [str(lam.re), str(lam.im)]}
+                {**to_json(c), "exponent": [str(lam.re), str(lam.im)]}
                 for c, lam in self.curve_factors
             ],
             "exp_factors": [
-                {**e.to_dict(), "exponent": [str(mu.re), str(mu.im)]}
+                {**to_json(e), "exponent": [str(mu.re), str(mu.im)]}
                 for e, mu in self.exp_factors
             ],
             "expression": str(self),

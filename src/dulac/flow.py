@@ -58,29 +58,10 @@ class CrossingDirection(Enum):
 @dataclass(frozen=True)
 class EquilibriumReport:
     location: Point
-    jacobian: tuple  # ((j11, j12), (j21, j22)) floats
-    eigenvalues: tuple  # (complex, complex)
+    jacobian: tuple[tuple[float, float], tuple[float, float]]
+    eigenvalues: tuple[complex, complex]
     classification: Classification
     hyperbolic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "location": [self.location.x, self.location.y],
-            "jacobian": [list(self.jacobian[0]), list(self.jacobian[1])],
-            "eigenvalues": [[e.real, e.imag] for e in self.eigenvalues],
-            "classification": self.classification.value,
-            "hyperbolic": self.hyperbolic,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquilibriumReport":
-        return cls(
-            location=Point(*d["location"]),
-            jacobian=(tuple(d["jacobian"][0]), tuple(d["jacobian"][1])),
-            eigenvalues=tuple(complex(re, im) for re, im in d["eigenvalues"]),
-            classification=Classification(d["classification"]),
-            hyperbolic=d["hyperbolic"],
-        )
 
 
 @dataclass(frozen=True)
@@ -141,32 +122,11 @@ class Section:
 @dataclass(frozen=True)
 class LimitCycleReport:
     period: float
-    points: tuple  # one full loop
     amplitude_x: float
     return_map_slope: float
     stability: Stability
-    times: tuple = ()  # sampling times for the loop, aligned with points
-
-    def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "amplitude_x": self.amplitude_x,
-            "return_map_slope": self.return_map_slope,
-            "stability": self.stability.value,
-            "points": [[p.x, p.y] for p in self.points],
-            "times": list(self.times),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LimitCycleReport":
-        return cls(
-            period=d["period"],
-            points=tuple(Point(*p) for p in d["points"]),
-            amplitude_x=d["amplitude_x"],
-            return_map_slope=d["return_map_slope"],
-            stability=Stability(d["stability"]),
-            times=tuple(d["times"]),
-        )
+    points: tuple[Point, ...]  # one full loop
+    times: tuple[float, ...]  # sampling times, aligned with points
 
     def write_csv(self, stream) -> None:
         _write_csv(stream, self.times, self.points)
@@ -380,13 +340,17 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
     Stops at t_span (COMPLETED), at the first exit from ``domain``
     (LEFT_DOMAIN, ending within 1e-10 of the boundary crossing located on
     the dense output), or on integrator failure or an exhausted step budget
-    (STEP_FAILURE).  Negative t_span integrates backward.
+    (STEP_FAILURE).  Negative t_span integrates backward.  Raises
+    ValueError when z0 lies outside ``domain``; its boundary is allowed.
     """
     if domain is not None:
         x_min, x_max, y_min, y_max = domain.as_floats()
 
         def margin(z) -> float:
             return min(z[0] - x_min, x_max - z[0], z[1] - y_min, y_max - z[1])
+
+        if margin(z0) < 0:
+            raise ValueError("z0 must lie in the domain")
 
     times = [0.0]
     states = [Point(float(z0[0]), float(z0[1]))]

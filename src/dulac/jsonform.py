@@ -1,0 +1,85 @@
+"""One JSON codec for report records: ``to_json`` and ``from_json``.
+
+* A dataclass becomes an object of its fields in declaration order, led by
+  ``"type": kind`` when the class names a ``kind``; a union of such
+  classes is decoded by that ``"type"``.
+* Tuples, lists and ``Point``s become lists; ``complex`` becomes ``[re, im]``.
+* ``Fraction`` and ``Poly`` become their exact text, and enums their value.
+
+``from_json`` rebuilds a value from the field annotations.  A class whose
+shape is documented elsewhere (``Certificate``) brings its own ``to_json``
+and ``from_json``, and the codec calls those instead.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from enum import Enum
+from fractions import Fraction
+from functools import cache
+
+from .parse import parse_poly
+from .poly import Poly
+
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def to_json(value):
+    """Plain JSON data (dicts, lists, strings, numbers) for ``value``."""
+    if isinstance(value, _SCALARS):  # numpy floats too
+        return value
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if dataclasses.is_dataclass(value):
+        kind = getattr(value, "kind", None)
+        data = {"type": kind} if kind else {}
+        for f in dataclasses.fields(value):
+            data[f.name] = to_json(getattr(value, f.name))
+        return data
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (Fraction, Poly)):
+        return str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+@cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def from_json(tp, data):
+    """The value of type ``tp`` whose ``to_json`` is ``data``."""
+    if tp in _SCALARS or tp is bool:
+        return data
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            return tuple(from_json(args[0], d) for d in data)
+        return tuple(from_json(a, d) for a, d in zip(args, data))
+    if origin in (typing.Union, types.UnionType):
+        tp = {m.kind: m for m in typing.get_args(tp)}[data["type"]]
+    if hasattr(tp, "from_json"):
+        return tp.from_json(data)
+    if dataclasses.is_dataclass(tp):
+        hints = _hints(tp)
+        return tp(**{f.name: from_json(hints[f.name], data[f.name])
+                     for f in dataclasses.fields(tp)})
+    if issubclass(tp, tuple):  # a NamedTuple such as Point
+        return tp(*(from_json(h, d) for h, d in zip(_hints(tp).values(), data)))
+    if tp is complex:
+        return complex(*data)
+    if issubclass(tp, Enum):
+        return tp(data)
+    if tp is Fraction:
+        return Fraction(data)
+    if tp is Poly:
+        return parse_poly(data)
+    raise TypeError(f"no JSON form for {tp}")

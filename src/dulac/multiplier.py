@@ -17,6 +17,7 @@ from .poly import Poly, VectorField, div_product, lie_derivative
 class PolyMultiplier:
     """Plain polynomial multiplier B = p."""
 
+    kind = "poly"
     p: Poly
 
     def sign_carrier(self, system: VectorField) -> Poly:
@@ -37,6 +38,7 @@ class ExpPolyMultiplier:
     divergence is carried by the polynomial factor.
     """
 
+    kind = "exp_poly"
     g: Poly
     p: Poly
 
@@ -53,17 +55,3 @@ class ExpPolyMultiplier:
 Multiplier = PolyMultiplier | ExpPolyMultiplier
 
 BENDIXSON = PolyMultiplier(Poly.const(1))
-
-
-def multiplier_to_dict(b: Multiplier) -> dict:
-    if isinstance(b, ExpPolyMultiplier):
-        return {"type": "exp_poly", "g": str(b.g), "p": str(b.p)}
-    return {"type": "poly", "p": str(b.p)}
-
-
-def multiplier_from_dict(d: dict) -> Multiplier:
-    from .parse import parse_poly
-
-    if d["type"] == "exp_poly":
-        return ExpPolyMultiplier(g=parse_poly(d["g"]), p=parse_poly(d["p"]))
-    return PolyMultiplier(p=parse_poly(d["p"]))

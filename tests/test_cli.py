@@ -594,3 +594,65 @@ class TestRoundTrips:
     def test_parse_region_rationals(self):
         box = parse_region("-1/2:1/2,0.25:3")
         assert box.x_min == -0.5 and box.y_min == 0.25
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--system", VDP, "--region=-4:4,-4:4", "--tiles", "abc"],
+        ["parse", "--system", VDP, "--no-such-option"],
+        ["simulate", "--system", ROTATION, "--z0", "1,0"],
+        [],
+    ], ids=["bad_int", "unknown_option", "missing_t_span", "no_subcommand"])
+    def test_exit_3(self, capsys, argv):
+        # argparse exits 2, which analyze reserves for inconclusive coverage
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+HUGE = "10^400"
+
+
+class TestBeyondFloatRange:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--system", ROTATION, "--z0", f"{HUGE},0",
+         "--t-span", "1"],
+        ["limit-cycle", "--system", VDP, "--seed", f"{HUGE},0"],
+        ["local-dulac", "--system", VDP, "--point", f"{HUGE},0"],
+        ["equilibria", "--system", VDP, "--region", f"0:{HUGE},0:1"],
+        ["local-dulac", "--system", VDP, "--region", f"0:{HUGE},0:1"],
+        ["analyze", "--system", VDP, "--region", f"0:{HUGE},0:1"],
+        ["simulate", "--system", ROTATION, "--z0", "0,0", "--t-span", "1",
+         "--region", f"0:{HUGE},0:1"],
+    ], ids=["simulate_z0", "limit_cycle_seed", "local_point",
+            "equilibria_region", "local_region", "analyze_region",
+            "simulate_region"])
+    def test_exit_3(self, capsys, argv):
+        # these ended in OverflowError and exit 1, which analyze uses for
+        # "a cycle was detected"
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "beyond float range" in captured.err
+
+    def test_certify_stays_exact(self, capsys):
+        code, report = run_json(capsys, ["certify", "--system", VDP,
+                                         "--region", f"0:{HUGE},0:1"])
+        assert code == 0
+        assert report["certificate"]["outcome"] == "violation"
+        assert report["result"]["box"]["x_max"] == str(10 ** 400)
+
+
+def test_simulate_rejects_start_outside_region(capsys):
+    # the start lay 4 units outside the box, yet the run reported a
+    # boundary crossing and exited 0
+    code = main(["simulate", "--system", ROTATION, "--z0", "5,0",
+                 "--t-span", "1", "--region=-1:1,-1:1"])
+    assert code == 3
+    assert "z0 must lie in the domain" in capsys.readouterr().err

@@ -376,3 +376,15 @@ class TestCertificateConsistency:
                 continue  # no cycle at all: vacuously consistent
             assert not all(box.contains_point(p, strict=True)
                            for p in report.points)
+
+
+def test_integrate_start_outside_domain():
+    # bisecting a margin that is negative at both ends of the first step
+    # "located" an exit far outside the box
+    rot = parse_system("P = -y\nQ = x")
+    domain = Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
+    with pytest.raises(ValueError, match="z0 must lie in the domain"):
+        integrate(rot, (5.0, 0.0), 1.0, 1e-9, domain)
+    # a start on the boundary is inside
+    traj = integrate(rot, (1.0, 0.0), 1.0, 1e-9, domain)
+    assert traj.status is TrajectoryStatus.COMPLETED

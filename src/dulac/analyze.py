@@ -1,11 +1,14 @@
 """Best-effort region analysis: equilibria, local certificates, coverage, cycles.
 
-The pipeline locates zeros of the field, synthesizes a local Dulac
-multiplier at each hyperbolic one and certifies it on the widest punctured
-box of half-width 2^k (k <= 6) that fits the region, attacks the remaining
-tiles with the constant multiplier, and finally scans leftover tiles for
-limit cycles from their centers.  The report is explicitly
-best-effort: an uncovered tile means "unresolved", never "no orbit".
+The pipeline locates zeros of the field (``flow.ZERO_TOL`` decides what a
+zero is), synthesizes a local Dulac multiplier at each hyperbolic one and
+certifies it on the widest punctured box of half-width 2^k (k <= 6) that
+fits the region, attacks the remaining tiles with the constant multiplier,
+and finally scans leftover tiles for limit cycles from their centers.
+``local_certificates`` is the one loop over a region's equilibria; the
+CLI's ``local-dulac --region`` reports exactly what it returns.  The
+report is explicitly best-effort: an uncovered tile means "unresolved",
+never "no orbit".
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ MARGINAL_FAMILY_NOTE = (
 )
 
 
-NEWTON_TOL = 1e-9
 CYCLE_MAX_ITERS = 20
 CYCLE_MAX_TIME = 200.0
 
@@ -93,26 +95,13 @@ class AnalysisReport:
         return from_json(cls, d)
 
 
-def run_analyze(system: VectorField, region: Box2,
-                config: AnalyzeConfig | None = None) -> AnalysisReport:
-    cfg = config or AnalyzeConfig()
-    if cfg.tile_n < 1:
-        raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
-    check_tol(cfg.cycle_tol)
-    if cfg.tile_depth < 0:
-        raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
-    if cfg.max_cycle_seeds < 0:
-        raise ValueError(
-            f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
-    min_r = check_min_radius(cfg.min_radius)
-    notes: list = []
+def local_certificates(system: VectorField, region: Box2, equilibria,
+                       min_radius: float, max_depth: int):
+    """Local certificates at the hyperbolic ``equilibria`` in ``region``.
 
-    # Step 1: zeros of the field
-    equilibria = find_equilibria(system, region, cfg.grid_n, NEWTON_TOL)
-
-    # Step 2: local multipliers at hyperbolic equilibria
-    local_certs: list = []
-    cores: list = []
+    Returns (certificates, notes); each equilibrium without one gets a note."""
+    min_r = check_min_radius(min_radius)
+    certs, notes = [], []
     for eq in equilibria:
         if not eq.hyperbolic:
             notes.append(
@@ -127,25 +116,48 @@ def run_analyze(system: VectorField, region: Box2,
                 f"local synthesis failed at ({eq.location.x:.6g}, "
                 f"{eq.location.y:.6g}): {exc}")
             continue
-        # Step 3a: the widest certified box, out to the largest doubling of
-        # the initial half-width whose box still fits the region
+        # the widest certified box, out to the largest doubling of the
+        # initial half-width whose box still fits the region
         w = Fraction(LOCAL_INITIAL_HALF_WIDTH)
         for _ in range(LOCAL_MAX_GROWTH_STEPS):
             if not region.contains_box(Box2.centered(ex, ey, 2 * w)):
                 break
             w *= 2
-        cert = certify_punctured_box(carrier, ex, ey, w, min_r, LOCAL_MAX_DEPTH)
+        cert = certify_punctured_box(carrier, ex, ey, w, min_r, max_depth)
         if cert is None:
             notes.append(
                 f"local certification failed at ({eq.location.x:.6g}, "
-                f"{eq.location.y:.6g}) down to radius {cfg.min_radius}")
+                f"{eq.location.y:.6g}) down to radius {min_radius}")
             continue
-        local_certs.append(LocalCertificate(
+        certs.append(LocalCertificate(
             equilibrium=eq, multiplier=multiplier, box=cert.box,
             certificate=cert))
-        cores.append((cert.box, Box2.centered(ex, ey, min_r)))
+    return certs, notes
 
-    # Step 3b: tile the region and attack remaining tiles with B = 1
+
+def run_analyze(system: VectorField, region: Box2,
+                config: AnalyzeConfig | None = None) -> AnalysisReport:
+    cfg = config or AnalyzeConfig()
+    if cfg.tile_n < 1:
+        raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
+    check_tol(cfg.cycle_tol)
+    if cfg.tile_depth < 0:
+        raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
+    if cfg.max_cycle_seeds < 0:
+        raise ValueError(
+            f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
+    min_r = check_min_radius(cfg.min_radius)
+
+    # Step 1: zeros of the field
+    equilibria = find_equilibria(system, region, cfg.grid_n)
+
+    # Step 2: local multipliers at hyperbolic equilibria
+    local_certs, notes = local_certificates(
+        system, region, equilibria, cfg.min_radius, LOCAL_MAX_DEPTH)
+    cores = [(c.box, Box2.centered(c.box.x_mid, c.box.y_mid, min_r))
+             for c in local_certs]
+
+    # Step 3: tile the region and attack remaining tiles with B = 1
     certified_tiles: list = []
     uncovered: list = []
     for tile in _tiles(region, cfg.tile_n):
@@ -160,7 +172,7 @@ def run_analyze(system: VectorField, region: Box2,
         else:
             uncovered.append(tile)
 
-    # Step 3c: scan uncovered tiles for limit cycles from their centers
+    # Step 4: scan uncovered tiles for limit cycles from their centers
     cycles: list = []
     marginal_seen = False
     for tile in _subsample(uncovered, cfg.max_cycle_seeds):

@@ -20,12 +20,11 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import add, lshift
-from typing import Optional
 
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
 from .parse import parse_poly
-from .poly import Point, Poly, VectorField
+from .poly import Poly, VectorField
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -33,6 +32,25 @@ OPEN_BOX_NOTE = (
     "a Positive certificate excludes periodic orbits fully contained in the "
     "open box; an orbit meeting the boundary is not excluded"
 )
+
+
+def short_numeral(q: Fraction) -> str:
+    """Text of q with each integer over 6 digits cut to its leading 6 digits
+    and digit count, e.g. ``100000...(401 digits)``.  Counts digits without
+    ``str``, which refuses integers of over 4300 digits."""
+
+    def short(n: int) -> str:
+        digits = int(n.bit_length() * math.log10(2)) + 1  # exact or one over
+        if digits > 1 and n < 10 ** (digits - 1):
+            digits -= 1
+        if digits <= 6:
+            return str(n)
+        return f"{n // 10 ** (digits - 6)}...({digits} digits)"
+
+    sign = "-" if q < 0 else ""
+    num = short(abs(q.numerator))
+    return sign + (num if q.denominator == 1
+                   else f"{num}/{short(q.denominator)}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +124,16 @@ class Box2:
                     or other.y_max <= self.y_min or self.y_max <= other.y_min)
 
     def as_floats(self):
-        """The corners as floats; ValueError when one is beyond float range."""
-        try:
-            return (float(self.x_min), float(self.x_max),
-                    float(self.y_min), float(self.y_max))
-        except OverflowError:
-            raise ValueError(f"box {self} is beyond float range") from None
+        """The corners as floats; ValueError names one beyond float range."""
+        floats = []
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            value = getattr(self, name)
+            try:
+                floats.append(float(value))
+            except OverflowError:
+                raise ValueError(f"box {name} = {short_numeral(value)} is "
+                                 f"beyond float range") from None
+        return tuple(floats)
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -304,13 +326,6 @@ class Certificate:
     @property
     def is_positive(self) -> bool:
         return isinstance(self.outcome, Positive)
-
-    @property
-    def witness_point(self) -> Optional[Point]:
-        if isinstance(self.outcome, Violation):
-            return Point(float(self.outcome.witness[0]),
-                         float(self.outcome.witness[1]))
-        return None
 
     @property
     def depth(self) -> int:

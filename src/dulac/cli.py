@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .analyze import AnalyzeConfig, exit_code, run_analyze
+from .analyze import AnalyzeConfig, exit_code, local_certificates, run_analyze
 from .certify import (
     Box2,
     DEFAULT_MAX_DEPTH,
@@ -67,8 +67,6 @@ from .synthesis import (
 
 
 def _load_system(args) -> VectorField:
-    if not args.system:
-        raise ParseError("--system <file.vf> is required")
     with open(args.system, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
 
@@ -92,8 +90,6 @@ def _parse_point(text: str):
 
 
 def _curves(args) -> list:
-    if not args.curves:
-        raise ParseError('--curves "f1;f2;..." is required')
     return parse_list(args.curves, [(";", None, None)], variables=True)
 
 
@@ -149,7 +145,7 @@ def _cmd_parse(args, system) -> Record:
 
 def _cmd_equilibria(args, system) -> Record:
     region = parse_region(args.region)
-    reports = find_equilibria(system, region, args.grid, args.tol)
+    reports = find_equilibria(system, region, args.grid)
     lines = [f"{len(reports)} equilibria in {region}"]
     for e in reports:
         lines.append(
@@ -160,8 +156,6 @@ def _cmd_equilibria(args, system) -> Record:
 
 
 def _cmd_dulac_linear(args, system) -> Record:
-    if not args.matrix:
-        raise ParseError('--matrix "a,b;c,d" is required')
     m = Matrix2.parse(args.matrix)
     quad = quadratic_dulac_linear(m)
     p20, p02, p11 = printed_coefficients(m)
@@ -214,45 +208,34 @@ def _cmd_local_dulac(args, system) -> Record:
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
     check_min_radius(args.min_radius)
-    notes: list = []
-    entries: list = []
-    if args.point:
-        points = [_parse_point(args.point)]
-    else:
-        if not args.region:
-            raise ParseError("local-dulac needs --point or --region")
-        region = parse_region(args.region)
-        eqs = find_equilibria(system, region, args.grid, 1e-12)
-        points = []
-        for eq in eqs:
-            if eq.hyperbolic:
-                points.append((eq.location.x, eq.location.y))
-            else:
-                notes.append(f"skipping non-hyperbolic equilibrium at "
-                             f"({eq.location.x:.6g}, {eq.location.y:.6g})")
-    lines = []
-    first_cert = None
-    for pt in points:
+    if args.point is not None:
+        pt = _parse_point(args.point)
         try:
-            multiplier, box, cert = local_dulac_hyperbolic(
+            multiplier, _, cert = local_dulac_hyperbolic(
                 system, pt, min_radius=args.min_radius, max_depth=args.depth)
         except DulacError as exc:
-            notes.append(f"({pt[0]:.6g}, {pt[1]:.6g}): {exc}")
-            lines.append(f"({pt[0]:.6g}, {pt[1]:.6g}): failed: {exc}")
-            continue
-        entries.append({
-            "point": [pt[0], pt[1]],
-            "multiplier": str(multiplier),
-            "box": box.to_dict(),
-            "certificate_full": cert.to_full_dict(),
-        })
-        if first_cert is None:
-            first_cert = cert
-        lines.append(f"({pt[0]:.6g}, {pt[1]:.6g}): certified punctured box "
-                     f"{box} with B = {multiplier}")
+            return Record({"local_certificates": []},
+                          [f"({pt[0]:.6g}, {pt[1]:.6g}): failed: {exc}"],
+                          notes=[f"({pt[0]:.6g}, {pt[1]:.6g}): {exc}"])
+        found, notes = [(pt, multiplier, cert)], []
+    else:
+        region = parse_region(args.region)
+        certs, notes = local_certificates(
+            system, region, find_equilibria(system, region, args.grid),
+            args.min_radius, args.depth)
+        found = [(c.equilibrium.location, c.multiplier, c.certificate)
+                 for c in certs]
+    entries = [{"point": [pt[0], pt[1]], "multiplier": str(multiplier),
+                "box": cert.box.to_dict(),
+                "certificate_full": cert.to_full_dict()}
+               for pt, multiplier, cert in found]
+    lines = [f"({pt[0]:.6g}, {pt[1]:.6g}): certified punctured box "
+             f"{cert.box} with B = {multiplier}"
+             for pt, multiplier, cert in found]
+    lines += [f"note: {note}" for note in notes]
     return Record({"local_certificates": entries},
                   lines or ["no hyperbolic equilibria found"],
-                  certificate=first_cert.to_dict() if first_cert else None,
+                  certificate=found[0][2].to_dict() if found else None,
                   notes=notes)
 
 
@@ -272,8 +255,6 @@ def _cmd_cofactor(args, system) -> Record:
 
 
 def _cmd_expfactor(args, system) -> Record:
-    if not args.g:
-        raise ParseError('--g "<poly>" is required')
     ef = exponential_factor_cofactor(parse_poly(args.g), parse_poly(args.h),
                                      system)
     return Record(to_json(ef), [f"{ef}: cofactor k = {ef.k}"])
@@ -342,7 +323,7 @@ def _csv(report) -> str:
 
 def _cmd_simulate(args, system) -> Record:
     z0 = _parse_point(args.z0)
-    domain = parse_region(args.region) if args.region else None
+    domain = None if args.region is None else parse_region(args.region)
     traj = integrate(system, z0, args.t_span, args.tol, domain)
     result = {
         "z0": list(z0),
@@ -403,14 +384,18 @@ def _cmd_analyze(args, system) -> Record:
 # --- parser ----------------------------------------------------------------
 
 
+REGION_HELP = 'rectangle "x0:x1,y0:y1"'
+
+
 def _add_common(sub, system=True, region=False):
     sub.add_argument("--out", help="write the report to this path")
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
     if system:
-        sub.add_argument("--system", help="path to a .vf system file")
+        sub.add_argument("--system", required=True,
+                         help="path to a .vf system file")
     if region:
-        sub.add_argument("--region", help='rectangle "x0:x1,y0:y1"')
+        sub.add_argument("--region", required=True, help=REGION_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("equilibria", help="find and classify zeros of the field")
     _add_common(p, region=True)
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_equilibria)
 
     p = subs.add_parser("dulac-linear",
                         help="quadratic multiplier for a linear field")
     _add_common(p, system=False)
-    p.add_argument("--matrix", help='matrix "a,b;c,d" with rational entries')
+    p.add_argument("--matrix", required=True,
+                   help='matrix "a,b;c,d" with rational entries')
     p.set_defaults(handler=_cmd_dulac_linear)
 
     p = subs.add_parser("certify",
@@ -451,8 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("local-dulac",
                         help="certified local multiplier at hyperbolic equilibria")
-    _add_common(p, region=True)
-    p.add_argument("--point", help='equilibrium "x,y" (instead of --region)')
+    _add_common(p)
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--point", help='equilibrium "x,y"')
+    where.add_argument("--region", help=REGION_HELP)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--depth", type=int, default=LOCAL_MAX_DEPTH)
     p.add_argument("--min-radius", type=float, default=1e-3)
@@ -460,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cofactor", help="cofactors of invariant curves")
     _add_common(p)
-    p.add_argument("--curves", help='curves "f1;f2;..."')
+    p.add_argument("--curves", required=True, help='curves "f1;f2;..."')
     p.set_defaults(handler=_cmd_cofactor)
 
     p = subs.add_parser("expfactor", help="cofactor of exp(g/h)")
     _add_common(p)
-    p.add_argument("--g", help="numerator polynomial")
+    p.add_argument("--g", required=True, help="numerator polynomial")
     p.add_argument("--h", default="1", help="denominator polynomial")
     p.set_defaults(handler=_cmd_expfactor)
 
@@ -483,21 +470,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("darboux", help="Darboux first integral from curves")
     _add_common(p)
-    p.add_argument("--curves", help='curves "f1;f2;..."')
+    p.add_argument("--curves", required=True, help='curves "f1;f2;..."')
     p.add_argument("--expfactors", help='exponential factors "g1:h1;g2:h2"')
     p.set_defaults(handler=_cmd_darboux)
 
     p = subs.add_parser("verify-integral",
                         help="build a Darboux integral and check drift")
     _add_common(p)
-    p.add_argument("--curves", help='curves "f1;f2;..."')
+    p.add_argument("--curves", required=True, help='curves "f1;f2;..."')
     p.add_argument("--expfactors", help='exponential factors "g1:h1;g2:h2"')
     p.add_argument("--trajectories", type=int, default=5)
     p.add_argument("--t-span", dest="t_span", type=float, default=10.0)
     p.set_defaults(handler=_cmd_verify_integral)
 
     p = subs.add_parser("simulate", help="integrate a trajectory (CSV export)")
-    _add_common(p, region=True)
+    _add_common(p)
+    p.add_argument("--region", help=REGION_HELP + ", the domain to stay in")
     p.add_argument("--z0", required=True, help='initial point "x,y"')
     p.add_argument("--t-span", dest="t_span", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)

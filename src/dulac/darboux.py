@@ -27,6 +27,7 @@ from .errors import (
     NotExponentialFactorError,
     NotInvariantError,
 )
+from .flow import find_equilibria, integrate
 from .jsonform import to_json
 from .multiplier import Multiplier
 from .poly import (
@@ -161,8 +162,6 @@ def cofactor_of(f: Poly, system: VectorField,
 
 def _warn_degenerate_points(f: Poly, system: VectorField,
                             search_half_width: float = 5.0) -> None:
-    from .flow import find_equilibria
-
     fx, fy = f.derive("x"), f.derive("y")
     if fx.is_zero and fy.is_zero:
         return
@@ -171,7 +170,7 @@ def _warn_degenerate_points(f: Poly, system: VectorField,
     w = Fraction(search_half_width)
     gradient_field = VectorField(p=fx, q=fy)
     for report in find_equilibria(gradient_field, Box2(-w, w, -w, w),
-                                  grid_n=12, tol=1e-8):
+                                  grid_n=12):
         z = report.location
         if abs(f.evaluate(z).real) < 1e-6:
             speed = max(abs(system.p.evaluate(z).real),
@@ -369,8 +368,6 @@ def verify_first_integral(h: DarbouxExpr, system: VectorField,
     resampled.  The reported drift is the largest relative change of log H
     along any checked trajectory.
     """
-    from .flow import integrate
-
     if trajectories < 0:
         raise ValueError(f"trajectories must be >= 0, got {trajectories}")
     symbolic = h.total_cofactor()

@@ -1,13 +1,15 @@
 """Floating-point dynamics for planar polynomial fields.
 
 Equilibrium location and classification, adaptive Runge-Kutta trajectory
-integration, Poincare return maps, and limit-cycle detection.  All stepping
-in the package, here and in ``synthesis.flowbox_dulac``, goes through one
-RK 5(4) loop (``_steps``, on any right-hand side), events on a step are
-found by one bisection of its dense output (``_locate``), and every float
-value of a polynomial comes from ``Poly.evaluate``.  This is the empirical
-cross-check side of the package: nothing here is rigorous, and certificates
-always win over these numbers.
+integration, Poincare return maps, and limit-cycle detection.  A point is a
+zero of the field when max(|P|, |Q|) <= ``ZERO_TOL`` there: Newton stops at
+it, and ``check_zero`` applies it for classification and local synthesis.
+All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
+through one RK 5(4) loop (``_steps``, on any right-hand side), events on a
+step are found by one bisection of its dense output (``_locate``), and
+every float value of a polynomial comes from ``Poly.evaluate``.  This is
+the empirical cross-check side of the package: nothing here is rigorous,
+and certificates always win over these numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .poly import Point, VectorField
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
+ZERO_TOL = 1e-9  # the one zero test: z is a zero of X if max(|P|, |Q|) <= it
 
 
 class Classification(Enum):
@@ -187,6 +190,13 @@ def _classify(eigs) -> tuple:
     return Classification.NODE, hyperbolic
 
 
+def check_zero(system: VectorField, z) -> None:
+    """Raise NotAnEquilibriumError unless z passes the zero test."""
+    if max(abs(system.p.evaluate(z).real),
+           abs(system.q.evaluate(z).real)) > ZERO_TOL:
+        raise NotAnEquilibriumError(f"|X({z[0]}, {z[1]})| > {ZERO_TOL:g}")
+
+
 def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     """Classify a zero of the field from its symbolic Jacobian at z.
 
@@ -195,9 +205,7 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     purely imaginary spectrum.
     """
     x, y = float(z[0]), float(z[1])
-    if max(abs(system.p.evaluate((x, y)).real),
-           abs(system.q.evaluate((x, y)).real)) > 1e-8:
-        raise NotAnEquilibriumError(f"|X({x}, {y})| > 1e-8")
+    check_zero(system, (x, y))
     px, py, qx, qy = system.jacobian()
     j11 = px.evaluate((x, y)).real
     j12 = py.evaluate((x, y)).real
@@ -214,22 +222,20 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     )
 
 
-def find_equilibria(system: VectorField, box: Box2, grid_n: int = 32,
-                    tol: float = 1e-9) -> list:
+def find_equilibria(system: VectorField, box: Box2, grid_n: int = 32) -> list:
     """Newton iteration from a grid of seeds; converged zeros are deduplicated.
 
-    Returns classified reports sorted by location; may be empty.
+    Newton stops at ``ZERO_TOL``.  Returns classified reports sorted by
+    location; may be empty.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     x_min, x_max, y_min, y_max = box.as_floats()
     px, py, qx, qy = system.jacobian()
     found: list = []
     for sx in np.linspace(x_min, x_max, grid_n):
         for sy in np.linspace(y_min, y_max, grid_n):
-            z = _newton(system, (px, py, qx, qy), float(sx), float(sy), tol)
+            z = _newton(system, (px, py, qx, qy), float(sx), float(sy))
             if z is None:
                 continue
             if not (x_min - 1e-9 <= z[0] <= x_max + 1e-9
@@ -243,12 +249,12 @@ def find_equilibria(system: VectorField, box: Box2, grid_n: int = 32,
     return [classify_equilibrium(system, z) for z in found]
 
 
-def _newton(system, jac_polys, x, y, tol, max_iter=50):
+def _newton(system, jac_polys, x, y, max_iter=50):
     px, py, qx, qy = jac_polys
     for _ in range(max_iter):
         fx = system.p.evaluate((x, y)).real
         fy = system.q.evaluate((x, y)).real
-        if max(abs(fx), abs(fy)) <= tol:
+        if max(abs(fx), abs(fy)) <= ZERO_TOL:
             return (x, y)
         j11 = px.evaluate((x, y)).real
         j12 = py.evaluate((x, y)).real

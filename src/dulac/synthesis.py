@@ -28,11 +28,10 @@ from .errors import (
     ConstantInputError,
     DoubleZeroEigenvalueError,
     FlowBoxError,
-    NotAnEquilibriumError,
     SingularAnsatzError,
     TraceZeroError,
 )
-from .flow import _steps, _StepFailure
+from .flow import _steps, _StepFailure, check_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (CRat, Point, Poly, VectorField, div_product, divergence,
@@ -262,13 +261,12 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
     """Quadratic multiplier of the Jacobian, translated to the equilibrium.
 
     Returns (multiplier, sign carrier for the full nonlinear field,
-    exact equilibrium coordinates).  Raises NotAnEquilibriumError, or the
-    errors of quadratic_dulac_linear for the Jacobian (TraceZeroError,
+    exact equilibrium coordinates).  Raises NotAnEquilibriumError when eq
+    fails ``flow``'s zero test (``ZERO_TOL``), or the errors of
+    quadratic_dulac_linear for the Jacobian (TraceZeroError,
     DoubleZeroEigenvalueError, SingularAnsatzError).
     """
-    px, py = system.p.evaluate(eq), system.q.evaluate(eq)
-    if max(abs(px.real), abs(py.real)) > 1e-10:
-        raise NotAnEquilibriumError(f"|X({eq[0]}, {eq[1]})| > 1e-10")
+    check_zero(system, eq)
     ex, ey = Fraction(float(eq[0])), Fraction(float(eq[1]))
     j_px, j_py, j_qx, j_qy = system.jacobian()
     jac = Matrix2(

@@ -20,6 +20,7 @@ from dulac.certify import (
     bernstein_coefficients,
     certify_dulac,
     certify_positive,
+    short_numeral,
 )
 from dulac.multiplier import BENDIXSON, PolyMultiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
@@ -60,6 +61,29 @@ class TestBox2:
     def test_dict_round_trip(self):
         b = Box2(Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(7, 5))
         assert Box2.from_dict(b.to_dict()) == b
+
+    @pytest.mark.parametrize("corner,message", [
+        ("y_min", "box y_min = -100000...(401 digits) is beyond float range"),
+        ("x_max", "box x_max = 333333...(401 digits) is beyond float range"),
+    ])
+    def test_as_floats_names_the_corner(self, corner, message):
+        corners = {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1}
+        corners[corner] = {"y_min": Fraction(-10 ** 400),
+                           "x_max": Fraction(10 ** 401 // 3)}[corner]
+        with pytest.raises(ValueError) as info:
+            Box2(**corners).as_floats()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value,text", [
+        (Fraction(-123456), "-123456"),
+        (Fraction(1234567, 3), "123456...(7 digits)/3"),
+        (Fraction(1, 10 ** 6), "1/100000...(7 digits)"),
+        (Fraction(10 ** 6 - 1), "999999"),
+        # beyond the digit limit of int-to-str conversion
+        (Fraction(10 ** 5000 + 1), "100000...(5001 digits)"),
+    ])
+    def test_short_numeral(self, value, text):
+        assert short_numeral(value) == text
 
 
 class TestBernsteinPatch:

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,14 @@ import dulac.analyze
 import dulac.flow
 import dulac.synthesis
 from dulac import cli
-from dulac.analyze import AnalysisReport
+from dulac.analyze import (
+    BEST_EFFORT_NOTE,
+    P_CONNECTED_NOTE,
+    AnalysisReport,
+    AnalyzeConfig,
+    run_analyze,
+)
+from dulac.certify import Box2
 from dulac.cli import build_parser, main, parse_region
 from dulac.parse import parse_system
 from dulac.synthesis import Matrix2
@@ -352,11 +361,7 @@ BAD_BUDGETS = {
                         "--tol", "nan"],
     "analyze_tol_large": ["analyze", "--system", VDP, "--region=-4:4,-4:4",
                           "--tol", "0.5"],
-    # these reported "0 equilibria" and "0 trajectories" instead
-    "equilibria_tol_nan": ["equilibria", "--system", VDP,
-                           "--region=-3:3,-3:3", "--tol", "nan"],
-    "equilibria_tol_neg": ["equilibria", "--system", RADIAL,
-                           "--region=-3:3,-3:3", "--tol", "-1"],
+    # this reported "0 trajectories" instead
     "verify_integral_trajectories_neg": ["verify-integral", "--system",
                                          SADDLE, "--curves", "x;y",
                                          "--trajectories", "-1"],
@@ -547,12 +552,56 @@ class TestAnalyzeGolden:
         assert sum("local certification failed" in n for n in r["notes"]) == 9
         assert code == 2
 
+    def test_local_certificate_beyond_old_zero_test(self, tmp_path, capsys):
+        # Newton stops |X| at 1e-9 near the origin, where local synthesis
+        # demanded 1e-10, so analyze certified nothing; local-dulac --point
+        # 0,0 proves a box of half-width 1/4
+        path = tmp_path / "perturbed.vf"
+        path.write_text("P = -1/16*x^2 - 1/3*y\n"
+                        "Q = 1/25*x^3 + 1/11*x^2*y - 2*x - y\n")
+        code, report = run_json(capsys, [
+            "analyze", "--system", str(path), "--region=-4:4,-4:4",
+            "--max-cycle-seeds", "0"])
+        (local,) = report["result"]["local_certificates"]
+        assert math.hypot(*local["equilibrium"]["location"]) < 1e-9
+        assert local["certificate"]["outcome"] == "positive"
+        box = Box2.from_dict(local["box"])
+        assert box.contains_point((0.0, 0.0), strict=True)
+        assert abs(box.width - Fraction(1, 2)) < 1e-9
+        assert not any("local synthesis failed" in n
+                       for n in report["notes"])
+
     def test_inconclusive_exit_code(self, capsys):
         # disable the cycle scan: uncovered tiles remain unresolved
         code, report = run_json(capsys, [
             "analyze", "--system", ROTATION, "--region=-2:2,-2:2",
             "--grid", "8", "--max-cycle-seeds", "0"])
         assert code == 2
+
+
+class TestLocalDulacRegion:
+    @pytest.mark.parametrize("region", ["-4:4,-4:4", "-2:2,-2:2"])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
+                             ids=lambda path: path.stem)
+    def test_reports_analyze_local_certificates(self, capsys, system,
+                                                region):
+        # local-dulac --region had its own loop: on radial.vf and [-2,2]^2
+        # it certified [-1,1]^2, and analyze [-2,2]^2
+        code, report = run_json(capsys, ["local-dulac", "--system",
+                                         str(system), f"--region={region}"])
+        assert code == 0
+        expected = run_analyze(parse_system(system.read_text()),
+                               parse_region(region),
+                               AnalyzeConfig(max_cycle_seeds=0))
+        assert report["result"]["local_certificates"] == [
+            {"point": list(c.equilibrium.location),
+             "multiplier": str(c.multiplier),
+             "box": c.box.to_dict(),
+             "certificate_full": c.certificate.to_full_dict()}
+            for c in expected.local_certificates]
+        assert report["notes"] == [
+            n for n in expected.notes
+            if n not in (BEST_EFFORT_NOTE, P_CONNECTED_NOTE)]
 
 
 class TestRoundTrips:
@@ -596,6 +645,37 @@ class TestRoundTrips:
         assert box.x_min == -0.5 and box.y_min == 0.25
 
 
+# required options and exclusive ones, each with argparse's message
+USAGE_ERRORS = {
+    # a missing --region ended in a TypeError traceback and exit 1
+    "equilibria_no_region": (["equilibria", "--system", VDP],
+                             "required: --region"),
+    "certify_no_region": (["certify", "--system", VDP], "required: --region"),
+    "bendixson_no_region": (["bendixson", "--system", VDP],
+                            "required: --region"),
+    "analyze_no_region": (["analyze", "--system", VDP], "required: --region"),
+    # --region was silently ignored next to --point
+    "local_dulac_point_and_region": (
+        ["local-dulac", "--system", VDP, "--point", "0,0",
+         "--region=-1:1,-1:1"], "not allowed with argument --point"),
+    "local_dulac_neither": (["local-dulac", "--system", VDP],
+                            "one of the arguments --point --region"),
+    # these were checked by hand in the handlers
+    "no_system": (["parse"], "required: --system"),
+    "no_matrix": (["dulac-linear"], "required: --matrix"),
+    "cofactor_no_curves": (["cofactor", "--system", SADDLE],
+                           "required: --curves"),
+    "darboux_no_curves": (["darboux", "--system", SADDLE],
+                          "required: --curves"),
+    "verify_integral_no_curves": (["verify-integral", "--system", SADDLE],
+                                  "required: --curves"),
+    "expfactor_no_g": (["expfactor", "--system", SHEAR], "required: --g"),
+    # Newton's tolerance is flow.ZERO_TOL, not an option
+    "equilibria_tol": (["equilibria", "--system", VDP, "--region=-3:3,-3:3",
+                        "--tol", "1e-9"], "unrecognized arguments: --tol"),
+}
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--system", VDP, "--region=-4:4,-4:4", "--tiles", "abc"],
@@ -609,6 +689,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(),
+                             ids=USAGE_ERRORS)
+    def test_required_and_exclusive_options(self, capsys, argv, message):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()[-1]
+
+    def test_simulate_empty_region_is_parsed(self, capsys):
+        # an empty --region= was read as "no domain"
+        code = main(["simulate", "--system", ROTATION, "--z0", "1,0",
+                     "--t-span", "1", "--region="])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            'error: line 1, column 1: region must look like "x0:x1,y0:y1"\n')
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -640,6 +736,14 @@ class TestBeyondFloatRange:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "beyond float range" in captured.err
+
+    def test_names_the_corner_briefly(self, capsys):
+        # the whole box was printed, 401 digits of it in one corner
+        assert main(["analyze", "--system", VDP, "--region",
+                     f"0:{HUGE},-1:1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: box x_max = 100000...(401 digits) is beyond float "
+            "range\n")
 
     def test_certify_stays_exact(self, capsys):
         code, report = run_json(capsys, ["certify", "--system", VDP,

@@ -26,6 +26,9 @@ from dulac.flow import (
 )
 from dulac.parse import parse_system
 from dulac.poly import Point, Poly, VectorField
+from dulac.synthesis import local_quadratic_multiplier
+
+from conftest import perturbed_linear_field
 
 VDP = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
 BOX3 = Box2(Fraction(-3), Fraction(3), Fraction(-3), Fraction(3))
@@ -39,7 +42,7 @@ def linear_field(a, b, c, d) -> VectorField:
 
 class TestFindEquilibria:
     def test_van_der_pol_origin_only(self):
-        reports = find_equilibria(VDP, BOX3, grid_n=10, tol=1e-9)
+        reports = find_equilibria(VDP, BOX3, grid_n=10)
         assert len(reports) == 1
         eq = reports[0]
         assert math.hypot(eq.location.x, eq.location.y) < 1e-9
@@ -48,7 +51,7 @@ class TestFindEquilibria:
     def test_two_saddle_nodes(self):
         system = parse_system("P = x^2 - 1\nQ = y")
         box = Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
-        reports = find_equilibria(system, box, grid_n=10, tol=1e-9)
+        reports = find_equilibria(system, box, grid_n=10)
         locations = sorted((round(e.location.x, 6), round(e.location.y, 6))
                            for e in reports)
         assert locations == [(-1.0, 0.0), (1.0, 0.0)]
@@ -56,7 +59,37 @@ class TestFindEquilibria:
     def test_no_zeros(self):
         system = parse_system("P = 1\nQ = 1")
         box = Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
-        assert find_equilibria(system, box, grid_n=5, tol=1e-9) == []
+        assert find_equilibria(system, box, grid_n=5) == []
+
+
+class TestZeroTest:
+    """Newton, classification and local synthesis share ``flow.ZERO_TOL``."""
+
+    @pytest.mark.parametrize("x,accepted", [(5e-10, True), (2e-9, False)])
+    def test_both_sides_use_zero_tol(self, x, accepted):
+        assert flow.ZERO_TOL == 1e-9
+        radial = parse_system("P = x\nQ = y")
+        for check in (classify_equilibrium, local_quadratic_multiplier):
+            if accepted:
+                check(radial, Point(x, 0.0))
+            else:
+                with pytest.raises(NotAnEquilibriumError):
+                    check(radial, Point(x, 0.0))
+
+    def test_reported_equilibria_pass_local_synthesis(self):
+        # Newton stopped at 1e-9 while local synthesis demanded 1e-10, so
+        # 9 of these fields had an equilibrium analyze could not certify
+        rng = random.Random(2)
+        region = Box2(-4, 4, -4, 4)
+        checked = 0
+        for _ in range(50):
+            system = perturbed_linear_field(rng)
+            for eq in find_equilibria(system, region):
+                if eq.hyperbolic:
+                    classify_equilibrium(system, eq.location)
+                    local_quadratic_multiplier(system, eq.location)
+                    checked += 1
+        assert checked == 55
 
 
 class TestClassify:

@@ -69,8 +69,7 @@ def main() -> int:
     print(f"  loop written to {OUT / 'vanderpol_cycle.csv'}")
 
     region = Box2(Fraction(-4), Fraction(4), Fraction(-4), Fraction(4))
-    report = run_analyze(system, region, AnalyzeConfig(grid_n=16,
-                                                       max_cycle_seeds=6))
+    report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=6))
     with open(OUT / "vanderpol_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     print(f"\nanalyze on {region}:")

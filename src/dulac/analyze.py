@@ -1,10 +1,12 @@
 """Best-effort region analysis: equilibria, local certificates, coverage, cycles.
 
-The pipeline locates zeros of the field (``flow.ZERO_TOL`` decides what a
-zero is), synthesizes a local Dulac multiplier at each hyperbolic one and
-certifies it on the widest punctured box of half-width 2^k (k <= 6) that
-fits the region, attacks the remaining tiles with the constant multiplier,
-and finally scans leftover tiles for limit cycles from their centers.
+The pipeline locates zeros of the field (Newton in the cells that
+Bernstein exclusion leaves; ``flow.ZERO_TOL`` decides what a zero is),
+synthesizes a local Dulac multiplier at each hyperbolic one and certifies
+it on the widest punctured box of half-width 2^k (k <= 6, negative on a
+small region) that fits the region, attacks the remaining tiles with the
+constant multiplier, and finally scans leftover tiles for limit cycles
+from their centers.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",
@@ -61,7 +63,6 @@ CYCLE_MAX_TIME = 200.0
 
 @dataclass
 class AnalyzeConfig:
-    grid_n: int = 32
     min_radius: float = 1e-3
     tile_n: int = 10
     tile_depth: int = 6
@@ -116,13 +117,15 @@ def local_certificates(system: VectorField, region: Box2, equilibria,
                 f"local synthesis failed at ({eq.location.x:.6g}, "
                 f"{eq.location.y:.6g}): {exc}")
             continue
-        # the widest certified box, out to the largest doubling of the
-        # initial half-width whose box still fits the region
-        w = Fraction(LOCAL_INITIAL_HALF_WIDTH)
-        for _ in range(LOCAL_MAX_GROWTH_STEPS):
-            if not region.contains_box(Box2.centered(ex, ey, 2 * w)):
-                break
-            w *= 2
+        # the widest box of half-width 2^k (k <= LOCAL_MAX_GROWTH_STEPS)
+        # that fits the region; k goes below 0 on a small region
+        w = Fraction(LOCAL_INITIAL_HALF_WIDTH * 2 ** LOCAL_MAX_GROWTH_STEPS)
+        while w > min_r and not region.contains_box(Box2.centered(ex, ey, w)):
+            w /= 2
+        if w <= min_r:
+            notes.append(f"no box around ({eq.location.x:.6g}, "
+                         f"{eq.location.y:.6g}) fits the region")
+            continue
         cert = certify_punctured_box(carrier, ex, ey, w, min_r, max_depth)
         if cert is None:
             notes.append(
@@ -149,7 +152,7 @@ def run_analyze(system: VectorField, region: Box2,
     min_r = check_min_radius(cfg.min_radius)
 
     # Step 1: zeros of the field
-    equilibria = find_equilibria(system, region, cfg.grid_n)
+    equilibria = find_equilibria(system, region)
 
     # Step 2: local multipliers at hyperbolic equilibria
     local_certs, notes = local_certificates(

@@ -145,7 +145,7 @@ def _cmd_parse(args, system) -> Record:
 
 def _cmd_equilibria(args, system) -> Record:
     region = parse_region(args.region)
-    reports = find_equilibria(system, region, args.grid)
+    reports = find_equilibria(system, region)
     lines = [f"{len(reports)} equilibria in {region}"]
     for e in reports:
         lines.append(
@@ -221,7 +221,7 @@ def _cmd_local_dulac(args, system) -> Record:
     else:
         region = parse_region(args.region)
         certs, notes = local_certificates(
-            system, region, find_equilibria(system, region, args.grid),
+            system, region, find_equilibria(system, region),
             args.min_radius, args.depth)
         found = [(c.equilibrium.location, c.multiplier, c.certificate)
                  for c in certs]
@@ -356,7 +356,6 @@ def _cmd_limit_cycle(args, system) -> Record:
 def _cmd_analyze(args, system) -> Record:
     region = parse_region(args.region)
     cfg = AnalyzeConfig(
-        grid_n=args.grid,
         tile_n=args.tiles,
         tile_depth=args.depth,
         min_radius=args.min_radius,
@@ -411,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("equilibria", help="find and classify zeros of the field")
     _add_common(p, region=True)
-    p.add_argument("--grid", type=int, default=32)
     p.set_defaults(handler=_cmd_equilibria)
 
     p = subs.add_parser("dulac-linear",
@@ -440,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", help='equilibrium "x,y"')
     where.add_argument("--region", help=REGION_HELP)
-    p.add_argument("--grid", type=int, default=32)
     p.add_argument("--depth", type=int, default=LOCAL_MAX_DEPTH)
     p.add_argument("--min-radius", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_local_dulac)
@@ -501,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="full best-effort pipeline on a region")
     _add_common(p, region=True)
-    p.add_argument("--grid", type=int, default=32)
     p.add_argument("--tiles", type=int, default=10)
     p.add_argument("--depth", type=int, default=6,
                    help="certification depth for coverage tiles")

@@ -169,8 +169,7 @@ def _warn_degenerate_points(f: Poly, system: VectorField,
         return  # gradient never vanishes
     w = Fraction(search_half_width)
     gradient_field = VectorField(p=fx, q=fy)
-    for report in find_equilibria(gradient_field, Box2(-w, w, -w, w),
-                                  grid_n=12):
+    for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
         z = report.location
         if abs(f.evaluate(z).real) < 1e-6:
             speed = max(abs(system.p.evaluate(z).real),

@@ -1,9 +1,10 @@
 """Floating-point dynamics for planar polynomial fields.
 
 Equilibrium location and classification, adaptive Runge-Kutta trajectory
-integration, Poincare return maps, and limit-cycle detection.  A point is a
-zero of the field when max(|P|, |Q|) <= ``ZERO_TOL`` there: Newton stops at
-it, and ``check_zero`` applies it for classification and local synthesis.
+integration, Poincare return maps, and limit-cycle detection.  Newton
+starts where exact Bernstein ranges of P and Q both contain 0.  A point is
+a zero of the field when max(|P|, |Q|) <= ``ZERO_TOL`` there: Newton stops
+at it, and ``check_zero`` applies it for classification and local synthesis.
 All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
 through one RK 5(4) loop (``_steps``, on any right-hand side), events on a
 step are found by one bisection of its dense output (``_locate``), and
@@ -20,15 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
 from scipy.integrate import RK45
 
-from .certify import Box2
+from .certify import Box2, bernstein_coefficients
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from .poly import Point, VectorField
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
+EQUILIBRIUM_SPLITS = 5  # at most 4^5 = 1024 cells get a Newton start
 ZERO_TOL = 1e-9  # the one zero test: z is a zero of X if max(|P|, |Q|) <= it
 
 
@@ -222,40 +223,53 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     )
 
 
-def find_equilibria(system: VectorField, box: Box2, grid_n: int = 32) -> list:
-    """Newton iteration from a grid of seeds; converged zeros are deduplicated.
+def find_equilibria(system: VectorField, box: Box2) -> list:
+    """Zeros of the field in the box, classified and sorted by location.
 
-    Newton stops at ``ZERO_TOL``.  Returns classified reports sorted by
-    location; may be empty.
+    P and Q are halved together in Bernstein form ``EQUILIBRIUM_SPLITS``
+    times, and a cell is dropped once the range of P or of Q excludes 0.
+    A Bernstein range encloses the values on the closed cell, so every zero
+    in the box lies in a kept cell.  Newton (stopping at ``ZERO_TOL``)
+    starts at each kept cell's centre; of points within ``DEDUP_RADIUS``,
+    the one with the smallest max(|P|, |Q|) is kept.  May be empty.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
     x_min, x_max, y_min, y_max = box.as_floats()
-    px, py, qx, qy = system.jacobian()
+    cells = [(bernstein_coefficients(system.p, box),
+              bernstein_coefficients(system.q, box))]
+    for _ in range(EQUILIBRIUM_SPLITS):
+        cells = [child for p, q in cells if _may_vanish(p, q)
+                 for child in zip(p.subdivide(), q.subdivide())]
+    jac = system.jacobian()
+    zeros = [_newton(system, jac, float(p.box.x_mid), float(p.box.y_mid))
+             for p, q in cells if _may_vanish(p, q)]
     found: list = []
-    for sx in np.linspace(x_min, x_max, grid_n):
-        for sy in np.linspace(y_min, y_max, grid_n):
-            z = _newton(system, (px, py, qx, qy), float(sx), float(sy))
-            if z is None:
-                continue
-            if not (x_min - 1e-9 <= z[0] <= x_max + 1e-9
-                    and y_min - 1e-9 <= z[1] <= y_max + 1e-9):
-                continue
-            if any(math.hypot(z[0] - w[0], z[1] - w[1]) < DEDUP_RADIUS
-                   for w in found):
-                continue
-            found.append(z)
+    for _, x, y in sorted(filter(None, zeros)):  # smallest |X| first
+        if not (x_min - 1e-9 <= x <= x_max + 1e-9
+                and y_min - 1e-9 <= y <= y_max + 1e-9):
+            continue
+        if any(math.hypot(x - w[0], y - w[1]) < DEDUP_RADIUS for w in found):
+            continue
+        found.append((x, y))
     found.sort()
     return [classify_equilibrium(system, z) for z in found]
 
 
+def _may_vanish(*patches) -> bool:
+    """False when the Bernstein range of some patch excludes 0."""
+    # numerators over a positive denominator, so they carry the signs
+    return all(min(map(min, p.numerators)) <= 0 <= max(map(max, p.numerators))
+               for p in patches)
+
+
 def _newton(system, jac_polys, x, y, max_iter=50):
+    """(max(|P|, |Q|), x, y) once that is <= ZERO_TOL, or None."""
     px, py, qx, qy = jac_polys
     for _ in range(max_iter):
         fx = system.p.evaluate((x, y)).real
         fy = system.q.evaluate((x, y)).real
-        if max(abs(fx), abs(fy)) <= ZERO_TOL:
-            return (x, y)
+        residual = max(abs(fx), abs(fy))
+        if residual <= ZERO_TOL:
+            return (residual, x, y)
         j11 = px.evaluate((x, y)).real
         j12 = py.evaluate((x, y)).real
         j21 = qx.evaluate((x, y)).real

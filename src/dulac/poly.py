@@ -550,10 +550,14 @@ def poly_divide(n: Poly, d: Poly):
 
 
 def kernel_basis(rows, n_cols):
-    """Exact kernel basis of a matrix with CRat entries (RREF back-solve).
+    """Exact kernel basis of a rational matrix (RREF back-solve).
 
-    One vector per free column, with a 1 in that column.
+    One vector per free column, with a 1 in that column.  Rows of only
+    Fraction or int entries give Fraction vectors; rows with a CRat entry,
+    or no rows at all, give CRat vectors.
     """
+    real = bool(rows) and all(type(v) is not CRat for r in rows for v in r)
+    zero, one = (_F0, _F1) if real else (CRAT_ZERO, CRAT_ONE)
     work = [list(r) for r in rows]
     pivot_cols = []
     r = 0
@@ -562,7 +566,7 @@ def kernel_basis(rows, n_cols):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = CRAT_ONE / work[r][c]
+        inv = one / work[r][c]
         work[r] = [v * inv for v in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
@@ -575,8 +579,8 @@ def kernel_basis(rows, n_cols):
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        v = [CRAT_ZERO] * n_cols
-        v[fc] = CRAT_ONE
+        v = [zero] * n_cols
+        v[fc] = one
         for pr, pc in enumerate(pivot_cols):
             v[pc] = -work[pr][fc]
         basis.append(v)

@@ -34,7 +34,7 @@ from .errors import (
 from .flow import _steps, _StepFailure, check_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
-from .poly import (CRat, Point, Poly, VectorField, div_product, divergence,
+from .poly import (Point, Poly, VectorField, div_product, divergence,
                    kernel_basis)
 
 
@@ -115,8 +115,8 @@ def quadratic_dulac_linear(m: Matrix2) -> QuadraticMultiplier:
         (2 * b, 2 * (a + d), 2 * c, -2 * (a * b + c * d)),
         (0, b, a + 3 * d, -(b * b + d * d)),
     )
-    (kernel,) = kernel_basis([[CRat(v) for v in row] for row in rows], 4)
-    b20, b11, b02 = (v.re for v in kernel[:3])
+    (kernel,) = kernel_basis(rows, 4)
+    b20, b11, b02 = kernel[:3]
     return QuadraticMultiplier(b20=b20, b11=b11, b02=b02)
 
 

@@ -54,8 +54,7 @@ class TestBasicCommands:
 
     def test_equilibria(self, capsys):
         code, report = run_json(capsys, [
-            "equilibria", "--system", VDP, "--region=-3:3,-3:3",
-            "--grid", "8"])
+            "equilibria", "--system", VDP, "--region=-3:3,-3:3"])
         assert code == 0
         eqs = report["result"]["equilibria"]
         assert len(eqs) == 1
@@ -209,8 +208,8 @@ class TestErrors:
     def test_analyze_bad_budget(self, capsys, flags):
         # tiles 0 divided by zero and tiles -3 tiled nothing, so rotation,
         # where every orbit is periodic, came out "fully certified"
-        code = main(["analyze", "--system", ROTATION, "--region=-2:2,-2:2",
-                     "--grid", "8"] + flags)
+        code = main(["analyze", "--system", ROTATION, "--region=-2:2,-2:2"]
+                    + flags)
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -262,7 +261,7 @@ class TestErrors:
         # no hyperbolic equilibrium in this region: nothing reaches the
         # certifier, so the handler itself must reject the depth
         ["local-dulac", "--system", VDP, "--region=3:4,3:4"],
-        ["analyze", "--system", ROTATION, "--region=-2:2,-2:2", "--grid", "8"],
+        ["analyze", "--system", ROTATION, "--region=-2:2,-2:2"],
     ], ids=["certify", "bendixson", "local_point", "local_region", "analyze"])
     def test_negative_depth(self, capsys, args):
         # a depth limit of -1 was reported as an inconclusive certificate
@@ -454,7 +453,7 @@ class TestBadBudgets:
 # one cheap invocation per subcommand
 ENVELOPE_CASES = {
     "parse": ["--system", VDP],
-    "equilibria": ["--system", VDP, "--region=-3:3,-3:3", "--grid", "8"],
+    "equilibria": ["--system", VDP, "--region=-3:3,-3:3"],
     "dulac-linear": ["--matrix", "0,1;-1,1"],
     "certify": ["--system", RADIAL, "--region", "1:2,1:2",
                 "--multiplier", "(x^2+y^2)/4"],
@@ -469,7 +468,7 @@ ENVELOPE_CASES = {
                         "--trajectories", "1", "--t-span", "1"],
     "simulate": ["--system", ROTATION, "--z0", "1,0", "--t-span", "1.0"],
     "limit-cycle": ["--system", VDP, "--seed", "2,0"],
-    "analyze": ["--system", RADIAL, "--region=-2:2,-2:2", "--grid", "8",
+    "analyze": ["--system", RADIAL, "--region=-2:2,-2:2",
                 "--tiles", "2", "--max-cycle-seeds", "0"],
 }
 
@@ -504,7 +503,7 @@ class TestAnalyzeGolden:
     def test_radial_fully_certified(self, capsys):
         code, report = run_json(capsys, [
             "analyze", "--system", RADIAL, "--region=-2:2,-2:2",
-            "--grid", "8", "--max-cycle-seeds", "2"])
+            "--max-cycle-seeds", "2"])
         assert code == 0
         r = report["result"]
         assert r["uncovered_regions"] == []
@@ -515,7 +514,7 @@ class TestAnalyzeGolden:
     def test_van_der_pol_cycle_detected(self, capsys):
         code, report = run_json(capsys, [
             "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--grid", "8", "--max-cycle-seeds", "4"])
+            "--max-cycle-seeds", "4"])
         assert code == 1
         r = report["result"]
         assert len(r["equilibria"]) == 1
@@ -529,7 +528,7 @@ class TestAnalyzeGolden:
     def test_rotation_marginal_family(self, capsys):
         code, report = run_json(capsys, [
             "analyze", "--system", ROTATION, "--region=-2:2,-2:2",
-            "--grid", "8", "--max-cycle-seeds", "2"])
+            "--max-cycle-seeds", "2"])
         assert code == 1
         r = report["result"]
         assert r["equilibria"][0]["classification"] == "center_candidate"
@@ -575,7 +574,7 @@ class TestAnalyzeGolden:
         # disable the cycle scan: uncovered tiles remain unresolved
         code, report = run_json(capsys, [
             "analyze", "--system", ROTATION, "--region=-2:2,-2:2",
-            "--grid", "8", "--max-cycle-seeds", "0"])
+            "--max-cycle-seeds", "0"])
         assert code == 2
 
 
@@ -603,12 +602,20 @@ class TestLocalDulacRegion:
             n for n in expected.notes
             if n not in (BEST_EFFORT_NOTE, P_CONNECTED_NOTE)]
 
+    def test_no_box_fits_at_the_corner(self, capsys):
+        # the node sits on the region's corner, where [-1,1]^2 was claimed
+        code, report = run_json(capsys, ["local-dulac", "--system", RADIAL,
+                                         "--region=0:1,0:1"])
+        assert code == 0
+        assert report["result"]["local_certificates"] == []
+        assert report["notes"] == ["no box around (0, 0) fits the region"]
+
 
 class TestRoundTrips:
     def test_json_report_round_trip(self, capsys):
         code, report = run_json(capsys, [
             "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--grid", "8", "--max-cycle-seeds", "2"])
+            "--max-cycle-seeds", "2"])
         text = json.dumps(report)
         assert json.loads(text) == report
         rebuilt = AnalysisReport.from_dict(report["result"])
@@ -618,7 +625,7 @@ class TestRoundTrips:
         # every tile center is inside a certified box or an uncovered tile
         code, report = run_json(capsys, [
             "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--grid", "8", "--tiles", "10", "--max-cycle-seeds", "0"])
+            "--tiles", "10", "--max-cycle-seeds", "0"])
         rebuilt = AnalysisReport.from_dict(report["result"])
         n = 10
         for i in range(n):
@@ -682,7 +689,12 @@ class TestUsageErrors:
         ["parse", "--system", VDP, "--no-such-option"],
         ["simulate", "--system", ROTATION, "--z0", "1,0"],
         [],
-    ], ids=["bad_int", "unknown_option", "missing_t_span", "no_subcommand"])
+        ["equilibria", "--system", VDP, "--region=-3:3,-3:3", "--grid", "8"],
+        ["local-dulac", "--system", RADIAL, "--region=-2:2,-2:2",
+         "--grid", "8"],
+        ["analyze", "--system", RADIAL, "--region=-2:2,-2:2", "--grid", "8"],
+    ], ids=["bad_int", "unknown_option", "missing_t_span", "no_subcommand",
+            "equilibria_grid", "local_dulac_grid", "analyze_grid"])
     def test_exit_3(self, capsys, argv):
         # argparse exits 2, which analyze reserves for inconclusive coverage
         assert main(argv) == 3

@@ -4,12 +4,14 @@ import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from dulac import flow
+from dulac.analyze import AnalyzeConfig, run_analyze
 from dulac.certify import Box2, Conclusion, bendixson
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from dulac.flow import (
@@ -30,6 +32,7 @@ from dulac.synthesis import local_quadratic_multiplier
 
 from conftest import perturbed_linear_field
 
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 VDP = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
 BOX3 = Box2(Fraction(-3), Fraction(3), Fraction(-3), Fraction(3))
 
@@ -42,7 +45,7 @@ def linear_field(a, b, c, d) -> VectorField:
 
 class TestFindEquilibria:
     def test_van_der_pol_origin_only(self):
-        reports = find_equilibria(VDP, BOX3, grid_n=10)
+        reports = find_equilibria(VDP, BOX3)
         assert len(reports) == 1
         eq = reports[0]
         assert math.hypot(eq.location.x, eq.location.y) < 1e-9
@@ -51,7 +54,7 @@ class TestFindEquilibria:
     def test_two_saddle_nodes(self):
         system = parse_system("P = x^2 - 1\nQ = y")
         box = Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
-        reports = find_equilibria(system, box, grid_n=10)
+        reports = find_equilibria(system, box)
         locations = sorted((round(e.location.x, 6), round(e.location.y, 6))
                            for e in reports)
         assert locations == [(-1.0, 0.0), (1.0, 0.0)]
@@ -59,7 +62,56 @@ class TestFindEquilibria:
     def test_no_zeros(self):
         system = parse_system("P = 1\nQ = 1")
         box = Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
-        assert find_equilibria(system, box, grid_n=5) == []
+        assert find_equilibria(system, box) == []
+
+    @pytest.mark.parametrize("path", sorted(SYSTEMS.glob("*.vf")),
+                             ids=lambda path: path.stem)
+    def test_newton_starts_only_where_x_may_vanish(self, monkeypatch, path):
+        # a 32x32 grid made 1,024 starts on every system
+        starts = []
+        newton = flow._newton
+
+        def counted(*args, **kwargs):
+            starts.append(args[2:4])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "_newton", counted)
+        find_equilibria(parse_system(path.read_text()), Box2(-4, 4, -4, 4))
+        assert len(starts) <= 16
+
+    def test_singular_zero_gives_no_cloud(self):
+        # the grid's Newton runs stopped all around the singular zero at the
+        # origin: 479 "hyperbolic" equilibria and 481 analyze notes
+        system = parse_system("P = 3/4*x^3 - 3/4*y^2\nQ = 3/7*x^3")
+        region = Box2(-4, 4, -4, 4)
+        reports = find_equilibria(system, region)
+        assert 1 <= len(reports) <= 4
+        assert all(math.hypot(*e.location) < 1e-3 for e in reports)
+        report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=0))
+        assert len(report.notes) <= 6
+
+    def test_criterion_9_fields(self):
+        rng = random.Random(2)
+        region = Box2(-4, 4, -4, 4)
+        total = 0
+        for _ in range(300):
+            reports = find_equilibria(perturbed_linear_field(rng), region)
+            assert min(math.hypot(*e.location) for e in reports) < 1e-9
+            total += len(reports)
+        assert total == 326
+
+    @pytest.mark.parametrize("zx,zy", [
+        (Fraction(1, 3), Fraction(-2, 7)),
+        (Fraction(-5, 2), Fraction(7, 4)),  # on the edges of four cells
+        (Fraction(4), Fraction(-4)),  # a corner of the box
+    ])
+    def test_simple_rational_zero_is_found(self, zx, zy):
+        x, y = Poly.x() - Poly.const(zx), Poly.y() - Poly.const(zy)
+        system = VectorField(p=x + x * y + y * y * Fraction(1, 2),
+                             q=y - x * x + x * y * Fraction(1, 3))
+        reports = find_equilibria(system, Box2(-4, 4, -4, 4))
+        assert any(math.hypot(e.location.x - zx, e.location.y - zy) < 1e-6
+                   for e in reports)
 
 
 class TestZeroTest:

@@ -29,7 +29,7 @@ def round_trip(tp, value):
 def report():
     # one equilibrium with a local certificate, certified strips and a cycle
     rep = run_analyze(VDP, Box2(-3, 3, -3, 3),
-                      AnalyzeConfig(grid_n=8, max_cycle_seeds=2))
+                      AnalyzeConfig(max_cycle_seeds=2))
     assert rep.local_certificates and rep.limit_cycles
     return rep
 

@@ -15,6 +15,7 @@ from dulac.poly import (
     div_product,
     divergence,
     evaluate,
+    kernel_basis,
     lie_derivative,
     poly_divide,
 )
@@ -181,6 +182,22 @@ class TestFieldOperators:
         lhs = div_product(b, x)
         rhs = b * divergence(x) + lie_derivative(b, x)
         assert (lhs - rhs).is_zero
+
+
+class TestKernelBasis:
+    def test_real_rows_stay_fractions(self):
+        rows = [[Fraction(1, 2), 0, Fraction(-3)], [0, Fraction(2, 3), 1]]
+        (v,) = kernel_basis(rows, 3)
+        assert all(type(c) is Fraction for c in v)
+        assert v == [Fraction(6), Fraction(-3, 2), Fraction(1)]
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+    def test_complex_rows_give_crat(self):
+        rows = [[CRat(1), CRat(0, 1)]]
+        (v,) = kernel_basis(rows, 2)
+        assert v == [CRat(0, -1), CRat(1)]
+        assert all(type(c) is CRat for c in v)
+        assert all(type(c) is CRat for c in kernel_basis([], 2)[0])
 
 
 class TestDivision:

@@ -282,10 +282,20 @@ class TestPuncturedBoxSearch:
         system = parse_system((SYSTEMS / "radial.vf").read_text())
         region = Box2(-2, 2, -2, 2)
         report = run_analyze(system, region,
-                             AnalyzeConfig(grid_n=8, max_cycle_seeds=2))
+                             AnalyzeConfig(max_cycle_seeds=2))
         (local,) = report.local_certificates
         assert local.box == region
         assert local.certificate.box == region
+
+    @pytest.mark.parametrize("half,width", [
+        (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 8), Fraction(1, 4))])
+    def test_analyze_shrinks_box_to_region(self, half, width):
+        # the search started at half-width 1, so [-1,1]^2 was claimed
+        system = parse_system((SYSTEMS / "radial.vf").read_text())
+        region = Box2(-half, half, -half, half)
+        report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=0))
+        (local,) = report.local_certificates
+        assert local.box == Box2(-width, width, -width, width)
 
     @pytest.mark.parametrize("min_r", [0, -1])
     def test_nonpositive_min_radius_raises(self, min_r):
@@ -298,7 +308,7 @@ class TestPuncturedBoxSearch:
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
         with pytest.raises(ValueError, match="min_radius"):
             run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(grid_n=8, min_radius=min_r))
+                        AnalyzeConfig(min_radius=min_r))
 
     @pytest.mark.parametrize("min_r", [math.inf, math.nan, 0, -1])
     def test_bad_min_radius_raises_before_work(self, monkeypatch, min_r):
@@ -312,7 +322,7 @@ class TestPuncturedBoxSearch:
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
         with pytest.raises(ValueError, match="min_radius must be finite"):
             run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(grid_n=8, min_radius=min_r))
+                        AnalyzeConfig(min_radius=min_r))
 
     def test_negative_depth_raises(self):
         system = parse_system(VDP_TEXT)
@@ -324,7 +334,7 @@ class TestPuncturedBoxSearch:
             local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
         with pytest.raises(ValueError, match="tile depth must be >= 0"):
             run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(grid_n=8, tile_depth=-1))
+                        AnalyzeConfig(tile_depth=-1))
 
 
 class TestFlowBox:

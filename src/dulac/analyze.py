@@ -6,7 +6,8 @@ synthesizes a local Dulac multiplier at each hyperbolic one and certifies
 it on the widest punctured box of half-width 2^k (k <= 6, negative on a
 small region) that fits the region, attacks the remaining tiles with the
 constant multiplier, and finally scans leftover tiles for limit cycles
-from their centers.
+from their centers with ``flow.detect_limit_cycle`` at its own budgets
+(``flow.CYCLE_*``), the ones ``limit-cycle`` uses.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",
@@ -26,7 +27,7 @@ from .flow import (
     EquilibriumReport,
     LimitCycleReport,
     Section,
-    check_tol,
+    Stability,
     detect_limit_cycle,
     find_equilibria,
 )
@@ -57,16 +58,11 @@ MARGINAL_FAMILY_NOTE = (
 )
 
 
-CYCLE_MAX_ITERS = 20
-CYCLE_MAX_TIME = 200.0
-
-
 @dataclass
 class AnalyzeConfig:
     min_radius: float = 1e-3
     tile_n: int = 10
     tile_depth: int = 6
-    cycle_tol: float = 1e-10
     max_cycle_seeds: int = 12
 
 
@@ -143,7 +139,6 @@ def run_analyze(system: VectorField, region: Box2,
     cfg = config or AnalyzeConfig()
     if cfg.tile_n < 1:
         raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
-    check_tol(cfg.cycle_tol)
     if cfg.tile_depth < 0:
         raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
     if cfg.max_cycle_seeds < 0:
@@ -186,16 +181,13 @@ def run_analyze(system: VectorField, region: Box2,
         section = Section.through(center, (vx, vy),
                                   CrossingDirection.POSITIVE_CROSSING)
         try:
-            report = detect_limit_cycle(system, section, center,
-                                        CYCLE_MAX_ITERS, cfg.cycle_tol,
-                                        CYCLE_MAX_TIME)
+            report = detect_limit_cycle(system, section, center)
         except (CycleNotFoundError, NoReturnError, ValueError):
             continue
-        if any(abs(report.period - c.period) < 1e-3 * max(1.0, c.period)
-               for c in cycles):
+        if any(_same_cycle(report, c) for c in cycles):
             continue
         cycles.append(report)
-        if report.stability.value == "marginal":
+        if report.stability is Stability.MARGINAL:
             marginal_seen = True
 
     if marginal_seen:
@@ -223,6 +215,22 @@ def exit_code(report: AnalysisReport) -> int:
     if report.uncovered_regions:
         return 2
     return 0
+
+
+def _same_cycle(a: LimitCycleReport, b: LimitCycleReport) -> bool:
+    """Whether two detections are one cycle.
+
+    Their periods must agree within 1e-3 relative (absolute below 1), and
+    so must their x-amplitudes unless one is marginal: a marginal detection
+    is one member of a periodic family, which the period alone names.
+    """
+    def close(u: float, v: float) -> bool:
+        return abs(u - v) < 1e-3 * max(1.0, abs(v))
+
+    if not close(a.period, b.period):
+        return False
+    return (Stability.MARGINAL in (a.stability, b.stability)
+            or close(a.amplitude_x, b.amplitude_x))
 
 
 def _tiles(region: Box2, n: int):

@@ -45,6 +45,9 @@ from .errors import (
     ParseError,
 )
 from .flow import (
+    CYCLE_MAX_ITERS,
+    CYCLE_MAX_TIME,
+    CYCLE_TOL,
     CrossingDirection,
     Section,
     detect_limit_cycle,
@@ -359,7 +362,6 @@ def _cmd_analyze(args, system) -> Record:
         tile_n=args.tiles,
         tile_depth=args.depth,
         min_radius=args.min_radius,
-        cycle_tol=args.tol,
         max_cycle_seeds=args.max_cycle_seeds,
     )
     report = run_analyze(system, region, cfg)
@@ -491,21 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("limit-cycle", help="detect a limit cycle from a seed")
     _add_common(p)
     p.add_argument("--seed", required=True, help='seed point "x,y"')
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-time", dest="max_time", type=float, default=100.0)
+    p.add_argument("--max-iters", dest="max_iters", type=int,
+                   default=CYCLE_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=CYCLE_TOL)
+    p.add_argument("--max-time", dest="max_time", type=float,
+                   default=CYCLE_MAX_TIME)
     p.set_defaults(handler=_cmd_limit_cycle)
 
     p = subs.add_parser("analyze", help="full best-effort pipeline on a region")
     _add_common(p, region=True)
-    p.add_argument("--tiles", type=int, default=10)
-    p.add_argument("--depth", type=int, default=6,
+    p.add_argument("--tiles", type=int, default=AnalyzeConfig.tile_n)
+    p.add_argument("--depth", type=int, default=AnalyzeConfig.tile_depth,
                    help="certification depth for coverage tiles")
-    p.add_argument("--min-radius", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="integration tolerance for the cycle scan")
+    p.add_argument("--min-radius", type=float,
+                   default=AnalyzeConfig.min_radius)
     p.add_argument("--max-cycle-seeds", dest="max_cycle_seeds", type=int,
-                   default=12)
+                   default=AnalyzeConfig.max_cycle_seeds)
     p.set_defaults(handler=_cmd_analyze)
 
     return parser

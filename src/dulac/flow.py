@@ -31,6 +31,12 @@ EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
 EQUILIBRIUM_SPLITS = 5  # at most 4^5 = 1024 cells get a Newton start
 ZERO_TOL = 1e-9  # the one zero test: z is a zero of X if max(|P|, |Q|) <= it
+# The cycle search's budgets, for ``limit-cycle`` and ``analyze`` alike:
+# return-map iterations after the first return, the RK tolerance, and the
+# time within which each Poincare return must come.
+CYCLE_MAX_ITERS = 25
+CYCLE_TOL = 1e-10
+CYCLE_MAX_TIME = 100.0
 
 
 class Classification(Enum):
@@ -333,8 +339,9 @@ def _locate(g, solver):
     """Bisect the last step's dense output for a zero of ``g``.
 
     ``g`` maps a state to a float whose sign differs at the two ends of the
-    step.  Returns (t, Point) at the first midpoint with |g| <= 1e-10, or
-    at the bracket end nearer ``solver.t`` after 200 halvings.
+    step.  Returns (t, Point), as Python floats, at the first midpoint with
+    |g| <= 1e-10, or at the bracket end nearer ``solver.t`` after 200
+    halvings.
     """
     dense = solver.dense_output()
     lo, hi = solver.t_old, solver.t
@@ -344,13 +351,13 @@ def _locate(g, solver):
         z = dense(mid)
         g_mid = g(z)
         if abs(g_mid) <= 1e-10:
-            return mid, Point(float(z[0]), float(z[1]))
+            return float(mid), Point(float(z[0]), float(z[1]))
         if (g_mid > 0) == (g_lo > 0):
             lo = mid
         else:
             hi = mid
     z = dense(hi)
-    return hi, Point(float(z[0]), float(z[1]))
+    return float(hi), Point(float(z[0]), float(z[1]))
 
 
 def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
@@ -404,7 +411,7 @@ def _direction_ok(direction: CrossingDirection, s_old: float, s_new: float) -> b
 
 
 def poincare_return(system: VectorField, section: Section, z0,
-                    max_time: float = 100.0, tol: float = 1e-10):
+                    max_time: float = CYCLE_MAX_TIME, tol: float = CYCLE_TOL):
     """First return of the trajectory from z0 to the section.
 
     z0 must lie on the section (within 1e-9).  The crossing is located by
@@ -435,21 +442,25 @@ def poincare_return(system: VectorField, section: Section, z0,
 
 
 def detect_limit_cycle(system: VectorField, section: Section, seed,
-                       max_iters: int = 25, tol: float = 1e-10,
-                       max_time: float = 100.0) -> LimitCycleReport:
+                       max_iters: int = CYCLE_MAX_ITERS,
+                       tol: float = CYCLE_TOL,
+                       max_time: float = CYCLE_MAX_TIME) -> LimitCycleReport:
     """Fixed-point iteration of the return map with secant acceleration.
 
     Convergence is successive section crossings within 1e-9; the return-map
     slope comes from a divided difference of two nearby returns.  A slope
     within 1e-3 of 1 is reported MARGINAL (a non-isolated periodic family,
     e.g. a linear center, converges immediately with slope 1).  Raises
-    ValueError for a seed off the section or max_iters < 0, and
+    ValueError for a seed off the section, max_iters < 0 or a max_time that
+    is not finite and > 0 (a negative one would run the map backward), and
     CycleNotFoundError when a return fails or the iteration does not converge.
     """
     if abs(section.signed_distance(seed)) > 1e-9:
         raise ValueError("seed must lie on the section (within 1e-9)")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not (math.isfinite(max_time) and max_time > 0):
+        raise ValueError(f"max_time must be finite and > 0, got {max_time}")
 
     def return_map(u: float):
         z = section.point_at(u)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dulac.analyze
+import dulac.errors
 import dulac.flow
 import dulac.synthesis
 from dulac import cli
@@ -356,10 +357,9 @@ BAD_BUDGETS = {
                             "--tol", "nan"],
     "verify_integral_t_span_nan": ["verify-integral", "--system", SADDLE,
                                    "--curves", "x;y", "--t-span", "nan"],
-    "analyze_tol_nan": ["analyze", "--system", VDP, "--region=-4:4,-4:4",
-                        "--tol", "nan"],
-    "analyze_tol_large": ["analyze", "--system", VDP, "--region=-4:4,-4:4",
-                          "--tol", "0.5"],
+    # a negative max_time ran the return map in reverse time
+    "limit_cycle_max_time_neg": ["limit-cycle", "--system", VDP, "--seed",
+                                 "2,0", "--max-time", "-100"],
     # this reported "0 trajectories" instead
     "verify_integral_trajectories_neg": ["verify-integral", "--system",
                                          SADDLE, "--curves", "x;y",
@@ -578,6 +578,58 @@ class TestAnalyzeGolden:
         assert code == 2
 
 
+class TestCycleBudgets:
+    """``flow.CYCLE_*`` are the one statement of the cycle search's budgets."""
+
+    def test_analyze_passes_no_budget(self, monkeypatch):
+        # analyze ran 20 iterations, each return within t = 200
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise dulac.errors.CycleNotFoundError("captured")
+
+        monkeypatch.setattr(dulac.analyze, "detect_limit_cycle", capture)
+        region = parse_region("-4:4,-4:4")
+        report = run_analyze(parse_system(Path(VDP).read_text()), region,
+                             AnalyzeConfig(tile_n=2, max_cycle_seeds=2))
+        assert report.limit_cycles == ()
+        assert calls
+        assert all(len(args) == 3 and not kwargs for args, kwargs in calls)
+
+    def test_parser_defaults(self):
+        parser = build_parser()
+        lc = parser.parse_args(["limit-cycle", "--system", VDP,
+                                "--seed", "2,0"])
+        assert (lc.max_iters, lc.tol, lc.max_time) == (
+            dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
+            dulac.flow.CYCLE_MAX_TIME)
+        an = parser.parse_args(["analyze", "--system", VDP,
+                                "--region=-4:4,-4:4"])
+        cfg = AnalyzeConfig()
+        assert (an.tiles, an.depth, an.min_radius, an.max_cycle_seeds) == (
+            cfg.tile_n, cfg.tile_depth, cfg.min_radius, cfg.max_cycle_seeds)
+
+    def test_distinct_cycles_of_equal_period(self, tmp_path, capsys):
+        # stable cycles at r = 1 and r = 3, both of period 2*pi (r = 2 is
+        # unstable); the seeds find amplitudes 3, 1, 1, 3, and the report
+        # kept only the first.  The damping is scaled by 1/40 to keep the
+        # stepping cheap; unscaled on [-4,4]^2 the result is the same.
+        path = tmp_path / "three_circles.vf"
+        path.write_text(
+            "P = -y - x*(x^2+y^2-1)*(x^2+y^2-4)*(x^2+y^2-9)/40\n"
+            "Q = x - y*(x^2+y^2-1)*(x^2+y^2-4)*(x^2+y^2-9)/40\n")
+        code, report = run_json(capsys, [
+            "analyze", "--system", str(path), "--region=-2:2,-2:2",
+            "--max-cycle-seeds", "4"])
+        assert code == 1
+        cycles = report["result"]["limit_cycles"]
+        assert sorted(round(c["amplitude_x"], 6) for c in cycles) == [1, 3]
+        for c in cycles:
+            assert abs(c["period"] - 2 * math.pi) < 1e-6
+            assert c["stability"] == "stable"
+
+
 class TestLocalDulacRegion:
     @pytest.mark.parametrize("region", ["-4:4,-4:4", "-2:2,-2:2"])
     @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
@@ -680,6 +732,11 @@ USAGE_ERRORS = {
     # Newton's tolerance is flow.ZERO_TOL, not an option
     "equilibria_tol": (["equilibria", "--system", VDP, "--region=-3:3,-3:3",
                         "--tol", "1e-9"], "unrecognized arguments: --tol"),
+    # the cycle scan runs at flow.CYCLE_TOL, as limit-cycle does by default
+    "analyze_tol_nan": (["analyze", "--system", VDP, "--region=-4:4,-4:4",
+                         "--tol", "nan"], "unrecognized arguments: --tol"),
+    "analyze_tol_large": (["analyze", "--system", VDP, "--region=-4:4,-4:4",
+                           "--tol", "0.5"], "unrecognized arguments: --tol"),
 }
 
 

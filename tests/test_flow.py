@@ -393,6 +393,41 @@ class TestDetectLimitCycle:
         with pytest.raises(ValueError, match="max_iters must be >= 0"):
             detect_limit_cycle(VDP, section, (2.0, 0.0), max_iters=-1)
 
+    @pytest.mark.parametrize("max_time", [-100.0, 0.0, math.nan, math.inf])
+    def test_bad_max_time_raises_before_any_return(self, monkeypatch,
+                                                   max_time):
+        # -100 ran the map in reverse time: period -2*pi and "stable" for
+        # the unstable annulus cycle r = 1
+        def no_return(*args):
+            raise AssertionError("return map computed")
+
+        monkeypatch.setattr(flow, "poincare_return", no_return)
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0))
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            detect_limit_cycle(VDP, section, (2.0, 0.0), max_time=max_time)
+
+    def test_unstable_annulus_cycle_in_forward_time(self):
+        annulus = parse_system("P = -x - y + x*(x^2+y^2)\n"
+                               "Q = x - y + y*(x^2+y^2)")
+        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
+                          direction=CrossingDirection.POSITIVE_CROSSING)
+        report = detect_limit_cycle(annulus, section, (1.0, 0.0))
+        assert report.stability is Stability.UNSTABLE
+        assert abs(report.period - 2 * math.pi) < 1e-6
+
+    def test_report_values_are_python_floats(self):
+        # the period and a located exit time were numpy.float64
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
+                          direction=CrossingDirection.POSITIVE_CROSSING)
+        report = detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+        assert type(report.period) is float
+        assert {type(t) for t in report.times} == {float}
+        rot = parse_system("P = -y\nQ = x")
+        domain = Box2(Fraction(-1), Fraction(1), Fraction(0), Fraction(1))
+        traj = integrate(rot, (1.0, 0.5), 10.0, 1e-9, domain)
+        assert traj.status is TrajectoryStatus.LEFT_DOMAIN
+        assert {type(t) for t in traj.times} == {float}
+
     def test_loop_sampling_failure_raises(self, monkeypatch):
         # the return maps integrate up to max_time = 100 and succeed; only
         # the loop sampling, bounded by the period, fails

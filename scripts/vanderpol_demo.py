@@ -17,9 +17,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from dulac import (
     AnalyzeConfig,
     Box2,
-    CrossingDirection,
     Point,
-    Section,
     bendixson,
     detect_limit_cycle,
     local_dulac_hyperbolic,
@@ -58,9 +56,7 @@ def main() -> int:
     print(f"  certified punctured box {box} "
           f"({local_cert.outcome.box_count} Bernstein leaves)")
 
-    section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                      direction=CrossingDirection.POSITIVE_CROSSING)
-    cycle = detect_limit_cycle(system, section, (2.0, 0.0), tol=1e-10)
+    cycle = detect_limit_cycle(system, (2.0, 0.0), tol=1e-10)
     print(f"\nlimit cycle: period {cycle.period:.9f}, "
           f"amplitude_x {cycle.amplitude_x:.9f}, "
           f"slope {cycle.return_map_slope:.3e} ({cycle.stability.value})")

@@ -36,7 +36,6 @@ from .darboux import (
 )
 from .flow import (
     Classification,
-    CrossingDirection,
     EquilibriumReport,
     LimitCycleReport,
     Section,
@@ -106,10 +105,9 @@ __all__ = [
     "cofactor_of", "darboux_first_integral", "dulac_cofactor_crosscheck",
     "exponential_factor_cofactor", "verify_first_integral",
     # flow
-    "Classification", "CrossingDirection", "EquilibriumReport",
-    "LimitCycleReport", "Section", "Stability", "Trajectory",
-    "TrajectoryStatus", "classify_equilibrium", "detect_limit_cycle",
-    "find_equilibria", "integrate", "poincare_return",
+    "Classification", "EquilibriumReport", "LimitCycleReport", "Section",
+    "Stability", "Trajectory", "TrajectoryStatus", "classify_equilibrium",
+    "detect_limit_cycle", "find_equilibria", "integrate", "poincare_return",
     # analyze
     "AnalysisReport", "AnalyzeConfig", "LocalCertificate", "run_analyze",
 ]

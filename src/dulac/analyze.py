@@ -7,7 +7,7 @@ it on the widest punctured box of half-width 2^k (k <= 6, negative on a
 small region) that fits the region, attacks the remaining tiles with the
 constant multiplier, and finally scans leftover tiles for limit cycles
 from their centers with ``flow.detect_limit_cycle`` at its own budgets
-(``flow.CYCLE_*``), the ones ``limit-cycle`` uses.
+(``flow.CYCLE_*``) and on its own section, as ``limit-cycle`` does.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",
@@ -16,17 +16,14 @@ never "no orbit".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import Box2, Certificate, bendixson
-from .errors import CycleNotFoundError, DulacError, NoReturnError
+from .errors import CycleNotFoundError, DulacError
 from .flow import (
-    CrossingDirection,
     EquilibriumReport,
     LimitCycleReport,
-    Section,
     Stability,
     detect_limit_cycle,
     find_equilibria,
@@ -175,14 +172,9 @@ def run_analyze(system: VectorField, region: Box2,
     marginal_seen = False
     for tile in _subsample(uncovered, cfg.max_cycle_seeds):
         center = (float(tile.x_mid), float(tile.y_mid))
-        vx, vy = system(center)
-        if math.hypot(vx, vy) < 1e-6:
-            continue
-        section = Section.through(center, (vx, vy),
-                                  CrossingDirection.POSITIVE_CROSSING)
         try:
-            report = detect_limit_cycle(system, section, center)
-        except (CycleNotFoundError, NoReturnError, ValueError):
+            report = detect_limit_cycle(system, center)
+        except (CycleNotFoundError, ValueError):  # e.g. a zero of X, or overflow
             continue
         if any(_same_cycle(report, c) for c in cycles):
             continue

@@ -24,7 +24,7 @@ from operator import add, lshift
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
 from .parse import parse_poly
-from .poly import Poly, VectorField
+from .poly import Poly, VectorField, short_numeral
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -32,25 +32,6 @@ OPEN_BOX_NOTE = (
     "a Positive certificate excludes periodic orbits fully contained in the "
     "open box; an orbit meeting the boundary is not excluded"
 )
-
-
-def short_numeral(q: Fraction) -> str:
-    """Text of q with each integer over 6 digits cut to its leading 6 digits
-    and digit count, e.g. ``100000...(401 digits)``.  Counts digits without
-    ``str``, which refuses integers of over 4300 digits."""
-
-    def short(n: int) -> str:
-        digits = int(n.bit_length() * math.log10(2)) + 1  # exact or one over
-        if digits > 1 and n < 10 ** (digits - 1):
-            digits -= 1
-        if digits <= 6:
-            return str(n)
-        return f"{n // 10 ** (digits - 6)}...({digits} digits)"
-
-    sign = "-" if q < 0 else ""
-    num = short(abs(q.numerator))
-    return sign + (num if q.denominator == 1
-                   else f"{num}/{short(q.denominator)}")
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ from .flow import (
     CYCLE_MAX_ITERS,
     CYCLE_MAX_TIME,
     CYCLE_TOL,
-    CrossingDirection,
-    Section,
     detect_limit_cycle,
     find_equilibria,
     integrate,
@@ -345,10 +343,8 @@ def _cmd_simulate(args, system) -> Record:
 
 def _cmd_limit_cycle(args, system) -> Record:
     seed = _parse_point(args.seed)
-    section = Section.through(seed, system(seed),
-                              CrossingDirection.POSITIVE_CROSSING)
-    report = detect_limit_cycle(system, section, seed, args.max_iters,
-                                args.tol, args.max_time)
+    report = detect_limit_cycle(system, seed, args.max_iters, args.tol,
+                                args.max_time)
     lines = [f"limit cycle: period = {report.period:.9g}, "
              f"amplitude_x = {report.amplitude_x:.9g}, "
              f"slope = {report.return_map_slope:.3e}, "

@@ -207,7 +207,11 @@ def exponential_factor_cofactor(g: Poly, h: Poly,
 
 def check_integrating_factor(mu: Multiplier,
                              system: VectorField) -> ResidualReport:
-    """Exact carrier of Div(mu*X); zero certifies an integrating factor."""
+    """Exact carrier of Div(mu*X); zero certifies an integrating factor.
+
+    Raises ValueError for a multiplier whose polynomial factor is zero."""
+    if mu.p.is_zero:
+        raise ValueError("mu must be nonzero")
     return ResidualReport(symbolic_residual=mu.sign_carrier(system))
 
 

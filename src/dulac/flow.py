@@ -59,12 +59,6 @@ class TrajectoryStatus(Enum):
     STEP_FAILURE = "step_failure"
 
 
-class CrossingDirection(Enum):
-    POSITIVE_CROSSING = "positive"
-    NEGATIVE_CROSSING = "negative"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
     location: Point
@@ -90,27 +84,26 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Section:
-    """Oriented transversal line through ``anchor`` with unit ``normal``."""
+    """Line through ``anchor`` with unit ``normal``, crossed along it."""
 
     anchor: Point
     normal: tuple
-    direction: CrossingDirection = CrossingDirection.BOTH
 
     def __post_init__(self):
-        n = math.hypot(self.normal[0], self.normal[1])
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("section normal must have unit length (within 1e-12)")
+        # written so that a nan length fails too
+        if not abs(math.hypot(self.normal[0], self.normal[1]) - 1.0) <= 1e-12:
+            raise ValueError("section normal must be a finite unit vector "
+                             "(length within 1e-12 of 1)")
 
     @classmethod
-    def through(cls, anchor, direction_vector,
-                crossing: CrossingDirection = CrossingDirection.BOTH) -> "Section":
+    def through(cls, anchor, direction_vector) -> "Section":
         """Section at ``anchor`` whose normal is the normalized vector."""
         nx, ny = float(direction_vector[0]), float(direction_vector[1])
         n = math.hypot(nx, ny)
-        if n == 0:
-            raise ValueError("direction vector must be nonzero")
-        return cls(anchor=Point(*anchor), normal=(nx / n, ny / n),
-                   direction=crossing)
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(f"direction vector must be finite and nonzero, "
+                             f"got ({nx:g}, {ny:g})")
+        return cls(anchor=Point(*anchor), normal=(nx / n, ny / n))
 
     @property
     def tangent(self) -> tuple:
@@ -299,8 +292,8 @@ MAX_STEPS = 100_000
 
 
 class _StepFailure(Exception):
-    """The RK integrator failed to take a step (e.g. on blow-up) or ran out
-    of its step budget."""
+    """The RK integrator failed to take a step (e.g. on blow-up), ran out of
+    its step budget, or started where the right-hand side is not finite."""
 
 
 def check_tol(tol: float) -> None:
@@ -314,15 +307,18 @@ def _steps(fun, y0, t_span: float, tol: float):
 
     ``fun(t, y)`` is the right-hand side and ``y0`` a state of any length.
     Raises ValueError on a bad tol or t_span (not finite and nonzero), and
-    _StepFailure if a step fails or MAX_STEPS accepted steps do not reach
-    t_span.  ``RK45`` is read from the module at call time, so it can be
-    wrapped from outside.
+    _StepFailure if the right-hand side is not finite at y0, a step fails
+    or MAX_STEPS accepted steps do not reach t_span.  ``RK45`` is read from
+    the module at call time, so it can be wrapped from outside.
     """
     check_tol(tol)
     if not (math.isfinite(t_span) and t_span):
         raise ValueError(f"time span must be finite and nonzero, got {t_span}")
     solver = RK45(fun, 0.0, [float(v) for v in y0],
                   t_bound=t_span, rtol=tol, atol=tol, max_step=abs(t_span))
+    # a nan derivative makes RK45 pick a nan step, and step() never returns
+    if not all(math.isfinite(v) for v in solver.f):
+        raise _StepFailure("the right-hand side is not finite at the start")
     steps = 0
     while solver.status == "running":
         if steps == MAX_STEPS:
@@ -401,24 +397,16 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
 # --- Poincare sections ----------------------------------------------------------
 
 
-def _direction_ok(direction: CrossingDirection, s_old: float, s_new: float) -> bool:
-    if direction is CrossingDirection.POSITIVE_CROSSING:
-        return s_old < 0 < s_new or (s_old < 0 and s_new == 0)
-    if direction is CrossingDirection.NEGATIVE_CROSSING:
-        return s_new < 0 < s_old or (s_old > 0 and s_new == 0)
-    return (s_old < 0 < s_new) or (s_new < 0 < s_old) or \
-        (s_new == 0 and s_old != 0)
-
-
 def poincare_return(system: VectorField, section: Section, z0,
                     max_time: float = CYCLE_MAX_TIME, tol: float = CYCLE_TOL):
     """First return of the trajectory from z0 to the section.
 
-    z0 must lie on the section (within 1e-9).  The crossing is located by
-    bisection on the step's dense output until the signed distance is below
-    1e-10.  Raises NoReturnError if no crossing in the configured direction
-    occurs within max_time, or if the integrator fails or runs out of its
-    step budget first.
+    z0 must lie on the section (within 1e-9).  Once the orbit is more than
+    1e-6 off the section, a return is the first step whose signed distance
+    goes from negative to zero or positive; it is located by bisection on
+    the step's dense output until the signed distance is below 1e-10.
+    Raises NoReturnError if no return occurs within max_time, or if the
+    integrator fails or runs out of its step budget first.
     """
     if abs(section.signed_distance(z0)) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
@@ -429,7 +417,7 @@ def poincare_return(system: VectorField, section: Section, z0,
             s_new = section.signed_distance(solver.y)
             if not armed:
                 armed = abs(s_new) > 1e-6
-            elif _direction_ok(section.direction, s_old, s_new):
+            elif s_old < 0 <= s_new:
                 t_cross, z_cross = _locate(section.signed_distance, solver)
                 return z_cross, t_cross
             s_old = s_new
@@ -441,26 +429,33 @@ def poincare_return(system: VectorField, section: Section, z0,
 # --- limit cycles ----------------------------------------------------------------
 
 
-def detect_limit_cycle(system: VectorField, section: Section, seed,
+def detect_limit_cycle(system: VectorField, seed,
                        max_iters: int = CYCLE_MAX_ITERS,
                        tol: float = CYCLE_TOL,
                        max_time: float = CYCLE_MAX_TIME) -> LimitCycleReport:
     """Fixed-point iteration of the return map with secant acceleration.
 
-    Convergence is successive section crossings within 1e-9; the return-map
-    slope comes from a divided difference of two nearby returns.  A slope
-    within 1e-3 of 1 is reported MARGINAL (a non-isolated periodic family,
-    e.g. a linear center, converges immediately with slope 1).  Raises
-    ValueError for a seed off the section, max_iters < 0 or a max_time that
-    is not finite and > 0 (a negative one would run the map backward), and
-    CycleNotFoundError when a return fails or the iteration does not converge.
+    The return map acts on the section through the seed, normal to the
+    field X there and crossed in the direction of X.  Convergence is
+    successive section crossings within 1e-9; the return-map slope comes
+    from a divided difference of two nearby returns.  A slope within 1e-3
+    of 1 is reported MARGINAL (a non-isolated periodic family, e.g. a linear
+    center, converges immediately with slope 1).  Raises ValueError for
+    max_iters < 0, a max_time that is not finite and > 0 (a negative one
+    would run the map backward), a seed that passes the zero test
+    (max(|P|, |Q|) <= ZERO_TOL) and a field that is not finite at the seed,
+    all before any return; and CycleNotFoundError when a return fails or
+    the iteration does not converge.
     """
-    if abs(section.signed_distance(seed)) > 1e-9:
-        raise ValueError("seed must lie on the section (within 1e-9)")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not (math.isfinite(max_time) and max_time > 0):
         raise ValueError(f"max_time must be finite and > 0, got {max_time}")
+    vx, vy = system(seed)
+    if max(abs(vx), abs(vy)) <= ZERO_TOL:
+        raise ValueError(f"seed ({seed[0]:.6g}, {seed[1]:.6g}) is a zero of "
+                         f"the field: max(|P|, |Q|) <= {ZERO_TOL:g}")
+    section = Section.through(seed, (vx, vy))
 
     def return_map(u: float):
         z = section.point_at(u)
@@ -470,7 +465,7 @@ def detect_limit_cycle(system: VectorField, section: Section, seed,
             raise CycleNotFoundError(f"return map undefined: {exc}") from exc
         return section.along(z_next), t_next
 
-    u_prev = section.along(seed)
+    u_prev = 0.0  # the seed is the section's anchor
     u_curr, _ = return_map(u_prev)
     f_prev = u_curr - u_prev
     u_star = None

@@ -8,6 +8,7 @@ solver (``kernel_basis``); floats appear only in point evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -335,20 +336,29 @@ class Poly:
     def evaluate(self, z) -> complex:
         """Float sum of ``c * x**i * y**j`` in term order; exactly real for
         real coefficients.  The float coefficients are converted on the first
-        call and cached, which is sound because a Poly never changes.
+        call and cached, which is sound because a Poly never changes.  Raises
+        ValueError, naming the polynomial and z, when a coefficient or a power
+        of x or y is beyond float range.
         """
         x, y = float(z[0]), float(z[1])
         try:
-            table = self._float_terms
-        except AttributeError:
-            table = self._float_terms = tuple(
-                (i, j, float(c.re), float(c.im))
-                for (i, j), c in self.terms.items())
-        re = im = 0.0
-        for i, j, c_re, c_im in table:
-            re += c_re * x ** i * y ** j
-            if c_im:
-                im += c_im * x ** i * y ** j
+            try:
+                table = self._float_terms
+            except AttributeError:
+                table = self._float_terms = tuple(
+                    (i, j, float(c.re), float(c.im))
+                    for (i, j), c in self.terms.items())
+            re = im = 0.0
+            for i, j, c_re, c_im in table:
+                re += c_re * x ** i * y ** j
+                if c_im:
+                    im += c_im * x ** i * y ** j
+        except OverflowError:
+            text = format_poly(self, short_numeral)
+            if len(text) > 60:
+                text = text[:57] + "..."
+            raise ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float "
+                             f"range") from None
         return complex(re, im)
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
@@ -402,38 +412,60 @@ def _monomial_str(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-def _imag_str(mag: Fraction) -> str:
-    return "i" if mag == 1 else f"{mag}*i"
+def short_numeral(q: Fraction) -> str:
+    """Text of q with each integer over 6 digits cut to its leading 6 digits
+    and digit count, e.g. ``100000...(401 digits)``.  Counts digits without
+    ``str``, which refuses integers of over 4300 digits."""
+
+    def short(n: int) -> str:
+        digits = int(n.bit_length() * math.log10(2)) + 1  # exact or one over
+        if digits > 1 and n < 10 ** (digits - 1):
+            digits -= 1
+        if digits <= 6:
+            return str(n)
+        return f"{n // 10 ** (digits - 6)}...({digits} digits)"
+
+    sign = "-" if q < 0 else ""
+    num = short(abs(q.numerator))
+    return sign + (num if q.denominator == 1
+                   else f"{num}/{short(q.denominator)}")
 
 
-def _term_str(c: CRat, mono: str):
+def _imag_str(mag: Fraction, numeral) -> str:
+    return "i" if mag == 1 else f"{numeral(mag)}*i"
+
+
+def _term_str(c: CRat, mono: str, numeral):
     """Return (sign, body) with sign in ``'+'``/``'-'``."""
     if c.is_real:
         sign = "-" if c.re < 0 else "+"
         mag = abs(c.re)
         if not mono:
-            return sign, str(mag)
+            return sign, numeral(mag)
         if mag == 1:
             return sign, mono
-        return sign, f"{mag}*{mono}"
+        return sign, f"{numeral(mag)}*{mono}"
     if not c.re:
         sign = "-" if c.im < 0 else "+"
-        body = _imag_str(abs(c.im))
+        body = _imag_str(abs(c.im), numeral)
         return sign, body if not mono else f"{body}*{mono}"
     # mixed complex coefficient: keep all signs inside parentheses
     im_sign = "-" if c.im < 0 else "+"
-    inner = f"{c.re} {im_sign} {_imag_str(abs(c.im))}"
+    inner = f"{numeral(c.re)} {im_sign} {_imag_str(abs(c.im), numeral)}"
     body = f"({inner})"
     return "+", body if not mono else f"{body}*{mono}"
 
 
-def format_poly(p: Poly) -> str:
-    """Canonical text form: graded-lex descending terms, explicit * and ^."""
+def format_poly(p: Poly, numeral=str) -> str:
+    """Canonical text form: graded-lex descending terms, explicit * and ^.
+
+    ``numeral`` writes each rational coefficient (``short_numeral`` cuts
+    long integers)."""
     if p.is_zero:
         return "0"
     pieces = []
     for k, (exp, c) in enumerate(p):
-        sign, body = _term_str(c, _monomial_str(*exp))
+        sign, body = _term_str(c, _monomial_str(*exp), numeral)
         if k == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

@@ -28,8 +28,6 @@ from dulac.darboux import (
 )
 from dulac.errors import DulacError
 from dulac.flow import (
-    CrossingDirection,
-    Section,
     Stability,
     detect_limit_cycle,
     integrate,
@@ -174,10 +172,7 @@ def test_criterion_4_certificate_cycle_consistency():
         value = result.certificate.carrier.evaluate_exact(*outcome.witness)
         assert value.re == outcome.value and value.re <= 0
 
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        cycle = detect_limit_cycle(VDP, section, (2.0, 0.0), max_iters=25,
-                                   tol=1e-10)
+        cycle = detect_limit_cycle(VDP, (2.0, 0.0), max_iters=25, tol=1e-10)
         assert cycle.stability is Stability.STABLE
         assert 1.95 <= cycle.amplitude_x <= 2.07
         assert 6.6 <= cycle.period <= 6.73

@@ -136,6 +136,13 @@ class TestBasicCommands:
         assert code == 0
         assert report["result"]["verdict"] == "integrating factor"
 
+    @pytest.mark.parametrize("multiplier", ["0", "exp(x)*0"])
+    def test_intfactor_rejects_zero(self, capsys, multiplier):
+        # mu = 0 was reported "integrating factor (residual 0)", exit 0
+        assert main(["intfactor", "--system", RADIAL, "--multiplier",
+                     multiplier]) == 3
+        assert capsys.readouterr().err == "error: mu must be nonzero\n"
+
     def test_inv_intfactor(self, capsys):
         code, report = run_json(capsys, [
             "inv-intfactor", "--system", RADIAL, "--multiplier", "x^2+y^2"])
@@ -180,6 +187,46 @@ class TestBasicCommands:
         cyc = report["result"]["limit_cycle"]
         assert cyc["stability"] == "stable"
         assert 6.6 <= cyc["period"] <= 6.73
+
+
+class TestFieldAtSeed:
+    """``limit-cycle`` and ``simulate`` where the field is zero or nan."""
+
+    NAN_FIELD = "P = x^2*y - x*y^2\nQ = 1\n"  # inf - inf far out
+    NAN_START = "10^150,10^100"
+
+    def test_limit_cycle_seed_at_zero(self, capsys):
+        assert main(["limit-cycle", "--system", VDP, "--seed", "0,0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: seed (0, 0) is a zero of the field: max(|P|, |Q|) "
+            "<= 1e-09\n")
+
+    def test_limit_cycle_nan_field(self, capsys, tmp_path):
+        # built a nan section, then failed on scipy's message about y0
+        path = tmp_path / "nan.vf"
+        path.write_text(self.NAN_FIELD)
+        assert main(["limit-cycle", "--system", str(path), "--seed",
+                     self.NAN_START]) == 3
+        assert capsys.readouterr().err == (
+            "error: direction vector must be finite and nonzero, "
+            "got (nan, 1)\n")
+
+    def test_simulate_nan_start_is_step_failure(self, capsys, tmp_path,
+                                                monkeypatch):
+        # this hung in RK45.step, so a step now fails the test at once
+        class NoStep(dulac.flow.RK45):
+            def step(self):
+                raise AssertionError("a step was attempted")
+
+        monkeypatch.setattr(dulac.flow, "RK45", NoStep)
+        path = tmp_path / "nan.vf"
+        path.write_text(self.NAN_FIELD)
+        code, report = run_json(capsys, ["simulate", "--system", str(path),
+                                         "--z0", self.NAN_START,
+                                         "--t-span", "1"])
+        assert code == 0
+        assert report["result"]["status"] == "step_failure"
+        assert report["result"]["steps"] == 0
 
 
 class TestErrors:
@@ -595,7 +642,7 @@ class TestCycleBudgets:
                              AnalyzeConfig(tile_n=2, max_cycle_seeds=2))
         assert report.limit_cycles == ()
         assert calls
-        assert all(len(args) == 3 and not kwargs for args, kwargs in calls)
+        assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
 
     def test_parser_defaults(self):
         parser = build_parser()
@@ -813,6 +860,34 @@ class TestBeyondFloatRange:
         assert capsys.readouterr().err == (
             "error: box x_max = 100000...(401 digits) is beyond float "
             "range\n")
+
+    @pytest.mark.parametrize("field,argv", [
+        ("P = 10^400*y\nQ = -x", ["analyze", "--region=-1:1,-1:1"]),
+        (None, ["analyze", "--region=-10^200:10^200,-10^200:10^200"]),
+        (None, ["simulate", "--z0", "10^200,0", "--t-span", "1"]),
+    ], ids=["analyze_coefficient", "analyze_power", "simulate_power"])
+    def test_field_values_exit_3(self, capsys, tmp_path, field, argv):
+        # a coefficient or a power beyond float range ended in an
+        # OverflowError traceback and exit 1
+        path = VDP
+        if field is not None:
+            path = tmp_path / "huge.vf"
+            path.write_text(field)
+        assert main(argv + ["--system", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith(" is beyond float range\n")
+
+    def test_analyze_scan_skips_seed_beyond_float_range(self):
+        # no zero of the field and no certified tile, so every tile centre
+        # is a seed, and Q = x^2 is beyond float range at each of them
+        system = parse_system("P = 1\nQ = x^2")
+        report = run_analyze(system, parse_region("10^200:10^201,0:1"),
+                             AnalyzeConfig(tile_n=2, max_cycle_seeds=2))
+        assert report.limit_cycles == ()
+        assert len(report.uncovered_regions) == 4
 
     def test_certify_stays_exact(self, capsys):
         code, report = run_json(capsys, ["certify", "--system", VDP,

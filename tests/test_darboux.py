@@ -162,6 +162,12 @@ class TestIntegratingFactors:
         with pytest.raises(ValueError):
             check_inverse_integrating_factor(Poly.zero(), SADDLE)
 
+    @pytest.mark.parametrize("text", ["0", "exp(x)*0", "exp(x)*(y - y)"])
+    def test_zero_mu_rejected(self, text):
+        # Div(0*X) = 0 made the zero multiplier an "integrating factor"
+        with pytest.raises(ValueError, match="mu must be nonzero"):
+            check_integrating_factor(parse_multiplier(text), SADDLE)
+
 
 class TestDarbouxFirstIntegral:
     def test_saddle(self):

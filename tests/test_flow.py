@@ -16,7 +16,6 @@ from dulac.certify import Box2, Conclusion, bendixson
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from dulac.flow import (
     Classification,
-    CrossingDirection,
     Section,
     Stability,
     TrajectoryStatus,
@@ -275,6 +274,23 @@ class TestIntegrate:
         assert integrate(rot, (1.0, 0.0), 1.0, 1e-9).status is \
             TrajectoryStatus.COMPLETED
 
+    def test_nan_start_is_step_failure(self, monkeypatch):
+        # P = inf - inf at the start: RK45 chose a nan first step and step()
+        # never returned, so MAX_STEPS could not end the run
+        class NoStep(flow.RK45):
+            def step(self):
+                raise AssertionError("a step was attempted")
+
+        monkeypatch.setattr(flow, "RK45", NoStep)
+        nan_field = parse_system("P = x^2*y - x*y^2\nQ = 1")
+        start = (1e150, 1e100)
+        assert math.isnan(nan_field(start)[0])
+        with pytest.raises(flow._StepFailure, match="not finite at the start"):
+            next(flow._steps(flow.compile_field(nan_field), start, 1.0, 1e-9))
+        traj = integrate(nan_field, start, 1.0, 1e-9)
+        assert traj.status is TrajectoryStatus.STEP_FAILURE
+        assert traj.times == (0.0,)
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             integrate(VDP, (1.0, 0.0), 1.0, tol=1e-2)
@@ -294,8 +310,7 @@ class TestIntegrate:
 class TestPoincare:
     def test_rotation_full_turn(self):
         rot = parse_system("P = -y\nQ = x")
-        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
+        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         z, t = poincare_return(rot, section, (1.0, 0.0), max_time=10.0)
         assert abs(t - 2 * math.pi) < 1e-6
         assert abs(z.x - 1.0) < 1e-6
@@ -310,8 +325,7 @@ class TestPoincare:
     def test_van_der_pol_return_against_bisection_oracle(self):
         # the orbit leaves (2, 0) downward, so the near-side return crossing
         # has decreasing signed distance
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.NEGATIVE_CROSSING)
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, -1.0))
         z, t = poincare_return(VDP, section, (2.0, 0.0), max_time=20.0)
         assert abs(z.x - 2.009) < 5e-3  # returns near (2.009, 0)
         # independent oracle: bisection on fresh fixed-horizon integrations
@@ -347,13 +361,35 @@ class TestPoincare:
         section = Section.through((0.0, 0.0), (3.0, 4.0))
         assert abs(math.hypot(*section.normal) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("normal", [
+        (math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)])
+    def test_non_finite_normal_rejected(self, normal):
+        # abs(nan - 1) > 1e-12 is False, so a nan normal was accepted
+        with pytest.raises(ValueError, match="finite unit vector"):
+            Section(anchor=Point(0.0, 0.0), normal=normal)
+
+    @pytest.mark.parametrize("vector", [
+        (0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)])
+    def test_through_rejects_zero_or_non_finite_vector(self, vector):
+        # (nan, 1) gave a nan section, and scipy failed later on its y0
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            Section.through((0.0, 0.0), vector)
+
+    def test_crossing_is_along_the_normal(self):
+        # the rotation crosses y = 0 upward at (1, 0) and downward at
+        # (-1, 0): a flipped normal picks the other crossing
+        rot = parse_system("P = -y\nQ = x")
+        up = Section(anchor=Point(0.0, 0.0), normal=(0.0, 1.0))
+        down = Section(anchor=Point(0.0, 0.0), normal=(0.0, -1.0))
+        z, t = poincare_return(rot, up, (0.5, 0.0), max_time=10.0)
+        assert abs(t - 2 * math.pi) < 1e-6 and abs(z.x - 0.5) < 1e-6
+        z, t = poincare_return(rot, down, (0.5, 0.0), max_time=10.0)
+        assert abs(t - math.pi) < 1e-6 and abs(z.x + 0.5) < 1e-6
+
 
 class TestDetectLimitCycle:
     def test_van_der_pol(self):
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(VDP, section, (2.0, 0.0), max_iters=25,
-                                    tol=1e-10)
+        report = detect_limit_cycle(VDP, (2.0, 0.0), max_iters=25, tol=1e-10)
         assert 1.95 <= report.amplitude_x <= 2.07
         assert 6.6 <= report.period <= 6.73
         assert report.stability is Stability.STABLE
@@ -362,36 +398,54 @@ class TestDetectLimitCycle:
 
     def test_rotation_marginal_family(self):
         rot = parse_system("P = -y\nQ = x")
-        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(rot, section, (1.0, 0.0), max_iters=10,
-                                    tol=1e-10)
+        report = detect_limit_cycle(rot, (1.0, 0.0), max_iters=10, tol=1e-10)
         assert report.stability is Stability.MARGINAL
         assert abs(report.return_map_slope - 1.0) <= 1e-3
         assert abs(report.period - 2 * math.pi) < 1e-6
 
     def test_radial_not_found(self):
         radial = parse_system("P = x\nQ = y")
-        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(CycleNotFoundError):
-            detect_limit_cycle(radial, section, (1.0, 0.0), max_iters=10,
+            detect_limit_cycle(radial, (1.0, 0.0), max_iters=10,
                                tol=1e-9, max_time=20.0)
+
+    @pytest.mark.parametrize("seed", [(0.0, 0.0), (1e-10, 0.0)])
+    def test_seed_at_zero_raises_before_any_return(self, monkeypatch, seed):
+        # the one zero test, flow.ZERO_TOL: at (1e-10, 0) max(|P|, |Q|) is
+        # 1e-10 <= 1e-9
+        def no_return(*args):
+            raise AssertionError("return map computed")
+
+        monkeypatch.setattr(flow, "poincare_return", no_return)
+        with pytest.raises(ValueError, match="is a zero of the field"):
+            detect_limit_cycle(VDP, seed)
+
+    def test_section_through_seed_along_field(self, monkeypatch):
+        sections = []
+
+        def spy(system, section, z0, max_time, tol):
+            sections.append(section)
+            return poincare_return(system, section, z0, max_time, tol)
+
+        monkeypatch.setattr(flow, "poincare_return", spy)
+        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
+        assert 6.6 <= report.period <= 6.73
+        # X(2, 0) = (0, -2): the section is y = 0, crossed downward
+        assert {(s.anchor, s.normal) for s in sections} == {
+            (Point(2.0, 0.0), (0.0, -1.0))}
 
     def test_step_budget_is_cycle_not_found(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 5)
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.NEGATIVE_CROSSING)
         with pytest.raises(CycleNotFoundError, match="return map undefined"):
-            detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+            detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
 
     def test_negative_max_iters_raises_before_any_return(self, monkeypatch):
         def no_return(*args):
             raise AssertionError("return map computed")
 
         monkeypatch.setattr(flow, "poincare_return", no_return)
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(ValueError, match="max_iters must be >= 0"):
-            detect_limit_cycle(VDP, section, (2.0, 0.0), max_iters=-1)
+            detect_limit_cycle(VDP, (2.0, 0.0), max_iters=-1)
 
     @pytest.mark.parametrize("max_time", [-100.0, 0.0, math.nan, math.inf])
     def test_bad_max_time_raises_before_any_return(self, monkeypatch,
@@ -402,24 +456,19 @@ class TestDetectLimitCycle:
             raise AssertionError("return map computed")
 
         monkeypatch.setattr(flow, "poincare_return", no_return)
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(ValueError, match="max_time must be finite"):
-            detect_limit_cycle(VDP, section, (2.0, 0.0), max_time=max_time)
+            detect_limit_cycle(VDP, (2.0, 0.0), max_time=max_time)
 
     def test_unstable_annulus_cycle_in_forward_time(self):
         annulus = parse_system("P = -x - y + x*(x^2+y^2)\n"
                                "Q = x - y + y*(x^2+y^2)")
-        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(annulus, section, (1.0, 0.0))
+        report = detect_limit_cycle(annulus, (1.0, 0.0))
         assert report.stability is Stability.UNSTABLE
         assert abs(report.period - 2 * math.pi) < 1e-6
 
     def test_report_values_are_python_floats(self):
         # the period and a located exit time were numpy.float64
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
         assert type(report.period) is float
         assert {type(t) for t in report.times} == {float}
         rot = parse_system("P = -y\nQ = x")
@@ -440,16 +489,11 @@ class TestDetectLimitCycle:
 
         monkeypatch.setattr(flow, "RK45", FailsWithinPeriod)
         rot = parse_system("P = -y\nQ = x")
-        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
         with pytest.raises(CycleNotFoundError):
-            detect_limit_cycle(rot, section, (1.0, 0.0), max_iters=10,
-                               tol=1e-10)
+            detect_limit_cycle(rot, (1.0, 0.0), max_iters=10, tol=1e-10)
 
     def test_cycle_csv(self):
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
         buf = io.StringIO()
         report.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -463,9 +507,7 @@ class TestCertificateConsistency:
                      Fraction(-4), Fraction(4))
         assert bendixson(VDP, strip).conclusion \
             is Conclusion.NO_PERIODIC_ORBIT_FULLY_CONTAINED
-        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, 1.0),
-                          direction=CrossingDirection.POSITIVE_CROSSING)
-        report = detect_limit_cycle(VDP, section, (2.0, 0.0), tol=1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
         assert not all(strip.contains_point(p, strict=True)
                        for p in report.points)
 
@@ -486,13 +528,10 @@ class TestCertificateConsistency:
             vx, vy = field(seed)
             if math.hypot(vx, vy) < 1e-9:
                 continue
-            section = Section.through(seed, (vx, vy),
-                                      CrossingDirection.POSITIVE_CROSSING)
             try:
-                report = detect_limit_cycle(field, section, seed,
-                                            max_iters=8, tol=1e-9,
-                                            max_time=30.0)
-            except (CycleNotFoundError, NoReturnError):
+                report = detect_limit_cycle(field, seed, max_iters=8,
+                                            tol=1e-9, max_time=30.0)
+            except CycleNotFoundError:
                 continue  # no cycle at all: vacuously consistent
             assert not all(box.contains_point(p, strict=True)
                            for p in report.points)

@@ -15,9 +15,11 @@ from dulac.poly import (
     div_product,
     divergence,
     evaluate,
+    format_poly,
     kernel_basis,
     lie_derivative,
     poly_divide,
+    short_numeral,
 )
 
 from conftest import polys, rand_poly, vector_fields
@@ -108,6 +110,28 @@ class TestFloatEvaluator:
                       p.derive("y")):
                 _assert_matches_exact(r, x, y)
             assert p.evaluate((float(x), float(y))) == before
+
+    @pytest.mark.parametrize("text,z,message", [
+        # a coefficient beyond float range, as in P = 10^400*y
+        ("10^400*y", (0.5, -0.25),
+         "100000...(401 digits)*y at (0.5, -0.25) is beyond float range"),
+        # a power beyond float range: x^2 at x = 1e200
+        ("-x^2*y - x + y", (1e200, 0.0),
+         "-x^2*y - x + y at (1e+200, 0) is beyond float range"),
+    ])
+    def test_beyond_float_range_is_value_error(self, text, z, message):
+        # these escaped as OverflowError, a traceback and exit 1 in the CLI
+        with pytest.raises(ValueError) as info:
+            P(text).evaluate(z)
+        assert str(info.value) == message
+
+    def test_beyond_float_range_text_is_cut(self):
+        p = P(" + ".join(f"x^{k}" for k in range(1, 200)))
+        with pytest.raises(ValueError) as info:
+            p.evaluate((1e200, 0.0))
+        assert str(info.value) == (
+            "x^199 + x^198 + x^197 + x^196 + x^195 + x^194 + x^193 + "
+            "x... at (1e+200, 0) is beyond float range")
 
 
 class TestRingAxioms:
@@ -245,6 +269,13 @@ class TestPrinting:
     def test_rational_and_complex_coefficients(self):
         assert str(P("0.5*x - y/3")) == "1/2*x - 1/3*y"
         assert str(P("i*y - x")) == "-x + i*y"
+
+    def test_short_numerals(self):
+        p = P("1234567*x + (10^7 + 3*i)*y - 1/3000000")
+        assert format_poly(p, short_numeral) == (
+            "123456...(7 digits)*x + (100000...(8 digits) + 3*i)*y "
+            "- 1/300000...(7 digits)")
+        assert format_poly(p) == str(p)
 
     @settings(max_examples=80)
     @given(polys(allow_complex=True))

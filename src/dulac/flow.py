@@ -6,11 +6,13 @@ starts where exact Bernstein ranges of P and Q both contain 0.  A point is
 a zero of the field when max(|P|, |Q|) <= ``ZERO_TOL`` there: Newton stops
 at it, and ``check_zero`` applies it for classification and local synthesis.
 All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
-through one RK 5(4) loop (``_steps``, on any right-hand side), events on a
-step are found by one bisection of its dense output (``_locate``), and
-every float value of a polynomial comes from ``Poly.evaluate``.  This is
-the empirical cross-check side of the package: nothing here is rigorous,
-and certificates always win over these numbers.
+through one RK 5(4) loop (``_steps``, on any right-hand side) of ``RK45``,
+this module's Dormand-Prince 5(4) on lists of Python floats with scipy's
+controller and dense output.  Events on a step are found by one bisection
+of its dense output (``_locate``), and every float value of a polynomial
+comes from ``Poly.evaluate``.  This is the empirical cross-check side of
+the package: nothing here is rigorous, and certificates always win over
+these numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-from scipy.integrate import RK45
 
 from .certify import Box2, bernstein_coefficients
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
@@ -151,8 +151,7 @@ def compile_field(system: VectorField):
     p, q = system.p, system.q
 
     def fun(_t, z):
-        xy = (float(z[0]), float(z[1]))
-        return [p.evaluate(xy).real, q.evaluate(xy).real]
+        return [p.evaluate(z).real, q.evaluate(z).real]
 
     return fun
 
@@ -296,6 +295,189 @@ class _StepFailure(Exception):
     its step budget, or started where the right-hand side is not finite."""
 
 
+def _div(a: float, b: float) -> float:
+    """a / b with IEEE semantics: a zero divisor gives +-inf or nan."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if math.isnan(a) or a == 0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _rms(v) -> float:
+    """Root mean square, summed left to right as on every Python version."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total) / len(v) ** 0.5
+
+
+class RK45:
+    """Dormand-Prince 5(4) with FSAL on a state of Python floats.
+
+    The tableau, the step-size controller (initial step after Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4; safety 0.9, factors in
+    [0.2, 10], exponent -1/5, a minimum step of 10 spacings of t) and the
+    quartic dense output are those of ``scipy.integrate.RK45``, so the steps
+    taken match scipy's up to rounding.  The state may have any length, and
+    ``t_bound`` must differ from ``t0``.  ``fun(t, y)`` maps a list of
+    floats to a list of floats; exceptions it raises propagate.  ``step()``
+    returns None, or a message after which ``status`` is "failed".  The
+    controller itself raises nothing: a zero divisor goes through ``_div``,
+    and a stage that overflows gives an inf or nan error norm, which rejects
+    and shrinks the step, at worst until it falls below the minimum step.
+    """
+
+    C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+    A = ((),
+         (1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+    B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+    E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+         -22 / 525, 1 / 40)
+    P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+          -12715105075 / 11282082432),
+         (0.0, 0.0, 0.0, 0.0),
+         (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+          87487479700 / 32700410799),
+         (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+          -10690763975 / 1880347072),
+         (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+          701980252875 / 199316789632),
+         (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+          -1453857185 / 822651844),
+         (0.0, 40617522 / 29380423, -110615467 / 29380423,
+          69997945 / 29380423))
+    SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
+        self.y = [float(v) for v in y0]
+        if not all(map(math.isfinite, self.y)):
+            raise ValueError("all components of the initial state must be "
+                             "finite")
+        if not (rtol > 0 and atol > 0 and max_step > 0):
+            raise ValueError("rtol, atol and max_step must be > 0")
+        if t_bound == t0:
+            raise ValueError("t_bound must differ from t0")
+        self.fun = fun
+        self.t, self.t_bound, self.t_old = float(t0), float(t_bound), None
+        self.direction = 1.0 if t_bound > t0 else -1.0
+        self.rtol, self.atol, self.max_step = rtol, atol, max_step
+        self.status = "running"
+        self.f = fun(self.t, self.y)
+        self.h_abs = self._initial_step()
+
+    def _initial_step(self) -> float:
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        interval = abs(self.t_bound - t0)
+        scale = [self.atol + abs(v) * self.rtol for v in y0]
+        d0 = _rms([v / s for v, s in zip(y0, scale)])
+        d1 = _rms([v / s for v, s in zip(f0, scale)])
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self.fun(t0 + h0 * direction,
+                      [v + h0 * direction * f for v, f in zip(y0, f0)])
+        d2 = _div(_rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]), h0)
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = _div(0.01, max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, interval, self.max_step)
+
+    def step(self):
+        if self.status != "running":
+            raise RuntimeError("attempt to step on a failed or finished solver")
+        t, y, k1, t_bound = self.t, self.y, self.f, self.t_bound
+        fun, direction, rtol, atol = self.fun, self.direction, self.rtol, self.atol
+        c2, c3, c4, c5 = self.C[1:5]
+        (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+            (a61, a62, a63, a64, a65) = self.A[1:]
+        b1, _, b3, b4, b5, b6 = self.B
+        e1, _, e3, e4, e5, e6, e7 = self.E
+        safety, exponent = self.SAFETY, self.ERROR_EXPONENT
+
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return "Required step size is less than spacing between numbers."
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k2 = fun(t + c2 * h, [v + a21 * p * h for v, p in zip(y, k1)])
+            k3 = fun(t + c3 * h, [v + (a31 * p + a32 * q) * h
+                                  for v, p, q in zip(y, k1, k2)])
+            k4 = fun(t + c4 * h, [v + (a41 * p + a42 * q + a43 * r) * h
+                                  for v, p, q, r in zip(y, k1, k2, k3)])
+            k5 = fun(t + c5 * h, [v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                                  for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + h, [v + (a61 * p + a62 * q + a63 * r + a64 * s
+                                  + a65 * u) * h
+                             for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+                     for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new)
+            # scale >= atol > 0, and a nan norm rejects the step
+            error_norm = _rms([
+                (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+                / (atol + max(abs(v), abs(vn)) * rtol)
+                for v, vn, p, r, s, u, w, z
+                in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR, safety * error_norm ** exponent)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, safety * error_norm ** exponent)
+            rejected = True
+
+        self.t_old, self.y_old, self.K = t, y, (k1, k2, k3, k4, k5, k6, k7)
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h_abs
+        if direction * (t_new - t_bound) >= 0:
+            self.status = "finished"
+        return None
+
+    def dense_output(self):
+        """The quartic interpolant over the last step, as a function of t."""
+        if self.t_old is None:
+            raise RuntimeError("dense output needs a successful step")
+        t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
+        q = []  # q[i][c]: the sum over stages of K[j][i] * P[j][c]
+        for i in range(len(y_old)):
+            row = [0.0, 0.0, 0.0, 0.0]
+            for k, p in zip(self.K, self.P):
+                for c in range(4):
+                    row[c] += k[i] * p[c]
+            q.append(row)
+
+        def dense(t: float):
+            x = (t - t_old) / h
+            x2 = x * x
+            x3 = x2 * x
+            x4 = x3 * x
+            return [v + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                    for v, (q1, q2, q3, q4) in zip(y_old, q)]
+
+        return dense
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError unless ``tol`` is an RK tolerance ``_steps`` takes."""
     if not 1e-13 <= tol <= 1e-3:
@@ -308,15 +490,17 @@ def _steps(fun, y0, t_span: float, tol: float):
     ``fun(t, y)`` is the right-hand side and ``y0`` a state of any length.
     Raises ValueError on a bad tol or t_span (not finite and nonzero), and
     _StepFailure if the right-hand side is not finite at y0, a step fails
-    or MAX_STEPS accepted steps do not reach t_span.  ``RK45`` is read from
+    (its size fell below the spacing of floats at t, as on blow-up) or
+    MAX_STEPS accepted steps do not reach t_span.  ``RK45`` is read from
     the module at call time, so it can be wrapped from outside.
     """
     check_tol(tol)
     if not (math.isfinite(t_span) and t_span):
         raise ValueError(f"time span must be finite and nonzero, got {t_span}")
-    solver = RK45(fun, 0.0, [float(v) for v in y0],
-                  t_bound=t_span, rtol=tol, atol=tol, max_step=abs(t_span))
-    # a nan derivative makes RK45 pick a nan step, and step() never returns
+    solver = RK45(fun, 0.0, y0, t_bound=t_span, rtol=tol, atol=tol,
+                  max_step=abs(t_span))
+    # a non-finite derivative gives a nan step size, which neither passes
+    # the error test nor falls below the minimum step, so step() would loop
     if not all(math.isfinite(v) for v in solver.f):
         raise _StepFailure("the right-hand side is not finite at the start")
     steps = 0
@@ -347,13 +531,13 @@ def _locate(g, solver):
         z = dense(mid)
         g_mid = g(z)
         if abs(g_mid) <= 1e-10:
-            return float(mid), Point(float(z[0]), float(z[1]))
+            return mid, Point(z[0], z[1])
         if (g_mid > 0) == (g_lo > 0):
             lo = mid
         else:
             hi = mid
     z = dense(hi)
-    return float(hi), Point(float(z[0]), float(z[1]))
+    return hi, Point(z[0], z[1])
 
 
 def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
@@ -380,14 +564,14 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
     status = TrajectoryStatus.COMPLETED
     try:
         for solver in _steps(compile_field(system), z0, t_span, tol):
-            z = Point(float(solver.y[0]), float(solver.y[1]))
+            z = Point(solver.y[0], solver.y[1])
             if domain is not None and margin(z) < 0:
                 t, z = _locate(margin, solver)
                 times.append(t)
                 states.append(z)
                 status = TrajectoryStatus.LEFT_DOMAIN
                 break
-            times.append(float(solver.t))
+            times.append(solver.t)
             states.append(z)
     except _StepFailure:
         status = TrajectoryStatus.STEP_FAILURE
@@ -452,6 +636,9 @@ def detect_limit_cycle(system: VectorField, seed,
     if not (math.isfinite(max_time) and max_time > 0):
         raise ValueError(f"max_time must be finite and > 0, got {max_time}")
     vx, vy = system(seed)
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        raise ValueError(f"the field is not finite at the seed ({seed[0]:.6g}, "
+                         f"{seed[1]:.6g}): X = ({vx:g}, {vy:g})")
     if max(abs(vx), abs(vy)) <= ZERO_TOL:
         raise ValueError(f"seed ({seed[0]:.6g}, {seed[1]:.6g}) is a zero of "
                          f"the field: max(|P|, |Q|) <= {ZERO_TOL:g}")
@@ -523,6 +710,6 @@ def _sample_loop(system: VectorField, z0: Point, period: float, tol: float,
         for k in range(1, subsamples + 1):
             t = solver.t_old + (solver.t - solver.t_old) * k / subsamples
             z = dense(t)
-            times.append(float(t))
-            points.append(Point(float(z[0]), float(z[1])))
+            times.append(t)
+            points.append(Point(z[0], z[1]))
     return tuple(times), tuple(points)

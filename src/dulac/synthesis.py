@@ -372,7 +372,7 @@ def flowbox_dulac(system: VectorField, transversal,
                 end = np.searchsorted(reach, abs(solver.t), side="right")
                 if end > len(states):
                     dense = solver.dense_output()
-                    states.extend(dense(times[len(states):end]).T)
+                    states.extend(map(dense, times[len(states):end].tolist()))
         except _StepFailure:
             raise FlowBoxError("trajectory left the integration window",
                                node=(i, len(states))) from None

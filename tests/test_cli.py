@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,14 +205,14 @@ class TestFieldAtSeed:
             "<= 1e-09\n")
 
     def test_limit_cycle_nan_field(self, capsys, tmp_path):
-        # built a nan section, then failed on scipy's message about y0
+        # the message names the field at the seed, not the section built from it
         path = tmp_path / "nan.vf"
         path.write_text(self.NAN_FIELD)
         assert main(["limit-cycle", "--system", str(path), "--seed",
                      self.NAN_START]) == 3
         assert capsys.readouterr().err == (
-            "error: direction vector must be finite and nonzero, "
-            "got (nan, 1)\n")
+            "error: the field is not finite at the seed (1e+150, 1e+100): "
+            "X = (nan, 1)\n")
 
     def test_simulate_nan_start_is_step_failure(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -227,6 +230,29 @@ class TestFieldAtSeed:
         assert code == 0
         assert report["result"]["status"] == "step_failure"
         assert report["result"]["steps"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_huge_field_fails_quietly(self, capsys, tmp_path):
+        # a finite right-hand side near 1e308: the first step's stages
+        # overflow.  The initial step underflows to 0 (0/0 in its estimate),
+        # and the run must end in a failed step with nothing on stderr.
+        path = tmp_path / "huge.vf"
+        path.write_text("P = x^2*y - x*y^2\nQ = 10^200\n")
+        assert main(["simulate", "--system", str(path), "--z0",
+                     "10^103,10^102", "--t-span", "1e-97"]) == 0
+        out, err = capsys.readouterr()
+        assert "step_failure, 0 steps" in out
+        assert err == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # the integrator is flow.RK45; scipy is a test dependency only
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dulac.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestErrors:

@@ -307,6 +307,120 @@ class TestIntegrate:
         assert len(lines) == len(traj.times) + 1
 
 
+def _van_der_pol(_t, z):
+    return [z[1], (1 - z[0] * z[0]) * z[1] - z[0]]
+
+
+def _rotation(_t, z):
+    return [-z[1], z[0]]
+
+
+def _van_der_pol_with_multiplier(_t, z):
+    # flowbox_dulac's (x, y, B) state for g = 1: dB/dt = 1 - B*Div X
+    x, y, b = z[0], z[1], z[2]
+    return [y, (1 - x * x) * y - x, 1 - b * (1 - x * x)]
+
+
+class TestRK45AgainstScipy:
+    """``flow.RK45`` takes scipy's steps; scipy is imported here only.
+
+    Error norms near round-off move intermediate step times by about 1e-7
+    relative, so whole runs are compared by their counts and endpoints.
+    """
+
+    CASES = {
+        "van_der_pol": (_van_der_pol, (2.0, 0.0), 20.0, 1e-10),
+        "rotation_backward": (_rotation, (1.0, 0.0), -6.28, 1e-9),
+        "three_states": (_van_der_pol_with_multiplier, (0.5, 0.5, 1.0),
+                         3.0, 1e-10),
+    }
+
+    @staticmethod
+    def _run(solver_cls, fun, y0, t_span, tol, max_steps=None):
+        calls = 0
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return fun(t, y)
+
+        solver = solver_cls(counted, 0.0, list(y0), t_bound=t_span, rtol=tol,
+                            atol=tol, max_step=abs(t_span))
+        steps = 0
+        while solver.status == "running" and steps != max_steps:
+            assert solver.step() is None
+            steps += 1
+        return solver, steps, calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_counts_and_endpoint(self, case):
+        scipy_rk45 = pytest.importorskip("scipy.integrate").RK45
+        fun, y0, t_span, tol = self.CASES[case]
+        ref, ref_steps, ref_calls = self._run(scipy_rk45, fun, y0, t_span, tol)
+        own, steps, calls = self._run(flow.RK45, fun, y0, t_span, tol)
+        assert own.status == ref.status == "finished"
+        assert (steps, calls) == (ref_steps, ref_calls)
+        assert own.t == ref.t == t_span
+        assert max(abs(a - b) for a, b in zip(own.y, ref.y)) <= 1e-9
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_step_and_dense_output(self, case):
+        # one step from the same state is the same step, up to rounding
+        scipy_rk45 = pytest.importorskip("scipy.integrate").RK45
+        fun, y0, t_span, tol = self.CASES[case]
+        ref, _, _ = self._run(scipy_rk45, fun, y0, t_span, tol, max_steps=1)
+        own, _, _ = self._run(flow.RK45, fun, y0, t_span, tol, max_steps=1)
+        assert own.t == pytest.approx(ref.t, rel=1e-12)
+        ref_dense, dense = ref.dense_output(), own.dense_output()
+        for frac in (0.0, 0.3, 0.5, 1.0):
+            t = own.t * frac
+            assert max(abs(a - b) for a, b in zip(dense(t), ref_dense(t))) \
+                <= 1e-12
+        assert dense(own.t) == pytest.approx(own.y, abs=1e-12)
+
+    def test_step_budget_ends_a_huge_span(self):
+        rot = parse_system("P = -y\nQ = x")
+        traj = integrate(rot, (1.0, 0.0), 1e300, 1e-9)
+        assert traj.status is TrajectoryStatus.STEP_FAILURE
+        assert len(traj.times) == flow.MAX_STEPS + 1
+
+    def test_huge_field_is_a_failed_step(self):
+        # the initial step underflows to 0, so its curvature estimate is
+        # 0/0; the stages then overflow and every step is rejected
+        huge = parse_system("P = x^2*y - x*y^2\nQ = 10^200")
+        solver = flow.RK45(flow.compile_field(huge), 0.0, (1e103, 1e102),
+                           t_bound=1e-97, rtol=1e-9, atol=1e-9, max_step=1e-97)
+        assert solver.h_abs == 0.0
+        assert solver.step() == ("Required step size is less than spacing "
+                                 "between numbers.")
+        assert solver.status == "failed"
+
+    def test_field_errors_propagate(self):
+        # an exception raised by the right-hand side is not a failed step
+        far = parse_system("P = x^3\nQ = 1")
+        with pytest.raises(ValueError, match="beyond float range"):
+            flow.RK45(flow.compile_field(far), 0.0, (1e200, 0.0),
+                      t_bound=1.0, rtol=1e-9, atol=1e-9)
+
+        def fails_after_start(t, y):
+            if t > 0:
+                raise ZeroDivisionError("raised by the field")
+            return _rotation(t, y)
+
+        solver = flow.RK45(_rotation, 0.0, (1.0, 0.0),
+                           t_bound=1.0, rtol=1e-9, atol=1e-9)
+        solver.fun = fails_after_start
+        with pytest.raises(ZeroDivisionError, match="raised by the field"):
+            solver.step()
+
+    def test_van_der_pol_cycle_unchanged(self):
+        # period and amplitude as computed with scipy's RK45
+        system = parse_system((SYSTEMS / "vanderpol.vf").read_text())
+        report = detect_limit_cycle(system, (2.0, 0.0))
+        assert abs(report.period - 6.663286859205998) <= 1e-9
+        assert abs(report.amplitude_x - 2.0086198608192407) <= 1e-9
+
+
 class TestPoincare:
     def test_rotation_full_turn(self):
         rot = parse_system("P = -y\nQ = x")

@@ -9,10 +9,12 @@ All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
 through one RK 5(4) loop (``_steps``, on any right-hand side) of ``RK45``,
 this module's Dormand-Prince 5(4) on lists of Python floats with scipy's
 controller and dense output.  Events on a step are found by one bisection
-of its dense output (``_locate``), and every float value of a polynomial
-comes from ``Poly.evaluate``.  This is the empirical cross-check side of
-the package: nothing here is rigorous, and certificates always win over
-these numbers.
+of its dense output (``_locate``).  Every float value of a polynomial comes
+from its cached straight-line functions (``Poly.float_functions``), which
+the RK right-hand sides (``compile_field``) call directly and Newton and
+classification through ``Poly.evaluate``.  This is the empirical
+cross-check side of the package: nothing here is rigorous, and certificates
+always win over these numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 from .certify import Box2, bernstein_coefficients
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, VectorField
+from .poly import Point, VectorField, float_range_error
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
@@ -147,11 +149,21 @@ def _write_csv(stream, times, points) -> None:
 
 
 def compile_field(system: VectorField):
-    """ODE right-hand side f(t, [x, y]) -> [P, Q] on Python floats."""
-    p, q = system.p, system.q
+    """ODE right-hand side f(t, [x, y]) -> [P, Q] on Python floats.
+
+    It calls the real parts of ``Poly.float_functions`` directly, so its
+    values are those of ``Poly.evaluate``, and so is its ValueError for a
+    value beyond float range.
+    """
+    polys = (system.p, system.q)
+    p, q = (f.float_functions()[0] for f in polys)
 
     def fun(_t, z):
-        return [p.evaluate(z).real, q.evaluate(z).real]
+        x, y = z
+        try:
+            return [p(x, y), q(x, y)]
+        except OverflowError:
+            raise float_range_error(polys, x, y) from None
 
     return fun
 

@@ -3,7 +3,8 @@
 Polynomials in x, y with complex-rational coefficients are the carrier for
 every symbolic identity in this package (multipliers, divergences, cofactors,
 first integrals).  All arithmetic here is exact, including the one linear
-solver (``kernel_basis``); floats appear only in point evaluation.
+solver (``kernel_basis``); floats appear only in point evaluation, through
+the straight-line functions that ``Poly.float_functions`` generates.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class Poly:
     The degree of the zero polynomial is -1 by convention.
     """
 
-    __slots__ = ("terms", "_float_terms")
+    __slots__ = ("terms", "_float_functions")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
         clean = {}
@@ -235,6 +236,11 @@ class Poly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def __reduce__(self):
+        # the terms alone: the cached float functions are generated code,
+        # which cannot be pickled, and are rebuilt on demand
+        return Poly._raw, (self.terms,)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -333,33 +339,46 @@ class Poly:
                     out[(i, j - 1)] = c * j
         return Poly._raw(out)
 
+    def float_functions(self):
+        """``(re, im)``: the real and imaginary parts of the value as
+        straight-line functions of float x, y, generated on the first call
+        and cached, which is sound because a Poly never changes.
+
+        Each is the float sum, from ``0.0`` and left to right in term order,
+        of ``c * x**i * y**j`` with ``c`` the float of the coefficient's part;
+        ``im`` keeps only the terms whose float imaginary part is nonzero.
+        Only exact rewrites are made: ``x**0`` is dropped and ``x**1`` written
+        ``x``, so the values are bit for bit those of the term-by-term sum.
+        Both raise OverflowError where a power overflows, and at every point
+        when a coefficient is beyond float range.
+        """
+        try:
+            return self._float_functions
+        except AttributeError:
+            pass
+        try:
+            table = [(i, j, float(c.re), float(c.im))
+                     for (i, j), c in self.terms.items()]
+        except OverflowError:
+            functions = (_overflows, _overflows)
+        else:
+            functions = _compile_float(
+                [(i, j, c_re) for i, j, c_re, _ in table],
+                [(i, j, c_im) for i, j, _, c_im in table if c_im])
+        self._float_functions = functions
+        return functions
+
     def evaluate(self, z) -> complex:
-        """Float sum of ``c * x**i * y**j`` in term order; exactly real for
-        real coefficients.  The float coefficients are converted on the first
-        call and cached, which is sound because a Poly never changes.  Raises
-        ValueError, naming the polynomial and z, when a coefficient or a power
-        of x or y is beyond float range.
+        """Float value at a point, through ``float_functions``; exactly real
+        for real coefficients.  Raises ValueError, naming the polynomial and
+        z, when a coefficient or a power of x or y is beyond float range.
         """
         x, y = float(z[0]), float(z[1])
+        re, im = self.float_functions()
         try:
-            try:
-                table = self._float_terms
-            except AttributeError:
-                table = self._float_terms = tuple(
-                    (i, j, float(c.re), float(c.im))
-                    for (i, j), c in self.terms.items())
-            re = im = 0.0
-            for i, j, c_re, c_im in table:
-                re += c_re * x ** i * y ** j
-                if c_im:
-                    im += c_im * x ** i * y ** j
+            return complex(re(x, y), im(x, y))
         except OverflowError:
-            text = format_poly(self, short_numeral)
-            if len(text) > 60:
-                text = text[:57] + "..."
-            raise ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float "
-                             f"range") from None
-        return complex(re, im)
+            raise float_range_error((self,), x, y) from None
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
         """Evaluate with exact rational arithmetic at a rational point."""
@@ -394,6 +413,72 @@ def _frac_powers(v: Fraction, n: int):
     for _ in range(max(n, 0)):
         powers.append(powers[-1] * v)
     return powers
+
+
+# -- float evaluation --------------------------------------------------------
+
+
+# Terms per statement of a generated float function: one expression of a few
+# thousand terms exceeds the compiler's recursion limit.
+_TERMS_PER_LINE = 100
+
+
+def _float_term(i: int, j: int, c: float) -> str:
+    factors = [repr(c)]
+    for var, k in (("x", i), ("y", j)):
+        if k == 1:
+            factors.append(var)
+        elif k:
+            factors.append(f"{var}**{k}")
+    return " * ".join(factors)
+
+
+def _compile_float(re_table, im_table):
+    """Generate ``re(x, y)`` and ``im(x, y)`` summing ``c * x**i * y**j``
+    over the (i, j, c) of each table; an empty ``im_table`` gives ``_zero``.
+    The source holds only float reprs, x, y and integer exponents."""
+    tables = [("re", re_table)]
+    if im_table:
+        tables.append(("im", im_table))
+    lines = []
+    for name, table in tables:
+        terms = [_float_term(*t) for t in table] or ["0.0"]
+        chunks = [" + ".join(terms[k:k + _TERMS_PER_LINE])
+                  for k in range(0, len(terms), _TERMS_PER_LINE)]
+        lines.append(f"def {name}(x, y):")
+        lines.append(f"    s = 0.0 + {chunks[0]}")
+        lines += [f"    s = s + {chunk}" for chunk in chunks[1:]]
+        lines.append("    return s")
+    namespace = {"__builtins__": {}, "im": _zero}
+    exec(compile("\n".join(lines), "<Poly.float_functions>", "exec"),
+         namespace)
+    return namespace["re"], namespace["im"]
+
+
+def _zero(x, y):
+    """The imaginary part of a Poly with real float coefficients."""
+    return 0.0
+
+
+def _overflows(x, y):
+    """Both float functions of a Poly with a coefficient beyond float range."""
+    raise OverflowError("a coefficient is beyond float range")
+
+
+def float_range_error(polys, x: float, y: float) -> ValueError:
+    """The ValueError for an OverflowError met while evaluating ``polys`` in
+    order at (x, y).  It names the first of them whose value there is beyond
+    float range: the real part overflows wherever the imaginary part does,
+    since it computes every power that the imaginary part does."""
+    for poly in polys:
+        try:
+            poly.float_functions()[0](x, y)
+        except OverflowError:
+            break
+    text = format_poly(poly, short_numeral)
+    if len(text) > 60:
+        text = text[:57] + "..."
+    return ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float range")
 
 
 # -- canonical printing ------------------------------------------------------

@@ -35,7 +35,7 @@ from .flow import _steps, _StepFailure, check_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (Point, Poly, VectorField, div_product, divergence,
-                   kernel_basis)
+                   float_range_error, kernel_basis)
 
 
 @dataclass(frozen=True)
@@ -353,11 +353,16 @@ def flowbox_dulac(system: VectorField, transversal,
         g = Poly.const(1)
     (ax, ay), (bx, by) = transversal
     p, q, div_x = system.p, system.q, divergence(system)
+    # the same straight-line functions as flow.compile_field
+    polys = (p, q, g, div_x)
+    p_re, q_re, g_re, div_re = (f.float_functions()[0] for f in polys)
 
     def rhs(_t, state):
-        z = (state[0], state[1])
-        return [p.evaluate(z).real, q.evaluate(z).real,
-                g.evaluate(z).real - state[2] * div_x.evaluate(z).real]
+        x, y, b = state
+        try:
+            return [p_re(x, y), q_re(x, y), g_re(x, y) - b * div_re(x, y)]
+        except OverflowError:
+            raise float_range_error(polys, x, y) from None
 
     times = np.linspace(0.0, t_span, n_along)
     reach = abs(times)

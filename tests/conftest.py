@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,13 @@ from hypothesis import strategies as st
 
 from dulac.flow import eigenvalues_2x2
 from dulac.poly import CRat, Poly, VectorField
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit up to nan payloads: signs of zeros count."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
 
 # --- seeded random generators (for bulk loops with frozen seeds) ---
 

@@ -29,7 +29,7 @@ from dulac.parse import parse_system
 from dulac.poly import Point, Poly, VectorField
 from dulac.synthesis import local_quadratic_multiplier
 
-from conftest import perturbed_linear_field
+from conftest import perturbed_linear_field, rand_field, same_float
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 VDP = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
@@ -305,6 +305,48 @@ class TestIntegrate:
         assert lines[0] == "t,x,y"
         assert lines[1].startswith("0,2,")
         assert len(lines) == len(traj.times) + 1
+
+
+class TestCompileField:
+    """The RK right-hand side calls the polynomials' generated functions
+    directly; it must agree with ``Poly.evaluate`` bit for bit."""
+
+    def test_values_are_evaluate_values(self):
+        rng = random.Random(8)
+        systems = [parse_system(path.read_text())
+                   for path in sorted(SYSTEMS.glob("*.vf"))]
+        systems += [rand_field(rng) for _ in range(40)]
+        special = (0.0, -0.0, 1.5, math.inf, -math.inf, math.nan, 1e200)
+        points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(20)]
+        points += [(x, y) for x in special for y in special]
+        for system in systems:
+            fun = flow.compile_field(system)
+            for x, y in points:
+                try:
+                    want = [system.p.evaluate((x, y)).real,
+                            system.q.evaluate((x, y)).real]
+                except ValueError as error:
+                    with pytest.raises(ValueError) as info:
+                        fun(0.0, [x, y])
+                    assert str(info.value) == str(error)
+                    continue
+                got = fun(0.0, [x, y])
+                assert all(map(same_float, got, want)), (system, x, y)
+
+    @pytest.mark.parametrize("text,z,message", [
+        ("P = x\nQ = x^3", (1e200, 0.0), "x^3 at (1e+200, 0)"),
+        ("P = x^2\nQ = x^3", (1e200, 0.0), "x^2 at (1e+200, 0)"),
+        ("P = 10^400*y\nQ = x^3", (1e200, 0.0),
+         "100000...(401 digits)*y at (1e+200, 0)"),
+        ("P = y\nQ = x - 10^400", (0.5, 0.25),
+         "x - 100000...(401 digits) at (0.5, 0.25)"),
+    ])
+    def test_names_the_component_beyond_float_range(self, text, z, message):
+        fun = flow.compile_field(parse_system(text))
+        for _ in range(2):  # a failed coefficient raises on every call
+            with pytest.raises(ValueError) as info:
+                fun(0.0, list(z))
+            assert str(info.value) == message + " is beyond float range"
 
 
 def _van_der_pol(_t, z):

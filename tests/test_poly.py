@@ -1,5 +1,8 @@
 """Exact polynomial arithmetic: ring axioms, calculus, division, printing."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,7 +25,8 @@ from dulac.poly import (
     short_numeral,
 )
 
-from conftest import polys, rand_poly, vector_fields
+from conftest import (polys, rand_fraction, rand_poly, same_float,
+                      vector_fields)
 
 
 def P(text: str) -> Poly:
@@ -132,6 +136,149 @@ class TestFloatEvaluator:
         assert str(info.value) == (
             "x^199 + x^198 + x^197 + x^196 + x^195 + x^194 + x^193 + "
             "x... at (1e+200, 0) is beyond float range")
+
+
+def _term_loop(p: Poly, z) -> complex:
+    """Reference float evaluation: the float coefficients first, then the
+    sum of ``c * x**i * y**j`` left to right from 0.0 in term order, the
+    imaginary part over the terms whose float imaginary part is nonzero."""
+    x, y = float(z[0]), float(z[1])
+    table = [(i, j, float(c.re), float(c.im)) for (i, j), c in p.terms.items()]
+    re = im = 0.0
+    for i, j, c_re, c_im in table:
+        re += c_re * x ** i * y ** j
+        if c_im:
+            im += c_im * x ** i * y ** j
+    return complex(re, im)
+
+
+def _range_message(p: Poly, x: float, y: float) -> str:
+    text = format_poly(p, short_numeral)
+    if len(text) > 60:
+        text = text[:57] + "..."
+    return f"{text} at ({x:.6g}, {y:.6g}) is beyond float range"
+
+
+def _assert_matches_term_loop(p: Poly, z) -> None:
+    try:
+        expected = _term_loop(p, z)
+    except OverflowError:
+        with pytest.raises(ValueError) as info:
+            p.evaluate(z)
+        assert str(info.value) == _range_message(p, *z)
+        return
+    value = p.evaluate(z)
+    assert same_float(value.real, expected.real), (p, z, value, expected)
+    assert same_float(value.imag, expected.imag), (p, z, value, expected)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e2, 1e200)
+
+
+def _points(rng: random.Random, n: int):
+    """Random points, mostly of moderate size, then every pair of special
+    values: signed zeros, infinities, nan and points where powers overflow."""
+    for _ in range(n):
+        yield tuple(rng.uniform(-3, 3) * 10.0 ** rng.randint(-8, 8)
+                    for _ in range(2))
+    for x in _SPECIAL:
+        for y in _SPECIAL:
+            yield x, y
+
+
+def _unit_poly(rng: random.Random) -> Poly:
+    """Coefficients +-1, or +-i on about half of the terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        i = rng.randint(0, 6)
+        c = rng.choice((CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)))
+        terms[(i, rng.randint(0, 6 - i))] = c
+    return Poly(terms)
+
+
+class TestFloatEvaluatorAgainstTermLoop:
+    """``Poly.evaluate`` runs generated straight-line code; it must give the
+    term loop's values bit for bit, signs of zeros and nan included, and
+    its ValueError wherever the loop raised OverflowError."""
+
+    def test_random_real_and_gaussian_polynomials(self):
+        rng = random.Random(2)
+        for k in range(120):
+            p = rand_poly(rng, max_degree=7, max_terms=10,
+                          allow_complex=k % 2 == 1)
+            for z in _points(rng, 30):
+                _assert_matches_term_loop(p, z)
+
+    @pytest.mark.parametrize("text", [
+        "0", "1", "-1", "7/3", "-2/9", "x", "-y", "x*y", "-x^2 + 1",
+        "x^3 - 3*x*y^2 - 1", "y^5 - x^5 + x - y",
+    ])
+    def test_fixed_polynomials(self, text):
+        for z in _points(random.Random(3), 50):
+            _assert_matches_term_loop(P(text), z)
+
+    def test_unit_and_imaginary_coefficients(self):
+        rng = random.Random(4)
+        for _ in range(80):
+            p = _unit_poly(rng)
+            for z in _points(rng, 20):
+                _assert_matches_term_loop(p, z)
+
+    def test_coefficients_that_round_to_signed_zero(self):
+        # -10^-400 is the float -0.0: a real term of -0.0 * x**i * y**j,
+        # and an imaginary part the loop skipped as zero
+        tiny = Fraction(1, 10 ** 400)
+        p = Poly({(2, 1): CRat(-tiny, -tiny), (0, 1): CRat(0, tiny),
+                  (1, 0): CRat(-tiny, 1)})
+        for z in _points(random.Random(5), 20):
+            _assert_matches_term_loop(p, z)
+
+    def test_many_terms(self):
+        # more terms than one generated statement holds, and more than one
+        # expression could hold within the compiler's recursion limit
+        rng = random.Random(6)
+        for n in (250, 3000):
+            p = Poly({(k % 60, k // 60): rand_fraction(rng) or 1
+                      for k in range(n)})
+            assert len(p.terms) == n
+            for z in [(0.5, -2.0), (-1.0, 3.0), (1.0001, 0.0), (1e2, 1.0)]:
+                _assert_matches_term_loop(p, z)
+
+    @pytest.mark.parametrize("text,z", [
+        ("x^400", (1e2, 1.0)),
+        ("y + x^400", (-1e2, 0.5)),
+        ("1 + x*y^3", (2.0, 1e200)),
+        ("10^400*y", (0.5, -0.25)),
+        ("x - 10^400*y^2", (0.0, 0.0)),
+        ("x^2 + (1 + 10^400*i)*y", (1.0, 1.0)),
+    ])
+    def test_beyond_float_range_where_the_loop_overflowed(self, text, z):
+        with pytest.raises(OverflowError):
+            _term_loop(P(text), z)
+        _assert_matches_term_loop(P(text), z)
+
+    def test_failed_build_raises_on_every_call(self):
+        p = P("x + 10^400*y")
+        for z in [(0.5, -0.25), (0.0, 0.0), (0.5, -0.25), (3.0, 1.0)]:
+            with pytest.raises(ValueError) as info:
+                p.evaluate(z)
+            assert str(info.value) == _range_message(p, *z)
+        for part in p.float_functions():
+            with pytest.raises(OverflowError):
+                part(1.0, 1.0)
+
+    def test_pickle_and_copy_after_evaluation(self):
+        p = P("(1 + 2*i)*x^3*y - 5/7")
+        value = p.evaluate((0.75, -1.5))
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert copied == p
+            assert copied.evaluate((0.75, -1.5)) == value
+
+    def test_functions_are_cached(self):
+        p = P("x^2*y - 3")
+        assert p.float_functions() is p.float_functions()
+        re, im = p.float_functions()
+        assert re(2.0, 0.5) == -1.0 and same_float(im(2.0, 0.5), 0.0)
 
 
 class TestRingAxioms:

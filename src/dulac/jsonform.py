@@ -28,7 +28,7 @@ _SCALARS = (str, int, float, type(None))  # bool is an int
 
 def to_json(value):
     """Plain JSON data (dicts, lists, strings, numbers) for ``value``."""
-    if isinstance(value, _SCALARS):  # numpy floats too
+    if isinstance(value, _SCALARS):
         return value
     if hasattr(value, "to_json"):
         return value.to_json()

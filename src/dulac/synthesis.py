@@ -14,13 +14,12 @@ Four routes:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .certify import Box2, Certificate, Positive, certify_positive
 from .errors import (
@@ -345,7 +344,8 @@ def flowbox_dulac(system: VectorField, transversal,
     if an equilibrium is met, if g is not strictly positive at a sample, if
     a trajectory cannot be integrated across [0, t_span], or if the
     central-difference divergence of B*X is not positive at an interior
-    node (the first such node in (i, k) order is reported).
+    node (the first such node in (i, k) order is reported).  Raises
+    ValueError if the time step t_span / (n_along - 1) underflows to 0.
     """
     if n_across < 3 or n_along < 3:
         raise ValueError("need n_across >= 3 and n_along >= 3 for interior nodes")
@@ -364,65 +364,64 @@ def flowbox_dulac(system: VectorField, transversal,
         except OverflowError:
             raise float_range_error(polys, x, y) from None
 
-    times = np.linspace(0.0, t_span, n_along)
-    reach = abs(times)
-    # x, y, B, P, Q and g at each node (i, k)
-    x, y, b, pv, qv, gv = nodes = np.empty((6, n_across, n_along))
+    ds, dt = 1.0 / (n_across - 1), t_span / (n_along - 1)
+    if t_span and not dt:
+        raise ValueError(f"t_span / (n_along - 1) underflows to 0: {t_span}")
+    # sample times k * dt, with t_span exactly at the end
+    times = [k * dt for k in range(n_along - 1)] + [t_span]
+    reach = [abs(t) for t in times]
+    nodes = []  # nodes[i][k]: x, y, B, B*P, B*Q and g at node (i, k)
     for i in range(n_across):
         frac = i / (n_across - 1)
         seed = (ax + (bx - ax) * frac, ay + (by - ay) * frac, 1.0)
         states = [seed]
         try:
             for solver in _steps(rhs, seed, t_span, 1e-10):
-                end = np.searchsorted(reach, abs(solver.t), side="right")
+                end = bisect.bisect_right(reach, abs(solver.t))
                 if end > len(states):
                     dense = solver.dense_output()
-                    states.extend(map(dense, times[len(states):end].tolist()))
+                    states.extend(map(dense, times[len(states):end]))
         except _StepFailure:
             raise FlowBoxError("trajectory left the integration window",
                                node=(i, len(states))) from None
+        nodes.append([])
         for k, (xk, yk, bk) in enumerate(states):
-            z = Point(float(xk), float(yk))
-            nodes[:, i, k] = (z.x, z.y, bk, p.evaluate(z).real,
-                              q.evaluate(z).real, g.evaluate(z).real)
-            if max(abs(pv[i, k]), abs(qv[i, k])) < 1e-8:
+            z = Point(xk, yk)
+            pk, qk, gk = (f.evaluate(z).real for f in (p, q, g))
+            if max(abs(pk), abs(qk)) < 1e-8:
                 raise FlowBoxError("equilibrium encountered", node=(i, k))
-            if gv[i, k] <= 0:
+            if gk <= 0:
                 raise FlowBoxError("g is not strictly positive at a sample",
                                    node=(i, k))
+            nodes[i].append((xk, yk, bk, bk * pk, bk * qk, gk))
 
-    ds = 1.0 / (n_across - 1)
-    dt = t_span / (n_along - 1)
+    def central(j, i, k):  # d/ds and d/dt of component j at node (i, k)
+        return ((nodes[i + 1][k][j] - nodes[i - 1][k][j]) / (2 * ds),
+                (nodes[i][k + 1][j] - nodes[i][k - 1][j]) / (2 * dt))
 
-    def d_s(a):  # central differences at the interior nodes
-        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * ds)
-
-    def d_t(a):
-        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * dt)
-
-    xs, ys, xt, yt = d_s(x), d_s(y), d_t(x), d_t(y)
-    f1, f2 = b * pv, b * qv
-    det = xs * yt - ys * xt
-    degenerate = abs(det) < 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        div = ((d_s(f1) * yt - d_t(f1) * ys) / det
-               + (d_t(f2) * xs - d_s(f2) * xt) / det)
-    bad = np.argwhere(degenerate | (div <= 0))
-    if len(bad):
-        i, k = bad[0]
-        node = (int(i) + 1, int(k) + 1)
-        if degenerate[i, k]:
-            raise FlowBoxError("degenerate flow-box coordinates", node=node)
-        raise FlowBoxError(f"positivity fails at node {node}: "
-                           f"finite-difference Div(B*X) = {div[i, k]:.3e}",
-                           node=node)
-    div_bx = gv.copy()
-    div_bx[1:-1, 1:-1] = div
+    div_bx = [[node[5] for node in row] for row in nodes]
+    deviations = []
+    for i in range(1, n_across - 1):
+        for k in range(1, n_along - 1):
+            (xs, xt), (ys, yt), (f1s, f1t), (f2s, f2t) = (
+                central(j, i, k) for j in (0, 1, 3, 4))
+            det = xs * yt - ys * xt
+            if abs(det) < 1e-14:
+                raise FlowBoxError("degenerate flow-box coordinates",
+                                   node=(i, k))
+            div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
+            if div <= 0:
+                raise FlowBoxError(f"positivity fails at node {(i, k)}: "
+                                   f"finite-difference Div(B*X) = {div:.3e}",
+                                   node=(i, k))
+            div_bx[i][k] = div
+            deviations.append(abs(div - nodes[i][k][5]))
     grid = tuple(
-        tuple(GridNode(Point(xk, yk), bk, dk) for xk, yk, bk, dk in zip(*row))
-        for row in zip(x.tolist(), y.tolist(), b.tolist(), div_bx.tolist()))
+        tuple(GridNode(Point(x, y), b, d) for (x, y, b, *_), d in zip(*rows))
+        for rows in zip(nodes, div_bx))
     return SampledMultiplier(
         grid=grid,
         transversal=(Point(ax, ay), Point(bx, by)),
-        fd_tolerance=float(np.max(abs(div - gv[1:-1, 1:-1]))),
+        # a nan deviation is the maximum, so a nan divergence shows here
+        fd_tolerance=max(deviations, key=lambda e: (math.isnan(e), e)),
     )

@@ -245,12 +245,14 @@ class TestFieldAtSeed:
         assert err == ""
 
 
-def test_cli_import_loads_no_scipy():
-    # the integrator is flow.RK45; scipy is a test dependency only
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_cli_import_loads_no_test_dependency(package):
+    # the integrator is flow.RK45 and flowbox_dulac computes on floats;
+    # scipy and numpy are test dependencies only
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dulac.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"m for m in sys.modules if m.split('.')[0] == {package!r}))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 

@@ -381,13 +381,27 @@ class TestFlowBox:
                 assert node.div_bx > 0
         assert fb.fd_tolerance < 5e-3  # curvilinear FD is only second order
 
-    @pytest.mark.parametrize("p,q,t_span", [
-        ("-y", "x", 1.0), ("y", "-x + (1 - x^2)*y", -0.5)])
-    def test_divergence_matches_nodewise_central_differences(self, p, q,
-                                                             t_span):
-        field = VectorField(parse_poly(p), parse_poly(q))
-        fb = flowbox_dulac(field, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
-                           n_across=5, n_along=9, t_span=t_span)
+    # (P, Q, g, transversal, (n_across, n_along), t_span): the two small
+    # boxes, flowbox_demo.py's rotation box, Van der Pol with g = 1 + x^2
+    # and the circle field from (0.5, 0) to (1.5, 0)
+    NODEWISE_CASES = [
+        ("-y", "x", "1", ((1.0, 0.0), (2.0, 0.0)), (5, 9), 1.0),
+        ("y", "-x + (1 - x^2)*y", "1", ((1.0, 0.0), (2.0, 0.0)), (5, 9), -0.5),
+        ("-y", "x", "1", ((1.0, 0.0), (2.0, 0.0)), (9, 65), 1.5),
+        ("y", "-x + (1 - x^2)*y", "1 + x^2", ((1.0, 0.0), (2.0, 0.0)),
+         (9, 33), 0.7),
+        ("-y + x*(1 - x^2 - y^2)", "x + y*(1 - x^2 - y^2)", "1",
+         ((0.5, 0.0), (1.5, 0.0)), (11, 41), 3.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "p,q,g,transversal,shape,t_span", NODEWISE_CASES,
+        ids=[f"{c[0]}-{c[1]}-{c[-1]}" for c in NODEWISE_CASES])
+    def test_divergence_matches_nodewise_central_differences(
+            self, p, q, g, transversal, shape, t_span):
+        field, g = VectorField(parse_poly(p), parse_poly(q)), parse_poly(g)
+        fb = flowbox_dulac(field, transversal, g, n_across=shape[0],
+                           n_along=shape[1], t_span=t_span)
         grid = fb.grid
         ds, dt = 1.0 / (len(grid) - 1), t_span / (len(grid[0]) - 1)
 
@@ -395,6 +409,7 @@ class TestFlowBox:
             z, b = grid[i][k].point, grid[i][k].b_value
             return (b * field.p.evaluate(z).real, b * field.q.evaluate(z).real)
 
+        deviation = 0.0
         for i in range(1, len(grid) - 1):
             for k in range(1, len(grid[0]) - 1):
                 xs = (grid[i + 1][k].point.x - grid[i - 1][k].point.x) / (2 * ds)
@@ -407,9 +422,13 @@ class TestFlowBox:
                 f2s = (bx_by(i + 1, k)[1] - bx_by(i - 1, k)[1]) / (2 * ds)
                 f2t = (bx_by(i, k + 1)[1] - bx_by(i, k - 1)[1]) / (2 * dt)
                 div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
-                assert abs(div - grid[i][k].div_bx) <= 1e-12
+                assert div == grid[i][k].div_bx
+                deviation = max(deviation,
+                                abs(div - g.evaluate(grid[i][k].point).real))
+        assert fb.fd_tolerance == deviation
         for row in (grid[0], grid[-1]):
-            assert all(node.div_bx == 1.0 for node in row)
+            assert all(node.div_bx == g.evaluate(node.point).real
+                       for node in row)
 
     def test_positivity_failure_reports_first_node(self):
         vdp = VectorField(parse_poly("y"), parse_poly("-x + (1 - x^2)*y"))
@@ -425,6 +444,13 @@ class TestFlowBox:
             flowbox_dulac(field, ((0.0, 0.0), (1.0, 0.0)), Poly.const(1),
                           n_across=5, n_along=9, t_span=1.0)
         assert info.value.node == (1, 1)
+
+    def test_time_step_underflow_rejected(self):
+        # 1e-323 / 8 rounds to 0, so no central difference in t exists
+        rot = VectorField(parse_poly("-y"), parse_poly("x"))
+        with pytest.raises(ValueError, match="underflows to 0"):
+            flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
+                          n_across=5, n_along=9, t_span=1e-323)
 
     def test_blowup_leaves_integration_window(self):
         field = VectorField(parse_poly("x^2"), parse_poly("1"))

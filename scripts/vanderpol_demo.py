@@ -25,6 +25,7 @@ from dulac import (
     run_analyze,
 )
 from dulac.analyze import exit_code
+from dulac.jsonform import to_json
 
 HERE = pathlib.Path(__file__).resolve().parent
 OUT = HERE / "out"
@@ -67,7 +68,7 @@ def main() -> int:
     region = Box2(Fraction(-4), Fraction(4), Fraction(-4), Fraction(4))
     report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=6))
     with open(OUT / "vanderpol_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(to_json(report), fh, indent=2)
     print(f"\nanalyze on {region}:")
     print(f"  certified boxes: {len(report.global_boxes_certified)}, "
           f"uncovered tiles: {len(report.uncovered_regions)}, "

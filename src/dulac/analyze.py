@@ -28,7 +28,6 @@ from .flow import (
     detect_limit_cycle,
     find_equilibria,
 )
-from .jsonform import from_json, to_json
 from .multiplier import Multiplier
 from .poly import VectorField
 from .synthesis import (
@@ -80,13 +79,6 @@ class AnalysisReport:
     uncovered_regions: tuple[Box2, ...]
     limit_cycles: tuple[LimitCycleReport, ...]
     notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        return from_json(cls, d)
 
 
 def local_certificates(system: VectorField, region: Box2, equilibria,

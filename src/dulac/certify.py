@@ -23,7 +23,6 @@ from operator import add, lshift
 
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
-from .parse import parse_poly
 from .poly import Poly, VectorField, short_numeral
 
 DEFAULT_MAX_DEPTH = 12
@@ -116,13 +115,6 @@ class Box2:
                                  f"beyond float range") from None
         return tuple(floats)
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box2":
-        return from_json(cls, d)
-
     def __str__(self) -> str:
         return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
 
@@ -142,8 +134,8 @@ class BernsteinPatch:
     """
 
     box: Box2
-    degrees: tuple
-    numerators: tuple  # (m+1) x (n+1) nested tuples of int
+    degrees: tuple[int, int]
+    numerators: tuple[tuple[int, ...], ...]  # (m+1) x (n+1)
     denominator: int
 
     @property
@@ -284,7 +276,7 @@ class Positive:
 
 @dataclass(frozen=True)
 class Violation:
-    witness: tuple  # (Fraction, Fraction), a subdivision vertex
+    witness: tuple[Fraction, Fraction]  # a subdivision vertex
     value: Fraction
     depth: int
 
@@ -317,59 +309,38 @@ class Certificate:
             return o.depth
         return o.depth_limit
 
-    def to_dict(self) -> dict:
-        """Minimal stable-key form used at the top level of CLI reports."""
-        o = self.outcome
-        if isinstance(o, Positive):
-            outcome = "positive"
-            witness = None
-        elif isinstance(o, Violation):
-            outcome = "violation"
-            witness = [str(o.witness[0]), str(o.witness[1])]
-        else:
-            outcome = "inconclusive"
-            witness = None
-        return {
-            "outcome": outcome,
-            "carrier": str(self.carrier),
-            "witness": witness,
-            "depth": self.depth,
-        }
+    def to_json(self) -> dict:
+        """The flat form documented in the README; ``from_json`` inverts it.
 
-    def to_full_dict(self) -> dict:
-        """Lossless form; from_full_dict reconstructs an equal Certificate."""
-        d = self.to_dict()
-        d["box"] = self.box.to_dict()
+        Its first four keys are the report envelope's ``certificate``."""
         o = self.outcome
         if isinstance(o, Positive):
-            d["box_count"] = o.box_count
+            outcome, witness = "positive", None
+            extra = {"box_count": o.box_count}
         elif isinstance(o, Violation):
-            d["value"] = str(o.value)
+            outcome, witness = "violation", to_json(o.witness)
+            extra = {"value": str(o.value)}
         else:
-            d["undecided_boxes"] = o.undecided_boxes
-        return d
+            outcome, witness = "inconclusive", None
+            extra = {"undecided_boxes": o.undecided_boxes}
+        return {"outcome": outcome, "carrier": str(self.carrier),
+                "witness": witness, "depth": self.depth,
+                "box": to_json(self.box), **extra}
 
     @classmethod
-    def from_full_dict(cls, d: dict) -> "Certificate":
+    def from_json(cls, d: dict) -> "Certificate":
         kind = d["outcome"]
         if kind == "positive":
             outcome = Positive(max_depth_used=d["depth"],
                                box_count=d["box_count"])
         elif kind == "violation":
-            outcome = Violation(
-                witness=(Fraction(d["witness"][0]), Fraction(d["witness"][1])),
-                value=Fraction(d["value"]),
-                depth=d["depth"],
-            )
+            outcome = Violation(witness=tuple(map(Fraction, d["witness"])),
+                                value=Fraction(d["value"]), depth=d["depth"])
         else:
             outcome = Inconclusive(depth_limit=d["depth"],
                                    undecided_boxes=d["undecided_boxes"])
-        return cls(outcome=outcome, carrier=parse_poly(d["carrier"]),
-                   box=Box2.from_dict(d["box"]))
-
-    # the certificate schema is documented, so the codec uses it as is
-    to_json = to_full_dict
-    from_json = from_full_dict
+        return cls(outcome=outcome, carrier=from_json(Poly, d["carrier"]),
+                   box=from_json(Box2, d["box"]))
 
 
 def certify_positive(p: Poly, box: Box2,
@@ -437,13 +408,13 @@ class DulacCertificate:
     system: VectorField
     conclusion: Conclusion
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
+        """The ``result`` of the ``certify`` and ``bendixson`` reports."""
         return {
-            "certificate": self.certificate.to_dict(),
-            "multiplier": to_json(self.multiplier),
-            "box": self.certificate.box.to_dict(),
             "conclusion": self.conclusion.value,
-            "notes": [OPEN_BOX_NOTE],
+            "multiplier": str(self.multiplier),
+            "box": to_json(self.certificate.box),
+            "certificate_full": to_json(self.certificate),
         }
 
 

@@ -5,9 +5,11 @@ and returns a ``Record``: its result, text lines and, where it has them, a
 certificate, notes, CSV text and exit code.  ``main`` loads the system once,
 and ``_emit`` alone wraps the record in the report with the stable keys
 {"system", "command", "result", "certificate", "notes"}, where ``command``
-is the subcommand's name, and writes it as text, JSON or CSV.
-Certificates carry the exact carrier polynomial and, for violations, the
-witness as a rational pair, so they can be re-checked independently.  The
+is the subcommand's name, and writes it as text, JSON or CSV.  Records
+become JSON through ``jsonform.to_json`` alone; the envelope's
+``certificate`` is the outcome, exact carrier polynomial, witness (a
+rational pair, for violations) and depth of the record's certificate, so
+it can be re-checked independently.  The
 ``analyze`` exit code is 0 when the region is fully certified, 1 when a
 cycle was detected, 2 when inconclusive coverage remains, and 3 on input
 errors (3 is shared by all subcommands for bad input, usage errors
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from .analyze import AnalyzeConfig, exit_code, local_certificates, run_analyze
 from .certify import (
     Box2,
+    Certificate,
     DEFAULT_MAX_DEPTH,
     OPEN_BOX_NOTE,
     Violation,
@@ -94,13 +97,17 @@ def _curves(args) -> list:
     return parse_list(args.curves, [(";", None, None)], variables=True)
 
 
+# the keys of a certificate's flat form that the envelope's "certificate" keeps
+_CERTIFICATE_SUMMARY = ("outcome", "carrier", "witness", "depth")
+
+
 @dataclass
 class Record:
     """What a subcommand reports; ``_emit`` wraps it in the envelope."""
 
     result: dict
     lines: list
-    certificate: dict | None = None
+    certificate: Certificate | None = None
     notes: list = field(default_factory=list)
     csv: str | None = None
     code: int = 0
@@ -109,11 +116,15 @@ class Record:
 
 def _emit(args, system: VectorField | None, record: Record) -> None:
     if args.format == "json":
+        summary = None
+        if record.certificate is not None:
+            full = to_json(record.certificate)
+            summary = {key: full[key] for key in _CERTIFICATE_SUMMARY}
         report = {
             "system": record.system if system is None else system.source_text,
             "command": args.command,
             "result": record.result,
-            "certificate": record.certificate,
+            "certificate": summary,
             "notes": record.notes,
         }
         payload = json.dumps(report, indent=2) + "\n"
@@ -186,22 +197,16 @@ def _cmd_certify(args, system) -> Record:
     region = parse_region(args.region)
     multiplier = parse_multiplier(args.multiplier)
     outcome = certify_dulac(system, multiplier, region, args.depth)
-    cert = outcome.certificate
-    result = {
-        "conclusion": outcome.conclusion.value,
-        "multiplier": str(outcome.multiplier),
-        "box": region.to_dict(),
-        "certificate_full": cert.to_full_dict(),
-    }
+    cert, result = outcome.certificate, to_json(outcome)
     lines = [f"{args.command}: {outcome.conclusion.value}",
              f"  carrier = {cert.carrier}",
-             f"  outcome = {cert.to_dict()['outcome']} (depth {cert.depth})"]
+             f"  outcome = {result['certificate_full']['outcome']} "
+             f"(depth {cert.depth})"]
     if isinstance(cert.outcome, Violation):  # the witness may exceed floats
         lines.append(f"  witness = ({cert.outcome.witness[0]}, "
                      f"{cert.outcome.witness[1]}) with value "
                      f"{cert.outcome.value} <= 0")
-    return Record(result, lines, certificate=cert.to_dict(),
-                  notes=[OPEN_BOX_NOTE])
+    return Record(result, lines, certificate=cert, notes=[OPEN_BOX_NOTE])
 
 
 def _cmd_local_dulac(args, system) -> Record:
@@ -227,8 +232,7 @@ def _cmd_local_dulac(args, system) -> Record:
         found = [(c.equilibrium.location, c.multiplier, c.certificate)
                  for c in certs]
     entries = [{"point": [pt[0], pt[1]], "multiplier": str(multiplier),
-                "box": cert.box.to_dict(),
-                "certificate_full": cert.to_full_dict()}
+                "box": to_json(cert.box), "certificate_full": to_json(cert)}
                for pt, multiplier, cert in found]
     lines = [f"({pt[0]:.6g}, {pt[1]:.6g}): certified punctured box "
              f"{cert.box} with B = {multiplier}"
@@ -236,7 +240,7 @@ def _cmd_local_dulac(args, system) -> Record:
     lines += [f"note: {note}" for note in notes]
     return Record({"local_certificates": entries},
                   lines or ["no hyperbolic equilibria found"],
-                  certificate=found[0][2].to_dict() if found else None,
+                  certificate=found[0][2] if found else None,
                   notes=notes)
 
 
@@ -266,7 +270,7 @@ def _cmd_intfactor(args, system) -> Record:
     report = check_integrating_factor(mu, system)
     verdict = "integrating factor" if report.is_exact else "not an integrating factor"
     return Record(
-        {"multiplier": str(mu), **report.to_dict(), "verdict": verdict},
+        {"multiplier": str(mu), **to_json(report), "verdict": verdict},
         [f"mu = {mu}: {verdict} (residual {report.symbolic_residual})"])
 
 
@@ -278,7 +282,7 @@ def _cmd_inv_intfactor(args, system) -> Record:
     verdict = ("inverse integrating factor" if report.is_exact
                else "not an inverse integrating factor")
     return Record(
-        {"V": str(mu.p), **report.to_dict(), "verdict": verdict},
+        {"V": str(mu.p), **to_json(report), "verdict": verdict},
         [f"V = {mu.p}: {verdict} (residual {report.symbolic_residual})"])
 
 
@@ -299,7 +303,7 @@ def _cmd_darboux(args, system) -> Record:
                   "cofactors": to_json(curves + expf)}
         return Record(result, [f"no Darboux first integral: {exc}"],
                       notes=[str(exc)])
-    return Record({"first_integral": expr.to_dict()},
+    return Record({"first_integral": to_json(expr)},
                   [f"H = {expr}", "total cofactor = 0"])
 
 
@@ -309,7 +313,7 @@ def _cmd_verify_integral(args, system) -> Record:
     report = verify_first_integral(expr, system, trajectories=args.trajectories,
                                    t_span=args.t_span)
     return Record(
-        {"first_integral": expr.to_dict(), **report.to_dict()},
+        {"first_integral": to_json(expr), **to_json(report)},
         [f"H = {expr}",
          f"symbolic residual = {report.symbolic_residual}",
          f"max drift = {report.numeric_max_drift:.3e} over "
@@ -375,7 +379,7 @@ def _cmd_analyze(args, system) -> Record:
         lines.append(f"note: {note}")
     code = exit_code(report)
     lines.append(f"exit code: {code}")
-    return Record(report.to_dict(), lines, notes=list(report.notes), code=code)
+    return Record(to_json(report), lines, notes=list(report.notes), code=code)
 
 
 # --- parser ----------------------------------------------------------------

@@ -98,7 +98,7 @@ class DarbouxExpr:
         parts += [f"{ef}^{_fmt_exponent(mu)}" for ef, mu in self.exp_factors]
         return " * ".join(parts) if parts else "1"
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "curve_factors": [
                 {**to_json(c), "exponent": [str(lam.re), str(lam.im)]}
@@ -125,7 +125,7 @@ class ResidualReport:
     def is_exact(self) -> bool:
         return self.symbolic_residual.is_zero
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "symbolic_residual": str(self.symbolic_residual),
             "exact": self.is_exact,

@@ -72,8 +72,8 @@ class EquilibriumReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: tuple
-    states: tuple  # of Point
+    times: tuple[float, ...]
+    states: tuple[Point, ...]
     status: TrajectoryStatus
 
     @property

@@ -1,4 +1,5 @@
-"""One JSON codec for report records: ``to_json`` and ``from_json``.
+"""One JSON codec for every record the package returns: ``to_json`` and
+``from_json``.
 
 * A dataclass becomes an object of its fields in declaration order, led by
   ``"type": kind`` when the class names a ``kind``; a union of such
@@ -6,9 +7,13 @@
 * Tuples, lists and ``Point``s become lists; ``complex`` becomes ``[re, im]``.
 * ``Fraction`` and ``Poly`` become their exact text, and enums their value.
 
-``from_json`` rebuilds a value from the field annotations.  A class whose
-shape is documented elsewhere (``Certificate``) brings its own ``to_json``
-and ``from_json``, and the codec calls those instead.
+``from_json`` rebuilds a value from the field annotations.  A class with a
+``to_json`` method encodes itself, and one with a ``from_json`` class method
+decodes itself.  ``Certificate`` brings both, for its flat form documented
+in the README.  Three bring only ``to_json``, for views with derived keys:
+``DulacCertificate`` (the ``certify`` report's result), ``DarbouxExpr``
+(also its expression and total cofactor) and ``ResidualReport`` (also
+``exact``); ``from_json`` decodes a ``ResidualReport`` from its fields.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def from_json(tp, data):
         hints = _hints(tp)
         return tp(**{f.name: from_json(hints[f.name], data[f.name])
                      for f in dataclasses.fields(tp)})
-    if issubclass(tp, tuple):  # a NamedTuple such as Point
+    if tp is not tuple and issubclass(tp, tuple):  # a NamedTuple: Point
         return tp(*(from_json(h, d) for h, d in zip(_hints(tp).values(), data)))
     if tp is complex:
         return complex(*data)

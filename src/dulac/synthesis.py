@@ -82,7 +82,7 @@ class QuadraticMultiplier:
     b20: Fraction
     b11: Fraction
     b02: Fraction
-    origin: tuple = (Fraction(0), Fraction(0))
+    origin: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
 
     def to_poly(self) -> Poly:
         px = Poly.x() - Poly.const(Fraction(self.origin[0]))
@@ -327,8 +327,8 @@ class SampledMultiplier:
     ``fd_tolerance`` is the largest interior deviation |FD - g|.
     """
 
-    grid: tuple
-    transversal: tuple
+    grid: tuple[tuple[GridNode, ...], ...]
+    transversal: tuple[Point, Point]
     fd_tolerance: float
 
 
@@ -341,10 +341,11 @@ def flowbox_dulac(system: VectorField, transversal,
     Seeds B = 1 on the transversal segment and steps the state (x, y, B),
     with dB/dt = g(z(t)) - B*DivX(z(t)), through ``flow``'s RK loop at tol
     1e-10, reading n_along fixed times from each step's dense output.  Fails
-    if an equilibrium is met, if g is not strictly positive at a sample, if
-    a trajectory cannot be integrated across [0, t_span], or if the
-    central-difference divergence of B*X is not positive at an interior
-    node (the first such node in (i, k) order is reported).  Raises
+    if an equilibrium is met, if g is not finite and strictly positive at a
+    sample, if a trajectory cannot be integrated across [0, t_span], or if
+    the central-difference divergence of B*X is not finite and positive at
+    an interior node (the first such node in (i, k) order is reported; an
+    overflowing B*P or B*Q gives a nan divergence there).  Raises
     ValueError if the time step t_span / (n_along - 1) underflows to 0.
     """
     if n_across < 3 or n_along < 3:
@@ -390,8 +391,9 @@ def flowbox_dulac(system: VectorField, transversal,
             pk, qk, gk = (f.evaluate(z).real for f in (p, q, g))
             if max(abs(pk), abs(qk)) < 1e-8:
                 raise FlowBoxError("equilibrium encountered", node=(i, k))
-            if gk <= 0:
-                raise FlowBoxError("g is not strictly positive at a sample",
+            if not (math.isfinite(gk) and gk > 0):
+                raise FlowBoxError("g is not strictly positive and finite "
+                                   "at a sample",
                                    node=(i, k))
             nodes[i].append((xk, yk, bk, bk * pk, bk * qk, gk))
 
@@ -410,7 +412,7 @@ def flowbox_dulac(system: VectorField, transversal,
                 raise FlowBoxError("degenerate flow-box coordinates",
                                    node=(i, k))
             div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
-            if div <= 0:
+            if not (math.isfinite(div) and div > 0):
                 raise FlowBoxError(f"positivity fails at node {(i, k)}: "
                                    f"finite-difference Div(B*X) = {div:.3e}",
                                    node=(i, k))
@@ -422,6 +424,5 @@ def flowbox_dulac(system: VectorField, transversal,
     return SampledMultiplier(
         grid=grid,
         transversal=(Point(ax, ay), Point(bx, by)),
-        # a nan deviation is the maximum, so a nan divergence shows here
-        fd_tolerance=max(deviations, key=lambda e: (math.isnan(e), e)),
+        fd_tolerance=max(deviations),
     )

@@ -22,6 +22,7 @@ from dulac.certify import (
     certify_positive,
     short_numeral,
 )
+from dulac.jsonform import from_json, to_json
 from dulac.multiplier import BENDIXSON, PolyMultiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
 from dulac.poly import CRat, Point, Poly
@@ -60,7 +61,7 @@ class TestBox2:
 
     def test_dict_round_trip(self):
         b = Box2(Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(7, 5))
-        assert Box2.from_dict(b.to_dict()) == b
+        assert from_json(Box2, to_json(b)) == b
 
     @pytest.mark.parametrize("corner,message", [
         ("y_min", "box y_min = -100000...(401 digits) is beyond float range"),
@@ -247,7 +248,7 @@ class TestCertifyPositive:
                          (parse_poly("x"), 6),
                          (parse_poly("(3*x-1)^2 + (3*y-1)^2"), 1)]:
             cert = certify_positive(p, UNIT, max_depth=depth)
-            again = Certificate.from_full_dict(cert.to_full_dict())
+            again = from_json(Certificate, to_json(cert))
             assert again == cert
 
 
@@ -306,10 +307,15 @@ class TestDulacCertificates:
 
     def test_schema_dict(self):
         box = Box2(Fraction(-19, 20), Fraction(19, 20), Fraction(-4), Fraction(4))
-        d = bendixson(self.vdp, box).to_dict()
-        assert d["certificate"]["outcome"] == "positive"
-        assert d["certificate"]["witness"] is None
-        assert "open box" in d["notes"][0]
+        d = to_json(bendixson(self.vdp, box))
+        # the certify report's result; its open-box note is in the golden file
+        assert list(d) == ["conclusion", "multiplier", "box",
+                           "certificate_full"]
+        assert d["conclusion"] == "no_periodic_orbit_fully_contained"
+        assert d["multiplier"] == "1"
+        assert d["box"] == to_json(box)
+        assert d["certificate_full"]["outcome"] == "positive"
+        assert d["certificate_full"]["witness"] is None
 
 
 # --- differential tests against a plain Fraction reference -----------------
@@ -482,7 +488,7 @@ def golden_cases():
 
 
 def golden_line(name, cert):
-    return json.dumps({"case": name, "certificate": cert.to_full_dict()},
+    return json.dumps({"case": name, "certificate": to_json(cert)},
                       sort_keys=True)
 
 

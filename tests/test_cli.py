@@ -25,6 +25,7 @@ from dulac.analyze import (
 )
 from dulac.certify import Box2
 from dulac.cli import build_parser, main, parse_region
+from dulac.jsonform import from_json, to_json
 from dulac.parse import parse_system
 from dulac.synthesis import Matrix2
 
@@ -639,7 +640,7 @@ class TestAnalyzeGolden:
         (local,) = report["result"]["local_certificates"]
         assert math.hypot(*local["equilibrium"]["location"]) < 1e-9
         assert local["certificate"]["outcome"] == "positive"
-        box = Box2.from_dict(local["box"])
+        box = from_json(Box2, local["box"])
         assert box.contains_point((0.0, 0.0), strict=True)
         assert abs(box.width - Fraction(1, 2)) < 1e-9
         assert not any("local synthesis failed" in n
@@ -722,8 +723,8 @@ class TestLocalDulacRegion:
         assert report["result"]["local_certificates"] == [
             {"point": list(c.equilibrium.location),
              "multiplier": str(c.multiplier),
-             "box": c.box.to_dict(),
-             "certificate_full": c.certificate.to_full_dict()}
+             "box": to_json(c.box),
+             "certificate_full": to_json(c.certificate)}
             for c in expected.local_certificates]
         assert report["notes"] == [
             n for n in expected.notes
@@ -745,15 +746,15 @@ class TestRoundTrips:
             "--max-cycle-seeds", "2"])
         text = json.dumps(report)
         assert json.loads(text) == report
-        rebuilt = AnalysisReport.from_dict(report["result"])
-        assert rebuilt.to_dict() == report["result"]
+        rebuilt = from_json(AnalysisReport, report["result"])
+        assert to_json(rebuilt) == report["result"]
 
     def test_coverage_tiles_region(self, capsys):
         # every tile center is inside a certified box or an uncovered tile
         code, report = run_json(capsys, [
             "analyze", "--system", VDP, "--region=-4:4,-4:4",
             "--tiles", "10", "--max-cycle-seeds", "0"])
-        rebuilt = AnalysisReport.from_dict(report["result"])
+        rebuilt = from_json(AnalysisReport, report["result"])
         n = 10
         for i in range(n):
             for j in range(n):

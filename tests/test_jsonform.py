@@ -8,12 +8,27 @@ from pathlib import Path
 import pytest
 
 from dulac.analyze import AnalysisReport, AnalyzeConfig, LocalCertificate, run_analyze
-from dulac.certify import Box2, Certificate, certify_dulac, certify_positive
+from dulac.certify import (
+    Box2,
+    Certificate,
+    bendixson,
+    bernstein_coefficients,
+    certify_dulac,
+    certify_positive,
+)
 from dulac.cli import main
-from dulac.flow import EquilibriumReport, classify_equilibrium
+from dulac.darboux import (
+    check_integrating_factor,
+    cofactor_of,
+    darboux_first_integral,
+    exponential_factor_cofactor,
+    verify_first_integral,
+)
+from dulac.flow import EquilibriumReport, classify_equilibrium, integrate
 from dulac.jsonform import from_json, to_json
 from dulac.multiplier import ExpPolyMultiplier
-from dulac.parse import parse_poly, parse_system
+from dulac.parse import parse_multiplier, parse_poly, parse_system
+from dulac.synthesis import Matrix2, flowbox_dulac, quadratic_dulac_linear
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "data" / "cli_golden.jsonl"
@@ -91,6 +106,124 @@ class TestRoundTrips:
         assert d["eigenvalues"] == [[0.5, math.sqrt(3) / 2],
                                     [0.5, -math.sqrt(3) / 2]]
         assert round_trip(EquilibriumReport, eq) == eq
+
+
+def every_record(report):
+    """One value of each record type the package returns, by name."""
+    shear = parse_system("P = x\nQ = 1")
+    saddle = parse_system("P = x\nQ = -y")
+    rotation = parse_system("P = -y\nQ = x")
+    curve = cofactor_of(parse_poly("x"), shear)
+    factor = exponential_factor_cofactor(parse_poly("y"), parse_poly("1"),
+                                         shear)
+    # H = x^1 * y^1; its exponents are Gaussian rationals (CRat)
+    saddle_integral = darboux_first_integral(
+        [cofactor_of(parse_poly("x"), saddle),
+         cofactor_of(parse_poly("y"), saddle)])
+    strip = Box2(Fraction(-19, 20), Fraction(19, 20), -4, 4)
+    return {
+        "certificate-positive": certify_positive(
+            parse_poly("x^2 + y^2 + 1"), UNIT, 6),
+        "certificate-violation": certify_positive(parse_poly("x"), UNIT, 6),
+        "certificate-inconclusive": certify_positive(
+            parse_poly("x^2 + y^2"), UNIT, 0),
+        "dulac-positive": bendixson(VDP, strip),
+        "dulac-violation": certify_dulac(
+            VDP, parse_multiplier("exp(x)*y"), Box2(0, 1, 0, 1)),
+        "darboux-curves": saddle_integral,
+        "darboux-exp-factor": darboux_first_integral([curve], [factor]),
+        "residual-exact": check_integrating_factor(
+            parse_multiplier("1"), rotation),
+        "residual-inexact": check_integrating_factor(
+            parse_multiplier("x"), rotation),
+        "residual-drift": verify_first_integral(
+            saddle_integral, saddle, trajectories=2, t_span=1.0),
+        "analysis": report,
+        "local-certificate": report.local_certificates[0],
+        "equilibrium": report.equilibria[0],
+        "limit-cycle": report.limit_cycles[0],
+        "trajectory": integrate(VDP, (1.0, 0.0), 1.0),
+        "sampled-multiplier": flowbox_dulac(
+            rotation, ((1.0, 0.0), (2.0, 0.0)), n_across=5, n_along=9),
+        "quadratic-multiplier": quadratic_dulac_linear(
+            Matrix2.parse("0,1;-1,1")),
+        "invariant-curve": curve,
+        "exponential-factor": factor,
+        "bernstein-patch": bernstein_coefficients(
+            parse_poly("x^2 - 1/3*x*y + 2"), Box2(Fraction(-1, 2), 1, 0, 3)),
+        "box": Box2(Fraction(-1, 3), 2, 0, Fraction(7, 5)),
+    }
+
+
+RECORD_NAMES = [
+    "certificate-positive", "certificate-violation",
+    "certificate-inconclusive", "dulac-positive", "dulac-violation",
+    "darboux-curves", "darboux-exp-factor", "residual-exact",
+    "residual-inexact", "residual-drift", "analysis", "local-certificate",
+    "equilibrium", "limit-cycle", "trajectory", "sampled-multiplier",
+    "quadratic-multiplier", "invariant-curve", "exponential-factor",
+    "bernstein-patch", "box"]
+# views with derived keys, which from_json does not decode
+ENCODE_ONLY = {"dulac-positive", "dulac-violation", "darboux-curves",
+               "darboux-exp-factor"}
+
+
+@pytest.fixture(scope="module")
+def records(report):
+    return every_record(report)
+
+
+class TestEveryRecord:
+    """``to_json`` encodes every record the package returns."""
+
+    def test_names_cover_every_record(self, records):
+        assert list(records) == RECORD_NAMES
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_to_json_is_plain_data(self, records, name):
+        d = to_json(records[name])
+        # lists, not tuples, and nothing json cannot write
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
+
+    @pytest.mark.parametrize(
+        "name", [n for n in RECORD_NAMES if n not in ENCODE_ONLY])
+    def test_from_json_round_trip(self, records, name):
+        value = records[name]
+        assert round_trip(type(value), value) == value
+
+    def test_dulac_certificate_is_the_certify_result(self, records):
+        dulac = records["dulac-violation"]
+        assert to_json(dulac) == {
+            "conclusion": "not_certified",
+            "multiplier": "exp(x)*y",
+            "box": to_json(Box2(0, 1, 0, 1)),
+            "certificate_full": to_json(dulac.certificate)}
+
+    @pytest.mark.parametrize("name", ["darboux-curves",
+                                      "darboux-exp-factor"])
+    def test_darboux_expression(self, records, name):
+        expr = records[name]
+        d = to_json(expr)
+        assert d["expression"] == str(expr)
+        assert d["total_cofactor"] == "0"
+        for key, factors in [("curve_factors", expr.curve_factors),
+                             ("exp_factors", expr.exp_factors)]:
+            assert [f["exponent"] for f in d[key]] == [
+                [str(c.re), str(c.im)] for _, c in factors]
+
+    @pytest.mark.parametrize("name, exact", [
+        ("residual-exact", True), ("residual-inexact", False),
+        ("residual-drift", True)])
+    def test_residual_report_keeps_exact(self, records, name, exact):
+        d = to_json(records[name])
+        assert list(d) == ["symbolic_residual", "exact", "numeric_max_drift",
+                           "trajectories_checked"]
+        assert d["exact"] is exact
+
+    def test_tuple_without_item_types_is_not_decoded(self):
+        # a bare tuple annotation would decode to () and lose the data
+        with pytest.raises(TypeError, match="no JSON form"):
+            from_json(tuple, [1, 2])
 
 
 GOLDEN_CASES = [json.loads(line) for line in GOLDEN.read_text().splitlines()]

@@ -438,6 +438,17 @@ class TestFlowBox:
                           n_across=7, n_along=9, t_span=1.2)
         assert info.value.node == (5, 7)
 
+    def test_nan_divergence_rejected(self):
+        # B*P overflows past P = 10^300, so every interior divergence is
+        # nan; div <= 0 let it through with fd_tolerance = nan
+        field = VectorField(parse_poly("10^300"), parse_poly("-1000*y"))
+        with pytest.raises(FlowBoxError, match=r"positivity fails at node "
+                           r"\(1, 1\): finite-difference Div\(B\*X\) = nan"
+                           ) as info:
+            flowbox_dulac(field, ((0.0, 1.0), (0.0, 2.0)), Poly.const(1),
+                          n_across=5, n_along=9, t_span=0.5)
+        assert info.value.node == (1, 1)
+
     def test_transversal_along_the_flow_is_degenerate(self):
         field = VectorField(parse_poly("1"), parse_poly("0"))
         with pytest.raises(FlowBoxError, match="degenerate") as info:

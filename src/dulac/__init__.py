@@ -30,7 +30,6 @@ from .darboux import (
     check_inverse_integrating_factor,
     cofactor_of,
     darboux_first_integral,
-    dulac_cofactor_crosscheck,
     exponential_factor_cofactor,
     verify_first_integral,
 )
@@ -55,12 +54,9 @@ from .poly import (
     CRat,
     Point,
     Poly,
-    Rat,
     VectorField,
-    derive,
     div_product,
     divergence,
-    evaluate,
     format_poly,
     lie_derivative,
     poly_divide,
@@ -83,9 +79,8 @@ from .synthesis import (
 __all__ = [
     "errors",
     # poly
-    "CRat", "CRAT_I", "Point", "Poly", "Rat", "VectorField",
-    "derive", "divergence", "div_product", "evaluate", "format_poly",
-    "lie_derivative", "poly_divide",
+    "CRat", "CRAT_I", "Point", "Poly", "VectorField", "divergence",
+    "div_product", "format_poly", "lie_derivative", "poly_divide",
     # parse
     "parse_constant", "parse_multiplier", "parse_poly", "parse_system",
     # multiplier
@@ -102,8 +97,8 @@ __all__ = [
     # darboux
     "DarbouxExpr", "ExponentialFactor", "InvariantCurve", "ResidualReport",
     "check_integrating_factor", "check_inverse_integrating_factor",
-    "cofactor_of", "darboux_first_integral", "dulac_cofactor_crosscheck",
-    "exponential_factor_cofactor", "verify_first_integral",
+    "cofactor_of", "darboux_first_integral", "exponential_factor_cofactor",
+    "verify_first_integral",
     # flow
     "Classification", "EquilibriumReport", "LimitCycleReport", "Section",
     "Stability", "Trajectory", "TrajectoryStatus", "classify_equilibrium",

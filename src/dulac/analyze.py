@@ -34,6 +34,7 @@ from .synthesis import (
     LOCAL_INITIAL_HALF_WIDTH,
     LOCAL_MAX_DEPTH,
     LOCAL_MAX_GROWTH_STEPS,
+    LOCAL_MIN_RADIUS,
     certify_punctured_box,
     check_min_radius,
     local_quadratic_multiplier,
@@ -56,7 +57,7 @@ MARGINAL_FAMILY_NOTE = (
 
 @dataclass
 class AnalyzeConfig:
-    min_radius: float = 1e-3
+    min_radius: float = LOCAL_MIN_RADIUS
     tile_n: int = 10
     tile_depth: int = 6
     max_cycle_seeds: int = 12

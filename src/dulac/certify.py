@@ -362,7 +362,7 @@ def certify_positive(p: Poly, box: Box2,
     undecided = 0
     while stack:
         patch, depth = stack.pop()
-        witness = _corner_witness(p, patch)
+        witness = _corner_witness(patch)
         if witness is not None:
             vertex, value = witness
             return Certificate(Violation(witness=vertex, value=value, depth=depth),
@@ -384,12 +384,12 @@ def certify_positive(p: Poly, box: Box2,
                        carrier=p, box=box)
 
 
-def _corner_witness(p: Poly, patch: BernsteinPatch):
+def _corner_witness(patch: BernsteinPatch):
+    """(corner, exact value) at the first corner where the value is <= 0,
+    or None; a corner coefficient is the value there."""
     for k, num in enumerate(patch.corner_numerators()):
         if num <= 0:
-            corner = patch.box.corners()[k]
-            value = p.evaluate_exact(corner[0], corner[1])
-            return corner, value.re
+            return patch.box.corners()[k], Fraction(num, patch.denominator)
     return None
 
 

@@ -61,6 +61,7 @@ from .parse import parse_list, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
 from .synthesis import (
     LOCAL_MAX_DEPTH,
+    LOCAL_MIN_RADIUS,
     Matrix2,
     check_min_radius,
     local_dulac_hyperbolic,
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument("--point", help='equilibrium "x,y"')
     where.add_argument("--region", help=REGION_HELP)
     p.add_argument("--depth", type=int, default=LOCAL_MAX_DEPTH)
-    p.add_argument("--min-radius", type=float, default=1e-3)
+    p.add_argument("--min-radius", type=float, default=LOCAL_MIN_RADIUS)
     p.set_defaults(handler=_cmd_local_dulac)
 
     p = subs.add_parser("cofactor", help="cofactors of invariant curves")

@@ -35,7 +35,6 @@ from .poly import (
     CRat,
     Poly,
     VectorField,
-    div_product,
     divergence,
     kernel_basis,
     lie_derivative,
@@ -171,14 +170,12 @@ def _warn_degenerate_points(f: Poly, system: VectorField,
     gradient_field = VectorField(p=fx, q=fy)
     for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
         z = report.location
-        if abs(f.evaluate(z).real) < 1e-6:
-            speed = max(abs(system.p.evaluate(z).real),
-                        abs(system.q.evaluate(z).real))
-            if speed > 1e-6:
-                warnings.warn(
-                    f"singular point ({z.x:.6g}, {z.y:.6g}) of the curve is "
-                    f"not a zero of the field",
-                    DegenerateCurveWarning)
+        if (abs(f.evaluate(z).real) < 1e-6
+                and max(map(abs, system(z))) > 1e-6):
+            warnings.warn(
+                f"singular point ({z.x:.6g}, {z.y:.6g}) of the curve is "
+                f"not a zero of the field",
+                DegenerateCurveWarning)
 
 
 def exponential_factor_cofactor(g: Poly, h: Poly,
@@ -223,40 +220,6 @@ def check_inverse_integrating_factor(v: Poly,
         raise ValueError("V must be nonzero")
     residual = lie_derivative(v, system) - v * divergence(system)
     return ResidualReport(symbolic_residual=residual)
-
-
-def dulac_cofactor_crosscheck(b: Poly, system: VectorField,
-                              samples: int = 100,
-                              seed: int = 0) -> ResidualReport:
-    """Check the cofactor form of the Dulac identity.
-
-    Symbolically: <grad B, X> - (Div(B*X) - B*Div X) is zero by the Leibniz
-    rule.  Numerically the pointwise cofactor k(z) = -Div X + g/B (defined
-    off {B = 0}) is sampled at random points and the worst defect
-    |k(z)*B(z) - <grad B, X>(z)| is reported.
-    """
-    if b.is_zero:
-        raise ValueError("B must be nonzero")
-    g = div_product(b, system)
-    lie_b = lie_derivative(b, system)
-    residual = lie_b - (g - b * divergence(system))
-    rng = random.Random(seed)
-    div_x = divergence(system)
-    defect = 0.0
-    checked = 0
-    attempts = 0
-    while checked < samples and attempts < 50 * samples:
-        attempts += 1
-        z = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        b_val = b.evaluate(z).real
-        if abs(b_val) < 1e-6:
-            continue
-        k_val = -div_x.evaluate(z).real + g.evaluate(z).real / b_val
-        defect = max(defect, abs(k_val * b_val - lie_b.evaluate(z).real))
-        checked += 1
-    return ResidualReport(symbolic_residual=residual,
-                          numeric_max_drift=defect,
-                          trajectories_checked=0)
 
 
 # --- Darboux first integrals ------------------------------------------------------

@@ -11,8 +11,8 @@ this module's Dormand-Prince 5(4) on lists of Python floats with scipy's
 controller and dense output.  Events on a step are found by one bisection
 of its dense output (``_locate``).  Every float value of a polynomial comes
 from its cached straight-line functions (``Poly.float_functions``), which
-the RK right-hand sides (``compile_field``) call directly and Newton and
-classification through ``Poly.evaluate``.  This is the empirical
+the RK right-hand sides (``compile_field``) call directly; every other
+float value of the field is ``VectorField.__call__``.  This is the empirical
 cross-check side of the package: nothing here is rigorous, and certificates
 always win over these numbers.
 """
@@ -201,10 +201,14 @@ def _classify(eigs) -> tuple:
     return Classification.NODE, hyperbolic
 
 
+def _jacobian_at(jac_polys, x: float, y: float) -> tuple:
+    """Float values at (x, y) of the Jacobian entries (Px, Py, Qx, Qy)."""
+    return tuple(f.evaluate((x, y)).real for f in jac_polys)
+
+
 def check_zero(system: VectorField, z) -> None:
     """Raise NotAnEquilibriumError unless z passes the zero test."""
-    if max(abs(system.p.evaluate(z).real),
-           abs(system.q.evaluate(z).real)) > ZERO_TOL:
+    if max(map(abs, system(z))) > ZERO_TOL:
         raise NotAnEquilibriumError(f"|X({z[0]}, {z[1]})| > {ZERO_TOL:g}")
 
 
@@ -217,11 +221,7 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     """
     x, y = float(z[0]), float(z[1])
     check_zero(system, (x, y))
-    px, py, qx, qy = system.jacobian()
-    j11 = px.evaluate((x, y)).real
-    j12 = py.evaluate((x, y)).real
-    j21 = qx.evaluate((x, y)).real
-    j22 = qy.evaluate((x, y)).real
+    j11, j12, j21, j22 = _jacobian_at(system.jacobian(), x, y)
     eigs = eigenvalues_2x2(j11, j12, j21, j22)
     classification, hyperbolic = _classify(eigs)
     return EquilibriumReport(
@@ -273,17 +273,12 @@ def _may_vanish(*patches) -> bool:
 
 def _newton(system, jac_polys, x, y, max_iter=50):
     """(max(|P|, |Q|), x, y) once that is <= ZERO_TOL, or None."""
-    px, py, qx, qy = jac_polys
     for _ in range(max_iter):
-        fx = system.p.evaluate((x, y)).real
-        fy = system.q.evaluate((x, y)).real
+        fx, fy = system((x, y))
         residual = max(abs(fx), abs(fy))
         if residual <= ZERO_TOL:
             return (residual, x, y)
-        j11 = px.evaluate((x, y)).real
-        j12 = py.evaluate((x, y)).real
-        j21 = qx.evaluate((x, y)).real
-        j22 = qy.evaluate((x, y)).real
+        j11, j12, j21, j22 = _jacobian_at(jac_polys, x, y)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             return None

@@ -7,7 +7,6 @@ polynomial, the *sign carrier*, which is the object that gets certified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .poly import Poly, VectorField, div_product, lie_derivative
@@ -22,9 +21,6 @@ class PolyMultiplier:
 
     def sign_carrier(self, system: VectorField) -> Poly:
         return div_product(self.p, system)
-
-    def evaluate(self, z) -> float:
-        return self.p.evaluate(z).real
 
     def __str__(self) -> str:
         return str(self.p)
@@ -44,9 +40,6 @@ class ExpPolyMultiplier:
 
     def sign_carrier(self, system: VectorField) -> Poly:
         return div_product(self.p, system) + self.p * lie_derivative(self.g, system)
-
-    def evaluate(self, z) -> float:
-        return math.exp(self.g.evaluate(z).real) * self.p.evaluate(z).real
 
     def __str__(self) -> str:
         return f"exp({self.g})*{self.p}"

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
-Rat = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -596,6 +594,7 @@ class VectorField:
         )
 
     def __call__(self, z) -> tuple:
+        """(P, Q) at z as floats, through ``Poly.evaluate`` (P first)."""
         return (self.p.evaluate(z).real, self.q.evaluate(z).real)
 
     def __str__(self) -> str:
@@ -603,11 +602,6 @@ class VectorField:
 
 
 # -- core operations ---------------------------------------------------------
-
-
-def derive(p: Poly, axis: str) -> Poly:
-    """Exact partial derivative of ``p`` along ``axis`` ('x' or 'y')."""
-    return p.derive(axis)
 
 
 def divergence(system: VectorField) -> Poly:
@@ -626,11 +620,6 @@ def div_product(b: Poly, system: VectorField) -> Poly:
     Returns B*Div(X) + <grad B, X> as an exact polynomial.
     """
     return b * divergence(system) + lie_derivative(b, system)
-
-
-def evaluate(p: Poly, z) -> complex:
-    """Float evaluation of ``p`` at a point (x, y)."""
-    return p.evaluate(z)
 
 
 def poly_divide(n: Poly, d: Poly):

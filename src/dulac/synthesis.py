@@ -30,7 +30,7 @@ from .errors import (
     SingularAnsatzError,
     TraceZeroError,
 )
-from .flow import _steps, _StepFailure, check_zero
+from .flow import ZERO_TOL, _steps, _StepFailure, check_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (Point, Poly, VectorField, div_product, divergence,
@@ -186,10 +186,12 @@ def gradient_field(v: Poly) -> VectorField:
 
 
 # Box search defaults: a box of half-width 1 (analyze grows it up to 2^6 while
-# it fits the region), each ring rectangle subdivided to depth 8.
+# it fits the region), each ring rectangle subdivided to depth 8, and rings
+# down to a core of half-width 1e-3.
 LOCAL_INITIAL_HALF_WIDTH = 1
 LOCAL_MAX_GROWTH_STEPS = 6
 LOCAL_MAX_DEPTH = 8
+LOCAL_MIN_RADIUS = 1e-3
 
 
 def check_min_radius(min_radius: float) -> Fraction:
@@ -282,7 +284,7 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
 
 
 def local_dulac_hyperbolic(system: VectorField, eq: Point,
-                           min_radius: float = 1e-3,
+                           min_radius: float = LOCAL_MIN_RADIUS,
                            max_depth: int = LOCAL_MAX_DEPTH):
     """Local Dulac multiplier near a hyperbolic equilibrium.
 
@@ -341,11 +343,12 @@ def flowbox_dulac(system: VectorField, transversal,
     Seeds B = 1 on the transversal segment and steps the state (x, y, B),
     with dB/dt = g(z(t)) - B*DivX(z(t)), through ``flow``'s RK loop at tol
     1e-10, reading n_along fixed times from each step's dense output.  Fails
-    if an equilibrium is met, if g is not finite and strictly positive at a
-    sample, if a trajectory cannot be integrated across [0, t_span], or if
-    the central-difference divergence of B*X is not finite and positive at
-    an interior node (the first such node in (i, k) order is reported; an
-    overflowing B*P or B*Q gives a nan divergence there).  Raises
+    if a sample passes ``flow``'s zero test (``ZERO_TOL``), if g is not
+    finite and strictly positive at a sample, if a trajectory cannot be
+    integrated across [0, t_span], or if the central-difference divergence
+    of B*X is not finite and positive at an interior node (the first such
+    node in (i, k) order is reported; an overflowing B*P or B*Q gives a nan
+    divergence there).  Raises
     ValueError if the time step t_span / (n_along - 1) underflows to 0.
     """
     if n_across < 3 or n_along < 3:
@@ -388,8 +391,9 @@ def flowbox_dulac(system: VectorField, transversal,
         nodes.append([])
         for k, (xk, yk, bk) in enumerate(states):
             z = Point(xk, yk)
-            pk, qk, gk = (f.evaluate(z).real for f in (p, q, g))
-            if max(abs(pk), abs(qk)) < 1e-8:
+            pk, qk = system(z)
+            gk = g.evaluate(z).real
+            if max(abs(pk), abs(qk)) <= ZERO_TOL:
                 raise FlowBoxError("equilibrium encountered", node=(i, k))
             if not (math.isfinite(gk) and gk > 0):
                 raise FlowBoxError("g is not strictly positive and finite "

@@ -11,7 +11,6 @@ from dulac.darboux import (
     check_inverse_integrating_factor,
     cofactor_of,
     darboux_first_integral,
-    dulac_cofactor_crosscheck,
     exponential_factor_cofactor,
     verify_first_integral,
 )
@@ -276,26 +275,3 @@ class TestVerifyFirstIntegral:
         report = verify_first_integral(expr, rot, trajectories=3, t_span=10.0)
         assert report.is_exact
         assert report.numeric_max_drift <= 1e-6
-
-
-class TestDulacCofactorCrosscheck:
-    def test_leibniz_residual_always_zero(self, rng):
-        from conftest import rand_field
-        for _ in range(30):
-            b = rand_poly(rng, 3)
-            if b.is_zero or not b.is_real:
-                continue
-            field = rand_field(rng, 3)
-            rep = dulac_cofactor_crosscheck(b, field, samples=20)
-            assert rep.symbolic_residual.is_zero
-
-    def test_quadratic_on_radial(self):
-        rep = dulac_cofactor_crosscheck(parse_poly("(x^2+y^2)/4"),
-                                        parse_system("P = x\nQ = y"))
-        assert rep.symbolic_residual.is_zero
-        assert rep.numeric_max_drift <= 1e-12
-
-    def test_coordinate_multiplier(self):
-        rep = dulac_cofactor_crosscheck(parse_poly("x"),
-                                        parse_system("P = 1\nQ = 0"))
-        assert rep.numeric_max_drift <= 1e-12

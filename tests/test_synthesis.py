@@ -366,6 +366,18 @@ class TestFlowBox:
             flowbox_dulac(radial, ((-1.0, -1.0), (1.0, 1.0)), Poly.const(1),
                           n_across=5, n_along=9, t_span=1.0)
 
+    def test_equilibrium_is_flow_zero_test(self):
+        # a sample is an equilibrium when max(|P|, |Q|) <= flow.ZERO_TOL
+        rot = VectorField(parse_poly("-y"), parse_poly("x"))
+        fb = flowbox_dulac(rot, ((5e-9, 0.0), (1.0, 0.0)), Poly.const(1),
+                           n_across=5, n_along=9, t_span=1.0)
+        assert fb.grid[0][0].point == (5e-9, 0.0)
+        for x0 in (1e-9, 5e-10):
+            with pytest.raises(FlowBoxError, match="equilibrium") as info:
+                flowbox_dulac(rot, ((x0, 0.0), (1.0, 0.0)), Poly.const(1),
+                              n_across=5, n_along=9, t_span=1.0)
+            assert info.value.node == (0, 0)
+
     def test_nonpositive_g_rejected(self):
         field = VectorField(parse_poly("1"), parse_poly("0"))
         with pytest.raises(FlowBoxError, match="strictly positive"):

@@ -3,13 +3,13 @@
 A polynomial with all-positive Bernstein coefficients on a box is positive
 there; a nonpositive coefficient triggers quaternary midpoint subdivision.
 A patch holds integer numerators over one positive integer denominator,
-so a numerator has its coefficient's sign.  Conversion clears every
-denominator once and stays in integers; halving is de Casteljau with
-integer adds and shifts, and multiplies the denominator by 2^(m+n).  No
-rounding happens anywhere, so a Positive certificate is a machine-checked
-proof and a Violation carries an exact witness vertex.  Wrapped around a
-multiplier's sign carrier this decides the no-periodic-orbit criterion on
-the open box.
+so a numerator has its coefficient's sign, and is a dyadic cell of its
+root box.  Conversion clears every denominator once and stays in integers;
+halving is de Casteljau with integer adds and shifts.  ``walk`` is the one
+subdivision walk (here and in ``flow.find_equilibria``).  No rounding
+happens anywhere, so a Positive certificate is a machine-checked proof and
+a Violation carries an exact witness vertex.  Wrapped around a multiplier's
+sign carrier this decides the no-periodic-orbit criterion on the open box.
 """
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ class Box2:
             (self.x_max, self.y_max),
         )
 
-    def split(self):
-        """Quaternary midpoint split, ordered (SW, SE, NW, NE)."""
-        mx, my = self.x_mid, self.y_mid
-        return (
-            Box2(self.x_min, mx, self.y_min, my),
-            Box2(mx, self.x_max, self.y_min, my),
-            Box2(self.x_min, mx, my, self.y_max),
-            Box2(mx, self.x_max, my, self.y_max),
-        )
-
     def contains_point(self, z, strict: bool = False) -> bool:
         x, y = float(z[0]), float(z[1])
         if strict:
@@ -121,22 +111,32 @@ class Box2:
 
 @dataclass(frozen=True)
 class BernsteinPatch:
-    """Bernstein coefficients of a polynomial on a box, as integer numerators
-    over one positive integer denominator.
+    """Bernstein coefficients of a polynomial on a dyadic cell of a root box,
+    as integer numerators over one positive integer denominator.
 
+    The cell (level, i, j) is column i, row j of the root's 2^level x 2^level
+    grid; ``box`` builds it on demand and is the root itself at level 0.
     ``numerators[i][j] / denominator`` is the exact coefficient of
-    B_{i,m}(u) B_{j,n}(v) after the affine map of the box onto the unit
-    square.  The denominator is positive, so a numerator has the sign of
-    its coefficient.  ``coefficients`` and the min/max/corner accessors
-    return the exact values as Fractions: corner coefficients equal the
-    polynomial values at the box corners, and min/max coefficients enclose
-    the range on the box.
+    B_{i,m}(u) B_{j,n}(v) on the cell mapped onto the unit square, so a
+    numerator has its coefficient's sign.  The Fraction accessors give
+    exact values: corner coefficients are the values at the cell corners,
+    and min/max coefficients enclose the range on the cell.
     """
 
-    box: Box2
+    root: Box2
+    cell: tuple[int, int, int]  # (level, i, j)
     degrees: tuple[int, int]
     numerators: tuple[tuple[int, ...], ...]  # (m+1) x (n+1)
     denominator: int
+
+    @property
+    def box(self) -> Box2:
+        (level, i, j), r = self.cell, self.root
+        if not level:
+            return r
+        dx, dy = r.width / (1 << level), r.height / (1 << level)
+        return Box2(r.x_min + i * dx, r.x_min + (i + 1) * dx,
+                    r.y_min + j * dy, r.y_min + (j + 1) * dy)
 
     @property
     def coefficients(self) -> tuple:
@@ -163,22 +163,20 @@ class BernsteinPatch:
         return tuple(Fraction(c, d) for c in self.corner_numerators())
 
     def subdivide(self):
-        """Split at the box midpoint; returns patches in box.split() order.
-
-        Each child's denominator is the parent's times 2^(m+n).
-        """
+        """The four child cells (SW, SE, NW, NE); denominators gain 2^(m+n)."""
         m, n = self.degrees
         left, right = _halve(self.numerators, m)
         sw_c, nw_c = _halve_cols(left, n)
         se_c, ne_c = _halve_cols(right, n)
-        sw, se, nw, ne = self.box.split()
-        deg = self.degrees
+        level, i, j = self.cell
+        level, i, j = level + 1, 2 * i, 2 * j
+        root, deg = self.root, self.degrees
         den = self.denominator << (m + n)
         return (
-            BernsteinPatch(sw, deg, sw_c, den),
-            BernsteinPatch(se, deg, se_c, den),
-            BernsteinPatch(nw, deg, nw_c, den),
-            BernsteinPatch(ne, deg, ne_c, den),
+            BernsteinPatch(root, (level, i, j), deg, sw_c, den),
+            BernsteinPatch(root, (level, i + 1, j), deg, se_c, den),
+            BernsteinPatch(root, (level, i, j + 1), deg, nw_c, den),
+            BernsteinPatch(root, (level, i + 1, j + 1), deg, ne_c, den),
         )
 
 
@@ -261,8 +259,29 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     b = tuple(tuple(_to_bernstein([col[k] for col in cols], y0, wy))
               for k in range(m + 1))
     den = lc * lb_pow[m + n] * math.factorial(m) * math.factorial(n)
-    return BernsteinPatch(box=box, degrees=(m, n), numerators=b,
-                          denominator=den)
+    return BernsteinPatch(root=box, cell=(0, 0, 0), degrees=(m, n),
+                          numerators=b, denominator=den)
+
+
+# --- the subdivision walk ---------------------------------------------------
+
+SPLIT, DROP = "split", "drop"  # what decide returns when it has no verdict
+
+
+def walk(roots, decide, max_depth: int):
+    """Yield (verdict, patches, depth) for each tuple of patches on one cell
+    where ``decide(patches)`` gives neither SPLIT nor DROP, or SPLIT at
+    ``max_depth`` (undecided).  Depth-first, children SW, SE, NW, NE; the
+    one caller of ``BernsteinPatch.subdivide``."""
+    stack = [(tuple(roots), 0)]
+    while stack:
+        patches, depth = stack.pop()
+        verdict = decide(patches)
+        if verdict is SPLIT and depth < max_depth:
+            children = zip(*[p.subdivide() for p in patches])
+            stack += reversed([(c, depth + 1) for c in children])
+        elif verdict is not DROP:
+            yield verdict, patches, depth
 
 
 # --- certificates -----------------------------------------------------------
@@ -355,42 +374,33 @@ def certify_positive(p: Poly, box: Box2,
     """
     if max_depth < 0:
         raise ValueError(f"depth must be >= 0, got {max_depth}")
-    root = bernstein_coefficients(p, box)
-    stack = [(root, 0)]
-    leaf_count = 0
-    max_used = 0
-    undecided = 0
-    while stack:
-        patch, depth = stack.pop()
-        witness = _corner_witness(patch)
-        if witness is not None:
-            vertex, value = witness
-            return Certificate(Violation(witness=vertex, value=value, depth=depth),
-                               carrier=p, box=box)
-        if patch.min_coefficient > 0:
+    leaf_count = max_used = undecided = 0
+    for verdict, _, depth in walk((bernstein_coefficients(p, box),),
+                                  _positive_on, max_depth):
+        if verdict == "leaf":
             leaf_count += 1
             max_used = max(max_used, depth)
-            continue
-        if depth >= max_depth:
+        elif verdict is SPLIT:
             undecided += 1
-            continue
-        for child in reversed(patch.subdivide()):
-            stack.append((child, depth + 1))
-    if undecided:
-        return Certificate(Inconclusive(depth_limit=max_depth,
-                                        undecided_boxes=undecided),
-                           carrier=p, box=box)
-    return Certificate(Positive(max_depth_used=max_used, box_count=leaf_count),
-                       carrier=p, box=box)
+        else:
+            outcome = Violation(*verdict, depth=depth)  # witness, value
+            break
+    else:
+        outcome = (Inconclusive(depth_limit=max_depth, undecided_boxes=undecided)
+                   if undecided else
+                   Positive(max_depth_used=max_used, box_count=leaf_count))
+    return Certificate(outcome, carrier=p, box=box)
 
 
-def _corner_witness(patch: BernsteinPatch):
-    """(corner, exact value) at the first corner where the value is <= 0,
-    or None; a corner coefficient is the value there."""
+def _positive_on(patches):
+    """(corner, exact value) at the first corner where the value is <= 0
+    (a corner coefficient is the value there), else "leaf" when every
+    coefficient is positive, else SPLIT."""
+    patch, = patches
     for k, num in enumerate(patch.corner_numerators()):
         if num <= 0:
             return patch.box.corners()[k], Fraction(num, patch.denominator)
-    return None
+    return "leaf" if patch.min_coefficient > 0 else SPLIT
 
 
 # --- Dulac / Bendixson wrappers ---------------------------------------------

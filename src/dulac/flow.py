@@ -2,9 +2,10 @@
 
 Equilibrium location and classification, adaptive Runge-Kutta trajectory
 integration, Poincare return maps, and limit-cycle detection.  Newton
-starts where exact Bernstein ranges of P and Q both contain 0.  A point is
-a zero of the field when max(|P|, |Q|) <= ``ZERO_TOL`` there: Newton stops
-at it, and ``check_zero`` applies it for classification and local synthesis.
+starts in the cells of ``certify.walk`` where the exact Bernstein ranges of
+P and Q both contain 0.  A point is a zero of the field when |P| and |Q|
+are <= ``ZERO_TOL`` there: Newton stops at it, and ``check_zero`` (which a
+nan fails) applies it for classification and local synthesis.
 All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
 through one RK 5(4) loop (``_steps``, on any right-hand side) of ``RK45``,
 this module's Dormand-Prince 5(4) on lists of Python floats with scipy's
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .certify import Box2, bernstein_coefficients
+from .certify import DROP, SPLIT, Box2, bernstein_coefficients, walk
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from .poly import Point, VectorField, float_range_error
 
@@ -207,8 +208,8 @@ def _jacobian_at(jac_polys, x: float, y: float) -> tuple:
 
 
 def check_zero(system: VectorField, z) -> None:
-    """Raise NotAnEquilibriumError unless z passes the zero test."""
-    if max(map(abs, system(z))) > ZERO_TOL:
+    """Raise NotAnEquilibriumError unless z passes the zero test (nan fails)."""
+    if not all(abs(v) <= ZERO_TOL for v in system(z)):
         raise NotAnEquilibriumError(f"|X({z[0]}, {z[1]})| > {ZERO_TOL:g}")
 
 
@@ -236,22 +237,20 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
 def find_equilibria(system: VectorField, box: Box2) -> list:
     """Zeros of the field in the box, classified and sorted by location.
 
-    P and Q are halved together in Bernstein form ``EQUILIBRIUM_SPLITS``
-    times, and a cell is dropped once the range of P or of Q excludes 0.
-    A Bernstein range encloses the values on the closed cell, so every zero
-    in the box lies in a kept cell.  Newton (stopping at ``ZERO_TOL``)
-    starts at each kept cell's centre; of points within ``DEDUP_RADIUS``,
-    the one with the smallest max(|P|, |Q|) is kept.  May be empty.
+    ``certify.walk`` halves P and Q together in Bernstein form to depth
+    ``EQUILIBRIUM_SPLITS``, dropping a cell once the range of P or of Q
+    excludes 0.  A Bernstein range encloses the values on the closed cell,
+    so every zero in the box lies in a cell left at that depth.  Newton
+    (stopping at ``ZERO_TOL``) starts at each such cell's centre; of points
+    within ``DEDUP_RADIUS``, the one with the smallest max(|P|, |Q|) is kept.
     """
     x_min, x_max, y_min, y_max = box.as_floats()
-    cells = [(bernstein_coefficients(system.p, box),
-              bernstein_coefficients(system.q, box))]
-    for _ in range(EQUILIBRIUM_SPLITS):
-        cells = [child for p, q in cells if _may_vanish(p, q)
-                 for child in zip(p.subdivide(), q.subdivide())]
+    cells = walk((bernstein_coefficients(system.p, box),
+                  bernstein_coefficients(system.q, box)),
+                 _may_vanish, EQUILIBRIUM_SPLITS)
     jac = system.jacobian()
     zeros = [_newton(system, jac, float(p.box.x_mid), float(p.box.y_mid))
-             for p, q in cells if _may_vanish(p, q)]
+             for _, (p, _q), _ in cells]
     found: list = []
     for _, x, y in sorted(filter(None, zeros)):  # smallest |X| first
         if not (x_min - 1e-9 <= x <= x_max + 1e-9
@@ -264,11 +263,12 @@ def find_equilibria(system: VectorField, box: Box2) -> list:
     return [classify_equilibrium(system, z) for z in found]
 
 
-def _may_vanish(*patches) -> bool:
-    """False when the Bernstein range of some patch excludes 0."""
+def _may_vanish(patches):
+    """DROP when the Bernstein range of some patch excludes 0, else SPLIT."""
     # numerators over a positive denominator, so they carry the signs
-    return all(min(map(min, p.numerators)) <= 0 <= max(map(max, p.numerators))
-               for p in patches)
+    vanish = all(min(map(min, p.numerators)) <= 0 <= max(map(max, p.numerators))
+                 for p in patches)
+    return SPLIT if vanish else DROP
 
 
 def _newton(system, jac_polys, x, y, max_iter=50):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from dulac.certify import (
+    SPLIT,
     Box2,
     Certificate,
     Conclusion,
@@ -21,6 +22,7 @@ from dulac.certify import (
     certify_dulac,
     certify_positive,
     short_numeral,
+    walk,
 )
 from dulac.jsonform import from_json, to_json
 from dulac.multiplier import BENDIXSON, PolyMultiplier
@@ -52,12 +54,6 @@ class TestBox2:
     def test_validation(self):
         with pytest.raises(ValueError):
             Box2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-    def test_split_covers(self):
-        parts = SYM.split()
-        assert len(parts) == 4
-        assert {p.x_min for p in parts} == {Fraction(-1), Fraction(0)}
-        assert all(SYM.contains_box(p) for p in parts)
 
     def test_dict_round_trip(self):
         b = Box2(Fraction(-1, 3), Fraction(2), Fraction(0), Fraction(7, 5))
@@ -138,6 +134,32 @@ class TestBernsteinPatch:
         for child in patch.subdivide():
             direct = bernstein_coefficients(p, child.box)
             assert child.coefficients == direct.coefficients
+
+
+class TestWalk:
+    def test_always_split_yields_the_grid_sw_first(self):
+        box = Box2(Fraction(-1, 3), Fraction(2), Fraction(1, 7), Fraction(3))
+        p = parse_poly("x^2*y - 3*x + 1/5")
+        root = bernstein_coefficients(p, box)
+        assert root.box is box
+
+        def quarters(lo, hi):  # grid lines by repeated midpoints
+            mid = (lo + hi) / 2
+            return [lo, (lo + mid) / 2, mid, (mid + hi) / 2, hi]
+
+        xs = quarters(box.x_min, box.x_max)
+        ys = quarters(box.y_min, box.y_max)
+        order = [(0, 0), (1, 0), (0, 1), (1, 1)]  # SW, SE, NW, NE
+        expected = [(2 * a + c, 2 * b + d) for a, b in order for c, d in order]
+        got = list(walk((root,), lambda patches: SPLIT, 2))
+        assert len(got) == 16
+        for (verdict, (patch,), depth), (i, j) in zip(got, expected):
+            assert verdict is SPLIT and depth == 2
+            assert patch.cell == (2, i, j)
+            cell = Box2(xs[i], xs[i + 1], ys[j], ys[j + 1])
+            assert patch.box == cell
+            assert patch.coefficients == bernstein_coefficients(
+                p, cell).coefficients
 
 
 class TestCertifyPositive:

@@ -194,7 +194,8 @@ class TestBasicCommands:
 
 
 class TestFieldAtSeed:
-    """``limit-cycle`` and ``simulate`` where the field is zero or nan."""
+    """``limit-cycle``, ``simulate`` and ``local-dulac`` where the field is
+    zero or nan."""
 
     NAN_FIELD = "P = x^2*y - x*y^2\nQ = 1\n"  # inf - inf far out
     NAN_START = "10^150,10^100"
@@ -214,6 +215,20 @@ class TestFieldAtSeed:
         assert capsys.readouterr().err == (
             "error: the field is not finite at the seed (1e+150, 1e+100): "
             "X = (nan, 1)\n")
+
+    @pytest.mark.parametrize("field", [
+        NAN_FIELD, "P = 1\nQ = x^2*y - x*y^2\n", "P = 0\nQ = x^2*y - x*y^2\n",
+    ], ids=["nan-one", "one-nan", "zero-nan"])
+    def test_local_dulac_nan_field(self, capsys, tmp_path, field):
+        # (nan, 1) passed the zero test, and rings were tried around the point
+        path = tmp_path / "nan.vf"
+        path.write_text(field)
+        code, report = run_json(capsys, ["local-dulac", "--system", str(path),
+                                         "--point", self.NAN_START])
+        assert code == 0
+        assert report["result"]["local_certificates"] == []
+        assert report["notes"] == [
+            "(1e+150, 1e+100): |X(1e+150, 1e+100)| > 1e-09"]
 
     def test_simulate_nan_start_is_step_failure(self, capsys, tmp_path,
                                                 monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 
 from dulac import flow
 from dulac.analyze import AnalyzeConfig, run_analyze
-from dulac.certify import Box2, Conclusion, bendixson
+from dulac.certify import Box2, Conclusion, bendixson, bernstein_coefficients
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from dulac.flow import (
     Classification,
@@ -113,6 +114,52 @@ class TestFindEquilibria:
                    for e in reports)
 
 
+def _level_starts(system, box):
+    """Newton starts of the level-by-level search that ``certify.walk``
+    replaced: every kept (P, Q) cell pair is halved at once,
+    ``EQUILIBRIUM_SPLITS`` times, with its box split at Fraction midpoints."""
+    def may_vanish(*patches):
+        return all(min(map(min, t.numerators)) <= 0 <= max(map(max, t.numerators))
+                   for t in patches)
+
+    def split(b):
+        mx, my = b.x_mid, b.y_mid
+        return (Box2(b.x_min, mx, b.y_min, my), Box2(mx, b.x_max, b.y_min, my),
+                Box2(b.x_min, mx, my, b.y_max), Box2(mx, b.x_max, my, b.y_max))
+
+    cells = [(box, bernstein_coefficients(system.p, box),
+              bernstein_coefficients(system.q, box))]
+    for _ in range(flow.EQUILIBRIUM_SPLITS):
+        cells = [child for b, p, q in cells if may_vanish(p, q)
+                 for child in zip(split(b), p.subdivide(), q.subdivide())]
+    return [(float(b.x_mid), float(b.y_mid))
+            for b, p, q in cells if may_vanish(p, q)]
+
+
+class TestWalkCells:
+    """``find_equilibria`` on ``certify.walk`` starts Newton from the cells
+    the level-by-level search kept, on the analyze workload's regions."""
+
+    FIELDS = {path.stem: path.read_text()
+              for path in sorted(SYSTEMS.glob("*.vf"))}
+    FIELDS["degenerate"] = "P = 3/4*x^3 - 3/4*y^2\nQ = 3/7*x^3"
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_same_newton_starts(self, monkeypatch, name):
+        system = parse_system(self.FIELDS[name])
+        starts = []
+        monkeypatch.setattr(flow, "_newton",
+                            lambda _s, _j, x, y: starts.append((x, y)))
+        rng = random.Random(7)
+        for _ in range(20):  # corners moved by k/256, as analyze moves them
+            k = [rng.randint(-4, 4) for _ in range(4)]
+            region = Box2(Fraction(-1024 + k[0], 256), Fraction(1024 + k[1], 256),
+                          Fraction(-1024 + k[2], 256), Fraction(1024 + k[3], 256))
+            starts.clear()
+            find_equilibria(system, region)
+            assert Counter(starts) == Counter(_level_starts(system, region))
+
+
 class TestZeroTest:
     """Newton, classification and local synthesis share ``flow.ZERO_TOL``."""
 
@@ -171,6 +218,18 @@ class TestClassify:
     def test_not_an_equilibrium(self):
         with pytest.raises(NotAnEquilibriumError):
             classify_equilibrium(VDP, (1.0, 1.0))
+
+    @pytest.mark.parametrize("text", [
+        "P = x^2*y - x*y^2\nQ = 1",  # X = (nan, 1): max is nan
+        "P = 1\nQ = x^2*y - x*y^2",  # X = (1, nan): max is 1
+        "P = 0\nQ = x^2*y - x*y^2",  # X = (0, nan): max is 0
+    ], ids=["nan-one", "one-nan", "zero-nan"])
+    def test_nan_component_is_not_a_zero(self, text):
+        system = parse_system(text)
+        z = (1e150, 1e100)
+        assert any(map(math.isnan, system(z)))
+        with pytest.raises(NotAnEquilibriumError):
+            classify_equilibrium(system, z)
 
     def test_rescaling_invariance(self):
         rng = random.Random(31)

@@ -226,30 +226,18 @@ def check_inverse_integrating_factor(v: Poly,
 
 
 def _normalize_integer_vector(vec):
-    """Scale a rational vector to coprime integers with a positive lead."""
-    denoms = [q.denominator for c in vec for q in (c.re, c.im) if q]
-    if not denoms:
+    """Scale a rational vector to coprime integers with a positive lead.
+
+    The lead is the first nonzero part, real before imaginary.
+    """
+    parts = [q for c in vec for q in (c.re, c.im) if q]
+    if not parts:
         return vec
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    scaled = [CRat(c.re * scale, c.im * scale) for c in vec]
-    numer = 0
-    for c in scaled:
-        numer = math.gcd(numer, abs(c.re.numerator))
-        numer = math.gcd(numer, abs(c.im.numerator))
-    if numer > 1:
-        scaled = [CRat(c.re / numer, c.im / numer) for c in scaled]
-    for c in scaled:
-        if c.re:
-            if c.re < 0:
-                scaled = [-v for v in scaled]
-            break
-        if c.im:
-            if c.im < 0:
-                scaled = [-v for v in scaled]
-            break
-    return scaled
+    scale = Fraction(math.lcm(*(q.denominator for q in parts)),
+                     math.gcd(*(q.numerator for q in parts)))
+    if parts[0] < 0:
+        scale = -scale
+    return [CRat(c.re * scale, c.im * scale) for c in vec]
 
 
 def _vector_weight(vec) -> Fraction:

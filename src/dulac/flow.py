@@ -3,19 +3,20 @@
 Equilibrium location and classification, adaptive Runge-Kutta trajectory
 integration, Poincare return maps, and limit-cycle detection.  Newton
 starts in the cells of ``certify.walk`` where the exact Bernstein ranges of
-P and Q both contain 0.  A point is a zero of the field when |P| and |Q|
-are <= ``ZERO_TOL`` there: Newton stops at it, and ``check_zero`` (which a
-nan fails) applies it for classification and local synthesis.
+P and Q both contain 0.  ``is_zero`` (|P| and |Q| <= ``ZERO_TOL``; a nan
+fails) is the one zero test: Newton stops at it, and ``check_zero``, the
+cycle detector and ``synthesis.flowbox_dulac`` apply it.
 All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
-through one RK 5(4) loop (``_steps``, on any right-hand side) of ``RK45``,
-this module's Dormand-Prince 5(4) on lists of Python floats with scipy's
-controller and dense output.  Events on a step are found by one bisection
-of its dense output (``_locate``).  Every float value of a polynomial comes
-from its cached straight-line functions (``Poly.float_functions``), which
-the RK right-hand sides (``compile_field``) call directly; every other
-float value of the field is ``VectorField.__call__``.  This is the empirical
-cross-check side of the package: nothing here is rigorous, and certificates
-always win over these numbers.
+through one RK 5(4) loop (``_steps``, on any right-hand side), which alone
+checks a run's inputs, of ``RK45``: this module's Dormand-Prince 5(4) on
+lists of Python floats with scipy's arithmetic but not its solver protocol.
+Events on a step are found by one bisection of its dense output
+(``_locate``).  Every float value of a polynomial comes from its cached
+straight-line functions (``Poly.float_functions``), which the RK
+right-hand sides (``compile_field``) call directly; every other float
+value of the field is ``VectorField.__call__``.  This is the empirical
+cross-check side of the package: nothing here is rigorous, and
+certificates always win over these numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .poly import Point, VectorField, float_range_error
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
 EQUILIBRIUM_SPLITS = 5  # at most 4^5 = 1024 cells get a Newton start
-ZERO_TOL = 1e-9  # the one zero test: z is a zero of X if max(|P|, |Q|) <= it
+ZERO_TOL = 1e-9  # the one zero test, ``is_zero``: |P| and |Q| both <= it
 # The cycle search's budgets, for ``limit-cycle`` and ``analyze`` alike:
 # return-map iterations after the first return, the RK tolerance, and the
 # time within which each Poincare return must come.
@@ -207,9 +208,14 @@ def _jacobian_at(jac_polys, x: float, y: float) -> tuple:
     return tuple(f.evaluate((x, y)).real for f in jac_polys)
 
 
+def is_zero(values) -> bool:
+    """The zero test: every value is within ``ZERO_TOL`` of 0 (nan fails)."""
+    return all(abs(v) <= ZERO_TOL for v in values)
+
+
 def check_zero(system: VectorField, z) -> None:
-    """Raise NotAnEquilibriumError unless z passes the zero test (nan fails)."""
-    if not all(abs(v) <= ZERO_TOL for v in system(z)):
+    """Raise NotAnEquilibriumError unless X(z) passes ``is_zero``."""
+    if not is_zero(system(z)):
         raise NotAnEquilibriumError(f"|X({z[0]}, {z[1]})| > {ZERO_TOL:g}")
 
 
@@ -241,7 +247,7 @@ def find_equilibria(system: VectorField, box: Box2) -> list:
     ``EQUILIBRIUM_SPLITS``, dropping a cell once the range of P or of Q
     excludes 0.  A Bernstein range encloses the values on the closed cell,
     so every zero in the box lies in a cell left at that depth.  Newton
-    (stopping at ``ZERO_TOL``) starts at each such cell's centre; of points
+    (stopping at ``is_zero``) starts at each such cell's centre; of points
     within ``DEDUP_RADIUS``, the one with the smallest max(|P|, |Q|) is kept.
     """
     x_min, x_max, y_min, y_max = box.as_floats()
@@ -272,12 +278,11 @@ def _may_vanish(patches):
 
 
 def _newton(system, jac_polys, x, y, max_iter=50):
-    """(max(|P|, |Q|), x, y) once that is <= ZERO_TOL, or None."""
+    """(max(|P|, |Q|), x, y) once X passes ``is_zero``, or None."""
     for _ in range(max_iter):
         fx, fy = system((x, y))
-        residual = max(abs(fx), abs(fy))
-        if residual <= ZERO_TOL:
-            return (residual, x, y)
+        if is_zero((fx, fy)):
+            return (max(abs(fx), abs(fy)), x, y)
         j11, j12, j21, j22 = _jacobian_at(jac_polys, x, y)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
@@ -327,13 +332,14 @@ class RK45:
     Norsett & Wanner, Solving ODEs I, II.4; safety 0.9, factors in
     [0.2, 10], exponent -1/5, a minimum step of 10 spacings of t) and the
     quartic dense output are those of ``scipy.integrate.RK45``, so the steps
-    taken match scipy's up to rounding.  The state may have any length, and
-    ``t_bound`` must differ from ``t0``.  ``fun(t, y)`` maps a list of
-    floats to a list of floats; exceptions it raises propagate.  ``step()``
-    returns None, or a message after which ``status`` is "failed".  The
-    controller itself raises nothing: a zero divisor goes through ``_div``,
-    and a stage that overflows gives an inf or nan error norm, which rejects
-    and shrinks the step, at worst until it falls below the minimum step.
+    taken match scipy's up to rounding.  It runs from t = 0 to ``t_bound =
+    t_span`` with ``tol`` as both tolerances; ``_steps`` checks the inputs.
+    The state may have any length.  ``fun(t, y)`` maps a list of floats to
+    a list of floats; exceptions it raises propagate.  ``step()`` sets
+    ``finished`` on reaching ``t_bound``, and raises _StepFailure only when
+    the step size falls below the minimum step: a zero divisor goes through
+    ``_div``, and a stage that overflows gives an inf or nan error norm,
+    which rejects and shrinks the step.
     """
 
     C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -361,27 +367,18 @@ class RK45:
           69997945 / 29380423))
     SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=math.inf):
-        self.y = [float(v) for v in y0]
-        if not all(map(math.isfinite, self.y)):
-            raise ValueError("all components of the initial state must be "
-                             "finite")
-        if not (rtol > 0 and atol > 0 and max_step > 0):
-            raise ValueError("rtol, atol and max_step must be > 0")
-        if t_bound == t0:
-            raise ValueError("t_bound must differ from t0")
-        self.fun = fun
-        self.t, self.t_bound, self.t_old = float(t0), float(t_bound), None
-        self.direction = 1.0 if t_bound > t0 else -1.0
-        self.rtol, self.atol, self.max_step = rtol, atol, max_step
-        self.status = "running"
+    def __init__(self, fun, y0, t_span, tol):
+        self.fun, self.y, self.tol = fun, list(y0), tol
+        self.t, self.t_bound = 0.0, float(t_span)
+        self.direction = 1.0 if t_span > 0 else -1.0
+        self.finished = False
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
-        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
-        interval = abs(self.t_bound - t0)
-        scale = [self.atol + abs(v) * self.rtol for v in y0]
+        t0, y0, f0, tol = self.t, self.y, self.f, self.tol
+        direction, interval = self.direction, abs(self.t_bound)
+        scale = [tol + abs(v) * tol for v in y0]
         d0 = _rms([v / s for v, s in zip(y0, scale)])
         d1 = _rms([v / s for v, s in zip(f0, scale)])
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -393,13 +390,11 @@ class RK45:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = _div(0.01, max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, interval, self.max_step)
+        return min(100 * h0, h1, interval)
 
-    def step(self):
-        if self.status != "running":
-            raise RuntimeError("attempt to step on a failed or finished solver")
+    def step(self) -> None:
         t, y, k1, t_bound = self.t, self.y, self.f, self.t_bound
-        fun, direction, rtol, atol = self.fun, self.direction, self.rtol, self.atol
+        fun, direction, tol = self.fun, self.direction, self.tol
         c2, c3, c4, c5 = self.C[1:5]
         (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
             (a61, a62, a63, a64, a65) = self.A[1:]
@@ -408,17 +403,13 @@ class RK45:
         safety, exponent = self.SAFETY, self.ERROR_EXPONENT
 
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        # not max(): a nan step size must stay nan
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected = False
         while True:
             if h_abs < min_step:
-                self.status = "failed"
-                return "Required step size is less than spacing between numbers."
+                raise _StepFailure(
+                    "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -437,10 +428,10 @@ class RK45:
             y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
                      for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
             k7 = fun(t + h, y_new)
-            # scale >= atol > 0, and a nan norm rejects the step
+            # scale >= tol > 0, and a nan norm rejects the step
             error_norm = _rms([
                 (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
-                / (atol + max(abs(v), abs(vn)) * rtol)
+                / (tol + max(abs(v), abs(vn)) * tol)
                 for v, vn, p, r, s, u, w, z
                 in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
             if error_norm < 1:
@@ -457,14 +448,10 @@ class RK45:
 
         self.t_old, self.y_old, self.K = t, y, (k1, k2, k3, k4, k5, k6, k7)
         self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h_abs
-        if direction * (t_new - t_bound) >= 0:
-            self.status = "finished"
-        return None
+        self.finished = direction * (t_new - t_bound) >= 0
 
     def dense_output(self):
         """The quartic interpolant over the last step, as a function of t."""
-        if self.t_old is None:
-            raise RuntimeError("dense output needs a successful step")
         t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
         q = []  # q[i][c]: the sum over stages of K[j][i] * P[j][c]
         for i in range(len(y_old)):
@@ -485,39 +472,35 @@ class RK45:
         return dense
 
 
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless ``tol`` is an RK tolerance ``_steps`` takes."""
-    if not 1e-13 <= tol <= 1e-3:
-        raise ValueError("tol must lie in [1e-13, 1e-3]")
-
-
 def _steps(fun, y0, t_span: float, tol: float):
     """Yield the RK 5(4) solver after each accepted step over [0, t_span].
 
     ``fun(t, y)`` is the right-hand side and ``y0`` a state of any length.
-    Raises ValueError on a bad tol or t_span (not finite and nonzero), and
-    _StepFailure if the right-hand side is not finite at y0, a step fails
-    (its size fell below the spacing of floats at t, as on blow-up) or
-    MAX_STEPS accepted steps do not reach t_span.  ``RK45`` is read from
-    the module at call time, so it can be wrapped from outside.
+    This is the one place a run's inputs are checked.  Raises ValueError
+    unless tol lies in [1e-13, 1e-3], t_span is finite and nonzero and y0
+    is finite, and _StepFailure if the right-hand side is not finite at y0,
+    a step fails (its size fell below the spacing of floats at t, as on
+    blow-up) or MAX_STEPS accepted steps do not reach t_span.  ``RK45`` is
+    read from the module at call time, so it can be wrapped from outside.
     """
-    check_tol(tol)
+    if not 1e-13 <= tol <= 1e-3:
+        raise ValueError("tol must lie in [1e-13, 1e-3]")
     if not (math.isfinite(t_span) and t_span):
         raise ValueError(f"time span must be finite and nonzero, got {t_span}")
-    solver = RK45(fun, 0.0, y0, t_bound=t_span, rtol=tol, atol=tol,
-                  max_step=abs(t_span))
+    y0 = [float(v) for v in y0]
+    if not all(map(math.isfinite, y0)):
+        raise ValueError("all components of the initial state must be finite")
+    solver = RK45(fun, y0, t_span, tol)
     # a non-finite derivative gives a nan step size, which neither passes
     # the error test nor falls below the minimum step, so step() would loop
     if not all(math.isfinite(v) for v in solver.f):
         raise _StepFailure("the right-hand side is not finite at the start")
     steps = 0
-    while solver.status == "running":
+    while not solver.finished:
         if steps == MAX_STEPS:
             raise _StepFailure(
                 f"{MAX_STEPS} steps reached only t = {solver.t:.6g}")
-        message = solver.step()
-        if solver.status == "failed":
-            raise _StepFailure(message)
+        solver.step()
         steps += 1
         yield solver
 
@@ -634,7 +617,7 @@ def detect_limit_cycle(system: VectorField, seed,
     center, converges immediately with slope 1).  Raises ValueError for
     max_iters < 0, a max_time that is not finite and > 0 (a negative one
     would run the map backward), a seed that passes the zero test
-    (max(|P|, |Q|) <= ZERO_TOL) and a field that is not finite at the seed,
+    (``is_zero``) and a field that is not finite at the seed,
     all before any return; and CycleNotFoundError when a return fails or
     the iteration does not converge.
     """
@@ -646,7 +629,7 @@ def detect_limit_cycle(system: VectorField, seed,
     if not (math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError(f"the field is not finite at the seed ({seed[0]:.6g}, "
                          f"{seed[1]:.6g}): X = ({vx:g}, {vy:g})")
-    if max(abs(vx), abs(vy)) <= ZERO_TOL:
+    if is_zero((vx, vy)):
         raise ValueError(f"seed ({seed[0]:.6g}, {seed[1]:.6g}) is a zero of "
                          f"the field: max(|P|, |Q|) <= {ZERO_TOL:g}")
     section = Section.through(seed, (vx, vy))

@@ -30,7 +30,7 @@ from .errors import (
     SingularAnsatzError,
     TraceZeroError,
 )
-from .flow import ZERO_TOL, _steps, _StepFailure, check_zero
+from .flow import _steps, _StepFailure, check_zero, is_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (Point, Poly, VectorField, div_product, divergence,
@@ -263,7 +263,7 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
 
     Returns (multiplier, sign carrier for the full nonlinear field,
     exact equilibrium coordinates).  Raises NotAnEquilibriumError when eq
-    fails ``flow``'s zero test (``ZERO_TOL``), or the errors of
+    fails ``flow``'s zero test (``is_zero``), or the errors of
     quadratic_dulac_linear for the Jacobian (TraceZeroError,
     DoubleZeroEigenvalueError, SingularAnsatzError).
     """
@@ -343,7 +343,7 @@ def flowbox_dulac(system: VectorField, transversal,
     Seeds B = 1 on the transversal segment and steps the state (x, y, B),
     with dB/dt = g(z(t)) - B*DivX(z(t)), through ``flow``'s RK loop at tol
     1e-10, reading n_along fixed times from each step's dense output.  Fails
-    if a sample passes ``flow``'s zero test (``ZERO_TOL``), if g is not
+    if a sample passes ``flow``'s zero test (``is_zero``), if g is not
     finite and strictly positive at a sample, if a trajectory cannot be
     integrated across [0, t_span], or if the central-difference divergence
     of B*X is not finite and positive at an interior node (the first such
@@ -393,7 +393,7 @@ def flowbox_dulac(system: VectorField, transversal,
             z = Point(xk, yk)
             pk, qk = system(z)
             gk = g.evaluate(z).real
-            if max(abs(pk), abs(qk)) <= ZERO_TOL:
+            if is_zero((pk, qk)):
                 raise FlowBoxError("equilibrium encountered", node=(i, k))
             if not (math.isfinite(gk) and gk > 0):
                 raise FlowBoxError("g is not strictly positive and finite "

@@ -153,6 +153,12 @@ class TestBasicCommands:
         assert code == 0
         assert report["result"]["verdict"] == "inverse integrating factor"
 
+    def test_inv_intfactor_rejects_exp(self, capsys):
+        assert main(["inv-intfactor", "--system", SADDLE, "--multiplier",
+                     "exp(x)"]) == 3
+        assert capsys.readouterr().err == (
+            "error: inverse integrating factors must be polynomials\n")
+
     def test_darboux(self, capsys):
         code, report = run_json(capsys, [
             "darboux", "--system", SADDLE, "--curves", "x;y"])

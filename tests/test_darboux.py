@@ -29,6 +29,7 @@ from conftest import rand_poly
 SADDLE = parse_system("P = x\nQ = -y")
 CUBIC = parse_system(
     "P = -y + x*(1 - x^2 - y^2)\nQ = x + y*(1 - x^2 - y^2)")
+FOCUS = parse_system("P = x - y\nQ = x + y")
 
 
 class TestCofactor:
@@ -228,6 +229,22 @@ class TestDarbouxFirstIntegral:
     def test_requires_input(self):
         with pytest.raises(ValueError):
             darboux_first_integral([])
+
+    @pytest.mark.parametrize("system,curves,expected", [
+        # three curves: a kernel of two basis vectors
+        (SADDLE, "x;y;x*y", "(x)^0 * (y)^0 * (x*y)^1"),
+        # only the sum of two basis vectors is this light
+        (SADDLE, "x^2;y;x", "(x^2)^0 * (y)^1 * (x)^1"),
+        # complex exponents, led by an imaginary part of either sign
+        (FOCUS, "x+i*y;x-i*y", "(x + i*y)^(0 + i) * (x - i*y)^1"),
+        (FOCUS, "x-i*y;x+i*y", "(x - i*y)^(0 + i) * (x + i*y)^-1"),
+        (FOCUS, "x+i*y;x^2+y^2", "(x + i*y)^(1 - i) * (x^2 + y^2)^-1"),
+    ])
+    def test_printed_relation(self, system, curves, expected):
+        expr = darboux_first_integral(
+            [cofactor_of(parse_poly(f), system) for f in curves.split(";")])
+        assert expr.is_first_integral
+        assert str(expr) == expected
 
 
 class TestVerifyFirstIntegral:

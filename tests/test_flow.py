@@ -163,6 +163,14 @@ class TestWalkCells:
 class TestZeroTest:
     """Newton, classification and local synthesis share ``flow.ZERO_TOL``."""
 
+    @pytest.mark.parametrize("values,zero", [
+        ((5e-10, 0.0), True), ((2e-9, 0.0), False), ((math.nan, 1.0), False),
+        ((1.0, math.nan), False), ((0.0, math.nan), False),
+    ])
+    def test_is_zero(self, values, zero):
+        # max(0.0, nan) is 0.0, so a max() of the parts would pass (0, nan)
+        assert flow.is_zero(values) is zero
+
     @pytest.mark.parametrize("x,accepted", [(5e-10, True), (2e-9, False)])
     def test_both_sides_use_zero_tol(self, x, accepted):
         assert flow.ZERO_TOL == 1e-9
@@ -350,6 +358,12 @@ class TestIntegrate:
         assert traj.status is TrajectoryStatus.STEP_FAILURE
         assert traj.times == (0.0,)
 
+    def test_infinite_start_rejected(self):
+        rot = parse_system("P = -y\nQ = x")
+        with pytest.raises(ValueError, match="all components of the initial "
+                                             "state must be finite"):
+            integrate(rot, (math.inf, 0.0), 1.0)
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             integrate(VDP, (1.0, 0.0), 1.0, tol=1e-2)
@@ -437,7 +451,9 @@ class TestRK45AgainstScipy:
     }
 
     @staticmethod
-    def _run(solver_cls, fun, y0, t_span, tol, max_steps=None):
+    def _run(scipy, fun, y0, t_span, tol, max_steps=None):
+        """Step scipy's RK45 (scipy's form, from t0 = 0 with rtol = atol =
+        tol and max_step = |t_span|) or ours to its end or max_steps."""
         calls = 0
 
         def counted(t, y):
@@ -445,21 +461,25 @@ class TestRK45AgainstScipy:
             calls += 1
             return fun(t, y)
 
-        solver = solver_cls(counted, 0.0, list(y0), t_bound=t_span, rtol=tol,
-                            atol=tol, max_step=abs(t_span))
+        if scipy:
+            solver = pytest.importorskip("scipy.integrate").RK45(
+                counted, 0.0, list(y0), t_bound=t_span, rtol=tol, atol=tol,
+                max_step=abs(t_span))
+        else:
+            solver = flow.RK45(counted, list(y0), t_span, tol)
         steps = 0
-        while solver.status == "running" and steps != max_steps:
+        while (solver.status == "running" if scipy else not solver.finished) \
+                and steps != max_steps:
             assert solver.step() is None
             steps += 1
         return solver, steps, calls
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_counts_and_endpoint(self, case):
-        scipy_rk45 = pytest.importorskip("scipy.integrate").RK45
         fun, y0, t_span, tol = self.CASES[case]
-        ref, ref_steps, ref_calls = self._run(scipy_rk45, fun, y0, t_span, tol)
-        own, steps, calls = self._run(flow.RK45, fun, y0, t_span, tol)
-        assert own.status == ref.status == "finished"
+        ref, ref_steps, ref_calls = self._run(True, fun, y0, t_span, tol)
+        own, steps, calls = self._run(False, fun, y0, t_span, tol)
+        assert own.finished and ref.status == "finished"
         assert (steps, calls) == (ref_steps, ref_calls)
         assert own.t == ref.t == t_span
         assert max(abs(a - b) for a, b in zip(own.y, ref.y)) <= 1e-9
@@ -467,10 +487,9 @@ class TestRK45AgainstScipy:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_first_step_and_dense_output(self, case):
         # one step from the same state is the same step, up to rounding
-        scipy_rk45 = pytest.importorskip("scipy.integrate").RK45
         fun, y0, t_span, tol = self.CASES[case]
-        ref, _, _ = self._run(scipy_rk45, fun, y0, t_span, tol, max_steps=1)
-        own, _, _ = self._run(flow.RK45, fun, y0, t_span, tol, max_steps=1)
+        ref, _, _ = self._run(True, fun, y0, t_span, tol, max_steps=1)
+        own, _, _ = self._run(False, fun, y0, t_span, tol, max_steps=1)
         assert own.t == pytest.approx(ref.t, rel=1e-12)
         ref_dense, dense = ref.dense_output(), own.dense_output()
         for frac in (0.0, 0.3, 0.5, 1.0):
@@ -489,27 +508,26 @@ class TestRK45AgainstScipy:
         # the initial step underflows to 0, so its curvature estimate is
         # 0/0; the stages then overflow and every step is rejected
         huge = parse_system("P = x^2*y - x*y^2\nQ = 10^200")
-        solver = flow.RK45(flow.compile_field(huge), 0.0, (1e103, 1e102),
-                           t_bound=1e-97, rtol=1e-9, atol=1e-9, max_step=1e-97)
+        solver = flow.RK45(flow.compile_field(huge), (1e103, 1e102), 1e-97,
+                           1e-9)
         assert solver.h_abs == 0.0
-        assert solver.step() == ("Required step size is less than spacing "
-                                 "between numbers.")
-        assert solver.status == "failed"
+        with pytest.raises(flow._StepFailure) as info:
+            solver.step()
+        assert str(info.value) == ("Required step size is less than spacing "
+                                   "between numbers.")
 
     def test_field_errors_propagate(self):
         # an exception raised by the right-hand side is not a failed step
         far = parse_system("P = x^3\nQ = 1")
         with pytest.raises(ValueError, match="beyond float range"):
-            flow.RK45(flow.compile_field(far), 0.0, (1e200, 0.0),
-                      t_bound=1.0, rtol=1e-9, atol=1e-9)
+            flow.RK45(flow.compile_field(far), (1e200, 0.0), 1.0, 1e-9)
 
         def fails_after_start(t, y):
             if t > 0:
                 raise ZeroDivisionError("raised by the field")
             return _rotation(t, y)
 
-        solver = flow.RK45(_rotation, 0.0, (1.0, 0.0),
-                           t_bound=1.0, rtol=1e-9, atol=1e-9)
+        solver = flow.RK45(_rotation, (1.0, 0.0), 1.0, 1e-9)
         solver.fun = fails_after_start
         with pytest.raises(ZeroDivisionError, match="raised by the field"):
             solver.step()
@@ -697,10 +715,9 @@ class TestDetectLimitCycle:
         # the loop sampling, bounded by the period, fails
         class FailsWithinPeriod(flow.RK45):
             def step(self):
-                message = super().step()
+                super().step()
                 if abs(self.t_bound) < 50.0:
-                    self.status = "failed"
-                return message
+                    raise flow._StepFailure("failed within the period")
 
         monkeypatch.setattr(flow, "RK45", FailsWithinPeriod)
         rot = parse_system("P = -y\nQ = x")

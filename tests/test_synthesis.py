@@ -180,6 +180,11 @@ class TestGradientMultipliers:
         with pytest.raises(ConstantInputError):
             gradient_multipliers(Poly.const(2))
 
+    def test_complex_potential_rejected(self):
+        with pytest.raises(ValueError,
+                           match="potential must have real coefficients"):
+            gradient_multipliers(parse_poly("i*x^2"))
+
 
 class TestLocalDulac:
     def test_van_der_pol_multiplier(self):
@@ -474,6 +479,25 @@ class TestFlowBox:
         with pytest.raises(ValueError, match="underflows to 0"):
             flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
                           n_across=5, n_along=9, t_span=1e-323)
+
+    def test_nan_transversal_end_rejected(self):
+        rot = VectorField(parse_poly("-y"), parse_poly("x"))
+        with pytest.raises(ValueError, match="all components of the initial "
+                                             "state must be finite"):
+            flowbox_dulac(rot, ((1.0, 0.0), (math.nan, 0.0)))
+
+    def test_too_few_nodes_rejected(self):
+        rot = VectorField(parse_poly("-y"), parse_poly("x"))
+        with pytest.raises(ValueError, match=r"need n_across >= 3 and "
+                                             r"n_along >= 3 for interior "
+                                             r"nodes"):
+            flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), n_across=2)
+
+    def test_field_beyond_float_range(self):
+        field = VectorField(parse_poly("x^3"), parse_poly("1"))
+        with pytest.raises(ValueError) as info:
+            flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)))
+        assert str(info.value) == "x^3 at (1e+200, 0) is beyond float range"
 
     def test_blowup_leaves_integration_window(self):
         field = VectorField(parse_poly("x^2"), parse_poly("1"))

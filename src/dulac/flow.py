@@ -10,11 +10,13 @@ All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
 through one RK 5(4) loop (``_steps``, on any right-hand side), which alone
 checks a run's inputs, of ``RK45``: this module's Dormand-Prince 5(4) on
 lists of Python floats with scipy's arithmetic but not its solver protocol.
-Events on a step are found by one bisection of its dense output
-(``_locate``).  Every float value of a polynomial comes from its cached
-straight-line functions (``Poly.float_functions``), which the RK
-right-hand sides (``compile_field``) call directly; every other float
-value of the field is ``VectorField.__call__``.  This is the empirical
+Its stages are straight-line code generated from its tableau once per
+state length (``_attempt_kernel``).  Events on a step are found by one
+bisection of its dense output (``_locate``).  Every float value of a
+polynomial comes from its cached straight-line functions
+(``Poly.float_functions``), which the RK right-hand sides
+(``compile_field``) call directly; every other float value of the field is
+``VectorField.__call__``.  This is the empirical
 cross-check side of the package: nothing here is rigorous, and
 certificates always win over these numbers.
 """
@@ -22,6 +24,7 @@ certificates always win over these numbers.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -325,6 +328,58 @@ def _rms(v) -> float:
     return math.sqrt(total) / len(v) ** 0.5
 
 
+@functools.cache
+def _attempt_kernel(n: int, c, a, b, e):
+    """Generate, on the first call for each state length ``n`` and tableau,
+    ``attempt(fun, t, h, y, k1, tol)``: one trial step of size h from
+    (t, y), where k1 = fun(t, y).  It returns ``(y_new, (k1, ..., k7),
+    error_norm)``.
+
+    Stage j calls ``fun(t + c[j-1] * h, [y_i + (sum of a[j-1][m] * k_m,i)
+    * h])``, ``y_new`` is ``y_i + h * (sum of b[m] * k_m,i)``, k7 is
+    ``fun(t + h, y_new)``, and the error norm is the RMS of ``(sum of e[m]
+    * k_m,i) * h / (tol + max(|y_i|, |y_new_i|) * tol)``.  Every sum runs
+    left to right and leaves out zero weights, and the RMS adds the squares
+    to ``0.0`` one by one: ``sum()`` compensates its float sums from Python
+    3.12 on, which would change the bits.  So the values are those of the
+    same arithmetic written over lists, on every Python version.  The
+    source holds only float reprs and names.
+    """
+    comps = range(n)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in comps)
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{m}_{i}"
+                          for m, w in enumerate(weights, 1) if w)
+
+    lines = ["def attempt(fun, t, h, y, k1, tol):",
+             f"    {names('y')}, = y",
+             f"    {names('k1')}, = k1"]
+    for j in range(2, len(a) + 1):
+        state = ", ".join(f"y_{i} + ({combo(a[j - 1], i)}) * h" for i in comps)
+        lines.append(f"    k{j} = fun(t + {c[j - 1]!r} * h, [{state}])")
+        lines.append(f"    {names(f'k{j}')}, = k{j}")
+    last = len(b) + 1
+    lines += [f"    n_{i} = y_{i} + h * ({combo(b, i)})" for i in comps]
+    lines.append(f"    y_new = [{names('n')}]")
+    lines.append(f"    k{last} = fun(t + h, y_new)")
+    lines.append(f"    {names(f'k{last}')}, = k{last}")
+    for i in comps:
+        lines.append(f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})")
+        # max(u, v) is u unless v > u, also where one is nan
+        lines.append(f"    r_{i} = ({combo(e, i)}) * h / "
+                     f"(tol + (v_{i} if v_{i} > u_{i} else u_{i}) * tol)")
+    squares = " + ".join(f"r_{i} * r_{i}" for i in comps)
+    stages = ", ".join(f"k{j}" for j in range(1, last + 1))
+    lines.append(f"    return y_new, ({stages}), "
+                 f"sqrt(0.0 + {squares}) / {n ** 0.5!r}")
+    namespace = {"__builtins__": {}, "abs": abs, "sqrt": math.sqrt}
+    exec(compile("\n".join(lines), "<RK45 attempt>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 class RK45:
     """Dormand-Prince 5(4) with FSAL on a state of Python floats.
 
@@ -339,7 +394,13 @@ class RK45:
     ``finished`` on reaching ``t_bound``, and raises _StepFailure only when
     the step size falls below the minimum step: a zero divisor goes through
     ``_div``, and a stage that overflows gives an inf or nan error norm,
-    which rejects and shrinks the step.
+    which rejects and shrinks the step.  A trial step (stages k2 to k7,
+    ``y_new`` and the error norm) is one call of ``_attempt_kernel``'s code
+    for the state's length and this class's ``C``, ``A``, ``B`` and ``E``,
+    generated when the first solver of that length is built.  It calls
+    ``fun`` once per stage, leaves out zero tableau entries and sums left
+    to right, not with ``sum()``, which compensates from Python 3.12 on, so
+    its floats are those of the stages written over lists.
     """
 
     C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -374,6 +435,8 @@ class RK45:
         self.finished = False
         self.f = fun(self.t, self.y)
         self.h_abs = self._initial_step()
+        self._attempt = _attempt_kernel(len(self.y), self.C, self.A, self.B,
+                                        self.E)
 
     def _initial_step(self) -> float:
         t0, y0, f0, tol = self.t, self.y, self.f, self.tol
@@ -395,11 +458,7 @@ class RK45:
     def step(self) -> None:
         t, y, k1, t_bound = self.t, self.y, self.f, self.t_bound
         fun, direction, tol = self.fun, self.direction, self.tol
-        c2, c3, c4, c5 = self.C[1:5]
-        (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-            (a61, a62, a63, a64, a65) = self.A[1:]
-        b1, _, b3, b4, b5, b6 = self.B
-        e1, _, e3, e4, e5, e6, e7 = self.E
+        attempt = self._attempt
         safety, exponent = self.SAFETY, self.ERROR_EXPONENT
 
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -415,25 +474,8 @@ class RK45:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            k2 = fun(t + c2 * h, [v + a21 * p * h for v, p in zip(y, k1)])
-            k3 = fun(t + c3 * h, [v + (a31 * p + a32 * q) * h
-                                  for v, p, q in zip(y, k1, k2)])
-            k4 = fun(t + c4 * h, [v + (a41 * p + a42 * q + a43 * r) * h
-                                  for v, p, q, r in zip(y, k1, k2, k3)])
-            k5 = fun(t + c5 * h, [v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                                  for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h, [v + (a61 * p + a62 * q + a63 * r + a64 * s
-                                  + a65 * u) * h
-                             for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
-                     for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
             # scale >= tol > 0, and a nan norm rejects the step
-            error_norm = _rms([
-                (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
-                / (tol + max(abs(v), abs(vn)) * tol)
-                for v, vn, p, r, s, u, w, z
-                in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            y_new, K, error_norm = attempt(fun, t, h, y, k1, tol)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -446,8 +488,8 @@ class RK45:
             h_abs *= max(self.MIN_FACTOR, safety * error_norm ** exponent)
             rejected = True
 
-        self.t_old, self.y_old, self.K = t, y, (k1, k2, k3, k4, k5, k6, k7)
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h_abs
+        self.t_old, self.y_old, self.K = t, y, K
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, K[-1], h_abs
         self.finished = direction * (t_new - t_bound) >= 0
 
     def dense_output(self):
@@ -571,6 +613,12 @@ def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
 # --- Poincare sections ----------------------------------------------------------
 
 
+def _check_max_time(max_time: float) -> None:
+    """Raise ValueError unless a return's time budget is finite and > 0."""
+    if not (math.isfinite(max_time) and max_time > 0):
+        raise ValueError(f"max_time must be finite and > 0, got {max_time}")
+
+
 def poincare_return(system: VectorField, section: Section, z0,
                     max_time: float = CYCLE_MAX_TIME, tol: float = CYCLE_TOL):
     """First return of the trajectory from z0 to the section.
@@ -579,9 +627,12 @@ def poincare_return(system: VectorField, section: Section, z0,
     1e-6 off the section, a return is the first step whose signed distance
     goes from negative to zero or positive; it is located by bisection on
     the step's dense output until the signed distance is below 1e-10.
-    Raises NoReturnError if no return occurs within max_time, or if the
-    integrator fails or runs out of its step budget first.
+    Raises ValueError for a max_time that is not finite and > 0 (a negative
+    one would run backward and meet the section half a turn early), and
+    NoReturnError if no return occurs within max_time, or if the integrator
+    fails or runs out of its step budget first.
     """
+    _check_max_time(max_time)
     if abs(section.signed_distance(z0)) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
     s_old = section.signed_distance(z0)
@@ -623,8 +674,7 @@ def detect_limit_cycle(system: VectorField, seed,
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not (math.isfinite(max_time) and max_time > 0):
-        raise ValueError(f"max_time must be finite and > 0, got {max_time}")
+    _check_max_time(max_time)
     vx, vy = system(seed)
     if not (math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError(f"the field is not finite at the seed ({seed[0]:.6g}, "

@@ -2,7 +2,10 @@
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +36,7 @@ from dulac.synthesis import local_quadratic_multiplier
 from conftest import perturbed_linear_field, rand_field, same_float
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+SRC = SYSTEMS.parent / "src"
 VDP = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
 BOX3 = Box2(Fraction(-3), Fraction(3), Fraction(-3), Fraction(3))
 
@@ -540,6 +544,149 @@ class TestRK45AgainstScipy:
         assert abs(report.amplitude_x - 2.0086198608192407) <= 1e-9
 
 
+def _list_attempt(fun, t, h, y, k1, tol):
+    """One trial step of RK45 with its stages written over lists: the
+    reference that the generated kernel must match bit for bit.  Returns
+    (y_new, (k1, ..., k7), error_norm)."""
+    rk = flow.RK45
+    c2, c3, c4, c5 = rk.C[1:5]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = rk.A[1:]
+    b1, _, b3, b4, b5, b6 = rk.B
+    e1, _, e3, e4, e5, e6, e7 = rk.E
+    k2 = fun(t + c2 * h, [v + a21 * p * h for v, p in zip(y, k1)])
+    k3 = fun(t + c3 * h, [v + (a31 * p + a32 * q) * h
+                          for v, p, q in zip(y, k1, k2)])
+    k4 = fun(t + c4 * h, [v + (a41 * p + a42 * q + a43 * r) * h
+                          for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = fun(t + c5 * h, [v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                          for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = fun(t + h, [v + (a61 * p + a62 * q + a63 * r + a64 * s
+                          + a65 * u) * h
+                     for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+             for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+    k7 = fun(t + h, y_new)
+    error_norm = flow._rms([
+        (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+        / (tol + max(abs(v), abs(vn)) * tol)
+        for v, vn, p, r, s, u, w, z
+        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), error_norm
+
+
+class _ListRK45(flow.RK45):
+    """RK45 stepping with the list form of the stages."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._attempt = _list_attempt
+
+
+def _same_floats(a, b) -> bool:
+    return len(a) == len(b) and all(map(same_float, a, b))
+
+
+def _same_attempt(got, ref) -> bool:
+    (y_new, stages, norm), (ref_y, ref_stages, ref_norm) = got, ref
+    return (_same_floats(y_new, ref_y) and same_float(norm, ref_norm)
+            and len(stages) == len(ref_stages) == 7
+            and all(map(_same_floats, stages, ref_stages)))
+
+
+class TestAttemptKernel:
+    """The generated straight-line stages against their list form."""
+
+    CASES = {
+        **TestRK45AgainstScipy.CASES,
+        # Van der Pol with mu = 10: the controller rejects steps by itself
+        "stiff_rejections": (
+            lambda t, z: [z[1], 10.0 * (1 - z[0] * z[0]) * z[1] - z[0]],
+            (2.0, 0.0), 3.0, 1e-6),
+    }
+
+    @staticmethod
+    def _run(cls, fun, y0, t_span, tol):
+        """Every accepted (t, y, h_abs, K) and the number of right-hand
+        sides of a whole run whose first step is tried over the whole span."""
+        calls = 0
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return fun(t, y)
+
+        solver = cls(counted, list(y0), t_span, tol)
+        solver.h_abs = abs(t_span)
+        states = []
+        while not solver.finished:
+            solver.step()
+            states.append((solver.t, solver.y, solver.h_abs, solver.K))
+        return states, calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_whole_run_bit_for_bit(self, case):
+        fun, y0, t_span, tol = self.CASES[case]
+        states, calls = self._run(flow.RK45, fun, y0, t_span, tol)
+        ref_states, ref_calls = self._run(_ListRK45, fun, y0, t_span, tol)
+        assert calls == ref_calls
+        # 2 right-hand sides at the start, 6 per attempt: some were rejected
+        assert calls - 2 > 6 * len(states)
+        assert len(states) == len(ref_states)
+        for (t, y, h_abs, K), (rt, ry, rh, rK) in zip(states, ref_states):
+            assert same_float(t, rt) and same_float(h_abs, rh)
+            assert _same_floats(y, ry)
+            assert all(map(_same_floats, K, rK))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_accepted_and_rejected_attempts(self, case):
+        # from each state of a run, the step the controller takes and one
+        # 16 times as long, which is rejected
+        fun, y0, t_span, tol = self.CASES[case]
+        solver = flow.RK45(fun, list(y0), t_span, tol)
+        rejected = 0
+        while not solver.finished:
+            t, y, k1 = solver.t, solver.y, solver.f
+            h = solver.h_abs * solver.direction
+            for trial in (h, 16 * h):
+                got = solver._attempt(fun, t, trial, y, k1, tol)
+                assert _same_attempt(got, _list_attempt(fun, t, trial, y, k1,
+                                                        tol))
+                rejected += not got[2] < 1
+            solver.step()
+        assert rejected > 0
+
+    def test_overflowing_stages(self):
+        # the field of test_huge_field_is_a_failed_step: its stages overflow
+        # to inf and nan, and every attempt is rejected
+        huge = parse_system("P = x^2*y - x*y^2\nQ = 10^200")
+        fun = flow.compile_field(huge)
+        solver = flow.RK45(fun, (1e103, 1e102), 1e-97, 1e-9)
+        norms = []
+        for h in (5e-323, 1e-300, 1e-250, -1e-250):
+            got = solver._attempt(fun, 0.0, h, solver.y, solver.f, 1e-9)
+            ref = _list_attempt(fun, 0.0, h, solver.y, solver.f, 1e-9)
+            assert _same_attempt(got, ref)
+            norms.append(got[2])
+        assert any(math.isnan(v) for v in norms)
+        assert not any(v < 1 for v in norms)
+
+    def test_generated_lazily_once_per_length(self):
+        # importing the package generates no kernel; solvers of one state
+        # length share one
+        script = (
+            "import dulac, dulac.flow as f\n"
+            "info = f._attempt_kernel.cache_info\n"
+            "assert info().currsize == 0, info()\n"
+            "rot = lambda t, y: [-y[1], y[0]]\n"
+            "a = f.RK45(rot, [1.0, 0.0], 1.0, 1e-9)\n"
+            "b = f.RK45(rot, [0.0, 2.0], -3.0, 1e-6)\n"
+            "c = f.RK45(lambda t, y: [1.0, 0.0, y[0]], [0.0] * 3, 1.0, 1e-9)\n"
+            "assert a._attempt is b._attempt is not c._attempt\n"
+            "assert info().misses == 2, info()\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
 class TestPoincare:
     def test_rotation_full_turn(self):
         rot = parse_system("P = -y\nQ = x")
@@ -582,6 +729,14 @@ class TestPoincare:
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(NoReturnError, match="integration failed"):
             poincare_return(rot, section, (1.0, 0.0), max_time=10.0)
+
+    @pytest.mark.parametrize("max_time", [-100.0, 0.0, math.nan, math.inf])
+    def test_bad_max_time_raises(self, max_time):
+        # -100 ran backward and returned the half-turn (-1, -4e-11) at t = -pi
+        rot = parse_system((SYSTEMS / "rotation.vf").read_text())
+        section = Section.through((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="max_time must be finite and > 0"):
+            poincare_return(rot, section, (1.0, 0.0), max_time=max_time)
 
     def test_requires_point_on_section(self):
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from dulac.errors import DulacError
 from dulac.synthesis import (
     Matrix2,
     Reading,
@@ -36,10 +37,10 @@ def main() -> int:
     while checked < args.n:
         m = Matrix2(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                       for _ in range(4)))
-        if m.trace == 0 or (3 * m.a ** 2 + 10 * m.a * m.d
-                            - 4 * m.b * m.c + 3 * m.d ** 2) == 0:
+        try:
+            solved = quadratic_dulac_linear(m)
+        except DulacError:  # zero trace or a singular ansatz
             continue
-        solved = quadratic_dulac_linear(m)
         for reading in tallies:
             _, _, b11 = printed_coefficients(m, reading)
             if b11 == solved.b11:

@@ -143,8 +143,9 @@ def cofactor_of(f: Poly, system: VectorField,
     Fails with NotInvariantError (carrying the remainder) when f does not
     divide <grad f, X>.  For real curves of degree >= 2 the degeneracy
     condition is probed numerically: a common zero of f and grad f that is
-    not a zero of X is reported as a DegenerateCurveWarning.  The probe is
-    advisory and can be switched off for bulk symbolic work.
+    not a zero of X (|P| or |Q| over 1e-6, or nan) is reported as a
+    DegenerateCurveWarning.  The probe is advisory and can be switched off
+    for bulk symbolic work.
     """
     if f.is_constant:
         raise ConstantInputError("invariant function must be nonconstant")
@@ -170,8 +171,9 @@ def _warn_degenerate_points(f: Poly, system: VectorField,
     gradient_field = VectorField(p=fx, q=fy)
     for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
         z = report.location
+        # nan fails <=, so a nan P or Q counts as nonzero
         if (abs(f.evaluate(z).real) < 1e-6
-                and max(map(abs, system(z))) > 1e-6):
+                and not all(abs(v) <= 1e-6 for v in system(z))):
             warnings.warn(
                 f"singular point ({z.x:.6g}, {z.y:.6g}) of the curve is "
                 f"not a zero of the field",

@@ -15,7 +15,8 @@ state length (``_attempt_kernel``).  Events on a step are found by one
 bisection of its dense output (``_locate``).  Every float value of a
 polynomial comes from its cached straight-line functions
 (``Poly.float_functions``), which the RK right-hand sides
-(``compile_field``) call directly; every other float value of the field is
+(``compile_field``) call directly and which raise the "beyond float range"
+ValueError themselves; every other float value of the field is
 ``VectorField.__call__``.  This is the empirical
 cross-check side of the package: nothing here is rigorous, and
 certificates always win over these numbers.
@@ -32,7 +33,7 @@ from typing import Optional
 
 from .certify import DROP, SPLIT, Box2, bernstein_coefficients, walk
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, VectorField, float_range_error
+from .poly import Point, VectorField
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
@@ -157,18 +158,14 @@ def compile_field(system: VectorField):
     """ODE right-hand side f(t, [x, y]) -> [P, Q] on Python floats.
 
     It calls the real parts of ``Poly.float_functions`` directly, so its
-    values are those of ``Poly.evaluate``, and so is its ValueError for a
-    value beyond float range.
+    values are those of ``Poly.evaluate``, and so is the ValueError they
+    raise for a value beyond float range.
     """
-    polys = (system.p, system.q)
-    p, q = (f.float_functions()[0] for f in polys)
+    p, q = (f.float_functions()[0] for f in (system.p, system.q))
 
     def fun(_t, z):
         x, y = z
-        try:
-            return [p(x, y), q(x, y)]
-        except OverflowError:
-            raise float_range_error(polys, x, y) from None
+        return [p(x, y), q(x, y)]
 
     return fun
 

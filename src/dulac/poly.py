@@ -4,7 +4,9 @@ Polynomials in x, y with complex-rational coefficients are the carrier for
 every symbolic identity in this package (multipliers, divergences, cofactors,
 first integrals).  All arithmetic here is exact, including the one linear
 solver (``kernel_basis``); floats appear only in point evaluation, through
-the straight-line functions that ``Poly.float_functions`` generates.
+the straight-line functions that ``Poly.float_functions`` generates.  They
+raise the one "beyond float range" ValueError (``float_range_error``)
+themselves, so no caller catches an OverflowError.
 """
 
 from __future__ import annotations
@@ -347,20 +349,26 @@ class Poly:
         ``im`` keeps only the terms whose float imaginary part is nonzero.
         Only exact rewrites are made: ``x**0`` is dropped and ``x**1`` written
         ``x``, so the values are bit for bit those of the term-by-term sum.
-        Both raise OverflowError where a power overflows, and at every point
-        when a coefficient is beyond float range.
+        Both raise the ValueError of ``float_range_error`` where a power
+        overflows, and at every point when a coefficient is beyond float
+        range; no caller needs to catch an OverflowError.
         """
         try:
             return self._float_functions
         except AttributeError:
             pass
+        terms = self.terms  # not self: the functions hold no reference to it
         try:
             table = [(i, j, float(c.re), float(c.im))
-                     for (i, j), c in self.terms.items()]
+                     for (i, j), c in terms.items()]
         except OverflowError:
-            functions = (_overflows, _overflows)
+            def beyond(x, y):
+                raise float_range_error(terms, x, y)
+
+            functions = (beyond, beyond)
         else:
             functions = _compile_float(
+                terms,
                 [(i, j, c_re) for i, j, c_re, _ in table],
                 [(i, j, c_im) for i, j, _, c_im in table if c_im])
         self._float_functions = functions
@@ -373,10 +381,7 @@ class Poly:
         """
         x, y = float(z[0]), float(z[1])
         re, im = self.float_functions()
-        try:
-            return complex(re(x, y), im(x, y))
-        except OverflowError:
-            raise float_range_error((self,), x, y) from None
+        return complex(re(x, y), im(x, y))
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
         """Evaluate with exact rational arithmetic at a rational point."""
@@ -431,23 +436,29 @@ def _float_term(i: int, j: int, c: float) -> str:
     return " * ".join(factors)
 
 
-def _compile_float(re_table, im_table):
+def _compile_float(terms, re_table, im_table):
     """Generate ``re(x, y)`` and ``im(x, y)`` summing ``c * x**i * y**j``
     over the (i, j, c) of each table; an empty ``im_table`` gives ``_zero``.
+    Each turns an OverflowError into ``float_range_error(terms, x, y)``.
     The source holds only float reprs, x, y and integer exponents."""
     tables = [("re", re_table)]
     if im_table:
         tables.append(("im", im_table))
     lines = []
     for name, table in tables:
-        terms = [_float_term(*t) for t in table] or ["0.0"]
-        chunks = [" + ".join(terms[k:k + _TERMS_PER_LINE])
-                  for k in range(0, len(terms), _TERMS_PER_LINE)]
+        terms_text = [_float_term(*t) for t in table] or ["0.0"]
+        chunks = [" + ".join(terms_text[k:k + _TERMS_PER_LINE])
+                  for k in range(0, len(terms_text), _TERMS_PER_LINE)]
         lines.append(f"def {name}(x, y):")
-        lines.append(f"    s = 0.0 + {chunks[0]}")
-        lines += [f"    s = s + {chunk}" for chunk in chunks[1:]]
-        lines.append("    return s")
-    namespace = {"__builtins__": {}, "im": _zero}
+        lines.append("    try:")
+        lines.append(f"        s = 0.0 + {chunks[0]}")
+        lines += [f"        s = s + {chunk}" for chunk in chunks[1:]]
+        lines.append("        return s")
+        lines.append("    except OverflowError:")
+        lines.append("        raise float_range_error(terms, x, y) from None")
+    namespace = {"__builtins__": {}, "im": _zero, "terms": terms,
+                 "OverflowError": OverflowError,
+                 "float_range_error": float_range_error}
     exec(compile("\n".join(lines), "<Poly.float_functions>", "exec"),
          namespace)
     return namespace["re"], namespace["im"]
@@ -458,22 +469,10 @@ def _zero(x, y):
     return 0.0
 
 
-def _overflows(x, y):
-    """Both float functions of a Poly with a coefficient beyond float range."""
-    raise OverflowError("a coefficient is beyond float range")
-
-
-def float_range_error(polys, x: float, y: float) -> ValueError:
-    """The ValueError for an OverflowError met while evaluating ``polys`` in
-    order at (x, y).  It names the first of them whose value there is beyond
-    float range: the real part overflows wherever the imaginary part does,
-    since it computes every power that the imaginary part does."""
-    for poly in polys:
-        try:
-            poly.float_functions()[0](x, y)
-        except OverflowError:
-            break
-    text = format_poly(poly, short_numeral)
+def float_range_error(terms, x: float, y: float) -> ValueError:
+    """The one "beyond float range" error: it names the polynomial of
+    ``terms`` and the point (x, y), where its value is beyond float range."""
+    text = format_poly(Poly._raw(terms), short_numeral)
     if len(text) > 60:
         text = text[:57] + "..."
     return ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float range")

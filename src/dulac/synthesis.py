@@ -34,7 +34,7 @@ from .flow import _steps, _StepFailure, check_zero, is_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (Point, Poly, VectorField, div_product, divergence,
-                   float_range_error, kernel_basis)
+                   kernel_basis)
 
 
 @dataclass(frozen=True)
@@ -358,15 +358,12 @@ def flowbox_dulac(system: VectorField, transversal,
     (ax, ay), (bx, by) = transversal
     p, q, div_x = system.p, system.q, divergence(system)
     # the same straight-line functions as flow.compile_field
-    polys = (p, q, g, div_x)
-    p_re, q_re, g_re, div_re = (f.float_functions()[0] for f in polys)
+    p_re, q_re, g_re, div_re = (f.float_functions()[0]
+                                for f in (p, q, g, div_x))
 
     def rhs(_t, state):
         x, y, b = state
-        try:
-            return [p_re(x, y), q_re(x, y), g_re(x, y) - b * div_re(x, y)]
-        except OverflowError:
-            raise float_range_error(polys, x, y) from None
+        return [p_re(x, y), q_re(x, y), g_re(x, y) - b * div_re(x, y)]
 
     ds, dt = 1.0 / (n_across - 1), t_span / (n_along - 1)
     if t_span and not dt:

@@ -16,6 +16,7 @@ from dulac.darboux import (
 )
 from dulac.errors import (
     ConstantInputError,
+    DegenerateCurveWarning,
     DegreeBoundViolatedError,
     NoNontrivialRelationError,
     NotExponentialFactorError,
@@ -62,6 +63,22 @@ class TestCofactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cofactor_of(parse_poly("x^2 + y^2 - 1"), CUBIC)
+
+    @pytest.mark.parametrize("p,q,count", [
+        ("1 + 10^308*x^3 - 10^308*y^3", "1", 32),
+        ("1", "1 - 10^308*x^3 + 10^308*y^3", 32),
+        # X = (0, nan) at the diagonal points with |x| > 1.2: a nan Q is
+        # not a zero of the field, though P is
+        ("0", "10^308*x^3 - 10^308*y^3", 24),
+    ])
+    def test_nan_field_value_is_not_a_zero(self, p, q, count):
+        # the singular points of (x - y)^2 are the whole diagonal; which
+        # of them warn must not depend on the component that holds the nan
+        field = VectorField(parse_poly(p), parse_poly(q))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cofactor_of(parse_poly("(x - y)^2"), field)
+        assert [w.category for w in caught] == [DegenerateCurveWarning] * count
 
     def test_additivity_construction(self, rng):
         # X = (f*g*A, f*g*B) keeps both factors invariant

@@ -499,6 +499,15 @@ class TestFlowBox:
             flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)))
         assert str(info.value) == "x^3 at (1e+200, 0) is beyond float range"
 
+    def test_multiplier_target_beyond_float_range(self):
+        # P, Q and Div X are finite on the transversal; g = x^2 is the
+        # first polynomial whose value there is beyond float range
+        field = VectorField(parse_poly("y"), parse_poly("-x"))
+        with pytest.raises(ValueError) as info:
+            flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)),
+                          g=parse_poly("x^2"))
+        assert str(info.value) == "x^2 at (1e+200, 0) is beyond float range"
+
     def test_blowup_leaves_integration_window(self):
         field = VectorField(parse_poly("x^2"), parse_poly("1"))
         with pytest.raises(FlowBoxError, match="integration window") as info:

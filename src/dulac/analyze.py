@@ -162,7 +162,6 @@ def run_analyze(system: VectorField, region: Box2,
 
     # Step 4: scan uncovered tiles for limit cycles from their centers
     cycles: list = []
-    marginal_seen = False
     for tile in _subsample(uncovered, cfg.max_cycle_seeds):
         center = (float(tile.x_mid), float(tile.y_mid))
         try:
@@ -172,10 +171,8 @@ def run_analyze(system: VectorField, region: Box2,
         if any(_same_cycle(report, c) for c in cycles):
             continue
         cycles.append(report)
-        if report.stability is Stability.MARGINAL:
-            marginal_seen = True
 
-    if marginal_seen:
+    if any(c.stability is Stability.MARGINAL for c in cycles):
         notes.append(MARGINAL_FAMILY_NOTE)
     if (local_certs or certified_tiles) and uncovered:
         notes.append(P_CONNECTED_NOTE)

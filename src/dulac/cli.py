@@ -5,7 +5,9 @@ and returns a ``Record``: its result, text lines and, where it has them, a
 certificate, notes, CSV text and exit code.  ``main`` loads the system once,
 and ``_emit`` alone wraps the record in the report with the stable keys
 {"system", "command", "result", "certificate", "notes"}, where ``command``
-is the subcommand's name, and writes it as text, JSON or CSV.  Records
+is the subcommand's name, and writes it as text, JSON or CSV; only the
+parsers of ``simulate`` and ``limit-cycle``, whose records carry CSV text,
+offer ``--format csv``.  Records
 become JSON through ``jsonform.to_json`` alone; the envelope's
 ``certificate`` is the outcome, exact carrier polynomial, witness (a
 rational pair, for violations) and depth of the record's certificate, so
@@ -34,6 +36,8 @@ from .certify import (
     certify_dulac,
 )
 from .darboux import (
+    VERIFY_T_SPAN,
+    VERIFY_TRAJECTORIES,
     check_integrating_factor,
     check_inverse_integrating_factor,
     cofactor_of,
@@ -51,6 +55,7 @@ from .flow import (
     CYCLE_MAX_ITERS,
     CYCLE_MAX_TIME,
     CYCLE_TOL,
+    INTEGRATE_TOL,
     detect_limit_cycle,
     find_equilibria,
     integrate,
@@ -130,8 +135,6 @@ def _emit(args, system: VectorField | None, record: Record) -> None:
         }
         payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
-        if record.csv is None:
-            raise ParseError("csv format is not available for this command")
         payload = record.csv
     else:
         payload = "\n".join(record.lines) + "\n"
@@ -246,9 +249,12 @@ def _cmd_local_dulac(args, system) -> Record:
 
 
 def _cmd_cofactor(args, system) -> Record:
+    curves = _curves(args)
+    if not curves:
+        raise ValueError("at least one invariant curve needed")
     entries = []
     lines = []
-    for f in _curves(args):
+    for f in curves:
         try:
             curve = cofactor_of(f, system)
             entries.append({"f": str(f), "k": str(curve.k)})
@@ -389,10 +395,10 @@ def _cmd_analyze(args, system) -> Record:
 REGION_HELP = 'rectangle "x0:x1,y0:y1"'
 
 
-def _add_common(sub, system=True, region=False):
+def _add_common(sub, system=True, region=False, csv=False):
     sub.add_argument("--out", help="write the report to this path")
-    sub.add_argument("--format", choices=("text", "json", "csv"),
-                     default="text")
+    formats = ("text", "json", "csv") if csv else ("text", "json")
+    sub.add_argument("--format", choices=formats, default="text")
     if system:
         sub.add_argument("--system", required=True,
                          help="path to a .vf system file")
@@ -479,20 +485,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--curves", required=True, help='curves "f1;f2;..."')
     p.add_argument("--expfactors", help='exponential factors "g1:h1;g2:h2"')
-    p.add_argument("--trajectories", type=int, default=5)
-    p.add_argument("--t-span", dest="t_span", type=float, default=10.0)
+    p.add_argument("--trajectories", type=int, default=VERIFY_TRAJECTORIES)
+    p.add_argument("--t-span", dest="t_span", type=float,
+                   default=VERIFY_T_SPAN)
     p.set_defaults(handler=_cmd_verify_integral)
 
     p = subs.add_parser("simulate", help="integrate a trajectory (CSV export)")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--region", help=REGION_HELP + ", the domain to stay in")
     p.add_argument("--z0", required=True, help='initial point "x,y"')
     p.add_argument("--t-span", dest="t_span", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=INTEGRATE_TOL)
     p.set_defaults(handler=_cmd_simulate)
 
     p = subs.add_parser("limit-cycle", help="detect a limit cycle from a seed")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--seed", required=True, help='seed point "x,y"')
     p.add_argument("--max-iters", dest="max_iters", type=int,
                    default=CYCLE_MAX_ITERS)
@@ -526,7 +533,7 @@ def main(argv=None) -> int:
         record = args.handler(args, system)
         _emit(args, system, record)
         return record.code
-    except (ParseError, DulacError, OSError, ValueError) as exc:
+    except (DulacError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

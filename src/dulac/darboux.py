@@ -41,6 +41,11 @@ from .poly import (
     poly_divide,
 )
 
+# ``verify_first_integral``'s defaults, for ``verify-integral`` too: how many
+# random trajectories it checks and how long each runs
+VERIFY_TRAJECTORIES = 5
+VERIFY_T_SPAN = 10.0
+
 
 @dataclass(frozen=True)
 class InvariantCurve:
@@ -81,12 +86,8 @@ class DarbouxExpr:
     exp_factors: tuple  # of (ExponentialFactor, CRat exponent)
 
     def total_cofactor(self) -> Poly:
-        total = Poly.zero()
-        for curve, lam in self.curve_factors:
-            total = total + curve.k * lam
-        for ef, mu in self.exp_factors:
-            total = total + ef.k * mu
-        return total
+        factors = (*self.curve_factors, *self.exp_factors)
+        return sum((f.k * e for f, e in factors), Poly.zero())
 
     @property
     def is_first_integral(self) -> bool:
@@ -277,29 +278,16 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
     if not basis:
         raise NoNontrivialRelationError("cofactor relation has trivial kernel")
 
-    def in_kernel(vec) -> bool:
-        return all(
+    combos = [[basis[a][j] + basis[b][j] * sign for j in range(n)]
+              for a in range(len(basis)) for b in range(a + 1, len(basis))
+              for sign in (1, -1)]
+    candidates = [
+        _normalize_integer_vector(vec)
+        for v in basis + combos
+        for vec in (v, [CRat(c.re) for c in v], [CRat(c.im) for c in v])
+        if any(vec) and all(
             sum((row[j] * vec[j] for j in range(n)), CRAT_ZERO) == CRAT_ZERO
-            for row in rows)
-
-    candidates = []
-
-    def consider(vec):
-        if any(vec) and in_kernel(vec):
-            candidates.append(_normalize_integer_vector(vec))
-
-    for v in basis:
-        consider(v)
-        consider([CRat(c.re) for c in v])
-        consider([CRat(c.im) for c in v])
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            for sign in (1, -1):
-                combo = [basis[a][j] + basis[b][j] * sign for j in range(n)]
-                consider(combo)
-                consider([CRat(c.re) for c in combo])
-                consider([CRat(c.im) for c in combo])
-
+            for row in rows)]
     best = min(candidates, key=_sort_key)
     expr = DarbouxExpr(
         curve_factors=tuple((c, best[i]) for i, c in enumerate(curves)),
@@ -314,7 +302,8 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
 
 
 def verify_first_integral(h: DarbouxExpr, system: VectorField,
-                          trajectories: int = 5, t_span: float = 10.0,
+                          trajectories: int = VERIFY_TRAJECTORIES,
+                          t_span: float = VERIFY_T_SPAN,
                           tol: float = 1e-10, seed: int = 0) -> ResidualReport:
     """Exact total cofactor plus drift of log H along random trajectories.
 

@@ -45,6 +45,7 @@ ZERO_TOL = 1e-9  # the one zero test, ``is_zero``: |P| and |Q| both <= it
 CYCLE_MAX_ITERS = 25
 CYCLE_TOL = 1e-10
 CYCLE_MAX_TIME = 100.0
+INTEGRATE_TOL = 1e-9  # ``integrate``'s RK tolerance, and ``simulate --tol``'s
 
 
 class Classification(Enum):
@@ -569,7 +570,8 @@ def _locate(g, solver):
     return hi, Point(z[0], z[1])
 
 
-def integrate(system: VectorField, z0, t_span: float, tol: float = 1e-9,
+def integrate(system: VectorField, z0, t_span: float,
+              tol: float = INTEGRATE_TOL,
               domain: Optional[Box2] = None) -> Trajectory:
     """Adaptive RK 5(4) integration from z0 over [0, t_span].
 
@@ -630,9 +632,9 @@ def poincare_return(system: VectorField, section: Section, z0,
     fails or runs out of its step budget first.
     """
     _check_max_time(max_time)
-    if abs(section.signed_distance(z0)) > 1e-9:
-        raise ValueError("z0 must lie on the section (within 1e-9)")
     s_old = section.signed_distance(z0)
+    if abs(s_old) > 1e-9:
+        raise ValueError("z0 must lie on the section (within 1e-9)")
     armed = False
     try:
         for solver in _steps(compile_field(system), z0, max_time, tol):
@@ -659,7 +661,8 @@ def detect_limit_cycle(system: VectorField, seed,
 
     The return map acts on the section through the seed, normal to the
     field X there and crossed in the direction of X.  Convergence is
-    successive section crossings within 1e-9; the return-map slope comes
+    successive section crossings within 1e-9, reached within max_iters + 1
+    returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3
     of 1 is reported MARGINAL (a non-isolated periodic family, e.g. a linear
     center, converges immediately with slope 1).  Raises ValueError for
@@ -689,29 +692,22 @@ def detect_limit_cycle(system: VectorField, seed,
             raise CycleNotFoundError(f"return map undefined: {exc}") from exc
         return section.along(z_next), t_next
 
-    u_prev = 0.0  # the seed is the section's anchor
-    u_curr, _ = return_map(u_prev)
-    f_prev = u_curr - u_prev
-    u_star = None
-    if abs(f_prev) <= 1e-9:
-        u_star = u_curr
+    # the first return and max_iters more; with no previous residual yet,
+    # or a flat secant, the step is plain iteration u -> u_next
+    u, u_prev, f_prev = 0.0, None, None  # the seed is the section's anchor
+    for _ in range(max_iters + 1):
+        u_next, _ = return_map(u)
+        f = u_next - u
+        if abs(f) <= 1e-9:
+            u_star = u_next
+            break
+        u_step = u_next
+        if f_prev is not None and abs(f - f_prev) > 1e-14:
+            u_step = u - f * (u - u_prev) / (f - f_prev)
+        u_prev, f_prev, u = u, f, u_step
     else:
-        for _ in range(max_iters):
-            u_next, _ = return_map(u_curr)
-            f_curr = u_next - u_curr
-            if abs(f_curr) <= 1e-9:
-                u_star = u_next
-                break
-            denom = f_curr - f_prev
-            if abs(denom) > 1e-14:
-                u_secant = u_curr - f_curr * (u_curr - u_prev) / denom
-            else:
-                u_secant = u_next
-            u_prev, f_prev = u_curr, f_curr
-            u_curr = u_secant
-        if u_star is None:
-            raise CycleNotFoundError(
-                f"return map did not converge within {max_iters} iterations")
+        raise CycleNotFoundError(
+            f"return map did not converge within {max_iters} iterations")
 
     # measure the period at the fixed point itself so the sampled loop closes
     _, period = return_map(u_star)

@@ -1,6 +1,7 @@
 """CLI subcommands, report schema, exit codes, and serialization round-trips."""
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dulac.analyze
+import dulac.darboux
 import dulac.errors
 import dulac.flow
 import dulac.synthesis
@@ -127,6 +129,15 @@ class TestBasicCommands:
         entry = report["result"]["curves"][0]
         assert entry["error"] == "not_invariant"
         assert entry["remainder"] == "-1"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cofactor_empty_curve_list(self, capsys, fmt):
+        # exited 0 with "curves": [] (an empty line in text mode)
+        assert main(["cofactor", "--system", VDP, "--curves", ";",
+                     "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at least one invariant curve needed\n"
 
     def test_expfactor(self, capsys):
         code, report = run_json(capsys, [
@@ -298,6 +309,25 @@ class TestErrors:
 
     def test_csv_unavailable(self, capsys):
         assert main(["parse", "--system", VDP, "--format", "csv"]) == 3
+
+    def test_csv_refused_before_the_work(self, capsys, monkeypatch):
+        # analyze ran the whole analysis, then refused csv
+        def no_work(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(cli, "run_analyze", no_work)
+        assert main(["analyze", "--system", VDP, "--region=-4:4,-4:4",
+                     "--format", "csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'csv'" in captured.err
+
+    def test_csv_refused_before_the_system_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.vf")
+        assert main(["parse", "--system", missing, "--format", "csv"]) == 3
+        err = capsys.readouterr().err
+        assert "invalid choice: 'csv'" in err
+        assert "missing.vf" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--tiles", "0"], ["--tiles", "-3"],
@@ -570,11 +600,29 @@ ENVELOPE_CASES = {
 }
 
 
+CSV_COMMANDS = {"simulate", "limit-cycle"}
+
+
 class TestEnvelope:
     def test_cases_cover_every_subcommand(self):
         (subs,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
         assert set(subs.choices) == set(ENVELOPE_CASES)
+
+    @pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+    def test_csv_only_where_a_record_has_it(self, capsys, command):
+        # --format csv is a usage error everywhere but these two
+        assert main([command, "--help"]) == 0
+        assert ("csv" in capsys.readouterr().out) == (command in CSV_COMMANDS)
+        code = main([command] + ENVELOPE_CASES[command] + ["--format", "csv"])
+        captured = capsys.readouterr()
+        if command in CSV_COMMANDS:
+            assert code == 0
+            assert captured.out.splitlines()[0] == "t,x,y"
+        else:
+            assert code == 3
+            assert captured.out == ""
+            assert "invalid choice: 'csv'" in captured.err
 
     @pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
     def test_keys_and_command(self, capsys, command):
@@ -706,6 +754,28 @@ class TestCycleBudgets:
         cfg = AnalyzeConfig()
         assert (an.tiles, an.depth, an.min_radius, an.max_cycle_seeds) == (
             cfg.tile_n, cfg.tile_depth, cfg.min_radius, cfg.max_cycle_seeds)
+        sim = parser.parse_args(["simulate", "--system", VDP, "--z0", "1,0",
+                                 "--t-span", "1"])
+        assert sim.tol == dulac.flow.INTEGRATE_TOL
+        vi = parser.parse_args(["verify-integral", "--system", SADDLE,
+                                "--curves", "x;y"])
+        assert (vi.trajectories, vi.t_span) == (
+            dulac.darboux.VERIFY_TRAJECTORIES, dulac.darboux.VERIFY_T_SPAN)
+
+    def test_library_defaults_are_the_cli_defaults(self):
+        def defaults(fn, *names):
+            params = inspect.signature(fn).parameters
+            return tuple(params[name].default for name in names)
+
+        assert defaults(dulac.flow.integrate, "tol") == (
+            dulac.flow.INTEGRATE_TOL,)
+        assert defaults(dulac.darboux.verify_first_integral,
+                        "trajectories", "t_span") == (
+            dulac.darboux.VERIFY_TRAJECTORIES, dulac.darboux.VERIFY_T_SPAN)
+        assert defaults(dulac.flow.detect_limit_cycle,
+                        "max_iters", "tol", "max_time") == (
+            dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
+            dulac.flow.CYCLE_MAX_TIME)
 
     def test_distinct_cycles_of_equal_period(self, tmp_path, capsys):
         # stable cycles at r = 1 and r = 3, both of period 2*pi (r = 2 is

@@ -252,7 +252,9 @@ class TestDarbouxFirstIntegral:
         (SADDLE, "x;y;x*y", "(x)^0 * (y)^0 * (x*y)^1"),
         # only the sum of two basis vectors is this light
         (SADDLE, "x^2;y;x", "(x^2)^0 * (y)^1 * (x)^1"),
-        # complex exponents, led by an imaginary part of either sign
+        # complex exponents, led by an imaginary part of either sign; the
+        # real part (0, 1) and imaginary part (1, 0) of the kernel vector
+        # (i, 1) are all-real but fail the kernel test, so they lose
         (FOCUS, "x+i*y;x-i*y", "(x + i*y)^(0 + i) * (x - i*y)^1"),
         (FOCUS, "x-i*y;x+i*y", "(x - i*y)^(0 + i) * (x + i*y)^-1"),
         (FOCUS, "x+i*y;x^2+y^2", "(x + i*y)^(1 - i) * (x^2 + y^2)^-1"),

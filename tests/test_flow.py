@@ -879,6 +879,52 @@ class TestDetectLimitCycle:
         with pytest.raises(CycleNotFoundError):
             detect_limit_cycle(rot, (1.0, 0.0), max_iters=10, tol=1e-10)
 
+    @pytest.fixture
+    def returns(self, monkeypatch):
+        """(section, start, u of the return) of each return-map call."""
+        calls = []
+
+        def counting(system, section, z0, max_time, tol):
+            z_next, t_next = poincare_return(system, section, z0, max_time,
+                                             tol)
+            calls.append((section, z0, section.along(z_next)))
+            return z_next, t_next
+
+        monkeypatch.setattr(flow, "poincare_return", counting)
+        return calls
+
+    def test_first_return_converges(self, returns):
+        # one return to converge, then one for the period and one for the
+        # slope, both at the fixed point
+        rot = parse_system((SYSTEMS / "rotation.vf").read_text())
+        report = detect_limit_cycle(rot, (1.0, 0.0))
+        assert report.stability is Stability.MARGINAL
+        (s, z0, r0), (_, z_period, _), (_, z_slope, _) = returns
+        assert z0 == s.point_at(0.0) and abs(r0) <= 1e-9
+        assert z_period == s.point_at(r0)
+        assert z_slope == s.point_at(r0 + 1e-4)
+
+    def test_secant_run(self, returns):
+        # plain iteration from the first return (there is no previous
+        # residual yet), then one secant step, which converges
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
+        assert report.stability is Stability.STABLE
+        assert len(returns) == 5
+        (s, z0, r0), (_, z1, r1), (_, z2, r2) = returns[:3]
+        u0, u1 = 0.0, r0
+        f0, f1 = r0 - u0, r1 - u1
+        u2 = u1 - f1 * (u1 - u0) / (f1 - f0)
+        assert [z0, z1, z2] == [s.point_at(u0), s.point_at(u1),
+                                s.point_at(u2)]
+        assert abs(r2 - u2) <= 1e-9
+        assert [z for _, z, _ in returns[3:]] == [s.point_at(r2),
+                                                  s.point_at(r2 + 1e-4)]
+
+    def test_no_iterations_is_one_return(self, returns):
+        with pytest.raises(CycleNotFoundError, match="within 0 iterations"):
+            detect_limit_cycle(VDP, (2.0, 0.0), max_iters=0)
+        assert len(returns) == 1
+
     def test_cycle_csv(self):
         report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
         buf = io.StringIO()

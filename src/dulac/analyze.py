@@ -82,12 +82,15 @@ class AnalysisReport:
     notes: tuple[str, ...]
 
 
-def local_certificates(system: VectorField, region: Box2, equilibria,
+def local_certificates(system: VectorField, region: Box2,
                        min_radius: float, max_depth: int):
-    """Local certificates at the hyperbolic ``equilibria`` in ``region``.
-
-    Returns (certificates, notes); each equilibrium without one gets a note."""
+    """(equilibria, certificates, notes): the zeros in ``region``, local
+    certificates at the hyperbolic ones and a note for each zero without
+    one.  max_depth, then min_radius, is checked before the search."""
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
     min_r = check_min_radius(min_radius)
+    equilibria = find_equilibria(system, region)
     certs, notes = [], []
     for eq in equilibria:
         if not eq.hyperbolic:
@@ -121,7 +124,7 @@ def local_certificates(system: VectorField, region: Box2, equilibria,
         certs.append(LocalCertificate(
             equilibrium=eq, multiplier=multiplier, box=cert.box,
             certificate=cert))
-    return certs, notes
+    return equilibria, certs, notes
 
 
 def run_analyze(system: VectorField, region: Box2,
@@ -136,12 +139,9 @@ def run_analyze(system: VectorField, region: Box2,
             f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
     min_r = check_min_radius(cfg.min_radius)
 
-    # Step 1: zeros of the field
-    equilibria = find_equilibria(system, region)
-
-    # Step 2: local multipliers at hyperbolic equilibria
-    local_certs, notes = local_certificates(
-        system, region, equilibria, cfg.min_radius, LOCAL_MAX_DEPTH)
+    # Steps 1 and 2: zeros of the field, local multipliers at hyperbolic ones
+    equilibria, local_certs, notes = local_certificates(
+        system, region, cfg.min_radius, LOCAL_MAX_DEPTH)
     cores = [(c.box, Box2.centered(c.box.x_mid, c.box.y_mid, min_r))
              for c in local_certs]
 

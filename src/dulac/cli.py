@@ -68,7 +68,6 @@ from .synthesis import (
     LOCAL_MAX_DEPTH,
     LOCAL_MIN_RADIUS,
     Matrix2,
-    check_min_radius,
     local_dulac_hyperbolic,
     printed_coefficients,
     quadratic_dulac_linear,
@@ -214,10 +213,6 @@ def _cmd_certify(args, system) -> Record:
 
 
 def _cmd_local_dulac(args, system) -> Record:
-    # checked here too: the equilibrium search may find nothing to certify
-    if args.depth < 0:
-        raise ValueError(f"depth must be >= 0, got {args.depth}")
-    check_min_radius(args.min_radius)
     if args.point is not None:
         pt = _parse_point(args.point)
         try:
@@ -230,9 +225,8 @@ def _cmd_local_dulac(args, system) -> Record:
         found, notes = [(pt, multiplier, cert)], []
     else:
         region = parse_region(args.region)
-        certs, notes = local_certificates(
-            system, region, find_equilibria(system, region),
-            args.min_radius, args.depth)
+        _, certs, notes = local_certificates(
+            system, region, args.min_radius, args.depth)
         found = [(c.equilibrium.location, c.multiplier, c.certificate)
                  for c in certs]
     entries = [{"point": [pt[0], pt[1]], "multiplier": str(multiplier),

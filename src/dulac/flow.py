@@ -7,19 +7,19 @@ P and Q both contain 0.  ``is_zero`` (|P| and |Q| <= ``ZERO_TOL``; a nan
 fails) is the one zero test: Newton stops at it, and ``check_zero``, the
 cycle detector and ``synthesis.flowbox_dulac`` apply it.
 All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
-through one RK 5(4) loop (``_steps``, on any right-hand side), which alone
-checks a run's inputs, of ``RK45``: this module's Dormand-Prince 5(4) on
-lists of Python floats with scipy's arithmetic but not its solver protocol.
-Its stages are straight-line code generated from its tableau once per
-state length (``_attempt_kernel``).  Events on a step are found by one
-bisection of its dense output (``_locate``).  Every float value of a
-polynomial comes from its cached straight-line functions
-(``Poly.float_functions``), which the RK right-hand sides
-(``compile_field``) call directly and which raise the "beyond float range"
-ValueError themselves; every other float value of the field is
-``VectorField.__call__``.  This is the empirical
-cross-check side of the package: nothing here is rigorous, and
-certificates always win over these numbers.
+through one RK 5(4) loop (``_steps``), which alone checks a run's inputs,
+of ``RK45``: this module's Dormand-Prince 5(4) on lists of Python floats
+with scipy's arithmetic.  Every field is autonomous, so a right-hand side
+is ``fun(y)``, of the state alone.  The stages are straight-line code
+generated from the tableau once per state length (``_attempt_kernel``).
+Events on a step are found by one bisection of its dense output
+(``_locate``).  Every float value of a polynomial comes from its cached
+straight-line functions (``Poly.float_functions``), which the RK
+right-hand sides (``compile_field``) call directly and which raise the
+"beyond float range" ValueError themselves; every other float value of
+the field is ``VectorField.__call__``.  This is the empirical cross-check
+side of the package: nothing here is rigorous, and certificates always
+win over these numbers.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _write_csv(stream, times, points) -> None:
 
 
 def compile_field(system: VectorField):
-    """ODE right-hand side f(t, [x, y]) -> [P, Q] on Python floats.
+    """ODE right-hand side ``fun([x, y]) -> [P, Q]`` on Python floats.
 
     It calls the real parts of ``Poly.float_functions`` directly, so its
     values are those of ``Poly.evaluate``, and so is the ValueError they
@@ -164,7 +164,7 @@ def compile_field(system: VectorField):
     """
     p, q = (f.float_functions()[0] for f in (system.p, system.q))
 
-    def fun(_t, z):
+    def fun(z):
         x, y = z
         return [p(x, y), q(x, y)]
 
@@ -327,16 +327,15 @@ def _rms(v) -> float:
 
 
 @functools.cache
-def _attempt_kernel(n: int, c, a, b, e):
+def _attempt_kernel(n: int, a, b, e):
     """Generate, on the first call for each state length ``n`` and tableau,
-    ``attempt(fun, t, h, y, k1, tol)``: one trial step of size h from
-    (t, y), where k1 = fun(t, y).  It returns ``(y_new, (k1, ..., k7),
-    error_norm)``.
+    ``attempt(fun, h, y, k1, tol)``: one trial step of size h from y, where
+    k1 = fun(y), returning ``(y_new, (k1, ..., k7), error_norm)``.
 
-    Stage j calls ``fun(t + c[j-1] * h, [y_i + (sum of a[j-1][m] * k_m,i)
-    * h])``, ``y_new`` is ``y_i + h * (sum of b[m] * k_m,i)``, k7 is
-    ``fun(t + h, y_new)``, and the error norm is the RMS of ``(sum of e[m]
-    * k_m,i) * h / (tol + max(|y_i|, |y_new_i|) * tol)``.  Every sum runs
+    Stage j calls ``fun([y_i + (sum of a[j-1][m] * k_m,i) * h])``,
+    ``y_new`` is ``y_i + h * (sum of b[m] * k_m,i)``, k7 is
+    ``fun(y_new)``, and the error norm is the RMS of ``(sum of e[m] *
+    k_m,i) * h / (tol + max(|y_i|, |y_new_i|) * tol)``.  Every sum runs
     left to right and leaves out zero weights, and the RMS adds the squares
     to ``0.0`` one by one: ``sum()`` compensates its float sums from Python
     3.12 on, which would change the bits.  So the values are those of the
@@ -352,17 +351,17 @@ def _attempt_kernel(n: int, c, a, b, e):
         return " + ".join(f"{w!r} * k{m}_{i}"
                           for m, w in enumerate(weights, 1) if w)
 
-    lines = ["def attempt(fun, t, h, y, k1, tol):",
+    lines = ["def attempt(fun, h, y, k1, tol):",
              f"    {names('y')}, = y",
              f"    {names('k1')}, = k1"]
     for j in range(2, len(a) + 1):
         state = ", ".join(f"y_{i} + ({combo(a[j - 1], i)}) * h" for i in comps)
-        lines.append(f"    k{j} = fun(t + {c[j - 1]!r} * h, [{state}])")
+        lines.append(f"    k{j} = fun([{state}])")
         lines.append(f"    {names(f'k{j}')}, = k{j}")
     last = len(b) + 1
     lines += [f"    n_{i} = y_{i} + h * ({combo(b, i)})" for i in comps]
     lines.append(f"    y_new = [{names('n')}]")
-    lines.append(f"    k{last} = fun(t + h, y_new)")
+    lines.append(f"    k{last} = fun(y_new)")
     lines.append(f"    {names(f'k{last}')}, = k{last}")
     for i in comps:
         lines.append(f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})")
@@ -387,21 +386,21 @@ class RK45:
     quartic dense output are those of ``scipy.integrate.RK45``, so the steps
     taken match scipy's up to rounding.  It runs from t = 0 to ``t_bound =
     t_span`` with ``tol`` as both tolerances; ``_steps`` checks the inputs.
-    The state may have any length.  ``fun(t, y)`` maps a list of floats to
-    a list of floats; exceptions it raises propagate.  ``step()`` sets
-    ``finished`` on reaching ``t_bound``, and raises _StepFailure only when
-    the step size falls below the minimum step: a zero divisor goes through
-    ``_div``, and a stage that overflows gives an inf or nan error norm,
-    which rejects and shrinks the step.  A trial step (stages k2 to k7,
-    ``y_new`` and the error norm) is one call of ``_attempt_kernel``'s code
-    for the state's length and this class's ``C``, ``A``, ``B`` and ``E``,
-    generated when the first solver of that length is built.  It calls
-    ``fun`` once per stage, leaves out zero tableau entries and sums left
-    to right, not with ``sum()``, which compensates from Python 3.12 on, so
-    its floats are those of the stages written over lists.
+    The state may have any length.  ``fun(y)`` maps the state, a list of
+    floats, to its derivative, with no time argument; exceptions it raises
+    propagate.  ``step()`` sets ``finished`` on reaching ``t_bound``, and
+    raises _StepFailure only when the step size falls below the minimum
+    step: a zero divisor goes through ``_div``, and a stage that overflows
+    gives an inf or nan error norm, which rejects and shrinks the step.  A
+    trial step (stages k2 to k7, ``y_new`` and the error norm) is one call
+    of ``_attempt_kernel``'s code for the state's length and this class's
+    ``A``, ``B`` and ``E``, generated when the first solver of that length
+    is built.  It calls ``fun`` once per stage, leaves out zero tableau
+    entries and sums left to right, not with ``sum()``, which compensates
+    from Python 3.12 on, so its floats are those of the stages written over
+    lists.
     """
 
-    C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
     A = ((),
          (1 / 5,),
          (3 / 40, 9 / 40),
@@ -431,21 +430,19 @@ class RK45:
         self.t, self.t_bound = 0.0, float(t_span)
         self.direction = 1.0 if t_span > 0 else -1.0
         self.finished = False
-        self.f = fun(self.t, self.y)
+        self.f = fun(self.y)
         self.h_abs = self._initial_step()
-        self._attempt = _attempt_kernel(len(self.y), self.C, self.A, self.B,
-                                        self.E)
+        self._attempt = _attempt_kernel(len(self.y), self.A, self.B, self.E)
 
     def _initial_step(self) -> float:
-        t0, y0, f0, tol = self.t, self.y, self.f, self.tol
+        y0, f0, tol = self.y, self.f, self.tol
         direction, interval = self.direction, abs(self.t_bound)
         scale = [tol + abs(v) * tol for v in y0]
         d0 = _rms([v / s for v, s in zip(y0, scale)])
         d1 = _rms([v / s for v, s in zip(f0, scale)])
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = self.fun(t0 + h0 * direction,
-                      [v + h0 * direction * f for v, f in zip(y0, f0)])
+        f1 = self.fun([v + h0 * direction * f for v, f in zip(y0, f0)])
         d2 = _div(_rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]), h0)
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -473,7 +470,7 @@ class RK45:
             h = t_new - t
             h_abs = abs(h)
             # scale >= tol > 0, and a nan norm rejects the step
-            y_new, K, error_norm = attempt(fun, t, h, y, k1, tol)
+            y_new, K, error_norm = attempt(fun, h, y, k1, tol)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -515,7 +512,7 @@ class RK45:
 def _steps(fun, y0, t_span: float, tol: float):
     """Yield the RK 5(4) solver after each accepted step over [0, t_span].
 
-    ``fun(t, y)`` is the right-hand side and ``y0`` a state of any length.
+    ``fun(y)`` is the right-hand side and ``y0`` a state of any length.
     This is the one place a run's inputs are checked.  Raises ValueError
     unless tol lies in [1e-13, 1e-3], t_span is finite and nonzero and y0
     is finite, and _StepFailure if the right-hand side is not finite at y0,

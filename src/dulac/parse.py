@@ -110,14 +110,20 @@ class _ExprParser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, tok.line, tok.col) from None
 
     def parse(self) -> Poly:
-        p = self.expr()
+        p = self.outer_expr()
         tok = self.peek()
         if tok.kind != "END":
             self.fail(f"unexpected token {tok.text!r}")
         return p
+
+    def outer_expr(self) -> Poly:
+        try:  # nesting past the recursion limit fails where it ran out
+            return self.expr()
+        except RecursionError:
+            self.fail("expression nested too deeply")
 
     def expr(self) -> Poly:
         p = self.term()
@@ -310,7 +316,7 @@ def parse_multiplier(text: str) -> Multiplier:
     if [tok.text for tok in parser.tokens[:2]] != ["exp", "("]:
         return PolyMultiplier(parser.parse())
     parser.pos = 2
-    g = parser.expr()
+    g = parser.outer_expr()
     closing = parser.advance()
     if closing.kind == "END":
         parser.fail("unbalanced parentheses in exp(...)", closing)

@@ -294,10 +294,13 @@ def local_dulac_hyperbolic(system: VectorField, eq: Point,
     The carrier vanishes at the equilibrium itself, so the certificate
     covers the box minus a core of half-width at most min_radius.  Raises
     CertificationFailedError when not even the innermost ring certifies,
-    and ValueError before any work when min_radius is not finite and > 0.
+    and ValueError before any work when max_depth is negative or
+    min_radius is not finite and > 0.
 
     Returns (multiplier, box, certificate).
     """
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
     min_r = check_min_radius(min_radius)
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
     cert = certify_punctured_box(carrier, ex, ey,
@@ -361,7 +364,7 @@ def flowbox_dulac(system: VectorField, transversal,
     p_re, q_re, g_re, div_re = (f.float_functions()[0]
                                 for f in (p, q, g, div_x))
 
-    def rhs(_t, state):
+    def rhs(state):
         x, y, b = state
         return [p_re(x, y), q_re(x, y), g_re(x, y) - b * div_re(x, y)]
 

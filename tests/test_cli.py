@@ -387,7 +387,7 @@ class TestErrors:
         ["bendixson", "--system", VDP, "--region=-3:3,-3:3"],
         ["local-dulac", "--system", VDP, "--point", "0,0"],
         # no hyperbolic equilibrium in this region: nothing reaches the
-        # certifier, so the handler itself must reject the depth
+        # certifier, so local_certificates itself must reject the depth
         ["local-dulac", "--system", VDP, "--region=3:4,3:4"],
         ["analyze", "--system", ROTATION, "--region=-2:2,-2:2"],
     ], ids=["certify", "bendixson", "local_point", "local_region", "analyze"])
@@ -797,6 +797,33 @@ class TestCycleBudgets:
             assert c["stability"] == "stable"
 
 
+class TestDeepNesting:
+    """Input nested 3,000 deep raised an uncaught RecursionError (exit 1,
+    a cycle's exit code for analyze)."""
+
+    DEEP = {"parentheses": "(" * 3000 + "x" + ")" * 3000,
+            "unary_minus": "-" * 3000 + "x"}
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_exits_3_naming_the_position(self, capsys, tmp_path, shape):
+        text = self.DEEP[shape]
+        path = tmp_path / "deep.vf"
+        path.write_text(f"P = y\nQ = {text}\n")
+        for argv in (["certify", "--system", RADIAL, "--region=1:2,1:2",
+                      f"--multiplier={text}"],
+                     ["cofactor", "--system", SADDLE, f"--curves=x;{text}"],
+                     ["parse", "--system", str(path)],
+                     ["analyze", "--system", str(path), "--region=-1:1,-1:1"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3, argv
+            assert captured.out == ""
+            assert captured.err.startswith("error: line ")
+            assert "column" in captured.err
+            assert "expression nested too deeply" in captured.err
+            assert captured.err.count("\n") == 1
+
+
 class TestLocalDulacRegion:
     @pytest.mark.parametrize("region", ["-4:4,-4:4", "-2:2,-2:2"])
     @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
@@ -820,6 +847,25 @@ class TestLocalDulacRegion:
         assert report["notes"] == [
             n for n in expected.notes
             if n not in (BEST_EFFORT_NOTE, P_CONNECTED_NOTE)]
+
+    @pytest.mark.parametrize("budget,message", [
+        (["--depth", "-1"], "depth must be >= 0"),
+        (["--min-radius", "inf"], "min_radius must be finite and > 0"),
+    ], ids=["depth", "min_radius"])
+    def test_bad_budget_exits_3_before_the_search(self, capsys, monkeypatch,
+                                                   budget, message):
+        # local_certificates checks the budgets; the handler has no check
+        def no_work(*args):
+            raise AssertionError("the equilibrium search ran")
+
+        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
+                            no_work)
+        for where in (["--region=-4:4,-4:4"], ["--point", "0,0"]):
+            code = main(["local-dulac", "--system", VDP] + where + budget)
+            captured = capsys.readouterr()
+            assert code == 3, where
+            assert captured.err == f"error: {message}, got {budget[1]}\n"
 
     def test_no_box_fits_at_the_corner(self, capsys):
         # the node sits on the region's corner, where [-1,1]^2 was claimed

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dulac import flow
+from dulac import flow, synthesis
 from dulac.analyze import AnalyzeConfig, run_analyze
 from dulac.certify import Box2, Conclusion, bendixson, bernstein_coefficients
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
@@ -404,10 +404,10 @@ class TestCompileField:
                             system.q.evaluate((x, y)).real]
                 except ValueError as error:
                     with pytest.raises(ValueError) as info:
-                        fun(0.0, [x, y])
+                        fun([x, y])
                     assert str(info.value) == str(error)
                     continue
-                got = fun(0.0, [x, y])
+                got = fun([x, y])
                 assert all(map(same_float, got, want)), (system, x, y)
 
     @pytest.mark.parametrize("text,z,message", [
@@ -422,19 +422,19 @@ class TestCompileField:
         fun = flow.compile_field(parse_system(text))
         for _ in range(2):  # a failed coefficient raises on every call
             with pytest.raises(ValueError) as info:
-                fun(0.0, list(z))
+                fun(list(z))
             assert str(info.value) == message + " is beyond float range"
 
 
-def _van_der_pol(_t, z):
+def _van_der_pol(z):
     return [z[1], (1 - z[0] * z[0]) * z[1] - z[0]]
 
 
-def _rotation(_t, z):
+def _rotation(z):
     return [-z[1], z[0]]
 
 
-def _van_der_pol_with_multiplier(_t, z):
+def _van_der_pol_with_multiplier(z):
     # flowbox_dulac's (x, y, B) state for g = 1: dB/dt = 1 - B*Div X
     x, y, b = z[0], z[1], z[2]
     return [y, (1 - x * x) * y - x, 1 - b * (1 - x * x)]
@@ -457,18 +457,19 @@ class TestRK45AgainstScipy:
     @staticmethod
     def _run(scipy, fun, y0, t_span, tol, max_steps=None):
         """Step scipy's RK45 (scipy's form, from t0 = 0 with rtol = atol =
-        tol and max_step = |t_span|) or ours to its end or max_steps."""
+        tol and max_step = |t_span|, on ``fun`` with the time ignored) or
+        ours to its end or max_steps."""
         calls = 0
 
-        def counted(t, y):
+        def counted(y):
             nonlocal calls
             calls += 1
-            return fun(t, y)
+            return fun(y)
 
         if scipy:
             solver = pytest.importorskip("scipy.integrate").RK45(
-                counted, 0.0, list(y0), t_bound=t_span, rtol=tol, atol=tol,
-                max_step=abs(t_span))
+                lambda t, y: counted(y), 0.0, list(y0), t_bound=t_span,
+                rtol=tol, atol=tol, max_step=abs(t_span))
         else:
             solver = flow.RK45(counted, list(y0), t_span, tol)
         steps = 0
@@ -526,13 +527,12 @@ class TestRK45AgainstScipy:
         with pytest.raises(ValueError, match="beyond float range"):
             flow.RK45(flow.compile_field(far), (1e200, 0.0), 1.0, 1e-9)
 
-        def fails_after_start(t, y):
-            if t > 0:
-                raise ZeroDivisionError("raised by the field")
-            return _rotation(t, y)
+        def fails(y):
+            raise ZeroDivisionError("raised by the field")
 
+        # the start is evaluated with _rotation, every stage with ``fails``
         solver = flow.RK45(_rotation, (1.0, 0.0), 1.0, 1e-9)
-        solver.fun = fails_after_start
+        solver.fun = fails
         with pytest.raises(ZeroDivisionError, match="raised by the field"):
             solver.step()
 
@@ -544,29 +544,26 @@ class TestRK45AgainstScipy:
         assert abs(report.amplitude_x - 2.0086198608192407) <= 1e-9
 
 
-def _list_attempt(fun, t, h, y, k1, tol):
+def _list_attempt(fun, h, y, k1, tol):
     """One trial step of RK45 with its stages written over lists: the
     reference that the generated kernel must match bit for bit.  Returns
     (y_new, (k1, ..., k7), error_norm)."""
     rk = flow.RK45
-    c2, c3, c4, c5 = rk.C[1:5]
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = rk.A[1:]
     b1, _, b3, b4, b5, b6 = rk.B
     e1, _, e3, e4, e5, e6, e7 = rk.E
-    k2 = fun(t + c2 * h, [v + a21 * p * h for v, p in zip(y, k1)])
-    k3 = fun(t + c3 * h, [v + (a31 * p + a32 * q) * h
-                          for v, p, q in zip(y, k1, k2)])
-    k4 = fun(t + c4 * h, [v + (a41 * p + a42 * q + a43 * r) * h
-                          for v, p, q, r in zip(y, k1, k2, k3)])
-    k5 = fun(t + c5 * h, [v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                          for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    k6 = fun(t + h, [v + (a61 * p + a62 * q + a63 * r + a64 * s
-                          + a65 * u) * h
-                     for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+    k2 = fun([v + a21 * p * h for v, p in zip(y, k1)])
+    k3 = fun([v + (a31 * p + a32 * q) * h for v, p, q in zip(y, k1, k2)])
+    k4 = fun([v + (a41 * p + a42 * q + a43 * r) * h
+              for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = fun([v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+              for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = fun([v + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+              for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
     y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
              for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-    k7 = fun(t + h, y_new)
+    k7 = fun(y_new)
     error_norm = flow._rms([
         (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
         / (tol + max(abs(v), abs(vn)) * tol)
@@ -601,7 +598,7 @@ class TestAttemptKernel:
         **TestRK45AgainstScipy.CASES,
         # Van der Pol with mu = 10: the controller rejects steps by itself
         "stiff_rejections": (
-            lambda t, z: [z[1], 10.0 * (1 - z[0] * z[0]) * z[1] - z[0]],
+            lambda z: [z[1], 10.0 * (1 - z[0] * z[0]) * z[1] - z[0]],
             (2.0, 0.0), 3.0, 1e-6),
     }
 
@@ -611,10 +608,10 @@ class TestAttemptKernel:
         sides of a whole run whose first step is tried over the whole span."""
         calls = 0
 
-        def counted(t, y):
+        def counted(y):
             nonlocal calls
             calls += 1
-            return fun(t, y)
+            return fun(y)
 
         solver = cls(counted, list(y0), t_span, tol)
         solver.h_abs = abs(t_span)
@@ -646,12 +643,11 @@ class TestAttemptKernel:
         solver = flow.RK45(fun, list(y0), t_span, tol)
         rejected = 0
         while not solver.finished:
-            t, y, k1 = solver.t, solver.y, solver.f
+            y, k1 = solver.y, solver.f
             h = solver.h_abs * solver.direction
             for trial in (h, 16 * h):
-                got = solver._attempt(fun, t, trial, y, k1, tol)
-                assert _same_attempt(got, _list_attempt(fun, t, trial, y, k1,
-                                                        tol))
+                got = solver._attempt(fun, trial, y, k1, tol)
+                assert _same_attempt(got, _list_attempt(fun, trial, y, k1, tol))
                 rejected += not got[2] < 1
             solver.step()
         assert rejected > 0
@@ -664,8 +660,8 @@ class TestAttemptKernel:
         solver = flow.RK45(fun, (1e103, 1e102), 1e-97, 1e-9)
         norms = []
         for h in (5e-323, 1e-300, 1e-250, -1e-250):
-            got = solver._attempt(fun, 0.0, h, solver.y, solver.f, 1e-9)
-            ref = _list_attempt(fun, 0.0, h, solver.y, solver.f, 1e-9)
+            got = solver._attempt(fun, h, solver.y, solver.f, 1e-9)
+            ref = _list_attempt(fun, h, solver.y, solver.f, 1e-9)
             assert _same_attempt(got, ref)
             norms.append(got[2])
         assert any(math.isnan(v) for v in norms)
@@ -678,14 +674,67 @@ class TestAttemptKernel:
             "import dulac, dulac.flow as f\n"
             "info = f._attempt_kernel.cache_info\n"
             "assert info().currsize == 0, info()\n"
-            "rot = lambda t, y: [-y[1], y[0]]\n"
+            "rot = lambda y: [-y[1], y[0]]\n"
             "a = f.RK45(rot, [1.0, 0.0], 1.0, 1e-9)\n"
             "b = f.RK45(rot, [0.0, 2.0], -3.0, 1e-6)\n"
-            "c = f.RK45(lambda t, y: [1.0, 0.0, y[0]], [0.0] * 3, 1.0, 1e-9)\n"
+            "c = f.RK45(lambda y: [1.0, 0.0, y[0]], [0.0] * 3, 1.0, 1e-9)\n"
             "assert a._attempt is b._attempt is not c._attempt\n"
             "assert info().misses == 2, info()\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+class TestRightHandSideContract:
+    """A right-hand side is ``fun(y)``: it is called with one positional
+    argument, the state as a list of floats, and never with the time."""
+
+    @staticmethod
+    def _checked(fun, lengths):
+        def checked(*args, **kwargs):
+            assert not kwargs and len(args) == 1, (args, kwargs)
+            (y,) = args
+            assert type(y) is list and all(type(v) is float for v in y), y
+            lengths.append(len(y))
+            return fun(y)
+
+        return checked
+
+    def test_rk45_and_steps(self):
+        def rotation(y):
+            return [-y[1], y[0]]
+
+        lengths = []
+        solver = flow.RK45(self._checked(rotation, lengths), [1.0, 0.0], 1.0,
+                           1e-9)
+        while not solver.finished:
+            solver.step()
+        assert abs(solver.y[0] - math.cos(1.0)) <= 1e-7
+        for solver in flow._steps(self._checked(rotation, lengths), (1, 0),
+                                  -1.0, 1e-9):
+            pass
+        assert abs(solver.y[1] + math.sin(1.0)) <= 1e-7
+        assert len(lengths) > 20 and set(lengths) == {2}
+
+    def test_compile_field(self, monkeypatch):
+        compile_field = flow.compile_field
+        assert compile_field(VDP)([2.0, 0.0]) == [0.0, -2.0]
+        lengths = []
+        monkeypatch.setattr(flow, "compile_field", lambda system:
+                            self._checked(compile_field(system), lengths))
+        traj = integrate(VDP, (2.0, 0.0), 1.0)
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert len(lengths) > 20 and set(lengths) == {2}
+
+    def test_flowbox_dulac(self, monkeypatch):
+        lengths = []
+        steps = flow._steps
+        monkeypatch.setattr(synthesis, "_steps", lambda fun, *rest:
+                            steps(self._checked(fun, lengths), *rest))
+        field = parse_system("P = x\nQ = -y")
+        synthesis.flowbox_dulac(field, ((1.0, -0.5), (1.0, 0.5)),
+                                n_across=3, n_along=5, t_span=0.6)
+        assert len(lengths) > 20 and set(lengths) == {3}
+
 
 class TestPoincare:
     def test_rotation_full_turn(self):

@@ -1,13 +1,20 @@
 """Parser: `.vf` grammar, expression handling, errors with positions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 
 from dulac.errors import ParseError
+from dulac.jsonform import from_json
 from dulac.multiplier import ExpPolyMultiplier, PolyMultiplier
 from dulac.parse import (
     parse_constant,
+    parse_list,
     parse_multiplier,
     parse_poly,
     parse_system,
@@ -18,6 +25,8 @@ PARSERS = {"poly": parse_poly, "constant": parse_constant,
 from dulac.poly import CRat, Poly
 
 from conftest import polys
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParsePoly:
@@ -327,3 +336,45 @@ class TestErrors:
         with pytest.raises(ParseError, match=message) as err:
             parse_multiplier(text)
         assert (err.value.line, err.value.col) == (1, col)
+
+
+class TestDeepNesting:
+    """Input nested past the recursion limit is a ParseError at the token
+    where the nesting ran out, from every entry point of the parser."""
+
+    DEEP = {"parentheses": "(" * 3000 + "x" + ")" * 3000,
+            "unary_minus": "-" * 3000 + "x"}
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_every_entry_point_raises(self, shape):
+        text = self.DEEP[shape]
+        calls = [lambda: parse_poly(text), lambda: parse_multiplier(text),
+                 lambda: parse_multiplier(f"exp({text})"),
+                 lambda: parse_multiplier(f"exp(x)*{text}"),
+                 lambda: parse_system(f"P = y\nQ = {text}"),
+                 lambda: parse_list(f"x;{text}", [(";", None, "")], True),
+                 lambda: from_json(Poly, text)]
+        for call in calls:
+            with pytest.raises(ParseError, match="nested too deeply") as err:
+                call()
+            # the error points into the nesting, not at its start or end
+            assert err.value.line in (1, 2) and 1 < err.value.col < 3000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_constant(text.replace("x", "1"))
+
+    def test_depths_that_parsed_still_parse(self):
+        # in a fresh interpreter, as from the command line: how deep input
+        # fits depends on the frames already on the stack
+        script = (
+            "from dulac.parse import parse_multiplier, parse_poly, "
+            "parse_system\n"
+            "from dulac.poly import Poly\n"
+            "x = Poly.x()\n"
+            "assert parse_poly('(' * 190 + 'x' + ')' * 190) == x\n"
+            "assert parse_poly('-' * 500 + 'x') == x\n"
+            "assert parse_poly('-' * 499 + 'x') == -x\n"
+            "assert parse_multiplier('(' * 190 + 'x' + ')' * 190).p == x\n"
+            "assert parse_system('P = ' + '(' * 190 + 'y' + ')' * 190\n"
+            "                    + '\\nQ = ' + '-' * 501 + 'x').q == -x\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -341,6 +341,30 @@ class TestPuncturedBoxSearch:
             run_analyze(system, Box2(-4, 4, -4, 4),
                         AnalyzeConfig(tile_depth=-1))
 
+    def test_budgets_checked_before_work(self, monkeypatch):
+        # the depth first, then the radius, and then the search
+        def no_work(*args):
+            raise AssertionError("work started before the budget checks")
+
+        monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
+        monkeypatch.setattr(analyze, "find_equilibria", no_work)
+        system, region = parse_system(VDP_TEXT), Box2(-4, 4, -4, 4)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
+        for min_r in (1e-3, math.inf):
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                analyze.local_certificates(system, region, min_r, -1)
+        with pytest.raises(ValueError, match="min_radius must be finite"):
+            analyze.local_certificates(system, region, math.inf, 8)
+
+    def test_local_certificates_finds_the_equilibria(self):
+        system, region = parse_system(VDP_TEXT), Box2(-4, 4, -4, 4)
+        equilibria, certs, notes = analyze.local_certificates(
+            system, region, 1e-3, 8)
+        assert equilibria == analyze.find_equilibria(system, region)
+        assert [c.equilibrium for c in certs] == equilibria
+        assert notes == []
+
 
 class TestFlowBox:
     def test_constant_field(self):

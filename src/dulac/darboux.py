@@ -45,6 +45,9 @@ from .poly import (
 # random trajectories it checks and how long each runs
 VERIFY_TRAJECTORIES = 5
 VERIFY_T_SPAN = 10.0
+# half width of the square around the origin in which a curve's singular
+# points are sought
+DEGENERATE_SEARCH_HALF_WIDTH = Fraction(5)
 
 
 @dataclass(frozen=True)
@@ -161,14 +164,13 @@ def cofactor_of(f: Poly, system: VectorField,
     return InvariantCurve(f=f, k=k)
 
 
-def _warn_degenerate_points(f: Poly, system: VectorField,
-                            search_half_width: float = 5.0) -> None:
+def _warn_degenerate_points(f: Poly, system: VectorField) -> None:
     fx, fy = f.derive("x"), f.derive("y")
     if fx.is_zero and fy.is_zero:
         return
     if fx.is_constant and fy.is_constant:
         return  # gradient never vanishes
-    w = Fraction(search_half_width)
+    w = DEGENERATE_SEARCH_HALF_WIDTH
     gradient_field = VectorField(p=fx, q=fy)
     for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
         z = report.location

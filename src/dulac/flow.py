@@ -13,11 +13,11 @@ with scipy's arithmetic.  Every field is autonomous, so a right-hand side
 is ``fun(y)``, of the state alone.  The stages are straight-line code
 generated from the tableau once per state length (``_attempt_kernel``).
 Events on a step are found by one bisection of its dense output
-(``_locate``).  Every float value of a polynomial comes from its cached
-straight-line functions (``Poly.float_functions``), which the RK
-right-hand sides (``compile_field``) call directly and which raise the
-"beyond float range" ValueError themselves; every other float value of
-the field is ``VectorField.__call__``.  This is the empirical cross-check
+(``_locate``).  Every float value of a polynomial comes from one function
+that ``poly.float_sums`` generates for its use: an RK right-hand side
+(``compile_field``, ``flowbox_dulac``'s) is one such function, and it raises
+the "beyond float range" ValueError itself; every other float value of the
+field is ``VectorField.__call__``.  This is the empirical cross-check
 side of the package: nothing here is rigorous, and certificates always
 win over these numbers.
 """
@@ -33,11 +33,12 @@ from typing import Optional
 
 from .certify import DROP, SPLIT, Box2, bernstein_coefficients, walk
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, VectorField
+from .poly import Point, VectorField, float_sums
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
 EQUILIBRIUM_SPLITS = 5  # at most 4^5 = 1024 cells get a Newton start
+NEWTON_MAX_ITER = 50  # Newton steps from one start
 ZERO_TOL = 1e-9  # the one zero test, ``is_zero``: |P| and |Q| both <= it
 # The cycle search's budgets, for ``limit-cycle`` and ``analyze`` alike:
 # return-map iterations after the first return, the RK tolerance, and the
@@ -46,6 +47,7 @@ CYCLE_MAX_ITERS = 25
 CYCLE_TOL = 1e-10
 CYCLE_MAX_TIME = 100.0
 INTEGRATE_TOL = 1e-9  # ``integrate``'s RK tolerance, and ``simulate --tol``'s
+LOOP_SUBSAMPLES = 4  # dense-output points per RK step of a reported cycle
 
 
 class Classification(Enum):
@@ -156,19 +158,12 @@ def _write_csv(stream, times, points) -> None:
 
 
 def compile_field(system: VectorField):
-    """ODE right-hand side ``fun([x, y]) -> [P, Q]`` on Python floats.
-
-    It calls the real parts of ``Poly.float_functions`` directly, so its
-    values are those of ``Poly.evaluate``, and so is the ValueError they
-    raise for a value beyond float range.
+    """ODE right-hand side ``fun([x, y]) -> [P, Q]`` on Python floats: the
+    ``float_sums`` of the real parts of P and Q, so its values are those of
+    ``Poly.evaluate``, and so is the ValueError it raises for a value beyond
+    float range (P's first).
     """
-    p, q = (f.float_functions()[0] for f in (system.p, system.q))
-
-    def fun(z):
-        x, y = z
-        return [p(x, y), q(x, y)]
-
-    return fun
+    return float_sums([(system.p.terms, "re"), (system.q.terms, "re")])
 
 
 # --- equilibria ---------------------------------------------------------------
@@ -278,9 +273,9 @@ def _may_vanish(patches):
     return SPLIT if vanish else DROP
 
 
-def _newton(system, jac_polys, x, y, max_iter=50):
+def _newton(system, jac_polys, x, y):
     """(max(|P|, |Q|), x, y) once X passes ``is_zero``, or None."""
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fx, fy = system((x, y))
         if is_zero((fx, fy)):
             return (max(abs(fx), abs(fy)), x, y)
@@ -730,15 +725,14 @@ def detect_limit_cycle(system: VectorField, seed,
                             times=times)
 
 
-def _sample_loop(system: VectorField, z0: Point, period: float, tol: float,
-                 subsamples: int = 4):
+def _sample_loop(system: VectorField, z0: Point, period: float, tol: float):
     """One full loop from z0, densely sampled from the step interpolants."""
     times = [0.0]
     points = [z0]
     for solver in _steps(compile_field(system), z0, period, tol):
         dense = solver.dense_output()
-        for k in range(1, subsamples + 1):
-            t = solver.t_old + (solver.t - solver.t_old) * k / subsamples
+        for k in range(1, LOOP_SUBSAMPLES + 1):
+            t = solver.t_old + (solver.t - solver.t_old) * k / LOOP_SUBSAMPLES
             z = dense(t)
             times.append(t)
             points.append(Point(z[0], z[1]))

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expressions and `.vf` system files.
+"""Parser for polynomial expressions and `.vf` system files.
 
 One scanner, ``tokenize``, reads the characters of every input: `.vf` files,
 expressions, multipliers and the CLI's list arguments.  It skips blanks and
@@ -8,10 +8,12 @@ expressions, multipliers and the CLI's list arguments.  It skips blanks and
 Grammar for expressions (explicit operators only, no implicit products):
 
     expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-') factor | power
-    power  := atom ('^' INTEGER)?
-    atom   := NUMBER | IDENT | '(' expr ')'
+    term   := signed (('*' | '/') signed)*
+    signed := ('+' | '-')* power
+    power  := (NUMBER | IDENT | '(' expr ')') ('^' INTEGER)?
+
+``_ExprParser.expr`` reads the first three rules in loops, so only a
+parenthesis nests a call (of ``power``), and runs of signs have no limit.
 
 NUMBER is ASCII ``[0-9]+('.'[0-9]+)?`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``.
 Division is restricted to nonzero constant divisors and exponents to literal
@@ -126,69 +128,64 @@ class _ExprParser:
             self.fail("expression nested too deeply")
 
     def expr(self) -> Poly:
-        p = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
-
-    def term(self) -> Poly:
-        p = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance()
-            q = self.factor()
-            if op.text == "*":
-                p = p * q
-            else:
-                if not q.is_constant:
-                    self.fail("nonpolynomial construct: division by a "
-                              "nonconstant expression", op)
-                c = q.constant_term
-                if not c:
-                    self.fail("division by zero", op)
-                p = p * (Poly.const(1) / c)
-        return p
-
-    def factor(self) -> Poly:
-        tok = self.peek()
-        if tok.text == "-":
-            self.advance()
-            return -self.factor()
-        if tok.text == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
+        """A sum of terms, each a product of signed powers, read left to
+        right in loops: only a parenthesis (through ``power``) nests."""
+        total = None
+        while True:
+            term = op = None
+            while True:
+                negate = False
+                while self.peek().text in ("+", "-"):
+                    negate ^= self.advance().text == "-"
+                q = -self.power() if negate else self.power()
+                if op is None:
+                    term = q
+                elif op.text == "*":
+                    term = term * q
+                else:
+                    if not q.is_constant:
+                        self.fail("nonpolynomial construct: division by a "
+                                  "nonconstant expression", op)
+                    c = q.constant_term
+                    if not c:
+                        self.fail("division by zero", op)
+                    term = term * (Poly.const(1) / c)
+                if self.peek().text not in ("*", "/"):
+                    break
+                op = self.advance()
+            total = term if total is None else (
+                total + term if add else total - term)
+            if self.peek().text not in ("+", "-"):
+                return total
+            add = self.advance().text == "+"
 
     def power(self) -> Poly:
-        base = self.atom()
-        if self.peek().text == "^":
-            caret = self.advance()
-            exp_tok = self.peek()
-            if exp_tok.text == "-":
-                self.fail("nonpolynomial construct: negative exponent", caret)
-            if exp_tok.kind != "NUMBER":
-                self.fail("exponent must be a nonnegative integer literal", exp_tok)
-            self.advance()
-            if "." in exp_tok.text:
-                self.fail("nonpolynomial construct: fractional exponent", exp_tok)
-            return base ** int(exp_tok.text)
-        return base
-
-    def atom(self) -> Poly:
+        """An atom (a number, a name or ``( expr )``) and its exponent."""
         tok = self.advance()
         if tok.kind == "NUMBER":
-            return Poly.const(Fraction(tok.text))
-        if tok.kind == "IDENT":
-            return self.lookup(tok)
-        if tok.text == "(":
-            p = self.expr()
+            base = Poly.const(Fraction(tok.text))
+        elif tok.kind == "IDENT":
+            base = self.lookup(tok)
+        elif tok.text == "(":
+            base = self.expr()
             closing = self.advance()
             if closing.text != ")":
                 self.fail("expected ')'", closing)
-            return p
-        self.fail(f"unexpected token {tok.text!r}" if tok.kind != "END"
-                  else "unexpected end of expression", tok)
+        else:
+            self.fail(f"unexpected token {tok.text!r}" if tok.kind != "END"
+                      else "unexpected end of expression", tok)
+        if self.peek().text != "^":
+            return base
+        caret = self.advance()
+        exp_tok = self.peek()
+        if exp_tok.text == "-":
+            self.fail("nonpolynomial construct: negative exponent", caret)
+        if exp_tok.kind != "NUMBER":
+            self.fail("exponent must be a nonnegative integer literal", exp_tok)
+        self.advance()
+        if "." in exp_tok.text:
+            self.fail("nonpolynomial construct: fractional exponent", exp_tok)
+        return base ** int(exp_tok.text)
 
     def lookup(self, tok: Token) -> Poly:
         name = tok.text

@@ -4,9 +4,10 @@ Polynomials in x, y with complex-rational coefficients are the carrier for
 every symbolic identity in this package (multipliers, divergences, cofactors,
 first integrals).  All arithmetic here is exact, including the one linear
 solver (``kernel_basis``); floats appear only in point evaluation, through
-the straight-line functions that ``Poly.float_functions`` generates.  They
-raise the one "beyond float range" ValueError (``float_range_error``)
-themselves, so no caller catches an OverflowError.
+the straight-line functions that ``float_sums`` generates, one function for
+the float sums that one use needs.  They raise the one "beyond float range"
+ValueError (``float_range_error``) themselves, so no caller catches an
+OverflowError.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class Poly:
     The degree of the zero polynomial is -1 by convention.
     """
 
-    __slots__ = ("terms", "_float_functions")
+    __slots__ = ("terms", "_float_sums")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
         clean = {}
@@ -238,8 +239,8 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def __reduce__(self):
-        # the terms alone: the cached float functions are generated code,
-        # which cannot be pickled, and are rebuilt on demand
+        # the terms alone: the cached float function is generated code,
+        # which cannot be pickled, and is rebuilt on demand
         return Poly._raw, (self.terms,)
 
     def __bool__(self) -> bool:
@@ -339,49 +340,19 @@ class Poly:
                     out[(i, j - 1)] = c * j
         return Poly._raw(out)
 
-    def float_functions(self):
-        """``(re, im)``: the real and imaginary parts of the value as
-        straight-line functions of float x, y, generated on the first call
-        and cached, which is sound because a Poly never changes.
-
-        Each is the float sum, from ``0.0`` and left to right in term order,
-        of ``c * x**i * y**j`` with ``c`` the float of the coefficient's part;
-        ``im`` keeps only the terms whose float imaginary part is nonzero.
-        Only exact rewrites are made: ``x**0`` is dropped and ``x**1`` written
-        ``x``, so the values are bit for bit those of the term-by-term sum.
-        Both raise the ValueError of ``float_range_error`` where a power
-        overflows, and at every point when a coefficient is beyond float
-        range; no caller needs to catch an OverflowError.
-        """
-        try:
-            return self._float_functions
-        except AttributeError:
-            pass
-        terms = self.terms  # not self: the functions hold no reference to it
-        try:
-            table = [(i, j, float(c.re), float(c.im))
-                     for (i, j), c in terms.items()]
-        except OverflowError:
-            def beyond(x, y):
-                raise float_range_error(terms, x, y)
-
-            functions = (beyond, beyond)
-        else:
-            functions = _compile_float(
-                terms,
-                [(i, j, c_re) for i, j, c_re, _ in table],
-                [(i, j, c_im) for i, j, _, c_im in table if c_im])
-        self._float_functions = functions
-        return functions
-
     def evaluate(self, z) -> complex:
-        """Float value at a point, through ``float_functions``; exactly real
-        for real coefficients.  Raises ValueError, naming the polynomial and
-        z, when a coefficient or a power of x or y is beyond float range.
+        """Float value at a point: the real and imaginary ``float_sums``,
+        generated on the first call and cached (a Poly never changes).
+        Exactly real for real coefficients.  Raises ValueError, naming the
+        polynomial and z, when a coefficient or a power is beyond float range.
         """
-        x, y = float(z[0]), float(z[1])
-        re, im = self.float_functions()
-        return complex(re(x, y), im(x, y))
+        try:
+            sums = self._float_sums
+        except AttributeError:
+            sums = self._float_sums = float_sums(
+                [(self.terms, "re"), (self.terms, "im")])
+        re, im = sums((float(z[0]), float(z[1])))
+        return complex(re, im)
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
         """Evaluate with exact rational arithmetic at a rational point."""
@@ -436,37 +407,46 @@ def _float_term(i: int, j: int, c: float) -> str:
     return " * ".join(factors)
 
 
-def _compile_float(terms, re_table, im_table):
-    """Generate ``re(x, y)`` and ``im(x, y)`` summing ``c * x**i * y**j``
-    over the (i, j, c) of each table; an empty ``im_table`` gives ``_zero``.
-    Each turns an OverflowError into ``float_range_error(terms, x, y)``.
-    The source holds only float reprs, x, y and integer exponents."""
-    tables = [("re", re_table)]
-    if im_table:
-        tables.append(("im", im_table))
-    lines = []
-    for name, table in tables:
-        terms_text = [_float_term(*t) for t in table] or ["0.0"]
-        chunks = [" + ".join(terms_text[k:k + _TERMS_PER_LINE])
-                  for k in range(0, len(terms_text), _TERMS_PER_LINE)]
-        lines.append(f"def {name}(x, y):")
-        lines.append("    try:")
-        lines.append(f"        s = 0.0 + {chunks[0]}")
-        lines += [f"        s = s + {chunk}" for chunk in chunks[1:]]
-        lines.append("        return s")
-        lines.append("    except OverflowError:")
-        lines.append("        raise float_range_error(terms, x, y) from None")
-    namespace = {"__builtins__": {}, "im": _zero, "terms": terms,
-                 "OverflowError": OverflowError,
+def float_sums(sums):
+    """Generate ``f(z)``, the list of the float values at ``z = (x, y)`` of
+    each ``(terms, part)`` of ``sums``, in order: the part, ``"re"`` or
+    ``"im"``, of the polynomial of ``terms``.
+
+    Each value is the float sum, from ``0.0`` and left to right in term
+    order, of ``c * x**i * y**j`` with ``c`` the float of the coefficient's
+    part; an ``"im"`` sum keeps only the terms whose float part is nonzero.
+    Only exact rewrites are made (``x**0`` dropped, ``x**1`` written ``x``),
+    so the values are bit for bit those of the term-by-term sum.  A sum
+    raises ``float_range_error`` for its own polynomial where a power
+    overflows, and on every call when a coefficient's part is beyond float
+    range; no caller catches an OverflowError.  The source holds only float
+    reprs, x, y and integer exponents.
+    """
+    namespace = {"__builtins__": {}, "OverflowError": OverflowError,
                  "float_range_error": float_range_error}
-    exec(compile("\n".join(lines), "<Poly.float_functions>", "exec"),
-         namespace)
-    return namespace["re"], namespace["im"]
-
-
-def _zero(x, y):
-    """The imaginary part of a Poly with real float coefficients."""
-    return 0.0
+    lines = ["def f(z):", "    x, y = z"]
+    for k, (terms, part) in enumerate(sums):
+        namespace[f"t{k}"] = terms
+        raise_line = f"raise float_range_error(t{k}, x, y)"
+        try:
+            table = [(i, j, float(getattr(c, part)))
+                     for (i, j), c in terms.items()]
+        except OverflowError:
+            lines.append(f"    {raise_line}")
+            continue
+        if part == "im":
+            table = [t for t in table if t[2]]
+        terms_text = [_float_term(*t) for t in table] or ["0.0"]
+        chunks = [" + ".join(terms_text[n:n + _TERMS_PER_LINE])
+                  for n in range(0, len(terms_text), _TERMS_PER_LINE)]
+        lines.append("    try:")
+        lines.append(f"        s{k} = 0.0 + {chunks[0]}")
+        lines += [f"        s{k} = s{k} + {chunk}" for chunk in chunks[1:]]
+        lines.append("    except OverflowError:")
+        lines.append(f"        {raise_line} from None")
+    lines.append(f"    return [{', '.join(f's{k}' for k in range(len(sums)))}]")
+    exec(compile("\n".join(lines), "<poly.float_sums>", "exec"), namespace)
+    return namespace["f"]
 
 
 def float_range_error(terms, x: float, y: float) -> ValueError:

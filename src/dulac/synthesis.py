@@ -34,7 +34,7 @@ from .flow import _steps, _StepFailure, check_zero, is_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
 from .poly import (Point, Poly, VectorField, div_product, divergence,
-                   kernel_basis)
+                   float_sums, kernel_basis)
 
 
 @dataclass(frozen=True)
@@ -359,14 +359,14 @@ def flowbox_dulac(system: VectorField, transversal,
     if g is None:
         g = Poly.const(1)
     (ax, ay), (bx, by) = transversal
-    p, q, div_x = system.p, system.q, divergence(system)
-    # the same straight-line functions as flow.compile_field
-    p_re, q_re, g_re, div_re = (f.float_functions()[0]
-                                for f in (p, q, g, div_x))
+    # the float sums of flow.compile_field, and g's and Div X's after them
+    values = float_sums([(f.terms, "re") for f in
+                         (system.p, system.q, g, divergence(system))])
 
     def rhs(state):
         x, y, b = state
-        return [p_re(x, y), q_re(x, y), g_re(x, y) - b * div_re(x, y)]
+        p, q, g_value, div_x = values((x, y))
+        return [p, q, g_value - b * div_x]
 
     ds, dt = 1.0 / (n_across - 1), t_span / (n_along - 1)
     if t_span and not dt:

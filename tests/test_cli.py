@@ -799,21 +799,40 @@ class TestCycleBudgets:
 
 class TestDeepNesting:
     """Input nested 3,000 deep raised an uncaught RecursionError (exit 1,
-    a cycle's exit code for analyze)."""
+    a cycle's exit code for analyze).  Parentheses that deep exit 3; a run
+    of 3,000 signs reads as x."""
 
     DEEP = {"parentheses": "(" * 3000 + "x" + ")" * 3000,
             "unary_minus": "-" * 3000 + "x"}
+
+    @staticmethod
+    def _commands(text, path):
+        path.write_text(f"P = y\nQ = {text}\n")
+        return (["certify", "--system", RADIAL, "--region=1:2,1:2",
+                 f"--multiplier={text}"],
+                ["cofactor", "--system", SADDLE, f"--curves=x;{text}"],
+                ["parse", "--system", str(path)],
+                ["analyze", "--system", str(path), "--region=-1:1,-1:1"])
 
     @pytest.mark.parametrize("shape", sorted(DEEP))
     def test_exits_3_naming_the_position(self, capsys, tmp_path, shape):
         text = self.DEEP[shape]
         path = tmp_path / "deep.vf"
-        path.write_text(f"P = y\nQ = {text}\n")
-        for argv in (["certify", "--system", RADIAL, "--region=1:2,1:2",
-                      f"--multiplier={text}"],
-                     ["cofactor", "--system", SADDLE, f"--curves=x;{text}"],
-                     ["parse", "--system", str(path)],
-                     ["analyze", "--system", str(path), "--region=-1:1,-1:1"]):
+        if shape == "unary_minus":
+            # signs are read in a loop: each command runs as it does on x,
+            # and all but analyze (inconclusive on [-1,1]^2) exit 0
+            for argv, plain in zip(self._commands(text, path),
+                                   self._commands("x", tmp_path / "x.vf")):
+                code = main(argv)
+                captured = capsys.readouterr()
+                plain_code = main(plain)
+                plain_captured = capsys.readouterr()
+                assert code == plain_code == (2 if argv[0] == "analyze"
+                                              else 0), argv
+                assert captured.err == plain_captured.err == ""
+                assert captured.out == plain_captured.out
+            return
+        for argv in self._commands(text, path):
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 3, argv

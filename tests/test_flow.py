@@ -417,6 +417,7 @@ class TestCompileField:
          "100000...(401 digits)*y at (1e+200, 0)"),
         ("P = y\nQ = x - 10^400", (0.5, 0.25),
          "x - 100000...(401 digits) at (0.5, 0.25)"),
+        ("P = x^3\nQ = y", (1e200, 0.0), "x^3 at (1e+200, 0)"),
     ])
     def test_names_the_component_beyond_float_range(self, text, z, message):
         fun = flow.compile_field(parse_system(text))

@@ -1,10 +1,5 @@
 """Parser: `.vf` grammar, expression handling, errors with positions."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -25,8 +20,6 @@ PARSERS = {"poly": parse_poly, "constant": parse_constant,
 from dulac.poly import CRat, Poly
 
 from conftest import polys
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParsePoly:
@@ -339,8 +332,9 @@ class TestErrors:
 
 
 class TestDeepNesting:
-    """Input nested past the recursion limit is a ParseError at the token
-    where the nesting ran out, from every entry point of the parser."""
+    """Parentheses nested past the recursion limit are a ParseError at the
+    token where the nesting ran out, from every entry point of the parser;
+    signs are read in a loop, so a run of any length parses."""
 
     DEEP = {"parentheses": "(" * 3000 + "x" + ")" * 3000,
             "unary_minus": "-" * 3000 + "x"}
@@ -348,33 +342,33 @@ class TestDeepNesting:
     @pytest.mark.parametrize("shape", sorted(DEEP))
     def test_every_entry_point_raises(self, shape):
         text = self.DEEP[shape]
-        calls = [lambda: parse_poly(text), lambda: parse_multiplier(text),
-                 lambda: parse_multiplier(f"exp({text})"),
-                 lambda: parse_multiplier(f"exp(x)*{text}"),
-                 lambda: parse_system(f"P = y\nQ = {text}"),
-                 lambda: parse_list(f"x;{text}", [(";", None, "")], True),
+        calls = [lambda: parse_poly(text), lambda: parse_multiplier(text).p,
+                 lambda: parse_multiplier(f"exp({text})").g,
+                 lambda: parse_multiplier(f"exp(x)*{text}").p,
+                 lambda: parse_system(f"P = y\nQ = {text}").q,
+                 lambda: parse_list(f"x;{text}", [(";", None, "")], True)[1],
                  lambda: from_json(Poly, text)]
+        constant = text.replace("x", "1")
+        if shape == "unary_minus":
+            for call in calls:
+                assert call() == Poly.x()
+            assert parse_constant(constant) == 1
+            return
         for call in calls:
             with pytest.raises(ParseError, match="nested too deeply") as err:
                 call()
             # the error points into the nesting, not at its start or end
             assert err.value.line in (1, 2) and 1 < err.value.col < 3000
         with pytest.raises(ParseError, match="nested too deeply"):
-            parse_constant(text.replace("x", "1"))
+            parse_constant(constant)
 
     def test_depths_that_parsed_still_parse(self):
-        # in a fresh interpreter, as from the command line: how deep input
-        # fits depends on the frames already on the stack
-        script = (
-            "from dulac.parse import parse_multiplier, parse_poly, "
-            "parse_system\n"
-            "from dulac.poly import Poly\n"
-            "x = Poly.x()\n"
-            "assert parse_poly('(' * 190 + 'x' + ')' * 190) == x\n"
-            "assert parse_poly('-' * 500 + 'x') == x\n"
-            "assert parse_poly('-' * 499 + 'x') == -x\n"
-            "assert parse_multiplier('(' * 190 + 'x' + ')' * 190).p == x\n"
-            "assert parse_system('P = ' + '(' * 190 + 'y' + ')' * 190\n"
-            "                    + '\\nQ = ' + '-' * 501 + 'x').q == -x\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        # depths that parsed in a fresh interpreter parse under the test
+        # runner's deeper stack too: a parenthesis costs two frames
+        x = Poly.x()
+        assert parse_poly("(" * 190 + "x" + ")" * 190) == x
+        assert parse_poly("-" * 500 + "x") == x
+        assert parse_poly("-" * 499 + "x") == -x
+        assert parse_multiplier("(" * 190 + "x" + ")" * 190).p == x
+        assert parse_system("P = " + "(" * 190 + "y" + ")" * 190
+                            + "\nQ = " + "-" * 501 + "x").q == -x

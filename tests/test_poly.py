@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from dulac import poly
 from dulac.parse import parse_poly
 from dulac.poly import (
     CRat,
@@ -16,6 +17,7 @@ from dulac.poly import (
     VectorField,
     div_product,
     divergence,
+    float_sums,
     format_poly,
     kernel_basis,
     lie_derivative,
@@ -261,10 +263,23 @@ class TestFloatEvaluatorAgainstTermLoop:
             with pytest.raises(ValueError) as info:
                 p.evaluate(z)
             assert str(info.value) == _range_message(p, *z)
-        for part in p.float_functions():
+        # a part's sum raises on every call when that part of a coefficient
+        # is beyond float range: the real part here, both parts of q
+        q = P("x + (10^400 + 10^400*i)*y")
+        for r, parts in ((p, ["re"]), (q, ["re", "im"])):
+            for part in parts:
+                sums = float_sums([(r.terms, part)])
+                for _ in range(2):
+                    with pytest.raises(ValueError) as info:
+                        sums((1.0, 1.0))
+                    assert str(info.value) == _range_message(r, 1.0, 1.0)
+        # and evaluate raises for an imaginary part alone beyond float range
+        r = P("x + (1 + 10^400*i)*y")
+        assert float_sums([(r.terms, "re")])((2.0, 3.0)) == [5.0]
+        for _ in range(2):
             with pytest.raises(ValueError) as info:
-                part(1.0, 1.0)
-            assert str(info.value) == _range_message(p, 1.0, 1.0)
+                r.evaluate((2.0, 3.0))
+            assert str(info.value) == _range_message(r, 2.0, 3.0)
 
     def test_pickle_and_copy_after_evaluation(self):
         p = P("(1 + 2*i)*x^3*y - 5/7")
@@ -273,11 +288,58 @@ class TestFloatEvaluatorAgainstTermLoop:
             assert copied == p
             assert copied.evaluate((0.75, -1.5)) == value
 
-    def test_functions_are_cached(self):
+    def test_functions_are_cached(self, monkeypatch):
+        generated = []
+
+        def counted(sums):
+            generated.append(sums)
+            return float_sums(sums)
+
+        monkeypatch.setattr(poly, "float_sums", counted)
         p = P("x^2*y - 3")
-        assert p.float_functions() is p.float_functions()
-        re, im = p.float_functions()
-        assert re(2.0, 0.5) == -1.0 and same_float(im(2.0, 0.5), 0.0)
+        for z in [(2.0, 0.5), (1.0, 1.0), (2.0, 0.5)]:
+            p.evaluate(z)
+        # one function per Poly, over its real and imaginary parts
+        assert generated == [[(p.terms, "re"), (p.terms, "im")]]
+        value = p.evaluate((2.0, 0.5))
+        assert value.real == -1.0 and same_float(value.imag, 0.0)
+        re, im = float_sums(generated[0])((2.0, 0.5))
+        assert re == -1.0 and same_float(im, 0.0)
+        pickle.loads(pickle.dumps(p)).evaluate((2.0, 0.5))
+        assert len(generated) == 2  # a copy generates its own
+
+    def test_several_sums_with_many_terms(self):
+        # one function over several sums of more terms than one generated
+        # statement holds: each value is its polynomial's own, bit for bit
+        rng = random.Random(7)
+        polys = [Poly({(k % 30, k // 30): CRat(rand_fraction(rng) or 1,
+                                               rand_fraction(rng))
+                       for k in range(n)}) for n in (150, 260, 101)]
+        sums = [(polys[0].terms, "re"), (polys[1].terms, "im"),
+                (polys[2].terms, "re"), (polys[0].terms, "im")]
+        f = float_sums(sums)
+        for z in [(0.5, -2.0), (-1.0, 1.25), (1.0001, 0.0), (-0.0, math.nan),
+                  (math.inf, 0.5)]:
+            loops = [_term_loop(p, z) for p in polys]
+            want = [loops[0].real, loops[1].imag, loops[2].real,
+                    loops[0].imag]
+            assert all(map(same_float, f(z), want)), z
+            values = [p.evaluate(z) for p in polys]
+            assert all(map(same_float, f(z), [
+                values[0].real, values[1].imag, values[2].real,
+                values[0].imag]))
+
+    @pytest.mark.parametrize("overflows,named", [
+        ((0,), 0), ((1,), 1), ((0, 1), 0), ((1, 2), 1)])
+    def test_several_sums_name_the_first_overflow(self, overflows, named):
+        # x^400 overflows at x = 100, x^2 does not; sums are read in order
+        polys = [P("x^400 + y" if k in overflows else "x^2 + y")
+                 for k in range(3)]
+        f = float_sums([(p.terms, "re") for p in polys])
+        with pytest.raises(ValueError) as info:
+            f((100.0, 1.0))
+        assert str(info.value) == _range_message(polys[named], 100.0, 1.0)
+        assert f((1.5, 1.0)) == [p.evaluate((1.5, 1.0)).real for p in polys]
 
 
 class TestRingAxioms:

@@ -1,5 +1,6 @@
 """Multiplier synthesis: quadratic, gradient, local, and flow-box routes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from dulac.errors import (
 )
 from dulac.multiplier import ExpPolyMultiplier, PolyMultiplier
 from dulac.parse import parse_poly, parse_system
-from dulac.poly import Point, Poly, VectorField, div_product
+from dulac.poly import Point, Poly, VectorField, div_product, divergence
 from dulac.synthesis import (
     Matrix2,
     QuadraticMultiplier,
@@ -37,7 +38,8 @@ from dulac.synthesis import (
     quadratic_dulac_linear,
 )
 
-from conftest import batch_eval, rand_fraction, sample_box
+from conftest import (batch_eval, rand_field, rand_fraction, rand_poly,
+                      same_float, sample_box)
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 VDP_TEXT = "P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1"
@@ -531,6 +533,42 @@ class TestFlowBox:
             flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)),
                           g=parse_poly("x^2"))
         assert str(info.value) == "x^2 at (1e+200, 0) is beyond float range"
+
+    def test_right_hand_side_is_evaluate(self, monkeypatch):
+        # the stepped (x, y, B) derivative is one generated function over
+        # P, Q, g and Div X: bit for bit Poly.evaluate's values, and the
+        # error of the first of them beyond float range
+        class Captured(Exception):
+            pass
+
+        def capture(fun, *rest):
+            captured.append(fun)
+            raise Captured
+
+        monkeypatch.setattr(synthesis, "_steps", capture)
+        rng = random.Random(11)
+        special = (0.0, -0.0, 1.5, math.inf, math.nan, 1e200)
+        points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(10)]
+        points += [(x, y) for x in special for y in special]
+        for _ in range(40):
+            field, g = rand_field(rng), rand_poly(rng)
+            captured = []
+            with pytest.raises(Captured):
+                flowbox_dulac(field, ((0.5, 0.25), (0.75, 0.5)), g)
+            rhs = captured[0]
+            polys = [field.p, field.q, g, divergence(field)]
+            for (x, y), b in zip(points, itertools.cycle((1.0, -0.5, 3.0))):
+                try:
+                    p, q, g_value, div_x = (f.evaluate((x, y)).real
+                                            for f in polys)
+                except ValueError as error:
+                    with pytest.raises(ValueError) as info:
+                        rhs([x, y, b])
+                    assert str(info.value) == str(error)
+                    continue
+                got = rhs([x, y, b])
+                want = [p, q, g_value - b * div_x]
+                assert all(map(same_float, got, want)), (field, g, x, y)
 
     def test_blowup_leaves_integration_window(self):
         field = VectorField(parse_poly("x^2"), parse_poly("1"))

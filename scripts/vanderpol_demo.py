@@ -15,7 +15,6 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from dulac import (
-    AnalyzeConfig,
     Box2,
     Point,
     bendixson,
@@ -66,7 +65,7 @@ def main() -> int:
     print(f"  loop written to {OUT / 'vanderpol_cycle.csv'}")
 
     region = Box2(Fraction(-4), Fraction(4), Fraction(-4), Fraction(4))
-    report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=6))
+    report = run_analyze(system, region)
     with open(OUT / "vanderpol_report.json", "w", encoding="utf-8") as fh:
         json.dump(to_json(report), fh, indent=2)
     print(f"\nanalyze on {region}:")

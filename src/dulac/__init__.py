@@ -6,7 +6,7 @@ machinery, and numeric limit-cycle detection for cross-validation.
 """
 
 from . import errors
-from .analyze import AnalysisReport, AnalyzeConfig, LocalCertificate, run_analyze
+from .analyze import AnalysisReport, LocalCertificate, run_analyze
 from .certify import (
     BernsteinPatch,
     Box2,
@@ -104,5 +104,5 @@ __all__ = [
     "Stability", "Trajectory", "TrajectoryStatus", "classify_equilibrium",
     "detect_limit_cycle", "find_equilibria", "integrate", "poincare_return",
     # analyze
-    "AnalysisReport", "AnalyzeConfig", "LocalCertificate", "run_analyze",
+    "AnalysisReport", "LocalCertificate", "run_analyze",
 ]

@@ -36,7 +36,6 @@ from .synthesis import (
     LOCAL_MAX_GROWTH_STEPS,
     LOCAL_MIN_RADIUS,
     certify_punctured_box,
-    check_min_radius,
     local_quadratic_multiplier,
 )
 
@@ -55,12 +54,11 @@ MARGINAL_FAMILY_NOTE = (
 )
 
 
-@dataclass
-class AnalyzeConfig:
-    min_radius: float = LOCAL_MIN_RADIUS
-    tile_n: int = 10
-    tile_depth: int = 6
-    max_cycle_seeds: int = 12
+# the region is cut into TILE_N x TILE_N tiles, each certified with B = 1 to
+# depth TILE_DEPTH, and at most MAX_CYCLE_SEEDS uncovered tiles seed the scan
+TILE_N = 10
+TILE_DEPTH = 6
+MAX_CYCLE_SEEDS = 12
 
 
 @dataclass(frozen=True)
@@ -82,14 +80,12 @@ class AnalysisReport:
     notes: tuple[str, ...]
 
 
-def local_certificates(system: VectorField, region: Box2,
-                       min_radius: float, max_depth: int):
+def local_certificates(system: VectorField, region: Box2):
     """(equilibria, certificates, notes): the zeros in ``region``, local
-    certificates at the hyperbolic ones and a note for each zero without
-    one.  max_depth, then min_radius, is checked before the search."""
-    if max_depth < 0:
-        raise ValueError(f"depth must be >= 0, got {max_depth}")
-    min_r = check_min_radius(min_radius)
+    certificates at the hyperbolic ones (rings down to ``LOCAL_MIN_RADIUS``,
+    each rectangle to depth ``LOCAL_MAX_DEPTH``) and a note for each zero
+    without one."""
+    min_r = Fraction(LOCAL_MIN_RADIUS)
     equilibria = find_equilibria(system, region)
     certs, notes = [], []
     for eq in equilibria:
@@ -115,11 +111,12 @@ def local_certificates(system: VectorField, region: Box2,
             notes.append(f"no box around ({eq.location.x:.6g}, "
                          f"{eq.location.y:.6g}) fits the region")
             continue
-        cert = certify_punctured_box(carrier, ex, ey, w, min_r, max_depth)
+        cert = certify_punctured_box(carrier, ex, ey, w, min_r,
+                                     LOCAL_MAX_DEPTH)
         if cert is None:
             notes.append(
                 f"local certification failed at ({eq.location.x:.6g}, "
-                f"{eq.location.y:.6g}) down to radius {min_radius}")
+                f"{eq.location.y:.6g}) down to radius {LOCAL_MIN_RADIUS}")
             continue
         certs.append(LocalCertificate(
             equilibrium=eq, multiplier=multiplier, box=cert.box,
@@ -127,34 +124,23 @@ def local_certificates(system: VectorField, region: Box2,
     return equilibria, certs, notes
 
 
-def run_analyze(system: VectorField, region: Box2,
-                config: AnalyzeConfig | None = None) -> AnalysisReport:
-    cfg = config or AnalyzeConfig()
-    if cfg.tile_n < 1:
-        raise ValueError(f"tile count must be >= 1, got {cfg.tile_n}")
-    if cfg.tile_depth < 0:
-        raise ValueError(f"tile depth must be >= 0, got {cfg.tile_depth}")
-    if cfg.max_cycle_seeds < 0:
-        raise ValueError(
-            f"cycle seed budget must be >= 0, got {cfg.max_cycle_seeds}")
-    min_r = check_min_radius(cfg.min_radius)
-
+def run_analyze(system: VectorField, region: Box2) -> AnalysisReport:
     # Steps 1 and 2: zeros of the field, local multipliers at hyperbolic ones
-    equilibria, local_certs, notes = local_certificates(
-        system, region, cfg.min_radius, LOCAL_MAX_DEPTH)
+    equilibria, local_certs, notes = local_certificates(system, region)
+    min_r = Fraction(LOCAL_MIN_RADIUS)
     cores = [(c.box, Box2.centered(c.box.x_mid, c.box.y_mid, min_r))
              for c in local_certs]
 
     # Step 3: tile the region and attack remaining tiles with B = 1
     certified_tiles: list = []
     uncovered: list = []
-    for tile in _tiles(region, cfg.tile_n):
+    for tile in _tiles(region, TILE_N):
         covered = any(
             box.contains_box(tile) and not tile.intersects(core)
             for box, core in cores)
         if covered:
             continue
-        result = bendixson(system, tile, cfg.tile_depth)
+        result = bendixson(system, tile, TILE_DEPTH)
         if result.certificate.is_positive:
             certified_tiles.append(tile)
         else:
@@ -162,7 +148,7 @@ def run_analyze(system: VectorField, region: Box2,
 
     # Step 4: scan uncovered tiles for limit cycles from their centers
     cycles: list = []
-    for tile in _subsample(uncovered, cfg.max_cycle_seeds):
+    for tile in _subsample(uncovered, MAX_CYCLE_SEEDS):
         center = (float(tile.x_mid), float(tile.y_mid))
         try:
             report = detect_limit_cycle(system, center)

@@ -26,7 +26,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .analyze import AnalyzeConfig, exit_code, local_certificates, run_analyze
+from .analyze import exit_code, local_certificates, run_analyze
 from .certify import (
     Box2,
     Certificate,
@@ -65,8 +65,6 @@ from .multiplier import PolyMultiplier
 from .parse import parse_list, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
 from .synthesis import (
-    LOCAL_MAX_DEPTH,
-    LOCAL_MIN_RADIUS,
     Matrix2,
     local_dulac_hyperbolic,
     printed_coefficients,
@@ -216,8 +214,7 @@ def _cmd_local_dulac(args, system) -> Record:
     if args.point is not None:
         pt = _parse_point(args.point)
         try:
-            multiplier, _, cert = local_dulac_hyperbolic(
-                system, pt, min_radius=args.min_radius, max_depth=args.depth)
+            multiplier, _, cert = local_dulac_hyperbolic(system, pt)
         except DulacError as exc:
             return Record({"local_certificates": []},
                           [f"({pt[0]:.6g}, {pt[1]:.6g}): failed: {exc}"],
@@ -225,8 +222,7 @@ def _cmd_local_dulac(args, system) -> Record:
         found, notes = [(pt, multiplier, cert)], []
     else:
         region = parse_region(args.region)
-        _, certs, notes = local_certificates(
-            system, region, args.min_radius, args.depth)
+        _, certs, notes = local_certificates(system, region)
         found = [(c.equilibrium.location, c.multiplier, c.certificate)
                  for c in certs]
     entries = [{"point": [pt[0], pt[1]], "multiplier": str(multiplier),
@@ -358,14 +354,7 @@ def _cmd_limit_cycle(args, system) -> Record:
 
 
 def _cmd_analyze(args, system) -> Record:
-    region = parse_region(args.region)
-    cfg = AnalyzeConfig(
-        tile_n=args.tiles,
-        tile_depth=args.depth,
-        min_radius=args.min_radius,
-        max_cycle_seeds=args.max_cycle_seeds,
-    )
-    report = run_analyze(system, region, cfg)
+    report = run_analyze(system, parse_region(args.region))
     lines = [
         f"equilibria: {len(report.equilibria)}",
         f"local certificates: {len(report.local_certificates)}",
@@ -441,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", help='equilibrium "x,y"')
     where.add_argument("--region", help=REGION_HELP)
-    p.add_argument("--depth", type=int, default=LOCAL_MAX_DEPTH)
-    p.add_argument("--min-radius", type=float, default=LOCAL_MIN_RADIUS)
     p.set_defaults(handler=_cmd_local_dulac)
 
     p = subs.add_parser("cofactor", help="cofactors of invariant curves")
@@ -504,13 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="full best-effort pipeline on a region")
     _add_common(p, region=True)
-    p.add_argument("--tiles", type=int, default=AnalyzeConfig.tile_n)
-    p.add_argument("--depth", type=int, default=AnalyzeConfig.tile_depth,
-                   help="certification depth for coverage tiles")
-    p.add_argument("--min-radius", type=float,
-                   default=AnalyzeConfig.min_radius)
-    p.add_argument("--max-cycle-seeds", dest="max_cycle_seeds", type=int,
-                   default=AnalyzeConfig.max_cycle_seeds)
     p.set_defaults(handler=_cmd_analyze)
 
     return parser

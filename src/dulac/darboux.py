@@ -45,6 +45,10 @@ from .poly import (
 # random trajectories it checks and how long each runs
 VERIFY_TRAJECTORIES = 5
 VERIFY_T_SPAN = 10.0
+# the integration tolerance of those trajectories, and the seed of the random
+# generator that draws their starts
+VERIFY_TOL = 1e-10
+VERIFY_SEED = 0
 # half width of the square around the origin in which a curve's singular
 # points are sought
 DEGENERATE_SEARCH_HALF_WIDTH = Fraction(5)
@@ -149,7 +153,8 @@ def cofactor_of(f: Poly, system: VectorField,
     condition is probed numerically: a common zero of f and grad f that is
     not a zero of X (|P| or |Q| over 1e-6, or nan) is reported as a
     DegenerateCurveWarning.  The probe is advisory and can be switched off
-    for bulk symbolic work.
+    for bulk symbolic work; where its float search leaves float range it
+    warns that the singular points were not probed.
     """
     if f.is_constant:
         raise ConstantInputError("invariant function must be nonconstant")
@@ -172,15 +177,19 @@ def _warn_degenerate_points(f: Poly, system: VectorField) -> None:
         return  # gradient never vanishes
     w = DEGENERATE_SEARCH_HALF_WIDTH
     gradient_field = VectorField(p=fx, q=fy)
-    for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
-        z = report.location
-        # nan fails <=, so a nan P or Q counts as nonzero
-        if (abs(f.evaluate(z).real) < 1e-6
-                and not all(abs(v) <= 1e-6 for v in system(z))):
-            warnings.warn(
-                f"singular point ({z.x:.6g}, {z.y:.6g}) of the curve is "
-                f"not a zero of the field",
-                DegenerateCurveWarning)
+    try:
+        for report in find_equilibria(gradient_field, Box2(-w, w, -w, w)):
+            z = report.location
+            # nan fails <=, so a nan P or Q counts as nonzero
+            if (abs(f.evaluate(z).real) < 1e-6
+                    and not all(abs(v) <= 1e-6 for v in system(z))):
+                warnings.warn(
+                    f"singular point ({z.x:.6g}, {z.y:.6g}) of the curve is "
+                    f"not a zero of the field",
+                    DegenerateCurveWarning)
+    except ValueError as exc:  # a value beyond float range
+        warnings.warn(f"singular points not probed: {exc}",
+                      DegenerateCurveWarning)
 
 
 def exponential_factor_cofactor(g: Poly, h: Poly,
@@ -305,20 +314,20 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
 
 def verify_first_integral(h: DarbouxExpr, system: VectorField,
                           trajectories: int = VERIFY_TRAJECTORIES,
-                          t_span: float = VERIFY_T_SPAN,
-                          tol: float = 1e-10, seed: int = 0) -> ResidualReport:
+                          t_span: float = VERIFY_T_SPAN) -> ResidualReport:
     """Exact total cofactor plus drift of log H along random trajectories.
 
     H is evaluated through logarithms of the factors with continuous angle
     unwrapping, so complex curves and exponents are handled away from their
     zero sets; seeds landing within 1e-3 of any factor's zero set are
     resampled.  The reported drift is the largest relative change of log H
-    along any checked trajectory.
+    along any checked trajectory.  The starts are drawn from a generator
+    seeded with ``VERIFY_SEED`` and integrated at tolerance ``VERIFY_TOL``.
     """
     if trajectories < 0:
         raise ValueError(f"trajectories must be >= 0, got {trajectories}")
     symbolic = h.total_cofactor()
-    rng = random.Random(seed)
+    rng = random.Random(VERIFY_SEED)
     factor_polys = [c.f for c, _ in h.curve_factors]
     factor_polys += [e.h for e, _ in h.exp_factors]
     max_drift = 0.0
@@ -329,7 +338,7 @@ def verify_first_integral(h: DarbouxExpr, system: VectorField,
         z0 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         if any(abs(f.evaluate(z0)) < 1e-3 for f in factor_polys):
             continue
-        traj = integrate(system, z0, t_span, tol)
+        traj = integrate(system, z0, t_span, VERIFY_TOL)
         drift = _log_drift(h, traj.states)
         if drift is None:
             continue

@@ -390,9 +390,7 @@ def flowbox_dulac(system: VectorField, transversal,
                                node=(i, len(states))) from None
         nodes.append([])
         for k, (xk, yk, bk) in enumerate(states):
-            z = Point(xk, yk)
-            pk, qk = system(z)
-            gk = g.evaluate(z).real
+            pk, qk, gk, _ = values((xk, yk))
             if is_zero((pk, qk)):
                 raise FlowBoxError("equilibrium encountered", node=(i, k))
             if not (math.isfinite(gk) and gk > 0):
@@ -405,7 +403,9 @@ def flowbox_dulac(system: VectorField, transversal,
         return ((nodes[i + 1][k][j] - nodes[i - 1][k][j]) / (2 * ds),
                 (nodes[i][k + 1][j] - nodes[i][k - 1][j]) / (2 * dt))
 
-    div_bx = [[node[5] for node in row] for row in nodes]
+    # edge nodes keep g; interior ones get their finite-difference Div(B*X)
+    grid = [[GridNode(Point(x, y), b, gk) for x, y, b, _, _, gk in row]
+            for row in nodes]
     deviations = []
     for i in range(1, n_across - 1):
         for k in range(1, n_along - 1):
@@ -420,13 +420,10 @@ def flowbox_dulac(system: VectorField, transversal,
                 raise FlowBoxError(f"positivity fails at node {(i, k)}: "
                                    f"finite-difference Div(B*X) = {div:.3e}",
                                    node=(i, k))
-            div_bx[i][k] = div
+            grid[i][k] = GridNode(grid[i][k].point, grid[i][k].b_value, div)
             deviations.append(abs(div - nodes[i][k][5]))
-    grid = tuple(
-        tuple(GridNode(Point(x, y), b, d) for (x, y, b, *_), d in zip(*rows))
-        for rows in zip(nodes, div_bx))
     return SampledMultiplier(
-        grid=grid,
+        grid=tuple(map(tuple, grid)),
         transversal=(Point(ax, ay), Point(bx, by)),
         fd_tolerance=max(deviations),
     )

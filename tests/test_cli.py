@@ -22,7 +22,6 @@ from dulac.analyze import (
     BEST_EFFORT_NOTE,
     P_CONNECTED_NOTE,
     AnalysisReport,
-    AnalyzeConfig,
     run_analyze,
 )
 from dulac.certify import Box2
@@ -138,6 +137,28 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: at least one invariant curve needed\n"
+
+    @pytest.mark.parametrize("curve", ["x^2 + y^2 - 10^400",
+                                       "10^400*x^2 + 10^400*y^2 - 1"],
+                             ids=["constant_term", "leading_terms"])
+    def test_curve_beyond_float_range_stays_exact(self, capsys, curve):
+        # the advisory singular-point probe exited 3 with "... is beyond
+        # float range"; the exact cofactor under the rotation is 0
+        with pytest.warns(dulac.errors.DegenerateCurveWarning,
+                          match="singular points not probed"):
+            code, report = run_json(capsys, ["cofactor", "--system",
+                                             ROTATION, "--curves", curve])
+        assert code == 0
+        (entry,) = report["result"]["curves"]
+        assert entry["k"] == "0"
+        with pytest.warns(dulac.errors.DegenerateCurveWarning,
+                          match="singular points not probed"):
+            code, report = run_json(capsys, ["darboux", "--system",
+                                             ROTATION, "--curves", curve])
+        assert code == 0
+        integral = report["result"]["first_integral"]
+        assert integral["total_cofactor"] == "0"
+        assert [c["k"] for c in integral["curve_factors"]] == ["0"]
 
     def test_expfactor(self, capsys):
         code, report = run_json(capsys, [
@@ -329,50 +350,6 @@ class TestErrors:
         assert "invalid choice: 'csv'" in err
         assert "missing.vf" not in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--tiles", "0"], ["--tiles", "-3"],
-        ["--tiles", "2", "--max-cycle-seeds", "-1"],
-    ], ids=["tiles_0", "tiles_neg", "cycle_seeds_neg"])
-    def test_analyze_bad_budget(self, capsys, flags):
-        # tiles 0 divided by zero and tiles -3 tiled nothing, so rotation,
-        # where every orbit is periodic, came out "fully certified"
-        code = main(["analyze", "--system", ROTATION, "--region=-2:2,-2:2"]
-                    + flags)
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
-
-    def test_local_dulac_nonpositive_min_radius(self, capsys):
-        for radius in ("0", "-1"):
-            code = main(["local-dulac", "--system", VDP, "--point", "0,0",
-                         "--min-radius", radius])
-            assert code == 3
-            assert "min_radius" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
-                             ids=lambda path: path.stem)
-    def test_bad_min_radius_exits_3_before_work(self, capsys, monkeypatch,
-                                                system):
-        def no_work(*args):
-            raise AssertionError("work started before the min_radius check")
-
-        monkeypatch.setattr(cli, "find_equilibria", no_work)
-        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
-        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
-                            no_work)
-        commands = (["local-dulac", "--point", "0,0"],
-                    ["local-dulac", "--region=-4:4,-4:4"],
-                    ["analyze", "--region=-4:4,-4:4"])
-        for radius in ("inf", "nan", "0", "-1e-3"):
-            for command in commands:
-                code = main(command + ["--system", str(system),
-                                       f"--min-radius={radius}"])
-                captured = capsys.readouterr()
-                assert code == 3, (command, radius)
-                assert "min_radius must be finite and > 0" in captured.err
-
     def test_simulate_stops_at_step_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(dulac.flow, "MAX_STEPS", 100)
         code, report = run_json(capsys, ["simulate", "--system", ROTATION,
@@ -385,12 +362,7 @@ class TestErrors:
         ["certify", "--system", RADIAL, "--region=-1:2,1:2",
          "--multiplier", "(x^2+y^2)/4"],
         ["bendixson", "--system", VDP, "--region=-3:3,-3:3"],
-        ["local-dulac", "--system", VDP, "--point", "0,0"],
-        # no hyperbolic equilibrium in this region: nothing reaches the
-        # certifier, so local_certificates itself must reject the depth
-        ["local-dulac", "--system", VDP, "--region=3:4,3:4"],
-        ["analyze", "--system", ROTATION, "--region=-2:2,-2:2"],
-    ], ids=["certify", "bendixson", "local_point", "local_region", "analyze"])
+    ], ids=["certify", "bendixson"])
     def test_negative_depth(self, capsys, args):
         # a depth limit of -1 was reported as an inconclusive certificate
         code = main(args + ["--depth", "-1"])
@@ -491,17 +463,6 @@ BAD_BUDGETS = {
     "verify_integral_trajectories_neg": ["verify-integral", "--system",
                                          SADDLE, "--curves", "x;y",
                                          "--trajectories", "-1"],
-    # inf ended in an OverflowError traceback; on saddle.vf, 0 exited 2,
-    # because its one equilibrium never reached the ring search
-    "local_dulac_point_min_radius_inf": ["local-dulac", "--system", VDP,
-                                         "--point", "0,0", "--min-radius",
-                                         "inf"],
-    "local_dulac_region_min_radius_inf": ["local-dulac", "--system", VDP,
-                                          "--region=-4:4,-4:4",
-                                          "--min-radius", "inf"],
-    "analyze_min_radius_zero": ["analyze", "--system", SADDLE,
-                                "--region=-1:1,-1:1", "--min-radius", "0",
-                                "--max-cycle-seeds", "0"],
     # ran a return map, then "did not converge within -1 iterations"
     "limit_cycle_max_iters_neg": ["limit-cycle", "--system", VDP, "--seed",
                                   "2,0", "--max-iters", "-1"],
@@ -595,8 +556,7 @@ ENVELOPE_CASES = {
                         "--trajectories", "1", "--t-span", "1"],
     "simulate": ["--system", ROTATION, "--z0", "1,0", "--t-span", "1.0"],
     "limit-cycle": ["--system", VDP, "--seed", "2,0"],
-    "analyze": ["--system", RADIAL, "--region=-2:2,-2:2",
-                "--tiles", "2", "--max-cycle-seeds", "0"],
+    "analyze": ["--system", RADIAL, "--region=-2:2,-2:2"],
 }
 
 
@@ -645,10 +605,10 @@ class TestEnvelope:
 
 
 class TestAnalyzeGolden:
-    def test_radial_fully_certified(self, capsys):
+    def test_radial_fully_certified(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         code, report = run_json(capsys, [
-            "analyze", "--system", RADIAL, "--region=-2:2,-2:2",
-            "--max-cycle-seeds", "2"])
+            "analyze", "--system", RADIAL, "--region=-2:2,-2:2"])
         assert code == 0
         r = report["result"]
         assert r["uncovered_regions"] == []
@@ -656,10 +616,10 @@ class TestAnalyzeGolden:
         assert len(r["equilibria"]) == 1
         assert r["equilibria"][0]["classification"] == "node"
 
-    def test_van_der_pol_cycle_detected(self, capsys):
+    def test_van_der_pol_cycle_detected(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 4)
         code, report = run_json(capsys, [
-            "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--max-cycle-seeds", "4"])
+            "analyze", "--system", VDP, "--region=-4:4,-4:4"])
         assert code == 1
         r = report["result"]
         assert len(r["equilibria"]) == 1
@@ -670,10 +630,10 @@ class TestAnalyzeGolden:
         assert len(r["limit_cycles"]) == 1
         assert r["limit_cycles"][0]["stability"] == "stable"
 
-    def test_rotation_marginal_family(self, capsys):
+    def test_rotation_marginal_family(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         code, report = run_json(capsys, [
-            "analyze", "--system", ROTATION, "--region=-2:2,-2:2",
-            "--max-cycle-seeds", "2"])
+            "analyze", "--system", ROTATION, "--region=-2:2,-2:2"])
         assert code == 1
         r = report["result"]
         assert r["equilibria"][0]["classification"] == "center_candidate"
@@ -681,14 +641,16 @@ class TestAnalyzeGolden:
         assert r["limit_cycles"][0]["stability"] == "marginal"
         assert any("non-isolated" in n for n in r["notes"])
 
-    def test_no_vacuous_local_certificate(self, tmp_path, capsys):
+    def test_no_vacuous_local_certificate(self, tmp_path, capsys,
+                                          monkeypatch):
         # at min radius 1/2 no ring above the core certifies around any of
         # the nine equilibria, so no local box may be claimed
+        monkeypatch.setattr(dulac.analyze, "LOCAL_MIN_RADIUS", 0.5)
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         path = tmp_path / "cubic_damping.vf"
         path.write_text("P = x - 4*x^3\nQ = y - 4*y^3\n")
         code, report = run_json(capsys, [
-            "analyze", "--system", str(path), "--region=-2:2,-2:2",
-            "--min-radius", "0.5", "--max-cycle-seeds", "2"])
+            "analyze", "--system", str(path), "--region=-2:2,-2:2"])
         r = report["result"]
         assert len(r["equilibria"]) == 9
         assert r["local_certificates"] == []
@@ -696,16 +658,17 @@ class TestAnalyzeGolden:
         assert sum("local certification failed" in n for n in r["notes"]) == 9
         assert code == 2
 
-    def test_local_certificate_beyond_old_zero_test(self, tmp_path, capsys):
+    def test_local_certificate_beyond_old_zero_test(self, tmp_path, capsys,
+                                                    monkeypatch):
         # Newton stops |X| at 1e-9 near the origin, where local synthesis
         # demanded 1e-10, so analyze certified nothing; local-dulac --point
         # 0,0 proves a box of half-width 1/4
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 0)
         path = tmp_path / "perturbed.vf"
         path.write_text("P = -1/16*x^2 - 1/3*y\n"
                         "Q = 1/25*x^3 + 1/11*x^2*y - 2*x - y\n")
         code, report = run_json(capsys, [
-            "analyze", "--system", str(path), "--region=-4:4,-4:4",
-            "--max-cycle-seeds", "0"])
+            "analyze", "--system", str(path), "--region=-4:4,-4:4"])
         (local,) = report["result"]["local_certificates"]
         assert math.hypot(*local["equilibrium"]["location"]) < 1e-9
         assert local["certificate"]["outcome"] == "positive"
@@ -715,11 +678,11 @@ class TestAnalyzeGolden:
         assert not any("local synthesis failed" in n
                        for n in report["notes"])
 
-    def test_inconclusive_exit_code(self, capsys):
+    def test_inconclusive_exit_code(self, capsys, monkeypatch):
         # disable the cycle scan: uncovered tiles remain unresolved
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 0)
         code, report = run_json(capsys, [
-            "analyze", "--system", ROTATION, "--region=-2:2,-2:2",
-            "--max-cycle-seeds", "0"])
+            "analyze", "--system", ROTATION, "--region=-2:2,-2:2"])
         assert code == 2
 
 
@@ -735,9 +698,10 @@ class TestCycleBudgets:
             raise dulac.errors.CycleNotFoundError("captured")
 
         monkeypatch.setattr(dulac.analyze, "detect_limit_cycle", capture)
+        monkeypatch.setattr(dulac.analyze, "TILE_N", 2)
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         region = parse_region("-4:4,-4:4")
-        report = run_analyze(parse_system(Path(VDP).read_text()), region,
-                             AnalyzeConfig(tile_n=2, max_cycle_seeds=2))
+        report = run_analyze(parse_system(Path(VDP).read_text()), region)
         assert report.limit_cycles == ()
         assert calls
         assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
@@ -749,11 +713,6 @@ class TestCycleBudgets:
         assert (lc.max_iters, lc.tol, lc.max_time) == (
             dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
             dulac.flow.CYCLE_MAX_TIME)
-        an = parser.parse_args(["analyze", "--system", VDP,
-                                "--region=-4:4,-4:4"])
-        cfg = AnalyzeConfig()
-        assert (an.tiles, an.depth, an.min_radius, an.max_cycle_seeds) == (
-            cfg.tile_n, cfg.tile_depth, cfg.min_radius, cfg.max_cycle_seeds)
         sim = parser.parse_args(["simulate", "--system", VDP, "--z0", "1,0",
                                  "--t-span", "1"])
         assert sim.tol == dulac.flow.INTEGRATE_TOL
@@ -777,7 +736,8 @@ class TestCycleBudgets:
             dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
             dulac.flow.CYCLE_MAX_TIME)
 
-    def test_distinct_cycles_of_equal_period(self, tmp_path, capsys):
+    def test_distinct_cycles_of_equal_period(self, tmp_path, capsys,
+                                             monkeypatch):
         # stable cycles at r = 1 and r = 3, both of period 2*pi (r = 2 is
         # unstable); the seeds find amplitudes 3, 1, 1, 3, and the report
         # kept only the first.  The damping is scaled by 1/40 to keep the
@@ -786,9 +746,9 @@ class TestCycleBudgets:
         path.write_text(
             "P = -y - x*(x^2+y^2-1)*(x^2+y^2-4)*(x^2+y^2-9)/40\n"
             "Q = x - y*(x^2+y^2-1)*(x^2+y^2-4)*(x^2+y^2-9)/40\n")
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 4)
         code, report = run_json(capsys, [
-            "analyze", "--system", str(path), "--region=-2:2,-2:2",
-            "--max-cycle-seeds", "4"])
+            "analyze", "--system", str(path), "--region=-2:2,-2:2"])
         assert code == 1
         cycles = report["result"]["limit_cycles"]
         assert sorted(round(c["amplitude_x"], 6) for c in cycles) == [1, 3]
@@ -847,16 +807,16 @@ class TestLocalDulacRegion:
     @pytest.mark.parametrize("region", ["-4:4,-4:4", "-2:2,-2:2"])
     @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
                              ids=lambda path: path.stem)
-    def test_reports_analyze_local_certificates(self, capsys, system,
-                                                region):
+    def test_reports_analyze_local_certificates(self, capsys, monkeypatch,
+                                                system, region):
         # local-dulac --region had its own loop: on radial.vf and [-2,2]^2
         # it certified [-1,1]^2, and analyze [-2,2]^2
         code, report = run_json(capsys, ["local-dulac", "--system",
                                          str(system), f"--region={region}"])
         assert code == 0
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 0)
         expected = run_analyze(parse_system(system.read_text()),
-                               parse_region(region),
-                               AnalyzeConfig(max_cycle_seeds=0))
+                               parse_region(region))
         assert report["result"]["local_certificates"] == [
             {"point": list(c.equilibrium.location),
              "multiplier": str(c.multiplier),
@@ -866,25 +826,6 @@ class TestLocalDulacRegion:
         assert report["notes"] == [
             n for n in expected.notes
             if n not in (BEST_EFFORT_NOTE, P_CONNECTED_NOTE)]
-
-    @pytest.mark.parametrize("budget,message", [
-        (["--depth", "-1"], "depth must be >= 0"),
-        (["--min-radius", "inf"], "min_radius must be finite and > 0"),
-    ], ids=["depth", "min_radius"])
-    def test_bad_budget_exits_3_before_the_search(self, capsys, monkeypatch,
-                                                   budget, message):
-        # local_certificates checks the budgets; the handler has no check
-        def no_work(*args):
-            raise AssertionError("the equilibrium search ran")
-
-        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
-        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
-                            no_work)
-        for where in (["--region=-4:4,-4:4"], ["--point", "0,0"]):
-            code = main(["local-dulac", "--system", VDP] + where + budget)
-            captured = capsys.readouterr()
-            assert code == 3, where
-            assert captured.err == f"error: {message}, got {budget[1]}\n"
 
     def test_no_box_fits_at_the_corner(self, capsys):
         # the node sits on the region's corner, where [-1,1]^2 was claimed
@@ -896,20 +837,21 @@ class TestLocalDulacRegion:
 
 
 class TestRoundTrips:
-    def test_json_report_round_trip(self, capsys):
+    def test_json_report_round_trip(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         code, report = run_json(capsys, [
-            "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--max-cycle-seeds", "2"])
+            "analyze", "--system", VDP, "--region=-4:4,-4:4"])
         text = json.dumps(report)
         assert json.loads(text) == report
         rebuilt = from_json(AnalysisReport, report["result"])
         assert to_json(rebuilt) == report["result"]
 
-    def test_coverage_tiles_region(self, capsys):
+    def test_coverage_tiles_region(self, capsys, monkeypatch):
         # every tile center is inside a certified box or an uncovered tile
+        monkeypatch.setattr(dulac.analyze, "TILE_N", 10)
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 0)
         code, report = run_json(capsys, [
-            "analyze", "--system", VDP, "--region=-4:4,-4:4",
-            "--tiles", "10", "--max-cycle-seeds", "0"])
+            "analyze", "--system", VDP, "--region=-4:4,-4:4"])
         rebuilt = from_json(AnalysisReport, report["result"])
         n = 10
         for i in range(n):
@@ -971,10 +913,45 @@ USAGE_ERRORS = {
                            "--tol", "0.5"], "unrecognized arguments: --tol"),
 }
 
+# analyze's and local-dulac's budgets are module constants (analyze.TILE_N,
+# TILE_DEPTH, MAX_CYCLE_SEEDS and synthesis.LOCAL_MIN_RADIUS,
+# LOCAL_MAX_DEPTH), so each of their six old flags is refused as a usage
+# error, as --tol and --grid are: (place, flag, value)
+REMOVED_FLAG_PLACES = {
+    "analyze": ["analyze", "--region=-4:4,-4:4"],
+    "local_point": ["local-dulac", "--point", "0,0"],
+    "local_region": ["local-dulac", "--region=-4:4,-4:4"],
+}
+REMOVED_FLAGS = {
+    # values that ran before
+    "analyze_tiles": ("analyze", "--tiles", "10"),
+    "analyze_depth": ("analyze", "--depth", "6"),
+    "analyze_min_radius": ("analyze", "--min-radius", "1e-3"),
+    "analyze_max_cycle_seeds": ("analyze", "--max-cycle-seeds", "0"),
+    "local_dulac_point_depth": ("local_point", "--depth", "8"),
+    "local_dulac_region_min_radius": ("local_region", "--min-radius", "1e-3"),
+    # values refused before, once the system was read: tiles 0 divided by
+    # zero and tiles -3 tiled nothing, so rotation came out "fully
+    # certified"; a depth of -1 was reported as an inconclusive
+    # certificate; a min radius of inf ended in an OverflowError traceback
+    "analyze_tiles_0": ("analyze", "--tiles", "0"),
+    "analyze_tiles_neg": ("analyze", "--tiles", "-3"),
+    "analyze_max_cycle_seeds_neg": ("analyze", "--max-cycle-seeds", "-1"),
+    "analyze_min_radius_zero": ("analyze", "--min-radius", "0"),
+    "analyze_depth_neg": ("analyze", "--depth", "-1"),
+    "local_dulac_point_depth_neg": ("local_point", "--depth", "-1"),
+    "local_dulac_region_depth_neg": ("local_region", "--depth", "-1"),
+    "local_dulac_point_min_radius_0": ("local_point", "--min-radius", "0"),
+    "local_dulac_point_min_radius_inf": ("local_point", "--min-radius", "inf"),
+    "local_dulac_region_min_radius_inf": ("local_region", "--min-radius",
+                                          "inf"),
+}
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["analyze", "--system", VDP, "--region=-4:4,-4:4", "--tiles", "abc"],
+        ["verify-integral", "--system", SADDLE, "--curves", "x;y",
+         "--trajectories", "abc"],
         ["parse", "--system", VDP, "--no-such-option"],
         ["simulate", "--system", ROTATION, "--z0", "1,0"],
         [],
@@ -998,6 +975,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("place,flag,value", REMOVED_FLAGS.values(),
+                             ids=REMOVED_FLAGS)
+    def test_removed_budget_flag(self, capsys, tmp_path, place, flag, value):
+        # refused before the system file is read: the missing file goes
+        # unreported
+        missing = str(tmp_path / "missing.vf")
+        argv = REMOVED_FLAG_PLACES[place] + ["--system", missing, flag, value]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"dulac: error: unrecognized arguments: {flag} {value}")
+        assert "missing.vf" not in captured.err
 
     def test_simulate_empty_region_is_parsed(self, capsys):
         # an empty --region= was read as "no domain"
@@ -1065,12 +1056,13 @@ class TestBeyondFloatRange:
         assert captured.err.count("\n") == 1
         assert captured.err.endswith(" is beyond float range\n")
 
-    def test_analyze_scan_skips_seed_beyond_float_range(self):
+    def test_analyze_scan_skips_seed_beyond_float_range(self, monkeypatch):
         # no zero of the field and no certified tile, so every tile centre
         # is a seed, and Q = x^2 is beyond float range at each of them
+        monkeypatch.setattr(dulac.analyze, "TILE_N", 2)
+        monkeypatch.setattr(dulac.analyze, "MAX_CYCLE_SEEDS", 2)
         system = parse_system("P = 1\nQ = x^2")
-        report = run_analyze(system, parse_region("10^200:10^201,0:1"),
-                             AnalyzeConfig(tile_n=2, max_cycle_seeds=2))
+        report = run_analyze(system, parse_region("10^200:10^201,0:1"))
         assert report.limit_cycles == ()
         assert len(report.uncovered_regions) == 4
 

@@ -80,6 +80,25 @@ class TestCofactor:
             cofactor_of(parse_poly("(x - y)^2"), field)
         assert [w.category for w in caught] == [DegenerateCurveWarning] * count
 
+    @pytest.mark.parametrize("curve", ["x^2 + y^2 - 10^400",
+                                       "10^400*x^2 + 10^400*y^2 - 1"],
+                             ids=["constant_term", "leading_terms"])
+    def test_probe_beyond_float_range_keeps_the_cofactor(self, curve):
+        # the advisory probe's float search raised "... is beyond float
+        # range" (at the curve's value, or in the gradient's equilibrium
+        # search), so the exact cofactor 0 never came back
+        rotation = parse_system("P = -y\nQ = x")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = cofactor_of(parse_poly(curve), rotation)
+        assert result.k == Poly.zero()
+        (warning,) = caught
+        assert warning.category is DegenerateCurveWarning
+        message = str(warning.message)
+        assert message.startswith("singular points not probed: ")
+        assert message.endswith(" is beyond float range")
+        assert darboux_first_integral([result]).is_first_integral
+
     def test_additivity_construction(self, rng):
         # X = (f*g*A, f*g*B) keeps both factors invariant
         for _ in range(60):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dulac import flow, synthesis
-from dulac.analyze import AnalyzeConfig, run_analyze
+from dulac import analyze, flow, synthesis
+from dulac.analyze import run_analyze
 from dulac.certify import Box2, Conclusion, bendixson, bernstein_coefficients
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
 from dulac.flow import (
@@ -83,7 +83,7 @@ class TestFindEquilibria:
         find_equilibria(parse_system(path.read_text()), Box2(-4, 4, -4, 4))
         assert len(starts) <= 16
 
-    def test_singular_zero_gives_no_cloud(self):
+    def test_singular_zero_gives_no_cloud(self, monkeypatch):
         # the grid's Newton runs stopped all around the singular zero at the
         # origin: 479 "hyperbolic" equilibria and 481 analyze notes
         system = parse_system("P = 3/4*x^3 - 3/4*y^2\nQ = 3/7*x^3")
@@ -91,7 +91,8 @@ class TestFindEquilibria:
         reports = find_equilibria(system, region)
         assert 1 <= len(reports) <= 4
         assert all(math.hypot(*e.location) < 1e-3 for e in reports)
-        report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=0))
+        monkeypatch.setattr(analyze, "MAX_CYCLE_SEEDS", 0)
+        report = run_analyze(system, region)
         assert len(report.notes) <= 6
 
     def test_criterion_9_fields(self):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dulac.analyze import AnalysisReport, AnalyzeConfig, LocalCertificate, run_analyze
+from dulac import analyze
+from dulac.analyze import AnalysisReport, LocalCertificate, run_analyze
 from dulac.certify import (
     Box2,
     Certificate,
@@ -43,8 +44,9 @@ def round_trip(tp, value):
 @pytest.fixture(scope="module")
 def report():
     # one equilibrium with a local certificate, certified strips and a cycle
-    rep = run_analyze(VDP, Box2(-3, 3, -3, 3),
-                      AnalyzeConfig(max_cycle_seeds=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyze, "MAX_CYCLE_SEEDS", 2)
+        rep = run_analyze(VDP, Box2(-3, 3, -3, 3))
     assert rep.local_certificates and rep.limit_cycles
     return rep
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dulac import analyze, synthesis
-from dulac.analyze import AnalyzeConfig, run_analyze
+from dulac.analyze import run_analyze
 from dulac.certify import Box2, Positive, certify_positive
 from dulac.errors import (
     CertificationFailedError,
@@ -285,22 +285,23 @@ class TestPuncturedBoxSearch:
             assert not all(certify_positive(carrier, rect, 8).is_positive
                            for rect in ring_rectangles(Fraction(0), 2 * w))
 
-    def test_analyze_grows_box_to_region(self):
+    def test_analyze_grows_box_to_region(self, monkeypatch):
+        monkeypatch.setattr(analyze, "MAX_CYCLE_SEEDS", 2)
         system = parse_system((SYSTEMS / "radial.vf").read_text())
         region = Box2(-2, 2, -2, 2)
-        report = run_analyze(system, region,
-                             AnalyzeConfig(max_cycle_seeds=2))
+        report = run_analyze(system, region)
         (local,) = report.local_certificates
         assert local.box == region
         assert local.certificate.box == region
 
     @pytest.mark.parametrize("half,width", [
         (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 8), Fraction(1, 4))])
-    def test_analyze_shrinks_box_to_region(self, half, width):
+    def test_analyze_shrinks_box_to_region(self, monkeypatch, half, width):
         # the search started at half-width 1, so [-1,1]^2 was claimed
+        monkeypatch.setattr(analyze, "MAX_CYCLE_SEEDS", 0)
         system = parse_system((SYSTEMS / "radial.vf").read_text())
         region = Box2(-half, half, -half, half)
-        report = run_analyze(system, region, AnalyzeConfig(max_cycle_seeds=0))
+        report = run_analyze(system, region)
         (local,) = report.local_certificates
         assert local.box == Box2(-width, width, -width, width)
 
@@ -313,9 +314,6 @@ class TestPuncturedBoxSearch:
             certify_punctured_box(carrier, 0, 0, Fraction(1), Fraction(min_r), 8)
         with pytest.raises(ValueError, match="min_radius"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
-        with pytest.raises(ValueError, match="min_radius"):
-            run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(min_radius=min_r))
 
     @pytest.mark.parametrize("min_r", [math.inf, math.nan, 0, -1])
     def test_bad_min_radius_raises_before_work(self, monkeypatch, min_r):
@@ -323,13 +321,9 @@ class TestPuncturedBoxSearch:
             raise AssertionError("work started before the min_radius check")
 
         monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
-        monkeypatch.setattr(analyze, "find_equilibria", no_work)
         system = parse_system(VDP_TEXT)
         with pytest.raises(ValueError, match="min_radius must be finite"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
-        with pytest.raises(ValueError, match="min_radius must be finite"):
-            run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(min_radius=min_r))
 
     def test_negative_depth_raises(self):
         system = parse_system(VDP_TEXT)
@@ -339,9 +333,6 @@ class TestPuncturedBoxSearch:
                                   Fraction(1, 1000), -1)
         with pytest.raises(ValueError, match="depth must be >= 0"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
-        with pytest.raises(ValueError, match="tile depth must be >= 0"):
-            run_analyze(system, Box2(-4, 4, -4, 4),
-                        AnalyzeConfig(tile_depth=-1))
 
     def test_budgets_checked_before_work(self, monkeypatch):
         # the depth first, then the radius, and then the search
@@ -349,20 +340,18 @@ class TestPuncturedBoxSearch:
             raise AssertionError("work started before the budget checks")
 
         monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
-        monkeypatch.setattr(analyze, "find_equilibria", no_work)
-        system, region = parse_system(VDP_TEXT), Box2(-4, 4, -4, 4)
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
+        system = parse_system(VDP_TEXT)
         for min_r in (1e-3, math.inf):
             with pytest.raises(ValueError, match="depth must be >= 0"):
-                analyze.local_certificates(system, region, min_r, -1)
+                local_dulac_hyperbolic(system, Point(0.0, 0.0),
+                                       min_radius=min_r, max_depth=-1)
         with pytest.raises(ValueError, match="min_radius must be finite"):
-            analyze.local_certificates(system, region, math.inf, 8)
+            local_dulac_hyperbolic(system, Point(0.0, 0.0),
+                                   min_radius=math.inf, max_depth=8)
 
     def test_local_certificates_finds_the_equilibria(self):
         system, region = parse_system(VDP_TEXT), Box2(-4, 4, -4, 4)
-        equilibria, certs, notes = analyze.local_certificates(
-            system, region, 1e-3, 8)
+        equilibria, certs, notes = analyze.local_certificates(system, region)
         assert equilibria == analyze.find_equilibria(system, region)
         assert [c.equilibrium for c in certs] == equilibria
         assert notes == []

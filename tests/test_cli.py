@@ -350,6 +350,33 @@ class TestErrors:
         assert "invalid choice: 'csv'" in err
         assert "missing.vf" not in err
 
+    @pytest.mark.parametrize("system", sorted(SYSTEMS.glob("*.vf")),
+                             ids=lambda path: path.stem)
+    def test_bad_min_radius_exits_3_before_work(self, capsys, monkeypatch,
+                                                system):
+        # --min-radius is no option of analyze or local-dulac: refused as a
+        # usage error on every system, before any equilibrium search
+        def no_work(*args):
+            raise AssertionError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
+                            no_work)
+        commands = (["local-dulac", "--point", "0,0"],
+                    ["local-dulac", "--region=-4:4,-4:4"],
+                    ["analyze", "--region=-4:4,-4:4"])
+        for radius in ("inf", "nan", "0", "-1e-3"):
+            for command in commands:
+                code = main(command + ["--system", str(system),
+                                       f"--min-radius={radius}"])
+                captured = capsys.readouterr()
+                assert code == 3, (command, radius)
+                assert captured.out == ""
+                assert captured.err.splitlines()[-1] == (
+                    "dulac: error: unrecognized arguments: "
+                    f"--min-radius={radius}")
+
     def test_simulate_stops_at_step_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(dulac.flow, "MAX_STEPS", 100)
         code, report = run_json(capsys, ["simulate", "--system", ROTATION,
@@ -826,6 +853,28 @@ class TestLocalDulacRegion:
         assert report["notes"] == [
             n for n in expected.notes
             if n not in (BEST_EFFORT_NOTE, P_CONNECTED_NOTE)]
+
+    @pytest.mark.parametrize("budget", [
+        ["--depth", "-1"],
+        ["--min-radius", "inf"],
+    ], ids=["depth", "min_radius"])
+    def test_bad_budget_exits_3_before_the_search(self, capsys, monkeypatch,
+                                                   budget):
+        # the budgets are constants: a budget flag is a usage error, refused
+        # before the equilibrium search
+        def no_work(*args):
+            raise AssertionError("the equilibrium search ran")
+
+        monkeypatch.setattr(dulac.analyze, "find_equilibria", no_work)
+        monkeypatch.setattr(dulac.synthesis, "local_quadratic_multiplier",
+                            no_work)
+        for where in (["--region=-4:4,-4:4"], ["--point", "0,0"]):
+            code = main(["local-dulac", "--system", VDP] + where + budget)
+            captured = capsys.readouterr()
+            assert code == 3, where
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"dulac: error: unrecognized arguments: {' '.join(budget)}")
 
     def test_no_box_fits_at_the_corner(self, capsys):
         # the node sits on the region's corner, where [-1,1]^2 was claimed

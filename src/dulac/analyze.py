@@ -4,10 +4,11 @@ The pipeline locates zeros of the field (Newton in the cells that
 Bernstein exclusion leaves; ``flow.ZERO_TOL`` decides what a zero is),
 synthesizes a local Dulac multiplier at each hyperbolic one and certifies
 it on the widest punctured box of half-width 2^k (k <= 6, negative on a
-small region) that fits the region, attacks the remaining tiles with the
-constant multiplier, and finally scans leftover tiles for limit cycles
-from their centers with ``flow.detect_limit_cycle`` at its own budgets
-(``flow.CYCLE_*``) and on its own section, as ``limit-cycle`` does.
+small region) that fits the region (``synthesis.certify_punctured_box``),
+attacks the remaining tiles with the constant multiplier, and finally
+scans leftover tiles for limit cycles from their centers with
+``flow.detect_limit_cycle`` at its own budgets (``flow.CYCLE_*``) and on
+its own section, as ``limit-cycle`` does.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import Box2, Certificate, bendixson
-from .errors import CycleNotFoundError, DulacError
+from .errors import CertificationFailedError, CycleNotFoundError, DulacError
 from .flow import (
     EquilibriumReport,
     LimitCycleReport,
@@ -31,9 +32,6 @@ from .flow import (
 from .multiplier import Multiplier
 from .poly import VectorField
 from .synthesis import (
-    LOCAL_INITIAL_HALF_WIDTH,
-    LOCAL_MAX_DEPTH,
-    LOCAL_MAX_GROWTH_STEPS,
     LOCAL_MIN_RADIUS,
     certify_punctured_box,
     local_quadratic_multiplier,
@@ -82,41 +80,28 @@ class AnalysisReport:
 
 def local_certificates(system: VectorField, region: Box2):
     """(equilibria, certificates, notes): the zeros in ``region``, local
-    certificates at the hyperbolic ones (rings down to ``LOCAL_MIN_RADIUS``,
-    each rectangle to depth ``LOCAL_MAX_DEPTH``) and a note for each zero
+    certificates at the hyperbolic ones (``certify_punctured_box`` within
+    ``region``, rings down to ``LOCAL_MIN_RADIUS``) and a note for each zero
     without one."""
-    min_r = Fraction(LOCAL_MIN_RADIUS)
     equilibria = find_equilibria(system, region)
     certs, notes = [], []
     for eq in equilibria:
+        at = f"({eq.location.x:.6g}, {eq.location.y:.6g})"
         if not eq.hyperbolic:
-            notes.append(
-                f"equilibrium ({eq.location.x:.6g}, {eq.location.y:.6g}) is "
-                f"{eq.classification.value}; no local multiplier attempted")
+            notes.append(f"equilibrium {at} is {eq.classification.value}; "
+                         f"no local multiplier attempted")
             continue
         try:
             multiplier, carrier, (ex, ey) = local_quadratic_multiplier(
                 system, eq.location)
         except DulacError as exc:
-            notes.append(
-                f"local synthesis failed at ({eq.location.x:.6g}, "
-                f"{eq.location.y:.6g}): {exc}")
+            notes.append(f"local synthesis failed at {at}: {exc}")
             continue
-        # the widest box of half-width 2^k (k <= LOCAL_MAX_GROWTH_STEPS)
-        # that fits the region; k goes below 0 on a small region
-        w = Fraction(LOCAL_INITIAL_HALF_WIDTH * 2 ** LOCAL_MAX_GROWTH_STEPS)
-        while w > min_r and not region.contains_box(Box2.centered(ex, ey, w)):
-            w /= 2
-        if w <= min_r:
-            notes.append(f"no box around ({eq.location.x:.6g}, "
-                         f"{eq.location.y:.6g}) fits the region")
-            continue
-        cert = certify_punctured_box(carrier, ex, ey, w, min_r,
-                                     LOCAL_MAX_DEPTH)
-        if cert is None:
-            notes.append(
-                f"local certification failed at ({eq.location.x:.6g}, "
-                f"{eq.location.y:.6g}) down to radius {LOCAL_MIN_RADIUS}")
+        try:
+            cert = certify_punctured_box(carrier, ex, ey, region,
+                                         LOCAL_MIN_RADIUS)
+        except CertificationFailedError as exc:
+            notes.append(f"local certification failed at {at}: {exc}")
             continue
         certs.append(LocalCertificate(
             equilibrium=eq, multiplier=multiplier, box=cert.box,

@@ -24,7 +24,8 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 
 from .analyze import exit_code, local_certificates, run_analyze
 from .certify import (
@@ -46,6 +47,7 @@ from .darboux import (
     verify_first_integral,
 )
 from .errors import (
+    DegenerateCurveWarning,
     DulacError,
     NoNontrivialRelationError,
     NotInvariantError,
@@ -496,6 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_handler(args, system) -> Record:
+    """The handler's record, each DegenerateCurveWarning a note in order."""
+    caught, show = [], warnings.showwarning
+
+    def note(message, category, *rest):
+        if issubclass(category, DegenerateCurveWarning):
+            caught.append(str(message))
+        else:
+            show(message, category, *rest)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DegenerateCurveWarning)
+        warnings.showwarning = note
+        record = args.handler(args, system)
+    return replace(record, notes=record.notes + caught,
+                   lines=record.lines + [f"note: {n}" for n in caught])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -504,7 +524,7 @@ def main(argv=None) -> int:
         return 3 if exc.code == 2 else exc.code
     try:
         system = _load_system(args) if "system" in args else None
-        record = args.handler(args, system)
+        record = _run_handler(args, system)
         _emit(args, system, record)
         return record.code
     except (DulacError, OSError, ValueError) as exc:

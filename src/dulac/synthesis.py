@@ -7,7 +7,7 @@ Four routes:
   for cross-checking),
 * exponential/polynomial multipliers for gradient fields,
 * local quadratic multipliers at hyperbolic equilibria of nonlinear fields,
-  certified on nested rings around the equilibrium,
+  certified on nested rings around them (``certify_punctured_box``),
 * sampled multipliers transported along the flow through an
   equilibrium-free box.
 """
@@ -185,9 +185,8 @@ def gradient_field(v: Poly) -> VectorField:
 # --- local multipliers at hyperbolic equilibria ------------------------------
 
 
-# Box search defaults: a box of half-width 1 (analyze grows it up to 2^6 while
-# it fits the region), each ring rectangle subdivided to depth 8, and rings
-# down to a core of half-width 1e-3.
+# certify_punctured_box tries half-widths 1 * 2^(6 - k), certifies each ring
+# rectangle to depth 8 and ends the rings at a core of half-width 1e-3.
 LOCAL_INITIAL_HALF_WIDTH = 1
 LOCAL_MAX_GROWTH_STEPS = 6
 LOCAL_MAX_DEPTH = 8
@@ -216,34 +215,37 @@ def _ring_rectangles(cx: Fraction, cy: Fraction, outer: Fraction, inner: Fractio
 
 
 def certify_punctured_box(carrier: Poly, cx: Fraction, cy: Fraction,
-                          half_width: Fraction, min_radius: Fraction,
-                          max_depth: int):
-    """Certify carrier > 0 on the widest punctured box that fits half_width.
+                          within: Box2, min_radius: float) -> Certificate:
+    """Certify carrier > 0 on the widest punctured box at (cx, cy) in within.
 
-    The candidate half-widths are half_width/2^k.  The box of half-width w
-    is the union of the rings (w/2^j, w/2^(j+1)) whose outer half-width
-    exceeds min_radius, each split into four flanking rectangles; the core
-    inside the innermost ring stays uncertified.  Rings are certified from
-    the innermost outward until a rectangle fails.  Returns the aggregate
-    Positive certificate of the widest box whose rings all certify, or None
-    when the innermost ring fails or no ring lies above min_radius.  Raises
-    ValueError when min_radius is not positive (the rings would never end)
-    or max_depth is negative.
+    The one local box search.  Its half-widths are LOCAL_INITIAL_HALF_WIDTH
+    * 2^(LOCAL_MAX_GROWTH_STEPS - k) above min_radius whose centred box lies
+    inside ``within``; the box of half-width w is the union of the rings
+    (w', w'/2) for those w' <= w, each split into four flanking rectangles
+    certified to depth LOCAL_MAX_DEPTH, around an uncertified core.  Rings
+    are certified from the innermost outward until a rectangle fails, and
+    the aggregate Positive certificate of the widest box whose rings all
+    certify is returned.  Raises ValueError unless min_radius is finite and
+    > 0, and CertificationFailedError when no box fits or none certifies.
     """
-    if min_radius <= 0:
-        raise ValueError(f"min_radius must be > 0, got {float(min_radius)}")
-    if max_depth < 0:
-        raise ValueError(f"depth must be >= 0, got {max_depth}")
+    min_r = check_min_radius(min_radius)
+    # the box of half-width w centred at (cx, cy) lies in within iff w <= room
+    room = min(cx - within.x_min, within.x_max - cx,
+               cy - within.y_min, within.y_max - cy)
     outers = []
-    outer = Fraction(half_width)
-    while outer > min_radius:
-        outers.append(outer)
-        outer /= 2
+    w = Fraction(LOCAL_INITIAL_HALF_WIDTH * 2 ** LOCAL_MAX_GROWTH_STEPS)
+    while w > min_r:
+        if w <= room:
+            outers.append(w)
+        w /= 2
+    if not outers:
+        raise CertificationFailedError(
+            f"no box around ({float(cx):.6g}, {float(cy):.6g}) fits the region")
     width, outcomes = None, []
     for outer in reversed(outers):
         ring = []
         for rect in _ring_rectangles(cx, cy, outer, outer / 2):
-            cert = certify_positive(carrier, rect, max_depth)
+            cert = certify_positive(carrier, rect, LOCAL_MAX_DEPTH)
             if not cert.is_positive:
                 break
             ring.append(cert.outcome)
@@ -252,7 +254,8 @@ def certify_punctured_box(carrier: Poly, cx: Fraction, cy: Fraction,
         width = outer
         outcomes += ring
     if width is None:
-        return None
+        raise CertificationFailedError(
+            f"no punctured box down to radius {float(min_r)} certified")
     positive = Positive(max_depth_used=max(o.max_depth_used for o in outcomes),
                         box_count=sum(o.box_count for o in outcomes))
     return Certificate(positive, carrier=carrier, box=Box2.centered(cx, cy, width))
@@ -284,31 +287,23 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
 
 
 def local_dulac_hyperbolic(system: VectorField, eq: Point,
-                           min_radius: float = LOCAL_MIN_RADIUS,
-                           max_depth: int = LOCAL_MAX_DEPTH):
+                           min_radius: float = LOCAL_MIN_RADIUS):
     """Local Dulac multiplier near a hyperbolic equilibrium.
 
     Translates the quadratic multiplier of the Jacobian to the equilibrium
-    and certifies its sign carrier on the widest punctured box of
-    half-width ``LOCAL_INITIAL_HALF_WIDTH/2^k`` (see certify_punctured_box).
-    The carrier vanishes at the equilibrium itself, so the certificate
-    covers the box minus a core of half-width at most min_radius.  Raises
-    CertificationFailedError when not even the innermost ring certifies,
-    and ValueError before any work when max_depth is negative or
-    min_radius is not finite and > 0.
+    and certifies its sign carrier by certify_punctured_box within the box
+    of half-width ``LOCAL_INITIAL_HALF_WIDTH`` around it.  The carrier
+    vanishes at the equilibrium itself, so the certificate covers the box
+    minus a core of half-width at most min_radius.  Raises ValueError
+    before any work unless min_radius is finite and > 0, and
+    CertificationFailedError when no punctured box certifies.
 
     Returns (multiplier, box, certificate).
     """
-    if max_depth < 0:
-        raise ValueError(f"depth must be >= 0, got {max_depth}")
-    min_r = check_min_radius(min_radius)
+    check_min_radius(min_radius)
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
-    cert = certify_punctured_box(carrier, ex, ey,
-                                 Fraction(LOCAL_INITIAL_HALF_WIDTH),
-                                 min_r, max_depth)
-    if cert is None:
-        raise CertificationFailedError(
-            f"no punctured box down to radius {min_radius} certified")
+    within = Box2.centered(ex, ey, LOCAL_INITIAL_HALF_WIDTH)
+    cert = certify_punctured_box(carrier, ex, ey, within, min_radius)
     return multiplier, cert.box, cert
 
 

@@ -138,27 +138,52 @@ class TestBasicCommands:
         assert captured.out == ""
         assert captured.err == "error: at least one invariant curve needed\n"
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("curve", ["x^2 + y^2 - 10^400",
                                        "10^400*x^2 + 10^400*y^2 - 1"],
                              ids=["constant_term", "leading_terms"])
     def test_curve_beyond_float_range_stays_exact(self, capsys, curve):
         # the advisory singular-point probe exited 3 with "... is beyond
-        # float range"; the exact cofactor under the rotation is 0
-        with pytest.warns(dulac.errors.DegenerateCurveWarning,
-                          match="singular points not probed"):
-            code, report = run_json(capsys, ["cofactor", "--system",
-                                             ROTATION, "--curves", curve])
-        assert code == 0
-        (entry,) = report["result"]["curves"]
-        assert entry["k"] == "0"
-        with pytest.warns(dulac.errors.DegenerateCurveWarning,
-                          match="singular points not probed"):
-            code, report = run_json(capsys, ["darboux", "--system",
-                                             ROTATION, "--curves", curve])
-        assert code == 0
-        integral = report["result"]["first_integral"]
-        assert integral["total_cofactor"] == "0"
-        assert [c["k"] for c in integral["curve_factors"]] == ["0"]
+        # float range"; the exact cofactor under the rotation is 0, and the
+        # probe's warning is a note, not a Python warning on stderr
+        for command in ("cofactor", "darboux"):
+            code = main([command, "--system", ROTATION, "--curves", curve,
+                         "--format", "json"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            (note,) = report["notes"]
+            assert note.startswith("singular points not probed: ")
+            assert note.endswith("is beyond float range")
+            if command == "cofactor":
+                (entry,) = report["result"]["curves"]
+                assert entry["k"] == "0"
+            else:
+                integral = report["result"]["first_integral"]
+                assert integral["total_cofactor"] == "0"
+                assert [c["k"] for c in integral["curve_factors"]] == ["0"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command",
+                             ["cofactor", "darboux", "verify-integral"])
+    def test_singular_curve_warnings_become_notes(self, capsys, command):
+        # the double circle is singular all along x^2 + y^2 = 1, where the
+        # rotation does not vanish: each probed point was a Python warning
+        argv = [command, "--system", ROTATION, "--curves", "(x^2+y^2-1)^2"]
+        assert main(argv + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        notes = json.loads(captured.out)["notes"]
+        assert len(notes) == 28
+        assert all(n.startswith("singular point (")
+                   and n.endswith(") of the curve is not a zero of the field")
+                   for n in notes)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line[len("note: "):] for line in captured.out.splitlines()
+                if line.startswith("note: ")] == notes
 
     def test_expfactor(self, capsys):
         code, report = run_json(capsys, [
@@ -882,7 +907,8 @@ class TestLocalDulacRegion:
                                          "--region=0:1,0:1"])
         assert code == 0
         assert report["result"]["local_certificates"] == []
-        assert report["notes"] == ["no box around (0, 0) fits the region"]
+        assert report["notes"] == ["local certification failed at (0, 0): "
+                                   "no box around (0, 0) fits the region"]
 
 
 class TestRoundTrips:

@@ -15,6 +15,7 @@ from dulac.errors import (
     CertificationFailedError,
     ConstantInputError,
     DoubleZeroEigenvalueError,
+    DulacError,
     FlowBoxError,
     NotAnEquilibriumError,
     SingularAnsatzError,
@@ -246,7 +247,10 @@ class TestLocalDulac:
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=0.5)
         _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
         half = Fraction(1, 2)
-        assert certify_punctured_box(carrier, 0, 0, half, half, 8) is None
+        with pytest.raises(CertificationFailedError,
+                           match="no box around"):
+            certify_punctured_box(carrier, 0, 0, Box2.centered(0, 0, half),
+                                  half)
 
 
 def ring_rectangles(c: Fraction, outer: Fraction):
@@ -265,7 +269,8 @@ class TestPuncturedBoxSearch:
         system = parse_system(text)
         min_r = Fraction(1, 1000)
         _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
-        cert = certify_punctured_box(carrier, 0, 0, Fraction(1), min_r, 8)
+        cert = certify_punctured_box(carrier, 0, 0, Box2.centered(0, 0, 1),
+                                     min_r)
         w = cert.box.x_max
         assert cert.box == Box2.centered(0, 0, w)
         # every ring inside w replays Positive, and the leaves add up
@@ -305,14 +310,16 @@ class TestPuncturedBoxSearch:
         (local,) = report.local_certificates
         assert local.box == Box2(-width, width, -width, width)
 
-    @pytest.mark.parametrize("min_r", [0, -1])
+    @pytest.mark.parametrize("min_r", [0, -1, math.inf, math.nan])
     def test_nonpositive_min_radius_raises(self, min_r):
-        # the rings above a radius <= 0 never end
+        # the rings above a radius <= 0 never end, and no ring lies above
+        # inf or nan
         system = parse_system(VDP_TEXT)
         _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
-        with pytest.raises(ValueError, match="min_radius"):
-            certify_punctured_box(carrier, 0, 0, Fraction(1), Fraction(min_r), 8)
-        with pytest.raises(ValueError, match="min_radius"):
+        with pytest.raises(ValueError, match="min_radius must be finite"):
+            certify_punctured_box(carrier, 0, 0, Box2.centered(0, 0, 1),
+                                  min_r)
+        with pytest.raises(ValueError, match="min_radius must be finite"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
 
     @pytest.mark.parametrize("min_r", [math.inf, math.nan, 0, -1])
@@ -325,29 +332,46 @@ class TestPuncturedBoxSearch:
         with pytest.raises(ValueError, match="min_radius must be finite"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
 
-    def test_negative_depth_raises(self):
-        system = parse_system(VDP_TEXT)
-        _, carrier, _ = local_quadratic_multiplier(system, Point(0.0, 0.0))
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            certify_punctured_box(carrier, 0, 0, Fraction(1),
-                                  Fraction(1, 1000), -1)
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            local_dulac_hyperbolic(system, Point(0.0, 0.0), max_depth=-1)
-
     def test_budgets_checked_before_work(self, monkeypatch):
-        # the depth first, then the radius, and then the search
+        # the radius first, and then the search
         def no_work(*args):
             raise AssertionError("work started before the budget checks")
 
         monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
         system = parse_system(VDP_TEXT)
-        for min_r in (1e-3, math.inf):
-            with pytest.raises(ValueError, match="depth must be >= 0"):
-                local_dulac_hyperbolic(system, Point(0.0, 0.0),
-                                       min_radius=min_r, max_depth=-1)
         with pytest.raises(ValueError, match="min_radius must be finite"):
-            local_dulac_hyperbolic(system, Point(0.0, 0.0),
-                                   min_radius=math.inf, max_depth=8)
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=math.inf)
+
+    @pytest.mark.parametrize("path", sorted(SYSTEMS.glob("*.vf")),
+                             ids=lambda path: path.stem)
+    def test_local_dulac_is_local_certificates_in_the_unit_box(
+            self, monkeypatch, path):
+        # both callers size the box by certify_punctured_box: local-dulac
+        # --point within the unit box around the point, analyze within its
+        # region.  Newton restarted in that box lands 1e-12 away on
+        # cubic_circle, so local_certificates is handed the equilibrium.
+        system = parse_system(path.read_text())
+        equilibria = [eq for eq in analyze.find_equilibria(
+            system, Box2(-4, 4, -4, 4)) if eq.hyperbolic]
+        for eq in equilibria:
+            monkeypatch.setattr(analyze, "find_equilibria",
+                                lambda system, region: [eq])
+            ex, ey = Fraction(eq.location.x), Fraction(eq.location.y)
+            _, certs, notes = analyze.local_certificates(
+                system, Box2.centered(ex, ey, 1))
+            try:
+                mult, box, cert = local_dulac_hyperbolic(system, eq.location)
+            except DulacError as exc:
+                assert certs == []
+                (note,) = notes
+                assert note.endswith(f"failed at ({eq.location.x:.6g}, "
+                                     f"{eq.location.y:.6g}): {exc}")
+                continue
+            (local,) = certs
+            assert notes == []
+            assert local.multiplier == mult
+            assert local.box == box
+            assert local.certificate == cert
 
     def test_local_certificates_finds_the_equilibria(self):
         system, region = parse_system(VDP_TEXT), Box2(-4, 4, -4, 4)

@@ -56,7 +56,7 @@ def main() -> int:
     print(f"  certified punctured box {box} "
           f"({local_cert.outcome.box_count} Bernstein leaves)")
 
-    cycle = detect_limit_cycle(system, (2.0, 0.0), tol=1e-10)
+    cycle = detect_limit_cycle(system, (2.0, 0.0))
     print(f"\nlimit cycle: period {cycle.period:.9f}, "
           f"amplitude_x {cycle.amplitude_x:.9f}, "
           f"slope {cycle.return_map_slope:.3e} ({cycle.stability.value})")

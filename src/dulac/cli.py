@@ -37,8 +37,6 @@ from .certify import (
     certify_dulac,
 )
 from .darboux import (
-    VERIFY_T_SPAN,
-    VERIFY_TRAJECTORIES,
     check_integrating_factor,
     check_inverse_integrating_factor,
     cofactor_of,
@@ -54,9 +52,6 @@ from .errors import (
     ParseError,
 )
 from .flow import (
-    CYCLE_MAX_ITERS,
-    CYCLE_MAX_TIME,
-    CYCLE_TOL,
     INTEGRATE_TOL,
     detect_limit_cycle,
     find_equilibria,
@@ -309,8 +304,7 @@ def _cmd_darboux(args, system) -> Record:
 def _cmd_verify_integral(args, system) -> Record:
     curves, expf = _build_darboux(args, system)
     expr = darboux_first_integral(curves, expf)
-    report = verify_first_integral(expr, system, trajectories=args.trajectories,
-                                   t_span=args.t_span)
+    report = verify_first_integral(expr, system)
     return Record(
         {"first_integral": to_json(expr), **to_json(report)},
         [f"H = {expr}",
@@ -328,7 +322,7 @@ def _csv(report) -> str:
 def _cmd_simulate(args, system) -> Record:
     z0 = _parse_point(args.z0)
     domain = None if args.region is None else parse_region(args.region)
-    traj = integrate(system, z0, args.t_span, args.tol, domain)
+    traj = integrate(system, z0, args.t_span, INTEGRATE_TOL, domain)
     result = {
         "z0": list(z0),
         "t_span": args.t_span,
@@ -346,8 +340,7 @@ def _cmd_simulate(args, system) -> Record:
 
 def _cmd_limit_cycle(args, system) -> Record:
     seed = _parse_point(args.seed)
-    report = detect_limit_cycle(system, seed, args.max_iters, args.tol,
-                                args.max_time)
+    report = detect_limit_cycle(system, seed)
     lines = [f"limit cycle: period = {report.period:.9g}, "
              f"amplitude_x = {report.amplitude_x:.9g}, "
              f"slope = {report.return_map_slope:.3e}, "
@@ -468,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--curves", required=True, help='curves "f1;f2;..."')
     p.add_argument("--expfactors", help='exponential factors "g1:h1;g2:h2"')
-    p.add_argument("--trajectories", type=int, default=VERIFY_TRAJECTORIES)
-    p.add_argument("--t-span", dest="t_span", type=float,
-                   default=VERIFY_T_SPAN)
     p.set_defaults(handler=_cmd_verify_integral)
 
     p = subs.add_parser("simulate", help="integrate a trajectory (CSV export)")
@@ -478,17 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", help=REGION_HELP + ", the domain to stay in")
     p.add_argument("--z0", required=True, help='initial point "x,y"')
     p.add_argument("--t-span", dest="t_span", type=float, required=True)
-    p.add_argument("--tol", type=float, default=INTEGRATE_TOL)
     p.set_defaults(handler=_cmd_simulate)
 
     p = subs.add_parser("limit-cycle", help="detect a limit cycle from a seed")
     _add_common(p, csv=True)
     p.add_argument("--seed", required=True, help='seed point "x,y"')
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   default=CYCLE_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=CYCLE_TOL)
-    p.add_argument("--max-time", dest="max_time", type=float,
-                   default=CYCLE_MAX_TIME)
     p.set_defaults(handler=_cmd_limit_cycle)
 
     p = subs.add_parser("analyze", help="full best-effort pipeline on a region")
@@ -499,14 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_handler(args, system) -> Record:
-    """The handler's record, each DegenerateCurveWarning a note in order."""
+    """The handler's record, each distinct DegenerateCurveWarning a note.
+
+    The notes keep the order in which the warnings were first seen.  A
+    curve listed twice is probed twice, and its warnings give one note each.
+    """
     caught, show = [], warnings.showwarning
 
     def note(message, category, *rest):
-        if issubclass(category, DegenerateCurveWarning):
-            caught.append(str(message))
-        else:
+        if not issubclass(category, DegenerateCurveWarning):
             show(message, category, *rest)
+        elif str(message) not in caught:
+            caught.append(str(message))
 
     with warnings.catch_warnings():
         warnings.simplefilter("always", DegenerateCurveWarning)

@@ -41,8 +41,8 @@ from .poly import (
     poly_divide,
 )
 
-# ``verify_first_integral``'s defaults, for ``verify-integral`` too: how many
-# random trajectories it checks and how long each runs
+# ``verify_first_integral``'s budgets, for ``verify-integral`` too, read at
+# each call: how many random trajectories it checks and how long each runs
 VERIFY_TRAJECTORIES = 5
 VERIFY_T_SPAN = 10.0
 # the integration tolerance of those trajectories, and the seed of the random
@@ -312,20 +312,19 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
 # --- numeric drift ----------------------------------------------------------------
 
 
-def verify_first_integral(h: DarbouxExpr, system: VectorField,
-                          trajectories: int = VERIFY_TRAJECTORIES,
-                          t_span: float = VERIFY_T_SPAN) -> ResidualReport:
+def verify_first_integral(h: DarbouxExpr,
+                          system: VectorField) -> ResidualReport:
     """Exact total cofactor plus drift of log H along random trajectories.
 
     H is evaluated through logarithms of the factors with continuous angle
     unwrapping, so complex curves and exponents are handled away from their
     zero sets; seeds landing within 1e-3 of any factor's zero set are
     resampled.  The reported drift is the largest relative change of log H
-    along any checked trajectory.  The starts are drawn from a generator
-    seeded with ``VERIFY_SEED`` and integrated at tolerance ``VERIFY_TOL``.
+    along any checked trajectory.  It checks ``VERIFY_TRAJECTORIES``
+    trajectories, each over t = ``VERIFY_T_SPAN`` (both read at each call),
+    from starts drawn from a generator seeded with ``VERIFY_SEED``, and
+    integrates them at tolerance ``VERIFY_TOL``.
     """
-    if trajectories < 0:
-        raise ValueError(f"trajectories must be >= 0, got {trajectories}")
     symbolic = h.total_cofactor()
     rng = random.Random(VERIFY_SEED)
     factor_polys = [c.f for c, _ in h.curve_factors]
@@ -333,12 +332,13 @@ def verify_first_integral(h: DarbouxExpr, system: VectorField,
     max_drift = 0.0
     checked = 0
     attempts = 0
-    while checked < trajectories and attempts < 200 * max(trajectories, 1):
+    budget = VERIFY_TRAJECTORIES
+    while checked < budget and attempts < 200 * budget:
         attempts += 1
         z0 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         if any(abs(f.evaluate(z0)) < 1e-3 for f in factor_polys):
             continue
-        traj = integrate(system, z0, t_span, VERIFY_TOL)
+        traj = integrate(system, z0, VERIFY_T_SPAN, VERIFY_TOL)
         drift = _log_drift(h, traj.states)
         if drift is None:
             continue

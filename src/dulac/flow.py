@@ -13,7 +13,10 @@ with scipy's arithmetic.  Every field is autonomous, so a right-hand side
 is ``fun(y)``, of the state alone.  The stages are straight-line code
 generated from the tableau once per state length (``_attempt_kernel``).
 Events on a step are found by one bisection of its dense output
-(``_locate``).  Every float value of a polynomial comes from one function
+(``_locate``).  The cycle search's budgets are module constants, not
+parameters: ``detect_limit_cycle`` and ``poincare_return`` read
+``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each call.
+Every float value of a polynomial comes from one function
 that ``poly.float_sums`` generates for its use: an RK right-hand side
 (``compile_field``, ``flowbox_dulac``'s) is one such function, and it raises
 the "beyond float range" ValueError itself; every other float value of the
@@ -40,13 +43,14 @@ DEDUP_RADIUS = 1e-6
 EQUILIBRIUM_SPLITS = 5  # at most 4^5 = 1024 cells get a Newton start
 NEWTON_MAX_ITER = 50  # Newton steps from one start
 ZERO_TOL = 1e-9  # the one zero test, ``is_zero``: |P| and |Q| both <= it
-# The cycle search's budgets, for ``limit-cycle`` and ``analyze`` alike:
+# The cycle search's budgets, for ``limit-cycle`` and ``analyze`` alike,
+# read by ``detect_limit_cycle`` and ``poincare_return`` at each call:
 # return-map iterations after the first return, the RK tolerance, and the
 # time within which each Poincare return must come.
 CYCLE_MAX_ITERS = 25
 CYCLE_TOL = 1e-10
 CYCLE_MAX_TIME = 100.0
-INTEGRATE_TOL = 1e-9  # ``integrate``'s RK tolerance, and ``simulate --tol``'s
+INTEGRATE_TOL = 1e-9  # ``integrate``'s default RK tolerance, and ``simulate``'s
 LOOP_SUBSAMPLES = 4  # dense-output points per RK step of a reported cycle
 
 
@@ -604,32 +608,24 @@ def integrate(system: VectorField, z0, t_span: float,
 # --- Poincare sections ----------------------------------------------------------
 
 
-def _check_max_time(max_time: float) -> None:
-    """Raise ValueError unless a return's time budget is finite and > 0."""
-    if not (math.isfinite(max_time) and max_time > 0):
-        raise ValueError(f"max_time must be finite and > 0, got {max_time}")
-
-
-def poincare_return(system: VectorField, section: Section, z0,
-                    max_time: float = CYCLE_MAX_TIME, tol: float = CYCLE_TOL):
+def poincare_return(system: VectorField, section: Section, z0):
     """First return of the trajectory from z0 to the section.
 
-    z0 must lie on the section (within 1e-9).  Once the orbit is more than
-    1e-6 off the section, a return is the first step whose signed distance
-    goes from negative to zero or positive; it is located by bisection on
-    the step's dense output until the signed distance is below 1e-10.
-    Raises ValueError for a max_time that is not finite and > 0 (a negative
-    one would run backward and meet the section half a turn early), and
-    NoReturnError if no return occurs within max_time, or if the integrator
-    fails or runs out of its step budget first.
+    z0 must lie on the section (within 1e-9).  The orbit is stepped at
+    tolerance ``CYCLE_TOL``.  Once it is more than 1e-6 off the section, a
+    return is the first step whose signed distance goes from negative to
+    zero or positive; it is located by bisection on the step's dense output
+    until the signed distance is below 1e-10.  Raises NoReturnError if no
+    return occurs within t = ``CYCLE_MAX_TIME``, or if the integrator fails
+    or runs out of its step budget first.
     """
-    _check_max_time(max_time)
     s_old = section.signed_distance(z0)
     if abs(s_old) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
     armed = False
     try:
-        for solver in _steps(compile_field(system), z0, max_time, tol):
+        for solver in _steps(compile_field(system), z0, CYCLE_MAX_TIME,
+                             CYCLE_TOL):
             s_new = section.signed_distance(solver.y)
             if not armed:
                 armed = abs(s_new) > 1e-6
@@ -639,34 +635,26 @@ def poincare_return(system: VectorField, section: Section, z0,
             s_old = s_new
     except _StepFailure as exc:
         raise NoReturnError("integration failed before a return") from exc
-    raise NoReturnError(f"no section return within t = {max_time}")
+    raise NoReturnError(f"no section return within t = {CYCLE_MAX_TIME}")
 
 
 # --- limit cycles ----------------------------------------------------------------
 
 
-def detect_limit_cycle(system: VectorField, seed,
-                       max_iters: int = CYCLE_MAX_ITERS,
-                       tol: float = CYCLE_TOL,
-                       max_time: float = CYCLE_MAX_TIME) -> LimitCycleReport:
+def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
     """Fixed-point iteration of the return map with secant acceleration.
 
-    The return map acts on the section through the seed, normal to the
-    field X there and crossed in the direction of X.  Convergence is
-    successive section crossings within 1e-9, reached within max_iters + 1
-    returns; the return-map slope comes
+    The return map (``poincare_return``) acts on the section through the
+    seed, normal to the field X there and crossed in the direction of X.
+    Convergence is successive section crossings within 1e-9, reached within
+    ``CYCLE_MAX_ITERS`` + 1 returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3
     of 1 is reported MARGINAL (a non-isolated periodic family, e.g. a linear
-    center, converges immediately with slope 1).  Raises ValueError for
-    max_iters < 0, a max_time that is not finite and > 0 (a negative one
-    would run the map backward), a seed that passes the zero test
-    (``is_zero``) and a field that is not finite at the seed,
-    all before any return; and CycleNotFoundError when a return fails or
-    the iteration does not converge.
+    center, converges immediately with slope 1).  Raises ValueError for a
+    seed that passes the zero test (``is_zero``) and a field that is not
+    finite at the seed, both before any return; and CycleNotFoundError when
+    a return fails or the iteration does not converge.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    _check_max_time(max_time)
     vx, vy = system(seed)
     if not (math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError(f"the field is not finite at the seed ({seed[0]:.6g}, "
@@ -679,15 +667,15 @@ def detect_limit_cycle(system: VectorField, seed,
     def return_map(u: float):
         z = section.point_at(u)
         try:
-            z_next, t_next = poincare_return(system, section, z, max_time, tol)
+            z_next, t_next = poincare_return(system, section, z)
         except NoReturnError as exc:
             raise CycleNotFoundError(f"return map undefined: {exc}") from exc
         return section.along(z_next), t_next
 
-    # the first return and max_iters more; with no previous residual yet,
-    # or a flat secant, the step is plain iteration u -> u_next
+    # the first return and CYCLE_MAX_ITERS more; with no previous residual
+    # yet, or a flat secant, the step is plain iteration u -> u_next
     u, u_prev, f_prev = 0.0, None, None  # the seed is the section's anchor
-    for _ in range(max_iters + 1):
+    for _ in range(CYCLE_MAX_ITERS + 1):
         u_next, _ = return_map(u)
         f = u_next - u
         if abs(f) <= 1e-9:
@@ -698,14 +686,14 @@ def detect_limit_cycle(system: VectorField, seed,
             u_step = u - f * (u - u_prev) / (f - f_prev)
         u_prev, f_prev, u = u, f, u_step
     else:
-        raise CycleNotFoundError(
-            f"return map did not converge within {max_iters} iterations")
+        raise CycleNotFoundError("return map did not converge within "
+                                 f"{CYCLE_MAX_ITERS} iterations")
 
     # measure the period at the fixed point itself so the sampled loop closes
     _, period = return_map(u_star)
     z_star = section.point_at(u_star)
     try:
-        times, points = _sample_loop(system, z_star, period, tol)
+        times, points = _sample_loop(system, z_star, period)
     except _StepFailure as exc:
         raise CycleNotFoundError(f"loop sampling failed: {exc}") from exc
     amplitude = max(abs(p.x) for p in points)
@@ -725,11 +713,11 @@ def detect_limit_cycle(system: VectorField, seed,
                             times=times)
 
 
-def _sample_loop(system: VectorField, z0: Point, period: float, tol: float):
+def _sample_loop(system: VectorField, z0: Point, period: float):
     """One full loop from z0, densely sampled from the step interpolants."""
     times = [0.0]
     points = [z0]
-    for solver in _steps(compile_field(system), z0, period, tol):
+    for solver in _steps(compile_field(system), z0, period, CYCLE_TOL):
         dense = solver.dense_output()
         for k in range(1, LOOP_SUBSAMPLES + 1):
             t = solver.t_old + (solver.t - solver.t_old) * k / LOOP_SUBSAMPLES

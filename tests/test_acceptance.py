@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dulac import darboux
 from dulac.certify import (
     Box2,
     Conclusion,
@@ -172,7 +173,7 @@ def test_criterion_4_certificate_cycle_consistency():
         value = result.certificate.carrier.evaluate_exact(*outcome.witness)
         assert value.re == outcome.value and value.re <= 0
 
-        cycle = detect_limit_cycle(VDP, (2.0, 0.0), max_iters=25, tol=1e-10)
+        cycle = detect_limit_cycle(VDP, (2.0, 0.0))
         assert cycle.stability is Stability.STABLE
         assert 1.95 <= cycle.amplitude_x <= 2.07
         assert 6.6 <= cycle.period <= 6.73
@@ -189,7 +190,7 @@ def test_criterion_4_certificate_cycle_consistency():
                            for p in cycle.points)
 
 
-def test_criterion_5_darboux_suite():
+def test_criterion_5_darboux_suite(monkeypatch):
     with Criterion(5, "Darboux cofactors, first integrals, drift", 2.0):
         cubic = parse_system(
             "P = -y + x*(1 - x^2 - y^2)\nQ = x + y*(1 - x^2 - y^2)")
@@ -212,8 +213,8 @@ def test_criterion_5_darboux_suite():
         assert [lam for _, lam in h_node.curve_factors] == [CRat(2), CRat(-1)]
         assert h_node.total_cofactor().is_zero
 
-        drift = verify_first_integral(h_saddle, saddle, trajectories=4,
-                                      t_span=10.0)
+        monkeypatch.setattr(darboux, "VERIFY_TRAJECTORIES", 4)
+        drift = verify_first_integral(h_saddle, saddle)
         assert drift.is_exact
         assert drift.numeric_max_drift <= 1e-6
 

@@ -1,7 +1,6 @@
 """CLI subcommands, report schema, exit codes, and serialization round-trips."""
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -169,21 +168,27 @@ class TestBasicCommands:
                              ["cofactor", "darboux", "verify-integral"])
     def test_singular_curve_warnings_become_notes(self, capsys, command):
         # the double circle is singular all along x^2 + y^2 = 1, where the
-        # rotation does not vanish: each probed point was a Python warning
-        argv = [command, "--system", ROTATION, "--curves", "(x^2+y^2-1)^2"]
-        assert main(argv + ["--format", "json"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        notes = json.loads(captured.out)["notes"]
-        assert len(notes) == 28
-        assert all(n.startswith("singular point (")
-                   and n.endswith(") of the curve is not a zero of the field")
-                   for n in notes)
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert [line[len("note: "):] for line in captured.out.splitlines()
-                if line.startswith("note: ")] == notes
+        # rotation does not vanish: each probed point was a Python warning.
+        # Listed twice, the curve is probed twice, and each note came twice.
+        seen = []
+        for curves in ["(x^2+y^2-1)^2", "(x^2+y^2-1)^2;(x^2+y^2-1)^2"]:
+            argv = [command, "--system", ROTATION, "--curves", curves]
+            assert main(argv + ["--format", "json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            notes = json.loads(captured.out)["notes"]
+            assert len(notes) == 28
+            assert all(
+                n.startswith("singular point (")
+                and n.endswith(") of the curve is not a zero of the field")
+                for n in notes)
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert [line[len("note: "):] for line in captured.out.splitlines()
+                    if line.startswith("note: ")] == notes
+            seen.append(notes)
+        assert seen[0] == seen[1]
 
     def test_expfactor(self, capsys):
         code, report = run_json(capsys, [
@@ -230,10 +235,11 @@ class TestBasicCommands:
         assert code == 0
         assert report["result"]["first_integral"] is None
 
-    def test_verify_integral(self, capsys):
+    def test_verify_integral(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.darboux, "VERIFY_TRAJECTORIES", 2)
+        monkeypatch.setattr(dulac.darboux, "VERIFY_T_SPAN", 5.0)
         code, report = run_json(capsys, [
-            "verify-integral", "--system", SADDLE, "--curves", "x;y",
-            "--trajectories", "2", "--t-span", "5"])
+            "verify-integral", "--system", SADDLE, "--curves", "x;y"])
         assert code == 0
         assert report["result"]["symbolic_residual"] == "0"
         assert report["result"]["numeric_max_drift"] < 1e-6
@@ -246,10 +252,10 @@ class TestBasicCommands:
         assert lines[0] == "t,x,y"
         assert lines[1].startswith("0,1,0")
 
-    def test_limit_cycle(self, capsys):
+    def test_limit_cycle(self, capsys, monkeypatch):
+        monkeypatch.setattr(dulac.flow, "CYCLE_TOL", 1e-9)
         code, report = run_json(capsys, [
-            "limit-cycle", "--system", VDP, "--seed", "2,0",
-            "--tol", "1e-9"])
+            "limit-cycle", "--system", VDP, "--seed", "2,0"])
         assert code == 0
         cyc = report["result"]["limit_cycle"]
         assert cyc["stability"] == "stable"
@@ -502,22 +508,6 @@ BAD_BUDGETS = {
                             "--t-span", "inf"],
     "simulate_t_span_nan": ["simulate", "--system", ROTATION, "--z0", "1,0",
                             "--t-span", "nan"],
-    "limit_cycle_max_time_nan": ["limit-cycle", "--system", VDP, "--seed",
-                                 "2,0", "--max-time", "nan"],
-    "limit_cycle_tol_nan": ["limit-cycle", "--system", VDP, "--seed", "2,0",
-                            "--tol", "nan"],
-    "verify_integral_t_span_nan": ["verify-integral", "--system", SADDLE,
-                                   "--curves", "x;y", "--t-span", "nan"],
-    # a negative max_time ran the return map in reverse time
-    "limit_cycle_max_time_neg": ["limit-cycle", "--system", VDP, "--seed",
-                                 "2,0", "--max-time", "-100"],
-    # this reported "0 trajectories" instead
-    "verify_integral_trajectories_neg": ["verify-integral", "--system",
-                                         SADDLE, "--curves", "x;y",
-                                         "--trajectories", "-1"],
-    # ran a return map, then "did not converge within -1 iterations"
-    "limit_cycle_max_iters_neg": ["limit-cycle", "--system", VDP, "--seed",
-                                  "2,0", "--max-iters", "-1"],
 }
 
 
@@ -604,8 +594,7 @@ ENVELOPE_CASES = {
     "intfactor": ["--system", ROTATION, "--multiplier", "1"],
     "inv-intfactor": ["--system", RADIAL, "--multiplier", "x^2+y^2"],
     "darboux": ["--system", SADDLE, "--curves", "x;y"],
-    "verify-integral": ["--system", SADDLE, "--curves", "x;y",
-                        "--trajectories", "1", "--t-span", "1"],
+    "verify-integral": ["--system", SADDLE, "--curves", "x;y"],
     "simulate": ["--system", ROTATION, "--z0", "1,0", "--t-span", "1.0"],
     "limit-cycle": ["--system", VDP, "--seed", "2,0"],
     "analyze": ["--system", RADIAL, "--region=-2:2,-2:2"],
@@ -637,7 +626,10 @@ class TestEnvelope:
             assert "invalid choice: 'csv'" in captured.err
 
     @pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
-    def test_keys_and_command(self, capsys, command):
+    def test_keys_and_command(self, capsys, monkeypatch, command):
+        # one short drift trajectory keeps verify-integral cheap
+        monkeypatch.setattr(dulac.darboux, "VERIFY_TRAJECTORIES", 1)
+        monkeypatch.setattr(dulac.darboux, "VERIFY_T_SPAN", 1.0)
         code, report = run_json(capsys, [command] + ENVELOPE_CASES[command])
         assert code == 0
         assert set(report) == SCHEMA_KEYS
@@ -757,36 +749,6 @@ class TestCycleBudgets:
         assert report.limit_cycles == ()
         assert calls
         assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
-
-    def test_parser_defaults(self):
-        parser = build_parser()
-        lc = parser.parse_args(["limit-cycle", "--system", VDP,
-                                "--seed", "2,0"])
-        assert (lc.max_iters, lc.tol, lc.max_time) == (
-            dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
-            dulac.flow.CYCLE_MAX_TIME)
-        sim = parser.parse_args(["simulate", "--system", VDP, "--z0", "1,0",
-                                 "--t-span", "1"])
-        assert sim.tol == dulac.flow.INTEGRATE_TOL
-        vi = parser.parse_args(["verify-integral", "--system", SADDLE,
-                                "--curves", "x;y"])
-        assert (vi.trajectories, vi.t_span) == (
-            dulac.darboux.VERIFY_TRAJECTORIES, dulac.darboux.VERIFY_T_SPAN)
-
-    def test_library_defaults_are_the_cli_defaults(self):
-        def defaults(fn, *names):
-            params = inspect.signature(fn).parameters
-            return tuple(params[name].default for name in names)
-
-        assert defaults(dulac.flow.integrate, "tol") == (
-            dulac.flow.INTEGRATE_TOL,)
-        assert defaults(dulac.darboux.verify_first_integral,
-                        "trajectories", "t_span") == (
-            dulac.darboux.VERIFY_TRAJECTORIES, dulac.darboux.VERIFY_T_SPAN)
-        assert defaults(dulac.flow.detect_limit_cycle,
-                        "max_iters", "tol", "max_time") == (
-            dulac.flow.CYCLE_MAX_ITERS, dulac.flow.CYCLE_TOL,
-            dulac.flow.CYCLE_MAX_TIME)
 
     def test_distinct_cycles_of_equal_period(self, tmp_path, capsys,
                                              monkeypatch):
@@ -988,14 +950,19 @@ USAGE_ERRORS = {
                            "--tol", "0.5"], "unrecognized arguments: --tol"),
 }
 
-# analyze's and local-dulac's budgets are module constants (analyze.TILE_N,
-# TILE_DEPTH, MAX_CYCLE_SEEDS and synthesis.LOCAL_MIN_RADIUS,
-# LOCAL_MAX_DEPTH), so each of their six old flags is refused as a usage
+# the budgets of analyze, local-dulac, the cycle search and the drift check
+# are module constants (analyze.TILE_N, TILE_DEPTH, MAX_CYCLE_SEEDS,
+# synthesis.LOCAL_MIN_RADIUS, LOCAL_MAX_DEPTH, flow.CYCLE_MAX_ITERS,
+# CYCLE_TOL, CYCLE_MAX_TIME, INTEGRATE_TOL and darboux.VERIFY_TRAJECTORIES,
+# VERIFY_T_SPAN), so each of their twelve old flags is refused as a usage
 # error, as --tol and --grid are: (place, flag, value)
 REMOVED_FLAG_PLACES = {
     "analyze": ["analyze", "--region=-4:4,-4:4"],
     "local_point": ["local-dulac", "--point", "0,0"],
     "local_region": ["local-dulac", "--region=-4:4,-4:4"],
+    "limit_cycle": ["limit-cycle", "--seed", "2,0"],
+    "verify_integral": ["verify-integral", "--curves", "x;y"],
+    "simulate": ["simulate", "--z0", "1,0", "--t-span", "1"],
 }
 REMOVED_FLAGS = {
     # values that ran before
@@ -1005,6 +972,13 @@ REMOVED_FLAGS = {
     "analyze_max_cycle_seeds": ("analyze", "--max-cycle-seeds", "0"),
     "local_dulac_point_depth": ("local_point", "--depth", "8"),
     "local_dulac_region_min_radius": ("local_region", "--min-radius", "1e-3"),
+    "limit_cycle_max_iters": ("limit_cycle", "--max-iters", "25"),
+    "limit_cycle_tol": ("limit_cycle", "--tol", "1e-10"),
+    "limit_cycle_max_time": ("limit_cycle", "--max-time", "100"),
+    "verify_integral_trajectories": ("verify_integral", "--trajectories",
+                                     "5"),
+    "verify_integral_t_span": ("verify_integral", "--t-span", "10"),
+    "simulate_tol": ("simulate", "--tol", "1e-9"),
     # values refused before, once the system was read: tiles 0 divided by
     # zero and tiles -3 tiled nothing, so rotation came out "fully
     # certified"; a depth of -1 was reported as an inconclusive
@@ -1020,13 +994,23 @@ REMOVED_FLAGS = {
     "local_dulac_point_min_radius_inf": ("local_point", "--min-radius", "inf"),
     "local_dulac_region_min_radius_inf": ("local_region", "--min-radius",
                                           "inf"),
+    # values refused before, once the system was read; unchecked, a
+    # negative max time ran the return map in reverse time, a negative max
+    # iters ran a return map, then "did not converge within -1
+    # iterations", and negative trajectories reported "0 trajectories"
+    "limit_cycle_max_time_nan": ("limit_cycle", "--max-time", "nan"),
+    "limit_cycle_tol_nan": ("limit_cycle", "--tol", "nan"),
+    "verify_integral_t_span_nan": ("verify_integral", "--t-span", "nan"),
+    "limit_cycle_max_time_neg": ("limit_cycle", "--max-time", "-100"),
+    "verify_integral_trajectories_neg": ("verify_integral", "--trajectories",
+                                         "-1"),
+    "limit_cycle_max_iters_neg": ("limit_cycle", "--max-iters", "-1"),
 }
 
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["verify-integral", "--system", SADDLE, "--curves", "x;y",
-         "--trajectories", "abc"],
+        ["certify", "--system", VDP, "--region=-1:1,-1:1", "--depth", "abc"],
         ["parse", "--system", VDP, "--no-such-option"],
         ["simulate", "--system", ROTATION, "--z0", "1,0"],
         [],

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dulac import darboux
 from dulac.darboux import (
     DarbouxExpr,
     check_integrating_factor,
@@ -286,17 +287,19 @@ class TestDarbouxFirstIntegral:
 
 
 class TestVerifyFirstIntegral:
-    def test_saddle_drift(self):
+    def test_saddle_drift(self, monkeypatch):
+        monkeypatch.setattr(darboux, "VERIFY_TRAJECTORIES", 4)
         curves = [cofactor_of(parse_poly("x"), SADDLE),
                   cofactor_of(parse_poly("y"), SADDLE)]
         expr = darboux_first_integral(curves)
-        report = verify_first_integral(expr, SADDLE, trajectories=4,
-                                       t_span=10.0)
+        report = verify_first_integral(expr, SADDLE)
         assert report.is_exact
         assert report.trajectories_checked == 4
         assert report.numeric_max_drift <= 1e-6
 
-    def test_non_integral_drifts(self):
+    def test_non_integral_drifts(self, monkeypatch):
+        monkeypatch.setattr(darboux, "VERIFY_TRAJECTORIES", 3)
+        monkeypatch.setattr(darboux, "VERIFY_T_SPAN", 5.0)
         radial = parse_system("P = x\nQ = y")
         curves = [cofactor_of(parse_poly("x"), radial,
                               check_degeneracy=False),
@@ -305,28 +308,29 @@ class TestVerifyFirstIntegral:
         expr = DarbouxExpr(curve_factors=((curves[0], CRat(1)),
                                           (curves[1], CRat(1))),
                            exp_factors=())
-        report = verify_first_integral(expr, radial, trajectories=3,
-                                       t_span=5.0)
+        report = verify_first_integral(expr, radial)
         assert report.symbolic_residual == Poly.const(2)
         assert report.numeric_max_drift > 1.0  # log drift ~ 2 t
 
-    def test_exponential_factor_drift(self):
+    def test_exponential_factor_drift(self, monkeypatch):
+        monkeypatch.setattr(darboux, "VERIFY_TRAJECTORIES", 3)
+        monkeypatch.setattr(darboux, "VERIFY_T_SPAN", 5.0)
         system = parse_system("P = x\nQ = 1")
         curve = cofactor_of(parse_poly("x"), system)
         ef = exponential_factor_cofactor(parse_poly("y"), Poly.const(1), system)
         expr = darboux_first_integral([curve], [ef])
-        report = verify_first_integral(expr, system, trajectories=3,
-                                       t_span=5.0)
+        report = verify_first_integral(expr, system)
         assert report.is_exact
         assert report.numeric_max_drift <= 1e-6
 
-    def test_rotation_complex_log_unwrapping(self):
+    def test_rotation_complex_log_unwrapping(self, monkeypatch):
+        monkeypatch.setattr(darboux, "VERIFY_TRAJECTORIES", 3)
         # H = (x + iy)(x - iy) = x^2 + y^2; trajectories wind around the
         # origin, so the angle must be unwrapped continuously
         rot = parse_system("P = -y\nQ = x")
         f = parse_poly("x + i*y")
         curves = [cofactor_of(f, rot), cofactor_of(f.conjugate(), rot)]
         expr = darboux_first_integral(curves)
-        report = verify_first_integral(expr, rot, trajectories=3, t_span=10.0)
+        report = verify_first_integral(expr, rot)
         assert report.is_exact
         assert report.numeric_max_drift <= 1e-6

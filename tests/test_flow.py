@@ -739,25 +739,28 @@ class TestRightHandSideContract:
 
 
 class TestPoincare:
-    def test_rotation_full_turn(self):
+    def test_rotation_full_turn(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 10.0)
         rot = parse_system("P = -y\nQ = x")
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
-        z, t = poincare_return(rot, section, (1.0, 0.0), max_time=10.0)
+        z, t = poincare_return(rot, section, (1.0, 0.0))
         assert abs(t - 2 * math.pi) < 1e-6
         assert abs(z.x - 1.0) < 1e-6
         assert abs(section.signed_distance(z)) <= 1e-10
 
-    def test_saddle_never_returns(self):
+    def test_saddle_never_returns(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 20.0)
         saddle = parse_system("P = x\nQ = -y")
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(NoReturnError):
-            poincare_return(saddle, section, (1.0, 0.0), max_time=20.0)
+            poincare_return(saddle, section, (1.0, 0.0))
 
-    def test_van_der_pol_return_against_bisection_oracle(self):
+    def test_van_der_pol_return_against_bisection_oracle(self, monkeypatch):
         # the orbit leaves (2, 0) downward, so the near-side return crossing
         # has decreasing signed distance
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 20.0)
         section = Section(anchor=Point(2.0, 0.0), normal=(0.0, -1.0))
-        z, t = poincare_return(VDP, section, (2.0, 0.0), max_time=20.0)
+        z, t = poincare_return(VDP, section, (2.0, 0.0))
         assert abs(z.x - 2.009) < 5e-3  # returns near (2.009, 0)
         # independent oracle: bisection on fresh fixed-horizon integrations
         lo, hi = t - 0.25, t + 0.25
@@ -776,18 +779,11 @@ class TestPoincare:
 
     def test_step_budget_is_no_return(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 5)
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 10.0)
         rot = parse_system("P = -y\nQ = x")
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
         with pytest.raises(NoReturnError, match="integration failed"):
-            poincare_return(rot, section, (1.0, 0.0), max_time=10.0)
-
-    @pytest.mark.parametrize("max_time", [-100.0, 0.0, math.nan, math.inf])
-    def test_bad_max_time_raises(self, max_time):
-        # -100 ran backward and returned the half-turn (-1, -4e-11) at t = -pi
-        rot = parse_system((SYSTEMS / "rotation.vf").read_text())
-        section = Section.through((1.0, 0.0), (0.0, 1.0))
-        with pytest.raises(ValueError, match="max_time must be finite and > 0"):
-            poincare_return(rot, section, (1.0, 0.0), max_time=max_time)
+            poincare_return(rot, section, (1.0, 0.0))
 
     def test_requires_point_on_section(self):
         section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
@@ -814,39 +810,43 @@ class TestPoincare:
         with pytest.raises(ValueError, match="finite and nonzero"):
             Section.through((0.0, 0.0), vector)
 
-    def test_crossing_is_along_the_normal(self):
+    def test_crossing_is_along_the_normal(self, monkeypatch):
         # the rotation crosses y = 0 upward at (1, 0) and downward at
         # (-1, 0): a flipped normal picks the other crossing
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 10.0)
         rot = parse_system("P = -y\nQ = x")
         up = Section(anchor=Point(0.0, 0.0), normal=(0.0, 1.0))
         down = Section(anchor=Point(0.0, 0.0), normal=(0.0, -1.0))
-        z, t = poincare_return(rot, up, (0.5, 0.0), max_time=10.0)
+        z, t = poincare_return(rot, up, (0.5, 0.0))
         assert abs(t - 2 * math.pi) < 1e-6 and abs(z.x - 0.5) < 1e-6
-        z, t = poincare_return(rot, down, (0.5, 0.0), max_time=10.0)
+        z, t = poincare_return(rot, down, (0.5, 0.0))
         assert abs(t - math.pi) < 1e-6 and abs(z.x + 0.5) < 1e-6
 
 
 class TestDetectLimitCycle:
     def test_van_der_pol(self):
-        report = detect_limit_cycle(VDP, (2.0, 0.0), max_iters=25, tol=1e-10)
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
         assert 1.95 <= report.amplitude_x <= 2.07
         assert 6.6 <= report.period <= 6.73
         assert report.stability is Stability.STABLE
         first, last = report.points[0], report.points[-1]
         assert math.hypot(first.x - last.x, first.y - last.y) <= 10 * 1e-10
 
-    def test_rotation_marginal_family(self):
+    def test_rotation_marginal_family(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 10)
         rot = parse_system("P = -y\nQ = x")
-        report = detect_limit_cycle(rot, (1.0, 0.0), max_iters=10, tol=1e-10)
+        report = detect_limit_cycle(rot, (1.0, 0.0))
         assert report.stability is Stability.MARGINAL
         assert abs(report.return_map_slope - 1.0) <= 1e-3
         assert abs(report.period - 2 * math.pi) < 1e-6
 
-    def test_radial_not_found(self):
+    def test_radial_not_found(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 10)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 20.0)
         radial = parse_system("P = x\nQ = y")
         with pytest.raises(CycleNotFoundError):
-            detect_limit_cycle(radial, (1.0, 0.0), max_iters=10,
-                               tol=1e-9, max_time=20.0)
+            detect_limit_cycle(radial, (1.0, 0.0))
 
     @pytest.mark.parametrize("seed", [(0.0, 0.0), (1e-10, 0.0)])
     def test_seed_at_zero_raises_before_any_return(self, monkeypatch, seed):
@@ -862,12 +862,13 @@ class TestDetectLimitCycle:
     def test_section_through_seed_along_field(self, monkeypatch):
         sections = []
 
-        def spy(system, section, z0, max_time, tol):
+        def spy(system, section, z0):
             sections.append(section)
-            return poincare_return(system, section, z0, max_time, tol)
+            return poincare_return(system, section, z0)
 
         monkeypatch.setattr(flow, "poincare_return", spy)
-        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
         assert 6.6 <= report.period <= 6.73
         # X(2, 0) = (0, -2): the section is y = 0, crossed downward
         assert {(s.anchor, s.normal) for s in sections} == {
@@ -875,28 +876,9 @@ class TestDetectLimitCycle:
 
     def test_step_budget_is_cycle_not_found(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_STEPS", 5)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
         with pytest.raises(CycleNotFoundError, match="return map undefined"):
-            detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
-
-    def test_negative_max_iters_raises_before_any_return(self, monkeypatch):
-        def no_return(*args):
-            raise AssertionError("return map computed")
-
-        monkeypatch.setattr(flow, "poincare_return", no_return)
-        with pytest.raises(ValueError, match="max_iters must be >= 0"):
-            detect_limit_cycle(VDP, (2.0, 0.0), max_iters=-1)
-
-    @pytest.mark.parametrize("max_time", [-100.0, 0.0, math.nan, math.inf])
-    def test_bad_max_time_raises_before_any_return(self, monkeypatch,
-                                                   max_time):
-        # -100 ran the map in reverse time: period -2*pi and "stable" for
-        # the unstable annulus cycle r = 1
-        def no_return(*args):
-            raise AssertionError("return map computed")
-
-        monkeypatch.setattr(flow, "poincare_return", no_return)
-        with pytest.raises(ValueError, match="max_time must be finite"):
-            detect_limit_cycle(VDP, (2.0, 0.0), max_time=max_time)
+            detect_limit_cycle(VDP, (2.0, 0.0))
 
     def test_unstable_annulus_cycle_in_forward_time(self):
         annulus = parse_system("P = -x - y + x*(x^2+y^2)\n"
@@ -905,9 +887,10 @@ class TestDetectLimitCycle:
         assert report.stability is Stability.UNSTABLE
         assert abs(report.period - 2 * math.pi) < 1e-6
 
-    def test_report_values_are_python_floats(self):
+    def test_report_values_are_python_floats(self, monkeypatch):
         # the period and a located exit time were numpy.float64
-        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
         assert type(report.period) is float
         assert {type(t) for t in report.times} == {float}
         rot = parse_system("P = -y\nQ = x")
@@ -917,8 +900,8 @@ class TestDetectLimitCycle:
         assert {type(t) for t in traj.times} == {float}
 
     def test_loop_sampling_failure_raises(self, monkeypatch):
-        # the return maps integrate up to max_time = 100 and succeed; only
-        # the loop sampling, bounded by the period, fails
+        # the return maps integrate up to CYCLE_MAX_TIME = 100 and succeed;
+        # only the loop sampling, bounded by the period, fails
         class FailsWithinPeriod(flow.RK45):
             def step(self):
                 super().step()
@@ -926,18 +909,18 @@ class TestDetectLimitCycle:
                     raise flow._StepFailure("failed within the period")
 
         monkeypatch.setattr(flow, "RK45", FailsWithinPeriod)
+        monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 10)
         rot = parse_system("P = -y\nQ = x")
         with pytest.raises(CycleNotFoundError):
-            detect_limit_cycle(rot, (1.0, 0.0), max_iters=10, tol=1e-10)
+            detect_limit_cycle(rot, (1.0, 0.0))
 
     @pytest.fixture
     def returns(self, monkeypatch):
         """(section, start, u of the return) of each return-map call."""
         calls = []
 
-        def counting(system, section, z0, max_time, tol):
-            z_next, t_next = poincare_return(system, section, z0, max_time,
-                                             tol)
+        def counting(system, section, z0):
+            z_next, t_next = poincare_return(system, section, z0)
             calls.append((section, z0, section.along(z_next)))
             return z_next, t_next
 
@@ -971,13 +954,15 @@ class TestDetectLimitCycle:
         assert [z for _, z, _ in returns[3:]] == [s.point_at(r2),
                                                   s.point_at(r2 + 1e-4)]
 
-    def test_no_iterations_is_one_return(self, returns):
+    def test_no_iterations_is_one_return(self, returns, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 0)
         with pytest.raises(CycleNotFoundError, match="within 0 iterations"):
-            detect_limit_cycle(VDP, (2.0, 0.0), max_iters=0)
+            detect_limit_cycle(VDP, (2.0, 0.0))
         assert len(returns) == 1
 
-    def test_cycle_csv(self):
-        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
+    def test_cycle_csv(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
         buf = io.StringIO()
         report.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -986,16 +971,20 @@ class TestDetectLimitCycle:
 
 
 class TestCertificateConsistency:
-    def test_no_cycle_inside_van_der_pol_strip(self):
+    def test_no_cycle_inside_van_der_pol_strip(self, monkeypatch):
         strip = Box2(Fraction(-19, 20), Fraction(19, 20),
                      Fraction(-4), Fraction(4))
         assert bendixson(VDP, strip).conclusion \
             is Conclusion.NO_PERIODIC_ORBIT_FULLY_CONTAINED
-        report = detect_limit_cycle(VDP, (2.0, 0.0), tol=1e-9)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
         assert not all(strip.contains_point(p, strict=True)
                        for p in report.points)
 
-    def test_random_certified_linear_systems(self):
+    def test_random_certified_linear_systems(self, monkeypatch):
+        monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 8)
+        monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
+        monkeypatch.setattr(flow, "CYCLE_MAX_TIME", 30.0)
         rng = random.Random(41)
         checked = 0
         while checked < 20:
@@ -1013,8 +1002,7 @@ class TestCertificateConsistency:
             if math.hypot(vx, vy) < 1e-9:
                 continue
             try:
-                report = detect_limit_cycle(field, seed, max_iters=8,
-                                            tol=1e-9, max_time=30.0)
+                report = detect_limit_cycle(field, seed)
             except CycleNotFoundError:
                 continue  # no cycle at all: vacuously consistent
             assert not all(box.contains_point(p, strict=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dulac import analyze
+from dulac import analyze, darboux
 from dulac.analyze import AnalysisReport, LocalCertificate, run_analyze
 from dulac.certify import (
     Box2,
@@ -138,8 +138,7 @@ def every_record(report):
             parse_multiplier("1"), rotation),
         "residual-inexact": check_integrating_factor(
             parse_multiplier("x"), rotation),
-        "residual-drift": verify_first_integral(
-            saddle_integral, saddle, trajectories=2, t_span=1.0),
+        "residual-drift": verify_first_integral(saddle_integral, saddle),
         "analysis": report,
         "local-certificate": report.local_certificates[0],
         "equilibrium": report.equilibria[0],
@@ -172,7 +171,11 @@ ENCODE_ONLY = {"dulac-positive", "dulac-violation", "darboux-curves",
 
 @pytest.fixture(scope="module")
 def records(report):
-    return every_record(report)
+    # two short drift trajectories keep the fixture cheap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(darboux, "VERIFY_TRAJECTORIES", 2)
+        patch.setattr(darboux, "VERIFY_T_SPAN", 1.0)
+        return every_record(report)
 
 
 class TestEveryRecord:

@@ -62,13 +62,10 @@ from .poly import (
     poly_divide,
 )
 from .synthesis import (
-    GridNode,
     Matrix2,
     QuadraticMultiplier,
     Reading,
     RECORDED_READING,
-    SampledMultiplier,
-    flowbox_dulac,
     gradient_field,
     gradient_multipliers,
     local_dulac_hyperbolic,
@@ -90,8 +87,7 @@ __all__ = [
     "Inconclusive", "Positive", "Violation", "bendixson",
     "bernstein_coefficients", "certify_dulac", "certify_positive",
     # synthesis
-    "GridNode", "Matrix2", "QuadraticMultiplier", "Reading",
-    "RECORDED_READING", "SampledMultiplier", "flowbox_dulac",
+    "Matrix2", "QuadraticMultiplier", "Reading", "RECORDED_READING",
     "gradient_field", "gradient_multipliers", "local_dulac_hyperbolic",
     "printed_coefficients", "quadratic_dulac_linear",
     # darboux

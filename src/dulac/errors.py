@@ -42,15 +42,12 @@ class NotAnEquilibriumError(DulacError):
 
 
 class CertificationFailedError(DulacError):
-    """No box down to the minimum radius could be certified."""
+    """No local box was certified: none fits the region, or none certifies.
 
-
-class FlowBoxError(DulacError):
-    """Flow-box multiplier construction failed; ``node`` locates the failure."""
-
-    def __init__(self, message: str, node: tuple | None = None):
-        self.node = node
-        super().__init__(message)
+    The message says which: "no box around (x, y) fits the region" when no
+    half-width above the minimum radius fits, "no punctured box down to
+    radius r certified" when the innermost ring fails.
+    """
 
 
 # --- Darboux machinery ---

@@ -4,10 +4,9 @@ Equilibrium location and classification, adaptive Runge-Kutta trajectory
 integration, Poincare return maps, and limit-cycle detection.  Newton
 starts in the cells of ``certify.walk`` where the exact Bernstein ranges of
 P and Q both contain 0.  ``is_zero`` (|P| and |Q| <= ``ZERO_TOL``; a nan
-fails) is the one zero test: Newton stops at it, and ``check_zero``, the
-cycle detector and ``synthesis.flowbox_dulac`` apply it.
-All stepping in the package, here and in ``synthesis.flowbox_dulac``, goes
-through one RK 5(4) loop (``_steps``), which alone checks a run's inputs,
+fails) is the one zero test: Newton stops at it, and ``check_zero`` and
+the cycle detector apply it.  All stepping in the package goes through
+one RK 5(4) loop (``_steps``), which alone checks a run's inputs,
 of ``RK45``: this module's Dormand-Prince 5(4) on lists of Python floats
 with scipy's arithmetic.  Every field is autonomous, so a right-hand side
 is ``fun(y)``, of the state alone.  The stages are straight-line code
@@ -17,8 +16,8 @@ Events on a step are found by one bisection of its dense output
 parameters: ``detect_limit_cycle`` and ``poincare_return`` read
 ``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each call.
 Every float value of a polynomial comes from one function
-that ``poly.float_sums`` generates for its use: an RK right-hand side
-(``compile_field``, ``flowbox_dulac``'s) is one such function, and it raises
+that ``poly.float_sums`` generates for its use: the RK right-hand side
+(``compile_field``) is one such function, and it raises
 the "beyond float range" ValueError itself; every other float value of the
 field is ``VectorField.__call__``.  This is the empirical cross-check
 side of the package: nothing here is rigorous, and certificates always

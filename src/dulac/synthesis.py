@@ -1,40 +1,34 @@
 """Construction of Dulac multiplier candidates.
 
-Four routes:
+Three routes:
 
 * quadratic multipliers for linear fields, solving Div(B*X) = P^2 + Q^2 by
   exact coefficient matching (with the published closed forms kept alongside
   for cross-checking),
 * exponential/polynomial multipliers for gradient fields,
 * local quadratic multipliers at hyperbolic equilibria of nonlinear fields,
-  certified on nested rings around them (``certify_punctured_box``),
-* sampled multipliers transported along the flow through an
-  equilibrium-free box.
+  certified on nested rings around them (``certify_punctured_box``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .certify import Box2, Certificate, Positive, certify_positive
 from .errors import (
     CertificationFailedError,
     ConstantInputError,
     DoubleZeroEigenvalueError,
-    FlowBoxError,
     SingularAnsatzError,
     TraceZeroError,
 )
-from .flow import _steps, _StepFailure, check_zero, is_zero
+from .flow import check_zero
 from .multiplier import ExpPolyMultiplier, PolyMultiplier
 from .parse import parse_list
-from .poly import (Point, Poly, VectorField, div_product, divergence,
-                   float_sums, kernel_basis)
+from .poly import Point, Poly, VectorField, div_product, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -158,23 +152,20 @@ def gradient_multipliers(v: Poly):
     """Three multiplier candidates for the gradient field X = grad V.
 
     Returns [(exp(V), lap V + |grad V|^2), (exp(-V), lap V - |grad V|^2),
-    (V, V*lap V + |grad V|^2)]; each second element is the exact polynomial
-    sign carrier of Div(B*X).
+    (V, V*lap V + |grad V|^2)]; each second element is the multiplier's exact
+    polynomial sign carrier of Div(B*X), its ``sign_carrier(grad V)``.
     """
     if not v.is_real:
         raise ValueError("potential must have real coefficients")
     if v.degree < 1:
         raise ConstantInputError("potential must be nonconstant")
-    vx = v.derive("x")
-    vy = v.derive("y")
-    laplacian = vx.derive("x") + vy.derive("y")
-    grad_sq = vx * vx + vy * vy
+    field = gradient_field(v)
     one = Poly.const(1)
-    return [
-        (ExpPolyMultiplier(g=v, p=one), laplacian + grad_sq),
-        (ExpPolyMultiplier(g=-v, p=one), laplacian - grad_sq),
-        (PolyMultiplier(p=v), v * laplacian + grad_sq),
-    ]
+    return [(m, m.sign_carrier(field)) for m in (
+        ExpPolyMultiplier(g=v, p=one),
+        ExpPolyMultiplier(g=-v, p=one),
+        PolyMultiplier(p=v),
+    )]
 
 
 def gradient_field(v: Poly) -> VectorField:
@@ -305,120 +296,3 @@ def local_dulac_hyperbolic(system: VectorField, eq: Point,
     within = Box2.centered(ex, ey, LOCAL_INITIAL_HALF_WIDTH)
     cert = certify_punctured_box(carrier, ex, ey, within, min_radius)
     return multiplier, cert.box, cert
-
-
-# --- flow-box multipliers -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridNode:
-    point: Point
-    b_value: float
-    div_bx: float
-
-
-@dataclass(frozen=True)
-class SampledMultiplier:
-    """Multiplier sampled on a flow-aligned grid.
-
-    ``grid[i][k]`` is trajectory i (seeded on the transversal) at time step k.
-    Interior nodes store the central finite-difference divergence of the
-    sampled B*X field; edge nodes store the target value g there.
-    ``fd_tolerance`` is the largest interior deviation |FD - g|.
-    """
-
-    grid: tuple[tuple[GridNode, ...], ...]
-    transversal: tuple[Point, Point]
-    fd_tolerance: float
-
-
-def flowbox_dulac(system: VectorField, transversal,
-                  g: Optional[Poly] = None,
-                  n_across: int = 9, n_along: int = 33,
-                  t_span: float = 1.0) -> SampledMultiplier:
-    """Transport a multiplier along the flow so that Div(B*X) = g (default 1).
-
-    Seeds B = 1 on the transversal segment and steps the state (x, y, B),
-    with dB/dt = g(z(t)) - B*DivX(z(t)), through ``flow``'s RK loop at tol
-    1e-10, reading n_along fixed times from each step's dense output.  Fails
-    if a sample passes ``flow``'s zero test (``is_zero``), if g is not
-    finite and strictly positive at a sample, if a trajectory cannot be
-    integrated across [0, t_span], or if the central-difference divergence
-    of B*X is not finite and positive at an interior node (the first such
-    node in (i, k) order is reported; an overflowing B*P or B*Q gives a nan
-    divergence there).  Raises
-    ValueError if the time step t_span / (n_along - 1) underflows to 0.
-    """
-    if n_across < 3 or n_along < 3:
-        raise ValueError("need n_across >= 3 and n_along >= 3 for interior nodes")
-    if g is None:
-        g = Poly.const(1)
-    (ax, ay), (bx, by) = transversal
-    # the float sums of flow.compile_field, and g's and Div X's after them
-    values = float_sums([(f.terms, "re") for f in
-                         (system.p, system.q, g, divergence(system))])
-
-    def rhs(state):
-        x, y, b = state
-        p, q, g_value, div_x = values((x, y))
-        return [p, q, g_value - b * div_x]
-
-    ds, dt = 1.0 / (n_across - 1), t_span / (n_along - 1)
-    if t_span and not dt:
-        raise ValueError(f"t_span / (n_along - 1) underflows to 0: {t_span}")
-    # sample times k * dt, with t_span exactly at the end
-    times = [k * dt for k in range(n_along - 1)] + [t_span]
-    reach = [abs(t) for t in times]
-    nodes = []  # nodes[i][k]: x, y, B, B*P, B*Q and g at node (i, k)
-    for i in range(n_across):
-        frac = i / (n_across - 1)
-        seed = (ax + (bx - ax) * frac, ay + (by - ay) * frac, 1.0)
-        states = [seed]
-        try:
-            for solver in _steps(rhs, seed, t_span, 1e-10):
-                end = bisect.bisect_right(reach, abs(solver.t))
-                if end > len(states):
-                    dense = solver.dense_output()
-                    states.extend(map(dense, times[len(states):end]))
-        except _StepFailure:
-            raise FlowBoxError("trajectory left the integration window",
-                               node=(i, len(states))) from None
-        nodes.append([])
-        for k, (xk, yk, bk) in enumerate(states):
-            pk, qk, gk, _ = values((xk, yk))
-            if is_zero((pk, qk)):
-                raise FlowBoxError("equilibrium encountered", node=(i, k))
-            if not (math.isfinite(gk) and gk > 0):
-                raise FlowBoxError("g is not strictly positive and finite "
-                                   "at a sample",
-                                   node=(i, k))
-            nodes[i].append((xk, yk, bk, bk * pk, bk * qk, gk))
-
-    def central(j, i, k):  # d/ds and d/dt of component j at node (i, k)
-        return ((nodes[i + 1][k][j] - nodes[i - 1][k][j]) / (2 * ds),
-                (nodes[i][k + 1][j] - nodes[i][k - 1][j]) / (2 * dt))
-
-    # edge nodes keep g; interior ones get their finite-difference Div(B*X)
-    grid = [[GridNode(Point(x, y), b, gk) for x, y, b, _, _, gk in row]
-            for row in nodes]
-    deviations = []
-    for i in range(1, n_across - 1):
-        for k in range(1, n_along - 1):
-            (xs, xt), (ys, yt), (f1s, f1t), (f2s, f2t) = (
-                central(j, i, k) for j in (0, 1, 3, 4))
-            det = xs * yt - ys * xt
-            if abs(det) < 1e-14:
-                raise FlowBoxError("degenerate flow-box coordinates",
-                                   node=(i, k))
-            div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
-            if not (math.isfinite(div) and div > 0):
-                raise FlowBoxError(f"positivity fails at node {(i, k)}: "
-                                   f"finite-difference Div(B*X) = {div:.3e}",
-                                   node=(i, k))
-            grid[i][k] = GridNode(grid[i][k].point, grid[i][k].b_value, div)
-            deviations.append(abs(div - nodes[i][k][5]))
-    return SampledMultiplier(
-        grid=tuple(map(tuple, grid)),
-        transversal=(Point(ax, ay), Point(bx, by)),
-        fd_tolerance=max(deviations),
-    )

@@ -41,6 +41,7 @@ from conftest import (
 
 UNIT = Box2(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
 SYM = Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 box_st_cache = [
     Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)),
@@ -274,6 +275,29 @@ class TestCertifyPositive:
             assert again == cert
 
 
+# A time function g (grad g . X > 0) gives the flow-box multiplier
+# B = exp(lam*g), with carrier Div X + lam * grad g . X.  The rotation's
+# g = y certifies the box that holds the annular sector of radii 1-2 and
+# angles 0-1.5; on [-2,2]^2, where every orbit is periodic, no axis time
+# function certifies, so each such case has a violation witness.
+TIME_FUNCTION_SYSTEMS = {
+    "rotation": parse_system((SYSTEMS / "rotation.vf").read_text()),
+    "constant": parse_system("P = 1\nQ = 0"),
+}
+TIME_FUNCTION_BOXES = {
+    "sector": Box2(Fraction(1, 16), Fraction(2), Fraction(0), Fraction(2)),
+    "sym": SYM,
+    "big": Box2(Fraction(-2), Fraction(2), Fraction(-2), Fraction(2)),
+}
+TIME_FUNCTION_CASES = [
+    ("rotation", "exp(y)", "sector", "x", True),
+    ("rotation", "exp(4*y)", "sector", "4*x", True),
+    ("constant", "exp(x)", "sym", "1", True),
+] + [("rotation", f"exp({lam}*{g})", "big", f"{lam}*{g_dot_x}", False)
+     for lam in ("1/4", "1", "4", "16")
+     for g, g_dot_x in (("y", "x"), ("x", "-y"))]
+
+
 class TestDulacCertificates:
     def setup_method(self):
         self.vdp = parse_system("P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1")
@@ -326,6 +350,24 @@ class TestDulacCertificates:
         result = certify_dulac(system, mult, SYM)
         assert result.certificate.carrier == parse_poly("-2")
         assert result.conclusion is Conclusion.NOT_CERTIFIED
+
+    @pytest.mark.parametrize("system,multiplier,box,carrier,positive",
+                             TIME_FUNCTION_CASES,
+                             ids=["-".join(c[:3]) for c in TIME_FUNCTION_CASES])
+    def test_time_function_multiplier(self, system, multiplier, box, carrier,
+                                      positive):
+        result = certify_dulac(TIME_FUNCTION_SYSTEMS[system],
+                               parse_multiplier(multiplier),
+                               TIME_FUNCTION_BOXES[box])
+        cert = result.certificate
+        assert cert.carrier == parse_poly(carrier)
+        assert (result.conclusion is
+                Conclusion.NO_PERIODIC_ORBIT_FULLY_CONTAINED) is positive
+        if not positive:
+            assert isinstance(cert.outcome, Violation)
+            witness, value = cert.outcome.witness, cert.outcome.value
+            assert value <= 0
+            assert cert.carrier.evaluate_exact(*witness).re == value
 
     def test_schema_dict(self):
         box = Box2(Fraction(-19, 20), Fraction(19, 20), Fraction(-4), Fraction(4))

@@ -332,8 +332,8 @@ class TestFieldAtSeed:
 
 @pytest.mark.parametrize("package", ["scipy", "numpy"])
 def test_cli_import_loads_no_test_dependency(package):
-    # the integrator is flow.RK45 and flowbox_dulac computes on floats;
-    # scipy and numpy are test dependencies only
+    # the integrator is flow.RK45, on lists of Python floats; scipy and
+    # numpy are test dependencies only
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dulac.cli; print(sorted("

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dulac import analyze, flow, synthesis
+from dulac import analyze, flow
 from dulac.analyze import run_analyze
 from dulac.certify import Box2, Conclusion, bendixson, bernstein_coefficients
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
@@ -437,7 +437,7 @@ def _rotation(z):
 
 
 def _van_der_pol_with_multiplier(z):
-    # flowbox_dulac's (x, y, B) state for g = 1: dB/dt = 1 - B*Div X
+    # a state of length 3: Van der Pol and B, with dB/dt = 1 - B*Div X
     x, y, b = z[0], z[1], z[2]
     return [y, (1 - x * x) * y - x, 1 - b * (1 - x * x)]
 
@@ -726,16 +726,6 @@ class TestRightHandSideContract:
         traj = integrate(VDP, (2.0, 0.0), 1.0)
         assert traj.status is TrajectoryStatus.COMPLETED
         assert len(lengths) > 20 and set(lengths) == {2}
-
-    def test_flowbox_dulac(self, monkeypatch):
-        lengths = []
-        steps = flow._steps
-        monkeypatch.setattr(synthesis, "_steps", lambda fun, *rest:
-                            steps(self._checked(fun, lengths), *rest))
-        field = parse_system("P = x\nQ = -y")
-        synthesis.flowbox_dulac(field, ((1.0, -0.5), (1.0, 0.5)),
-                                n_across=3, n_along=5, t_span=0.6)
-        assert len(lengths) > 20 and set(lengths) == {3}
 
 
 class TestPoincare:

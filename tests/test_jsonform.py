@@ -29,7 +29,7 @@ from dulac.flow import EquilibriumReport, classify_equilibrium, integrate
 from dulac.jsonform import from_json, to_json
 from dulac.multiplier import ExpPolyMultiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
-from dulac.synthesis import Matrix2, flowbox_dulac, quadratic_dulac_linear
+from dulac.synthesis import Matrix2, quadratic_dulac_linear
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "data" / "cli_golden.jsonl"
@@ -144,8 +144,6 @@ def every_record(report):
         "equilibrium": report.equilibria[0],
         "limit-cycle": report.limit_cycles[0],
         "trajectory": integrate(VDP, (1.0, 0.0), 1.0),
-        "sampled-multiplier": flowbox_dulac(
-            rotation, ((1.0, 0.0), (2.0, 0.0)), n_across=5, n_along=9),
         "quadratic-multiplier": quadratic_dulac_linear(
             Matrix2.parse("0,1;-1,1")),
         "invariant-curve": curve,
@@ -161,9 +159,8 @@ RECORD_NAMES = [
     "certificate-inconclusive", "dulac-positive", "dulac-violation",
     "darboux-curves", "darboux-exp-factor", "residual-exact",
     "residual-inexact", "residual-drift", "analysis", "local-certificate",
-    "equilibrium", "limit-cycle", "trajectory", "sampled-multiplier",
-    "quadratic-multiplier", "invariant-curve", "exponential-factor",
-    "bernstein-patch", "box"]
+    "equilibrium", "limit-cycle", "trajectory", "quadratic-multiplier",
+    "invariant-curve", "exponential-factor", "bernstein-patch", "box"]
 # views with derived keys, which from_json does not decode
 ENCODE_ONLY = {"dulac-positive", "dulac-violation", "darboux-curves",
                "darboux-exp-factor"}

@@ -1,6 +1,5 @@
-"""Multiplier synthesis: quadratic, gradient, local, and flow-box routes."""
+"""Multiplier synthesis: quadratic, gradient and local routes."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,22 +15,19 @@ from dulac.errors import (
     ConstantInputError,
     DoubleZeroEigenvalueError,
     DulacError,
-    FlowBoxError,
     NotAnEquilibriumError,
     SingularAnsatzError,
     TraceZeroError,
 )
 from dulac.multiplier import ExpPolyMultiplier, PolyMultiplier
 from dulac.parse import parse_poly, parse_system
-from dulac.poly import Point, Poly, VectorField, div_product, divergence
+from dulac.poly import Point, Poly, VectorField, div_product
 from dulac.synthesis import (
     Matrix2,
     QuadraticMultiplier,
     Reading,
     RECORDED_READING,
     certify_punctured_box,
-    flowbox_dulac,
-    gradient_field,
     gradient_multipliers,
     local_dulac_hyperbolic,
     local_quadratic_multiplier,
@@ -39,8 +35,7 @@ from dulac.synthesis import (
     quadratic_dulac_linear,
 )
 
-from conftest import (batch_eval, rand_field, rand_fraction, rand_poly,
-                      same_float, sample_box)
+from conftest import batch_eval, rand_fraction, rand_poly, sample_box
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 VDP_TEXT = "P = y\nQ = -x + mu*(1 - x^2)*y\nparam mu = 1"
@@ -175,9 +170,14 @@ class TestGradientMultipliers:
             v = rand_poly(rng, max_degree=4)
             if not v.is_real or v.degree < 1:
                 continue
-            field = gradient_field(v)
-            for mult, carrier in gradient_multipliers(v):
-                assert mult.sign_carrier(field) == carrier
+            # the carriers are each multiplier's sign_carrier; check them
+            # against the closed forms of the docstring
+            vx, vy = v.derive("x"), v.derive("y")
+            laplacian = vx.derive("x") + vy.derive("y")
+            grad_sq = vx * vx + vy * vy
+            assert [c for _, c in gradient_multipliers(v)] == [
+                laplacian + grad_sq, laplacian - grad_sq,
+                v * laplacian + grad_sq]
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantInputError):
@@ -379,216 +379,6 @@ class TestPuncturedBoxSearch:
         assert equilibria == analyze.find_equilibria(system, region)
         assert [c.equilibrium for c in certs] == equilibria
         assert notes == []
-
-
-class TestFlowBox:
-    def test_constant_field(self):
-        field = VectorField(parse_poly("1"), parse_poly("0"))
-        fb = flowbox_dulac(field, ((0.0, -1.0), (0.0, 1.0)), Poly.const(1),
-                           n_across=5, n_along=9, t_span=2.0)
-        # dB/dt = 1 with B(0) = 1, so B = t + 1 along the flow
-        mid = fb.grid[2]
-        assert abs(mid[-1].b_value - 3.0) < 1e-8
-        for row in fb.grid:
-            for node in row[1:-1]:
-                assert node.div_bx > 0
-        assert fb.fd_tolerance < 1e-6
-
-    def test_exponential_relaxation(self):
-        field = VectorField(parse_poly("x"), parse_poly("0"))
-        fb = flowbox_dulac(field, ((1.0, -0.5), (1.0, 0.5)), Poly.const(1),
-                           n_across=5, n_along=9, t_span=0.6)
-        # Div X = 1: dB/dt = 1 - B with B(0) = 1 keeps B = 1, carrier = 1
-        for row in fb.grid:
-            for node in row:
-                assert abs(node.b_value - 1.0) < 1e-9
-        assert fb.fd_tolerance < 1e-6
-
-    def test_equilibrium_encountered(self):
-        radial = VectorField(parse_poly("x"), parse_poly("y"))
-        with pytest.raises(FlowBoxError, match="equilibrium"):
-            flowbox_dulac(radial, ((-1.0, -1.0), (1.0, 1.0)), Poly.const(1),
-                          n_across=5, n_along=9, t_span=1.0)
-
-    def test_equilibrium_is_flow_zero_test(self):
-        # a sample is an equilibrium when max(|P|, |Q|) <= flow.ZERO_TOL
-        rot = VectorField(parse_poly("-y"), parse_poly("x"))
-        fb = flowbox_dulac(rot, ((5e-9, 0.0), (1.0, 0.0)), Poly.const(1),
-                           n_across=5, n_along=9, t_span=1.0)
-        assert fb.grid[0][0].point == (5e-9, 0.0)
-        for x0 in (1e-9, 5e-10):
-            with pytest.raises(FlowBoxError, match="equilibrium") as info:
-                flowbox_dulac(rot, ((x0, 0.0), (1.0, 0.0)), Poly.const(1),
-                              n_across=5, n_along=9, t_span=1.0)
-            assert info.value.node == (0, 0)
-
-    def test_nonpositive_g_rejected(self):
-        field = VectorField(parse_poly("1"), parse_poly("0"))
-        with pytest.raises(FlowBoxError, match="strictly positive"):
-            flowbox_dulac(field, ((0.0, -1.0), (0.0, 1.0)), parse_poly("-1"),
-                          n_across=5, n_along=9, t_span=1.0)
-
-    def test_rotation_flow_box(self):
-        rot = VectorField(parse_poly("-y"), parse_poly("x"))
-        fb = flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
-                           n_across=5, n_along=17, t_span=1.0)
-        for row in fb.grid:
-            for node in row[1:-1]:
-                assert node.div_bx > 0
-        assert fb.fd_tolerance < 5e-3  # curvilinear FD is only second order
-
-    # (P, Q, g, transversal, (n_across, n_along), t_span): the two small
-    # boxes, flowbox_demo.py's rotation box, Van der Pol with g = 1 + x^2
-    # and the circle field from (0.5, 0) to (1.5, 0)
-    NODEWISE_CASES = [
-        ("-y", "x", "1", ((1.0, 0.0), (2.0, 0.0)), (5, 9), 1.0),
-        ("y", "-x + (1 - x^2)*y", "1", ((1.0, 0.0), (2.0, 0.0)), (5, 9), -0.5),
-        ("-y", "x", "1", ((1.0, 0.0), (2.0, 0.0)), (9, 65), 1.5),
-        ("y", "-x + (1 - x^2)*y", "1 + x^2", ((1.0, 0.0), (2.0, 0.0)),
-         (9, 33), 0.7),
-        ("-y + x*(1 - x^2 - y^2)", "x + y*(1 - x^2 - y^2)", "1",
-         ((0.5, 0.0), (1.5, 0.0)), (11, 41), 3.0),
-    ]
-
-    @pytest.mark.parametrize(
-        "p,q,g,transversal,shape,t_span", NODEWISE_CASES,
-        ids=[f"{c[0]}-{c[1]}-{c[-1]}" for c in NODEWISE_CASES])
-    def test_divergence_matches_nodewise_central_differences(
-            self, p, q, g, transversal, shape, t_span):
-        field, g = VectorField(parse_poly(p), parse_poly(q)), parse_poly(g)
-        fb = flowbox_dulac(field, transversal, g, n_across=shape[0],
-                           n_along=shape[1], t_span=t_span)
-        grid = fb.grid
-        ds, dt = 1.0 / (len(grid) - 1), t_span / (len(grid[0]) - 1)
-
-        def bx_by(i, k):
-            z, b = grid[i][k].point, grid[i][k].b_value
-            return (b * field.p.evaluate(z).real, b * field.q.evaluate(z).real)
-
-        deviation = 0.0
-        for i in range(1, len(grid) - 1):
-            for k in range(1, len(grid[0]) - 1):
-                xs = (grid[i + 1][k].point.x - grid[i - 1][k].point.x) / (2 * ds)
-                ys = (grid[i + 1][k].point.y - grid[i - 1][k].point.y) / (2 * ds)
-                xt = (grid[i][k + 1].point.x - grid[i][k - 1].point.x) / (2 * dt)
-                yt = (grid[i][k + 1].point.y - grid[i][k - 1].point.y) / (2 * dt)
-                det = xs * yt - ys * xt
-                f1s = (bx_by(i + 1, k)[0] - bx_by(i - 1, k)[0]) / (2 * ds)
-                f1t = (bx_by(i, k + 1)[0] - bx_by(i, k - 1)[0]) / (2 * dt)
-                f2s = (bx_by(i + 1, k)[1] - bx_by(i - 1, k)[1]) / (2 * ds)
-                f2t = (bx_by(i, k + 1)[1] - bx_by(i, k - 1)[1]) / (2 * dt)
-                div = (f1s * yt - f1t * ys) / det + (f2t * xs - f2s * xt) / det
-                assert div == grid[i][k].div_bx
-                deviation = max(deviation,
-                                abs(div - g.evaluate(grid[i][k].point).real))
-        assert fb.fd_tolerance == deviation
-        for row in (grid[0], grid[-1]):
-            assert all(node.div_bx == g.evaluate(node.point).real
-                       for node in row)
-
-    def test_positivity_failure_reports_first_node(self):
-        vdp = VectorField(parse_poly("y"), parse_poly("-x + (1 - x^2)*y"))
-        with pytest.raises(FlowBoxError,
-                           match=r"positivity fails at node \(5, 7\)") as info:
-            flowbox_dulac(vdp, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
-                          n_across=7, n_along=9, t_span=1.2)
-        assert info.value.node == (5, 7)
-
-    def test_nan_divergence_rejected(self):
-        # B*P overflows past P = 10^300, so every interior divergence is
-        # nan; div <= 0 let it through with fd_tolerance = nan
-        field = VectorField(parse_poly("10^300"), parse_poly("-1000*y"))
-        with pytest.raises(FlowBoxError, match=r"positivity fails at node "
-                           r"\(1, 1\): finite-difference Div\(B\*X\) = nan"
-                           ) as info:
-            flowbox_dulac(field, ((0.0, 1.0), (0.0, 2.0)), Poly.const(1),
-                          n_across=5, n_along=9, t_span=0.5)
-        assert info.value.node == (1, 1)
-
-    def test_transversal_along_the_flow_is_degenerate(self):
-        field = VectorField(parse_poly("1"), parse_poly("0"))
-        with pytest.raises(FlowBoxError, match="degenerate") as info:
-            flowbox_dulac(field, ((0.0, 0.0), (1.0, 0.0)), Poly.const(1),
-                          n_across=5, n_along=9, t_span=1.0)
-        assert info.value.node == (1, 1)
-
-    def test_time_step_underflow_rejected(self):
-        # 1e-323 / 8 rounds to 0, so no central difference in t exists
-        rot = VectorField(parse_poly("-y"), parse_poly("x"))
-        with pytest.raises(ValueError, match="underflows to 0"):
-            flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), Poly.const(1),
-                          n_across=5, n_along=9, t_span=1e-323)
-
-    def test_nan_transversal_end_rejected(self):
-        rot = VectorField(parse_poly("-y"), parse_poly("x"))
-        with pytest.raises(ValueError, match="all components of the initial "
-                                             "state must be finite"):
-            flowbox_dulac(rot, ((1.0, 0.0), (math.nan, 0.0)))
-
-    def test_too_few_nodes_rejected(self):
-        rot = VectorField(parse_poly("-y"), parse_poly("x"))
-        with pytest.raises(ValueError, match=r"need n_across >= 3 and "
-                                             r"n_along >= 3 for interior "
-                                             r"nodes"):
-            flowbox_dulac(rot, ((1.0, 0.0), (2.0, 0.0)), n_across=2)
-
-    def test_field_beyond_float_range(self):
-        field = VectorField(parse_poly("x^3"), parse_poly("1"))
-        with pytest.raises(ValueError) as info:
-            flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)))
-        assert str(info.value) == "x^3 at (1e+200, 0) is beyond float range"
-
-    def test_multiplier_target_beyond_float_range(self):
-        # P, Q and Div X are finite on the transversal; g = x^2 is the
-        # first polynomial whose value there is beyond float range
-        field = VectorField(parse_poly("y"), parse_poly("-x"))
-        with pytest.raises(ValueError) as info:
-            flowbox_dulac(field, ((1e200, 0.0), (1e200, 1.0)),
-                          g=parse_poly("x^2"))
-        assert str(info.value) == "x^2 at (1e+200, 0) is beyond float range"
-
-    def test_right_hand_side_is_evaluate(self, monkeypatch):
-        # the stepped (x, y, B) derivative is one generated function over
-        # P, Q, g and Div X: bit for bit Poly.evaluate's values, and the
-        # error of the first of them beyond float range
-        class Captured(Exception):
-            pass
-
-        def capture(fun, *rest):
-            captured.append(fun)
-            raise Captured
-
-        monkeypatch.setattr(synthesis, "_steps", capture)
-        rng = random.Random(11)
-        special = (0.0, -0.0, 1.5, math.inf, math.nan, 1e200)
-        points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(10)]
-        points += [(x, y) for x in special for y in special]
-        for _ in range(40):
-            field, g = rand_field(rng), rand_poly(rng)
-            captured = []
-            with pytest.raises(Captured):
-                flowbox_dulac(field, ((0.5, 0.25), (0.75, 0.5)), g)
-            rhs = captured[0]
-            polys = [field.p, field.q, g, divergence(field)]
-            for (x, y), b in zip(points, itertools.cycle((1.0, -0.5, 3.0))):
-                try:
-                    p, q, g_value, div_x = (f.evaluate((x, y)).real
-                                            for f in polys)
-                except ValueError as error:
-                    with pytest.raises(ValueError) as info:
-                        rhs([x, y, b])
-                    assert str(info.value) == str(error)
-                    continue
-                got = rhs([x, y, b])
-                want = [p, q, g_value - b * div_x]
-                assert all(map(same_float, got, want)), (field, g, x, y)
-
-    def test_blowup_leaves_integration_window(self):
-        field = VectorField(parse_poly("x^2"), parse_poly("1"))
-        with pytest.raises(FlowBoxError, match="integration window") as info:
-            flowbox_dulac(field, ((1.0, 0.0), (1.0, 1.0)), Poly.const(1),
-                          n_across=5, n_along=9, t_span=2.0)
-        assert info.value.node == (0, 4)
 
 
 class TestQuadraticMultiplierTranslation:

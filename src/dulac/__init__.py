@@ -47,7 +47,7 @@ from .flow import (
     integrate,
     poincare_return,
 )
-from .multiplier import BENDIXSON, ExpPolyMultiplier, Multiplier, PolyMultiplier
+from .multiplier import BENDIXSON, Multiplier
 from .parse import parse_constant, parse_multiplier, parse_poly, parse_system
 from .poly import (
     CRAT_I,
@@ -81,7 +81,7 @@ __all__ = [
     # parse
     "parse_constant", "parse_multiplier", "parse_poly", "parse_system",
     # multiplier
-    "BENDIXSON", "ExpPolyMultiplier", "Multiplier", "PolyMultiplier",
+    "BENDIXSON", "Multiplier",
     # certify
     "BernsteinPatch", "Box2", "Certificate", "Conclusion", "DulacCertificate",
     "Inconclusive", "Positive", "Violation", "bendixson",

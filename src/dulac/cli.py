@@ -58,7 +58,6 @@ from .flow import (
     integrate,
 )
 from .jsonform import to_json
-from .multiplier import PolyMultiplier
 from .parse import parse_list, parse_multiplier, parse_poly, parse_system
 from .poly import VectorField
 from .synthesis import (
@@ -270,7 +269,7 @@ def _cmd_intfactor(args, system) -> Record:
 
 def _cmd_inv_intfactor(args, system) -> Record:
     mu = parse_multiplier(args.multiplier)
-    if not isinstance(mu, PolyMultiplier):
+    if mu.g is not None:
         raise ParseError("inverse integrating factors must be polynomials")
     report = check_inverse_integrating_factor(mu.p, system)
     verdict = ("inverse integrating factor" if report.is_exact

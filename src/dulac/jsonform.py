@@ -1,16 +1,15 @@
 """One JSON codec for every record the package returns: ``to_json`` and
 ``from_json``.
 
-* A dataclass becomes an object of its fields in declaration order, led by
-  ``"type": kind`` when the class names a ``kind``; a union of such
-  classes is decoded by that ``"type"``.
+* A dataclass becomes an object of its fields in declaration order.
 * Tuples, lists and ``Point``s become lists; ``complex`` becomes ``[re, im]``.
 * ``Fraction`` and ``Poly`` become their exact text, and enums their value.
 
 ``from_json`` rebuilds a value from the field annotations.  A class with a
 ``to_json`` method encodes itself, and one with a ``from_json`` class method
-decodes itself.  ``Certificate`` brings both, for its flat form documented
-in the README.  Three bring only ``to_json``, for views with derived keys:
+decodes itself.  ``Certificate`` and ``Multiplier`` bring both, for their
+forms documented in the README (``"type"`` is the multiplier's own key).
+Three bring only ``to_json``, for views with derived keys:
 ``DulacCertificate`` (the ``certify`` report's result), ``DarbouxExpr``
 (also its expression and total cofactor) and ``ResidualReport`` (also
 ``exact``); ``from_json`` decodes a ``ResidualReport`` from its fields.
@@ -19,7 +18,6 @@ in the README.  Three bring only ``to_json``, for views with derived keys:
 from __future__ import annotations
 
 import dataclasses
-import types
 import typing
 from enum import Enum
 from fractions import Fraction
@@ -38,11 +36,8 @@ def to_json(value):
     if hasattr(value, "to_json"):
         return value.to_json()
     if dataclasses.is_dataclass(value):
-        kind = getattr(value, "kind", None)
-        data = {"type": kind} if kind else {}
-        for f in dataclasses.fields(value):
-            data[f.name] = to_json(getattr(value, f.name))
-        return data
+        return {f.name: to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, complex):
@@ -69,8 +64,6 @@ def from_json(tp, data):
         if args[-1] is Ellipsis:
             return tuple(from_json(args[0], d) for d in data)
         return tuple(from_json(a, d) for a, d in zip(args, data))
-    if origin in (typing.Union, types.UnionType):
-        tp = {m.kind: m for m in typing.get_args(tp)}[data["type"]]
     if hasattr(tp, "from_json"):
         return tp.from_json(data)
     if dataclasses.is_dataclass(tp):

@@ -1,8 +1,9 @@
-"""Structured multiplier candidates whose rescaled divergence has a polynomial sign.
+"""The Dulac multiplier: B = p, or B = exp(g)*p.
 
-A multiplier is either a polynomial p or an exponential form exp(g)*p.  In
-both cases Div(B*X) factors as a strictly positive function times a
+In both forms Div(B*X) factors as a strictly positive function times a
 polynomial, the *sign carrier*, which is the object that gets certified.
+``Multiplier`` brings its own JSON form, ``{"type": "poly", "p"}`` or
+``{"type": "exp_poly", "g", "p"}``.
 """
 
 from __future__ import annotations
@@ -13,38 +14,37 @@ from .poly import Poly, VectorField, div_product, lie_derivative
 
 
 @dataclass(frozen=True)
-class PolyMultiplier:
-    """Plain polynomial multiplier B = p."""
-
-    kind = "poly"
-    p: Poly
-
-    def sign_carrier(self, system: VectorField) -> Poly:
-        return div_product(self.p, system)
-
-    def __str__(self) -> str:
-        return str(self.p)
-
-
-@dataclass(frozen=True)
-class ExpPolyMultiplier:
-    """Exponential multiplier B = exp(g) * p.
+class Multiplier:
+    """Dulac multiplier B = p, or B = exp(g) * p when g is given.
 
     Div(B*X) = exp(g) * (Div(p*X) + p*<grad g, X>), so the sign of the
-    divergence is carried by the polynomial factor.
+    divergence is carried by the polynomial factor.  A given g of zero
+    still makes the exponential form: it prints as ``exp(0)*p``.
     """
 
-    kind = "exp_poly"
-    g: Poly
     p: Poly
+    g: Poly | None = None
 
     def sign_carrier(self, system: VectorField) -> Poly:
-        return div_product(self.p, system) + self.p * lie_derivative(self.g, system)
+        carrier = div_product(self.p, system)
+        if self.g is None:
+            return carrier
+        return carrier + self.p * lie_derivative(self.g, system)
 
     def __str__(self) -> str:
-        return f"exp({self.g})*{self.p}"
+        return str(self.p) if self.g is None else f"exp({self.g})*{self.p}"
+
+    def to_json(self) -> dict:
+        if self.g is None:
+            return {"type": "poly", "p": str(self.p)}
+        return {"type": "exp_poly", "g": str(self.g), "p": str(self.p)}
+
+    @classmethod
+    def from_json(cls, d: dict) -> Multiplier:
+        from .parse import parse_poly  # parse imports this module
+
+        g = None if d["type"] == "poly" else parse_poly(d["g"])
+        return cls(parse_poly(d["p"]), g)
 
 
-Multiplier = PolyMultiplier | ExpPolyMultiplier
-
-BENDIXSON = PolyMultiplier(Poly.const(1))
+BENDIXSON = Multiplier(Poly.const(1))

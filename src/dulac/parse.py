@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .multiplier import ExpPolyMultiplier, Multiplier, PolyMultiplier
+from .multiplier import Multiplier
 from .poly import CRAT_I, Poly, VectorField
 
 _RESERVED = {"x", "y", "i", "P", "Q", "param"}
@@ -308,10 +308,12 @@ def parse_system(text: str) -> VectorField:
 
 
 def parse_multiplier(text: str) -> Multiplier:
-    """Parse a multiplier expression: a polynomial, or `exp(<poly>)*<poly>`."""
+    """Parse a multiplier: a polynomial p is Multiplier(p), and `exp(<g>)` or
+    `exp(<g>)*<p>` is Multiplier(p, g), with p = 1 when absent.  A given g
+    of 0 (`exp(0)*x`) is still the exponential form."""
     parser = _ExprParser(_expression(text))
     if [tok.text for tok in parser.tokens[:2]] != ["exp", "("]:
-        return PolyMultiplier(parser.parse())
+        return Multiplier(parser.parse())
     parser.pos = 2
     g = parser.outer_expr()
     closing = parser.advance()
@@ -320,8 +322,8 @@ def parse_multiplier(text: str) -> Multiplier:
     if closing.text != ")":
         parser.fail(f"unexpected token {closing.text!r}", closing)
     if parser.peek().kind == "END":
-        return ExpPolyMultiplier(g=g, p=Poly.const(1))
+        return Multiplier(Poly.const(1), g)
     if parser.peek().text != "*":
         parser.fail("expected '*' after exp(...)")
     parser.advance()
-    return ExpPolyMultiplier(g=g, p=parser.parse())
+    return Multiplier(parser.parse(), g)

@@ -26,9 +26,9 @@ from .errors import (
     TraceZeroError,
 )
 from .flow import check_zero
-from .multiplier import ExpPolyMultiplier, PolyMultiplier
+from .multiplier import Multiplier
 from .parse import parse_list
-from .poly import Point, Poly, VectorField, div_product, kernel_basis
+from .poly import Point, Poly, VectorField, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,9 @@ def gradient_multipliers(v: Poly):
     field = gradient_field(v)
     one = Poly.const(1)
     return [(m, m.sign_carrier(field)) for m in (
-        ExpPolyMultiplier(g=v, p=one),
-        ExpPolyMultiplier(g=-v, p=one),
-        PolyMultiplier(p=v),
+        Multiplier(one, v),
+        Multiplier(one, -v),
+        Multiplier(v),
     )]
 
 
@@ -271,10 +271,9 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
         d=j_qy.evaluate_exact(ex, ey).re,
     )
     quad = quadratic_dulac_linear(jac)
-    b_poly = QuadraticMultiplier(quad.b20, quad.b11, quad.b02,
-                                 origin=(ex, ey)).to_poly()
-    carrier = div_product(b_poly, system)
-    return PolyMultiplier(b_poly), carrier, (ex, ey)
+    b = Multiplier(QuadraticMultiplier(quad.b20, quad.b11, quad.b02,
+                                       origin=(ex, ey)).to_poly())
+    return b, b.sign_carrier(system), (ex, ey)
 
 
 def local_dulac_hyperbolic(system: VectorField, eq: Point,
@@ -286,12 +285,15 @@ def local_dulac_hyperbolic(system: VectorField, eq: Point,
     of half-width ``LOCAL_INITIAL_HALF_WIDTH`` around it.  The carrier
     vanishes at the equilibrium itself, so the certificate covers the box
     minus a core of half-width at most min_radius.  Raises ValueError
-    before any work unless min_radius is finite and > 0, and
+    before any work unless 0 < min_radius < LOCAL_INITIAL_HALF_WIDTH, and
     CertificationFailedError when no punctured box certifies.
 
     Returns (multiplier, box, certificate).
     """
-    check_min_radius(min_radius)
+    if check_min_radius(min_radius) >= LOCAL_INITIAL_HALF_WIDTH:
+        raise ValueError(
+            f"min_radius must be below {LOCAL_INITIAL_HALF_WIDTH}, the "
+            f"half-width of the box searched, got {min_radius}")
     multiplier, carrier, (ex, ey) = local_quadratic_multiplier(system, eq)
     within = Box2.centered(ex, ey, LOCAL_INITIAL_HALF_WIDTH)
     cert = certify_punctured_box(carrier, ex, ey, within, min_radius)

@@ -25,7 +25,7 @@ from dulac.certify import (
     walk,
 )
 from dulac.jsonform import from_json, to_json
-from dulac.multiplier import BENDIXSON, PolyMultiplier
+from dulac.multiplier import BENDIXSON, Multiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
 from dulac.poly import CRat, Point, Poly
 from dulac.synthesis import local_dulac_hyperbolic
@@ -382,6 +382,53 @@ class TestDulacCertificates:
         assert d["certificate_full"]["witness"] is None
 
 
+class TestMultiplier:
+    @pytest.mark.parametrize("text, printed, data", [
+        ("1", "1", {"type": "poly", "p": "1"}),
+        ("x^2+y", "x^2 + y", {"type": "poly", "p": "x^2 + y"}),
+        ("exp(y)", "exp(y)*1", {"type": "exp_poly", "g": "y", "p": "1"}),
+        ("exp(0)*x", "exp(0)*x", {"type": "exp_poly", "g": "0", "p": "x"}),
+        ("exp(x)*y^2 + 1", "exp(x)*y^2 + 1",
+         {"type": "exp_poly", "g": "x", "p": "y^2 + 1"}),
+    ])
+    def test_text_and_json_forms(self, text, printed, data):
+        m = parse_multiplier(text)
+        assert str(m) == printed
+        assert json.dumps(to_json(m)) == json.dumps(data)  # key order too
+        assert from_json(Multiplier, to_json(m)) == m
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_carrier_is_central_difference_divergence(self, seed):
+        # Div(B*X) = carrier for B = p, and exp(g) * carrier for
+        # B = exp(g) * p, against central differences of the float B*X
+        rng = random.Random(seed)
+        system = rand_field(rng, 3)
+        p = rand_poly(rng, 3)
+        g = rand_poly(rng, 2) * Fraction(1, 8)
+        h = 1e-5
+
+        def value(poly, x, y):
+            return poly.evaluate((x, y)).real
+
+        for b, scale in ((Multiplier(p), lambda x, y: 1.0),
+                         (Multiplier(p, g),
+                          lambda x, y: math.exp(value(g, x, y)))):
+            carrier = b.sign_carrier(system)
+
+            def bx(x, y):
+                w = scale(x, y) * value(p, x, y)
+                return w * value(system.p, x, y), w * value(system.q, x, y)
+
+            for _ in range(20):
+                x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+                ends = [bx(x + h, y), bx(x - h, y), bx(x, y + h), bx(x, y - h)]
+                div = ((ends[0][0] - ends[1][0])
+                       + (ends[2][1] - ends[3][1])) / (2 * h)
+                size = max(1.0, *(abs(v) for end in ends for v in end))
+                assert scale(x, y) * value(carrier, x, y) == pytest.approx(
+                    div, abs=1e-6 * size), (str(b), x, y)
+
+
 # --- differential tests against a plain Fraction reference -----------------
 #
 # The reference shares no code with dulac.certify: power coefficients of
@@ -536,7 +583,7 @@ def golden_cases():
         else:
             system = rand_field(rng, 3)
             mult = (BENDIXSON if k % 4 == 0
-                    else PolyMultiplier(rand_poly(rng, 2)))
+                    else Multiplier(rand_poly(rng, 2)))
             cx, cy = Fraction(rng.randint(-6, 6), 3), Fraction(rng.randint(-6, 6), 7)
         if den:
             box = Box2(cx - Fraction(rng.randint(1, den), den),

@@ -216,10 +216,12 @@ class TestBasicCommands:
         assert report["result"]["verdict"] == "inverse integrating factor"
 
     def test_inv_intfactor_rejects_exp(self, capsys):
-        assert main(["inv-intfactor", "--system", SADDLE, "--multiplier",
-                     "exp(x)"]) == 3
-        assert capsys.readouterr().err == (
-            "error: inverse integrating factors must be polynomials\n")
+        # a given g of 0 is still the exponential form
+        for multiplier in ("exp(x)", "exp(0)*x"):
+            assert main(["inv-intfactor", "--system", SADDLE, "--multiplier",
+                         multiplier]) == 3
+            assert capsys.readouterr().err == (
+                "error: inverse integrating factors must be polynomials\n")
 
     def test_darboux(self, capsys):
         code, report = run_json(capsys, [
@@ -430,6 +432,17 @@ class TestErrors:
         assert captured.err.startswith("error: ")
         assert "depth must be >= 0" in captured.err
         assert captured.err.count("\n") == 1
+
+
+    def test_complex_exponent_exits_3(self, capsys):
+        # exp(i*x) parses, but its carrier has nonreal coefficients
+        code = main(["certify", "--system", RADIAL, "--region", "1:2,1:2",
+                     "--multiplier", "exp(i*x)"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Bernstein certification requires real coefficients\n")
 
 
 # the arguments that precede each kind of list argument

@@ -27,7 +27,7 @@ from dulac.darboux import (
 )
 from dulac.flow import EquilibriumReport, classify_equilibrium, integrate
 from dulac.jsonform import from_json, to_json
-from dulac.multiplier import ExpPolyMultiplier
+from dulac.multiplier import Multiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
 from dulac.synthesis import Matrix2, quadratic_dulac_linear
 
@@ -74,8 +74,10 @@ class TestKeyOrder:
             "points", "times"]
 
     def test_exp_poly_multiplier(self):
-        mult = ExpPolyMultiplier(g=parse_poly("x"), p=parse_poly("y^2+1"))
-        assert to_json(mult) == {"type": "exp_poly", "g": "x", "p": "y^2 + 1"}
+        mult = Multiplier(parse_poly("y^2+1"), parse_poly("x"))
+        d = to_json(mult)
+        assert d == {"type": "exp_poly", "g": "x", "p": "y^2 + 1"}
+        assert list(d) == ["type", "g", "p"]
 
 
 class TestRoundTrips:
@@ -83,7 +85,7 @@ class TestRoundTrips:
         assert round_trip(AnalysisReport, report) == report
 
     def test_local_certificate_with_exp_poly_multiplier(self):
-        mult = ExpPolyMultiplier(g=parse_poly("x"), p=parse_poly("y^2+1"))
+        mult = Multiplier(parse_poly("y^2+1"), parse_poly("x"))
         box = Box2(Fraction(1, 4), Fraction(3, 4), 0, 1)
         local = LocalCertificate(
             equilibrium=classify_equilibrium(VDP, (0.0, 0.0)),

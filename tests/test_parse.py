@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from dulac.errors import ParseError
 from dulac.jsonform import from_json
-from dulac.multiplier import ExpPolyMultiplier, PolyMultiplier
 from dulac.parse import (
     parse_constant,
     parse_list,
@@ -165,18 +164,17 @@ class TestParseConstantAndMultiplier:
 
     def test_poly_multiplier(self):
         m = parse_multiplier("(x^2+y^2)/4")
-        assert isinstance(m, PolyMultiplier)
+        assert m.g is None
         assert m.p == parse_poly("(x^2+y^2)/4")
 
     def test_exp_multiplier(self):
         m = parse_multiplier("exp(x^2 + y^2)*(1 + x)")
-        assert isinstance(m, ExpPolyMultiplier)
         assert m.g == parse_poly("x^2 + y^2")
         assert m.p == parse_poly("1 + x")
 
     def test_exp_without_factor(self):
         m = parse_multiplier("exp(-y)")
-        assert isinstance(m, ExpPolyMultiplier)
+        assert m.g == parse_poly("-y")
         assert m.p == Poly.const(1)
 
     def test_exp_errors(self):

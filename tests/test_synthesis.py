@@ -19,7 +19,6 @@ from dulac.errors import (
     SingularAnsatzError,
     TraceZeroError,
 )
-from dulac.multiplier import ExpPolyMultiplier, PolyMultiplier
 from dulac.parse import parse_poly, parse_system
 from dulac.poly import Point, Poly, VectorField, div_product
 from dulac.synthesis import (
@@ -160,9 +159,10 @@ class TestGradientMultipliers:
     def test_multiplier_shapes(self):
         v = parse_poly("x^2 - y^2")
         (b1, _), (b2, _), (b3, _) = gradient_multipliers(v)
-        assert isinstance(b1, ExpPolyMultiplier) and b1.g == v
-        assert isinstance(b2, ExpPolyMultiplier) and b2.g == -v
-        assert isinstance(b3, PolyMultiplier) and b3.p == v
+        one = Poly.const(1)
+        assert (b1.g, b1.p) == (v, one)
+        assert (b2.g, b2.p) == (-v, one)
+        assert (b3.g, b3.p) == (None, v)
 
     def test_carriers_match_sign_carrier_identity(self, rng):
         from conftest import rand_poly
@@ -331,6 +331,28 @@ class TestPuncturedBoxSearch:
         system = parse_system(VDP_TEXT)
         with pytest.raises(ValueError, match="min_radius must be finite"):
             local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
+
+    @pytest.mark.parametrize("min_r", [1, 2])
+    def test_min_radius_not_below_search_box_raises_before_work(
+            self, monkeypatch, min_r):
+        # no half-width above min_radius fits the unit box searched, so the
+        # search would fail on a region its caller never gave
+        def no_work(*args):
+            raise AssertionError("work started before the min_radius check")
+
+        monkeypatch.setattr(synthesis, "local_quadratic_multiplier", no_work)
+        system = parse_system("P = x\nQ = y")
+        message = (f"min_radius must be below 1, the half-width of the box "
+                   f"searched, got {min_r}")
+        with pytest.raises(ValueError, match=message):
+            local_dulac_hyperbolic(system, Point(0.0, 0.0), min_radius=min_r)
+
+    def test_min_radius_just_below_search_box_certifies_it(self):
+        system = parse_system("P = x\nQ = y")
+        _, box, cert = local_dulac_hyperbolic(system, Point(0.0, 0.0),
+                                              min_radius=0.999)
+        assert box == cert.box == Box2(-1, 1, -1, 1)
+        assert cert.is_positive
 
     def test_budgets_checked_before_work(self, monkeypatch):
         # the radius first, and then the search

@@ -6,22 +6,22 @@ starts in the cells of ``certify.walk`` where the exact Bernstein ranges of
 P and Q both contain 0.  ``is_zero`` (|P| and |Q| <= ``ZERO_TOL``; a nan
 fails) is the one zero test: Newton stops at it, and ``check_zero`` and
 the cycle detector apply it.  All stepping in the package goes through
-one RK 5(4) loop (``_steps``), which alone checks a run's inputs,
-of ``RK45``: this module's Dormand-Prince 5(4) on lists of Python floats
-with scipy's arithmetic.  Every field is autonomous, so a right-hand side
-is ``fun(y)``, of the state alone.  The stages are straight-line code
-generated from the tableau once per state length (``_attempt_kernel``).
-Events on a step are found by one bisection of its dense output
-(``_locate``).  The cycle search's budgets are module constants, not
-parameters: ``detect_limit_cycle`` and ``poincare_return`` read
-``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each call.
-Every float value of a polynomial comes from one function
-that ``poly.float_sums`` generates for its use: the RK right-hand side
-(``compile_field``) is one such function, and it raises
-the "beyond float range" ValueError itself; every other float value of the
-field is ``VectorField.__call__``.  This is the empirical cross-check
-side of the package: nothing here is rigorous, and certificates always
-win over these numbers.
+one RK 5(4) loop (``_steps``), which alone checks a run's inputs and
+steps ``RK45``: this module's Dormand-Prince 5(4) on lists of Python
+floats with scipy's arithmetic.  Every field is autonomous, so a
+right-hand side is ``fun(y)``, of the state alone.  The stages are
+straight-line code generated from the tableau once per state length
+(``_attempt_kernel``).  Events on a step are found by one bisection of
+its dense output (``_locate``).  The cycle search's budgets are module
+constants, not parameters: ``detect_limit_cycle`` and ``poincare_return``
+read ``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each
+call.  Every float value of a polynomial comes from one function that
+``poly.float_sums`` generates for its use.  A field caches one over the
+real parts of P and Q (``VectorField.float_function``), which raises the
+"beyond float range" ValueError itself: ``VectorField.__call__`` (Newton,
+the zero tests) and the RK right-hand side (``compile_field``) share it.
+This is the empirical cross-check side of the package: nothing here is
+rigorous, and certificates always win over these numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .certify import DROP, SPLIT, Box2, bernstein_coefficients, walk
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, VectorField, float_sums
+from .poly import Point, VectorField
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
@@ -162,11 +162,11 @@ def _write_csv(stream, times, points) -> None:
 
 def compile_field(system: VectorField):
     """ODE right-hand side ``fun([x, y]) -> [P, Q]`` on Python floats: the
-    ``float_sums`` of the real parts of P and Q, so its values are those of
-    ``Poly.evaluate``, and so is the ValueError it raises for a value beyond
-    float range (P's first).
+    field's cached ``float_function``, shared with ``VectorField.__call__``,
+    so its values are those of ``Poly.evaluate``, and so is the ValueError
+    it raises for a value beyond float range (P's first).
     """
-    return float_sums([(system.p.terms, "re"), (system.q.terms, "re")])
+    return system.float_function
 
 
 # --- equilibria ---------------------------------------------------------------
@@ -202,9 +202,9 @@ def _classify(eigs) -> tuple:
     return Classification.NODE, hyperbolic
 
 
-def _jacobian_at(jac_polys, x: float, y: float) -> tuple:
-    """Float values at (x, y) of the Jacobian entries (Px, Py, Qx, Qy)."""
-    return tuple(f.evaluate((x, y)).real for f in jac_polys)
+def _jacobian_at(system: VectorField, x: float, y: float) -> tuple:
+    """Float values at (x, y) of the field's Jacobian (Px, Py, Qx, Qy)."""
+    return tuple(f.evaluate((x, y)).real for f in system.jacobian)
 
 
 def is_zero(values) -> bool:
@@ -227,7 +227,7 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     """
     x, y = float(z[0]), float(z[1])
     check_zero(system, (x, y))
-    j11, j12, j21, j22 = _jacobian_at(system.jacobian(), x, y)
+    j11, j12, j21, j22 = _jacobian_at(system, x, y)
     eigs = eigenvalues_2x2(j11, j12, j21, j22)
     classification, hyperbolic = _classify(eigs)
     return EquilibriumReport(
@@ -253,8 +253,7 @@ def find_equilibria(system: VectorField, box: Box2) -> list:
     cells = walk((bernstein_coefficients(system.p, box),
                   bernstein_coefficients(system.q, box)),
                  _may_vanish, EQUILIBRIUM_SPLITS)
-    jac = system.jacobian()
-    zeros = [_newton(system, jac, float(p.box.x_mid), float(p.box.y_mid))
+    zeros = [_newton(system, float(p.box.x_mid), float(p.box.y_mid))
              for _, (p, _q), _ in cells]
     found: list = []
     for _, x, y in sorted(filter(None, zeros)):  # smallest |X| first
@@ -276,13 +275,13 @@ def _may_vanish(patches):
     return SPLIT if vanish else DROP
 
 
-def _newton(system, jac_polys, x, y):
+def _newton(system, x, y):
     """(max(|P|, |Q|), x, y) once X passes ``is_zero``, or None."""
     for _ in range(NEWTON_MAX_ITER):
         fx, fy = system((x, y))
         if is_zero((fx, fy)):
             return (max(abs(fx), abs(fy)), x, y)
-        j11, j12, j21, j22 = _jacobian_at(jac_polys, x, y)
+        j11, j12, j21, j22 = _jacobian_at(system, x, y)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -563,18 +564,24 @@ class VectorField:
     def degree(self) -> int:
         return max(self.p.degree, self.q.degree)
 
-    def jacobian(self):
-        """Symbolic Jacobian entries (Px, Py, Qx, Qy)."""
-        return (
-            self.p.derive("x"),
-            self.p.derive("y"),
-            self.q.derive("x"),
-            self.q.derive("y"),
-        )
+    def __reduce__(self):
+        # the fields alone: the cached functions are rebuilt on demand
+        return VectorField, (self.p, self.q, self.params, self.source_text)
+
+    @cached_property
+    def jacobian(self) -> tuple:
+        """Symbolic Jacobian entries (Px, Py, Qx, Qy), derived once."""
+        return tuple(f.derive(v) for f in (self.p, self.q) for v in "xy")
+
+    @cached_property
+    def float_function(self):
+        """``f(z) -> [P, Q]``, the ``float_sums`` of P's and Q's real parts."""
+        return float_sums([(self.p.terms, "re"), (self.q.terms, "re")])
 
     def __call__(self, z) -> tuple:
-        """(P, Q) at z as floats, through ``Poly.evaluate`` (P first)."""
-        return (self.p.evaluate(z).real, self.q.evaluate(z).real)
+        """(P, Q) at z as floats: ``float_function`` at z converted to
+        floats as ``Poly.evaluate`` converts it (P's error first)."""
+        return tuple(self.float_function((float(z[0]), float(z[1]))))
 
     def __str__(self) -> str:
         return f"P = {self.p}\nQ = {self.q}"

@@ -263,7 +263,7 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
     """
     check_zero(system, eq)
     ex, ey = Fraction(float(eq[0])), Fraction(float(eq[1]))
-    j_px, j_py, j_qx, j_qy = system.jacobian()
+    j_px, j_py, j_qx, j_qy = system.jacobian
     jac = Matrix2(
         a=j_px.evaluate_exact(ex, ey).re,
         b=j_py.evaluate_exact(ex, ey).re,

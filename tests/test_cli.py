@@ -1,6 +1,7 @@
 """CLI subcommands, report schema, exit codes, and serialization round-trips."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import dulac.analyze
 import dulac.darboux
 import dulac.errors
 import dulac.flow
+import dulac.poly
 import dulac.synthesis
 from dulac import cli
 from dulac.analyze import (
@@ -27,6 +29,7 @@ from dulac.certify import Box2
 from dulac.cli import build_parser, main, parse_region
 from dulac.jsonform import from_json, to_json
 from dulac.parse import parse_system
+from dulac.poly import float_sums
 from dulac.synthesis import Matrix2
 
 REPO = Path(__file__).resolve().parent.parent
@@ -734,6 +737,27 @@ class TestAnalyzeGolden:
         assert abs(box.width - Fraction(1, 2)) < 1e-9
         assert not any("local synthesis failed" in n
                        for n in report["notes"])
+
+    def test_zero_field_generates_five_functions(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # every point of P = 0, Q = 0 is a zero: 1,024 Newton starts and
+        # classifications, each of which generated four Jacobian functions
+        # (4,098 in all); the report is the same, byte for byte
+        generated = []
+
+        def counted(sums):
+            generated.append(sums)
+            return float_sums(sums)
+
+        monkeypatch.setattr(dulac.poly, "float_sums", counted)
+        path = tmp_path / "zero.vf"
+        path.write_text("P = 0\nQ = 0\n")
+        code = main(["analyze", "--system", str(path), "--region=-1:1,-1:1",
+                     "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 2 and len(generated) <= 5
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "993231eec0d600995bc17b7ba41c53d528ad097327045d7f9240a2abe5acddc2")
 
     def test_inconclusive_exit_code(self, capsys, monkeypatch):
         # disable the cycle scan: uncovered tiles remain unresolved

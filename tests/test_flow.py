@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dulac import analyze, flow
+from dulac import analyze, flow, poly
 from dulac.analyze import run_analyze
 from dulac.certify import Box2, Conclusion, bendixson, bernstein_coefficients
 from dulac.errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
@@ -30,10 +30,11 @@ from dulac.flow import (
     poincare_return,
 )
 from dulac.parse import parse_system
-from dulac.poly import Point, Poly, VectorField
+from dulac.poly import Point, Poly, VectorField, float_sums
 from dulac.synthesis import local_quadratic_multiplier
 
-from conftest import perturbed_linear_field, rand_field, same_float
+from conftest import (perturbed_linear_field, rand_field, rand_fraction,
+                      same_float)
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 SRC = SYSTEMS.parent / "src"
@@ -76,7 +77,7 @@ class TestFindEquilibria:
         newton = flow._newton
 
         def counted(*args, **kwargs):
-            starts.append(args[2:4])
+            starts.append(args[1:3])
             return newton(*args, **kwargs)
 
         monkeypatch.setattr(flow, "_newton", counted)
@@ -154,7 +155,7 @@ class TestWalkCells:
         system = parse_system(self.FIELDS[name])
         starts = []
         monkeypatch.setattr(flow, "_newton",
-                            lambda _s, _j, x, y: starts.append((x, y)))
+                            lambda _s, x, y: starts.append((x, y)))
         rng = random.Random(7)
         for _ in range(20):  # corners moved by k/256, as analyze moves them
             k = [rng.randint(-4, 4) for _ in range(4)]
@@ -243,6 +244,25 @@ class TestClassify:
         assert any(map(math.isnan, system(z)))
         with pytest.raises(NotAnEquilibriumError):
             classify_equilibrium(system, z)
+
+    def test_jacobian_functions_generated_once(self, monkeypatch):
+        # each call derived the Jacobian again and generated its four
+        # entries' functions anew
+        generated = []
+
+        def counted(sums):
+            generated.append(sums)
+            return float_sums(sums)
+
+        monkeypatch.setattr(poly, "float_sums", counted)
+        system = parse_system("P = y - x^2\nQ = x - y")
+        reports = [classify_equilibrium(system, z)
+                   for z in [(0, 0), (1, 1), (0.0, 0.0), (1, 1)]]
+        assert [r.classification for r in reports] == [
+            Classification.SADDLE, Classification.NODE] * 2
+        assert reports[1].jacobian == ((-2.0, 1.0), (1.0, -1.0))
+        entries = [[(f.terms, "re"), (f.terms, "im")] for f in system.jacobian]
+        assert generated[1:] == entries  # after the field's own function
 
     def test_rescaling_invariance(self):
         rng = random.Random(31)
@@ -386,8 +406,25 @@ class TestIntegrate:
 
 
 class TestCompileField:
-    """The RK right-hand side calls the polynomials' generated functions
-    directly; it must agree with ``Poly.evaluate`` bit for bit."""
+    """A field has one generated float function: ``VectorField.__call__``
+    and the RK right-hand side share it, and it must agree with the real
+    parts of ``Poly.evaluate`` bit for bit."""
+
+    @staticmethod
+    def _evaluations(system):
+        # the RK right-hand side sees floats only; the others convert z
+        fun = flow.compile_field(system)
+        return (lambda z: fun([float(z[0]), float(z[1])]), system,
+                lambda z: (system.p.evaluate(z).real,
+                           system.q.evaluate(z).real))
+
+    @staticmethod
+    def _outcome(evaluate, z):
+        """The values at z, or the message of the ValueError raised."""
+        try:
+            return list(evaluate(z))
+        except ValueError as error:
+            return str(error)
 
     def test_values_are_evaluate_values(self):
         rng = random.Random(8)
@@ -397,19 +434,18 @@ class TestCompileField:
         special = (0.0, -0.0, 1.5, math.inf, -math.inf, math.nan, 1e200)
         points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(20)]
         points += [(x, y) for x in special for y in special]
+        points += [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(5)]
+        points += [(rand_fraction(rng), rand_fraction(rng)) for _ in range(5)]
         for system in systems:
-            fun = flow.compile_field(system)
-            for x, y in points:
-                try:
-                    want = [system.p.evaluate((x, y)).real,
-                            system.q.evaluate((x, y)).real]
-                except ValueError as error:
-                    with pytest.raises(ValueError) as info:
-                        fun([x, y])
-                    assert str(info.value) == str(error)
-                    continue
-                got = fun([x, y])
-                assert all(map(same_float, got, want)), (system, x, y)
+            fun, call, reference = self._evaluations(system)
+            for z in points:
+                want = self._outcome(reference, z)
+                for got in (self._outcome(fun, z), self._outcome(call, z)):
+                    if isinstance(want, str):  # beyond float range
+                        assert got == want, (system, z)
+                    else:
+                        assert [type(v) for v in got] == [float, float]
+                        assert all(map(same_float, got, want)), (system, z)
 
     @pytest.mark.parametrize("text,z,message", [
         ("P = x\nQ = x^3", (1e200, 0.0), "x^3 at (1e+200, 0)"),
@@ -419,13 +455,37 @@ class TestCompileField:
         ("P = y\nQ = x - 10^400", (0.5, 0.25),
          "x - 100000...(401 digits) at (0.5, 0.25)"),
         ("P = x^3\nQ = y", (1e200, 0.0), "x^3 at (1e+200, 0)"),
+        ("P = 10^400*y\nQ = 10^400", (0.5, 0.25),
+         "100000...(401 digits)*y at (0.5, 0.25)"),
     ])
     def test_names_the_component_beyond_float_range(self, text, z, message):
-        fun = flow.compile_field(parse_system(text))
-        for _ in range(2):  # a failed coefficient raises on every call
-            with pytest.raises(ValueError) as info:
-                fun(list(z))
-            assert str(info.value) == message + " is beyond float range"
+        # only Q, both (P is named), P's coefficient, Q's coefficient, only
+        # P, both coefficients: the same message from each evaluation
+        for evaluate in self._evaluations(parse_system(text)):
+            for _ in range(2):  # a failed coefficient raises on every call
+                with pytest.raises(ValueError) as info:
+                    evaluate(z)
+                assert str(info.value) == message + " is beyond float range"
+
+    def test_one_function_per_field(self, monkeypatch):
+        # system(z) joined P's and Q's functions, and every integrate,
+        # poincare_return and loop sampling generated one more
+        generated = []
+
+        def counted(sums):
+            generated.append(sums)
+            return float_sums(sums)
+
+        monkeypatch.setattr(poly, "float_sums", counted)
+        system = parse_system("P = y\nQ = -x + (1 - x^2)*y")
+        assert system((2.0, 0.0)) == (0.0, -2.0)
+        integrate(system, (2.0, 0.0), 1.0)
+        section = Section(anchor=Point(2.0, 0.0), normal=(0.0, -1.0))
+        for _ in range(2):
+            poincare_return(system, section, (2.0, 0.0))
+        detect_limit_cycle(system, (2.0, 0.0))
+        assert flow.compile_field(system) is system.float_function
+        assert generated == [[(system.p.terms, "re"), (system.q.terms, "re")]]
 
 
 def _van_der_pol(z):

@@ -408,6 +408,19 @@ class TestFieldOperators:
         assert div_product(P("(x^2 + y^2)/4"), radial) == P("x^2 + y^2")
         assert div_product(P("x"), VectorField(P("1"), P("0"))) == P("1")
 
+    def test_pickle_and_copy_after_evaluation(self):
+        field = VectorField(P("y"), P("-x + (1 - x^2)*y"),
+                            params={"mu": Fraction(1)}, source_text="vdp")
+        value, jacobian = field((0.75, -1.5)), field.jacobian
+        for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+            # the cached function and Jacobian are left behind and rebuilt
+            assert "float_function" not in vars(copied)
+            assert "jacobian" not in vars(copied)
+            assert copied == field and hash(copied) == hash(field)
+            assert (copied.params, copied.source_text) == ({"mu": 1}, "vdp")
+            assert all(map(same_float, copied((0.75, -1.5)), value))
+            assert copied.jacobian == jacobian
+
     @settings(max_examples=60)
     @given(polys(), vector_fields())
     def test_leibniz_identity_exact(self, b, x):

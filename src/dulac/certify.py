@@ -5,7 +5,9 @@ there; a nonpositive coefficient triggers quaternary midpoint subdivision.
 A patch holds integer numerators over one positive integer denominator,
 so a numerator has its coefficient's sign, and is a dyadic cell of its
 root box.  Conversion clears every denominator once and stays in integers;
-halving is de Casteljau with integer adds and shifts.  ``walk`` is the one
+halving is de Casteljau with integer adds and shifts.  Each is
+straight-line code, generated once per axis degree and cached like RK45's
+attempt kernel (``_conversion``, ``_halving``).  ``walk`` is the one
 subdivision walk (here and in ``flow.find_equilibria``).  No rounding
 happens anywhere, so a Positive certificate is a machine-checked proof and
 a Violation carries an exact witness vertex.  Wrapped around a multiplier's
@@ -14,16 +16,15 @@ sign carrier this decides the no-periodic-orbit criterion on the open box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import add, lshift
 
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
-from .poly import Poly, VectorField, short_numeral
+from .poly import Poly, VectorField, generate, short_numeral
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -163,11 +164,14 @@ class BernsteinPatch:
         return tuple(Fraction(c, d) for c in self.corner_numerators())
 
     def subdivide(self):
-        """The four child cells (SW, SE, NW, NE); denominators gain 2^(m+n)."""
+        """The four child cells (SW, SE, NW, NE); denominators gain 2^(m+n).
+
+        Each column is halved in x, then each row of both halves in y."""
         m, n = self.degrees
-        left, right = _halve(self.numerators, m)
-        sw_c, nw_c = _halve_cols(left, n)
-        se_c, ne_c = _halve_cols(right, n)
+        halve_y = _halving(n)
+        left, right = zip(*map(_halving(m), zip(*self.numerators)))
+        sw_c, nw_c = zip(*map(halve_y, zip(*left)))
+        se_c, ne_c = zip(*map(halve_y, zip(*right)))
         level, i, j = self.cell
         level, i, j = level + 1, 2 * i, 2 * j
         root, deg = self.root, self.degrees
@@ -180,47 +184,51 @@ class BernsteinPatch:
         )
 
 
-def _halve(rows, m):
-    """De Casteljau halving along the row (x) index, in integers.
+@functools.cache
+def _halving(m):
+    """Generate ``halve(c) -> (left, right)``: de Casteljau halving of the
+    m + 1 ints ``c``, with both halves over 2^m.
 
     Row r of the triangle holds 2^r times the exact midpoint values, so
-    shifting it left by m - r puts both halves over 2^m.
+    shifting its end entries left by m - r puts both halves over 2^m.
     """
-    left = [None] * (m + 1)
-    right = [None] * (m + 1)
-    left[0] = tuple(map(lshift, rows[0], repeat(m)))
-    right[m] = tuple(map(lshift, rows[m], repeat(m)))
-    tri = rows
+    tri = [f"c{k}" for k in range(m + 1)]
+    lines = ["def halve(c):", f"    {', '.join(tri)}, = c"]
+    left, right = [f"c0 << {m}"], [f"c{m} << {m}"]
     for r in range(1, m + 1):
-        tri = [tuple(map(add, a, b)) for a, b in zip(tri, tri[1:])]
-        s = m - r
-        left[r] = tuple(map(lshift, tri[0], repeat(s)))
-        right[s] = tuple(map(lshift, tri[-1], repeat(s)))
-    return tuple(left), tuple(right)
+        row = [f"t{r}_{k}" for k in range(m + 1 - r)]
+        lines += [f"    {t} = {a} + {b}" for t, a, b in zip(row, tri, tri[1:])]
+        tri = row
+        left.append(f"{tri[0]} << {m - r}")
+        right.append(f"{tri[-1]} << {m - r}")
+    lines.append(f"    return ({', '.join(left)},), "
+                 f"({', '.join(reversed(right))},)")
+    return generate(lines, "halve", f"<certify halving {m}>")
 
 
-def _halve_cols(rows, n):
-    bottom, top = _halve(tuple(zip(*rows)), n)
-    return tuple(zip(*bottom)), tuple(zip(*top))
-
-
-def _to_bernstein(c, shift, weights):
-    """m! times the Bernstein coefficients on [0, 1] of sum c[i] (shift + w*u)^i.
+@functools.cache
+def _conversion(m):
+    """Generate ``convert(c, shift, weights)``: m! times the Bernstein
+    coefficients on [0, 1] of sum c[i] (shift + w*u)^i, for m + 1 ints c.
 
     ``weights[k]`` is w^k k! (m-k)!, so that m! C(k,i) / C(m,i) becomes the
-    integer weight C(k,i) i! (m-i)!.  All arithmetic is on ints; the list c
-    is overwritten.
+    integer weight C(k,i) i! (m-i)!.  A Taylor shift (none for a zero
+    shift), the weight product and a binomial transform, all on ints.
     """
-    m = len(c) - 1
-    if shift:  # Taylor shift: coefficients of sum c[i] (shift + t)^i
-        for i in range(m):
-            for k in range(m - 1, i - 1, -1):
-                c[k] += shift * c[k + 1]
-    c = [ck * wk for ck, wk in zip(c, weights)]
-    for r in range(1, m + 1):  # binomial transform: sum_i C(k,i) c[i]
-        for k in range(m, r - 1, -1):
-            c[k] += c[k - 1]
-    return c
+    c = [f"c{k}" for k in range(m + 1)]
+    lines = ["def convert(c, shift, weights):",
+             f"    {', '.join(c)}, = c",
+             f"    {', '.join(f'w{k}' for k in range(m + 1))}, = weights"]
+    if m:  # Taylor shift: coefficients of sum c[i] (shift + t)^i
+        lines.append("    if shift:")
+        lines += [f"        c{k} += shift * c{k + 1}"
+                  for i in range(m) for k in range(m - 1, i - 1, -1)]
+    lines += [f"    c{k} *= w{k}" for k in range(m + 1)]
+    # binomial transform: sum_i C(k,i) c[i]
+    lines += [f"    c{k} += c{k - 1}"
+              for r in range(1, m + 1) for k in range(m, r - 1, -1)]
+    lines.append(f"    return {', '.join(c)},")
+    return generate(lines, "convert", f"<certify conversion {m}>")
 
 
 def _axis_weights(width, m):
@@ -255,9 +263,9 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     # X = x0 + (x1 - x0) u and Y = y0 + (y1 - y0) v, one axis at a time
     wx = _axis_weights(x1 - x0, m)
     wy = _axis_weights(y1 - y0, n)
-    cols = [_to_bernstein([row[j] for row in a], x0, wx) for j in range(n + 1)]
-    b = tuple(tuple(_to_bernstein([col[k] for col in cols], y0, wy))
-              for k in range(m + 1))
+    convert_x, convert_y = _conversion(m), _conversion(n)
+    cols = [convert_x(col, x0, wx) for col in zip(*a)]
+    b = tuple(convert_y(row, y0, wy) for row in zip(*cols))
     den = lc * lb_pow[m + n] * math.factorial(m) * math.factorial(n)
     return BernsteinPatch(root=box, cell=(0, 0, 0), degrees=(m, n),
                           numerators=b, denominator=den)

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .certify import DROP, SPLIT, Box2, bernstein_coefficients, walk
 from .errors import CycleNotFoundError, NoReturnError, NotAnEquilibriumError
-from .poly import Point, VectorField
+from .poly import Point, VectorField, generate
 
 EIGENVALUE_ZERO_THRESHOLD = 1e-9  # relative to the eigenvalue magnitude
 DEDUP_RADIUS = 1e-6
@@ -369,9 +369,8 @@ def _attempt_kernel(n: int, a, b, e):
     stages = ", ".join(f"k{j}" for j in range(1, last + 1))
     lines.append(f"    return y_new, ({stages}), "
                  f"sqrt(0.0 + {squares}) / {n ** 0.5!r}")
-    namespace = {"__builtins__": {}, "abs": abs, "sqrt": math.sqrt}
-    exec(compile("\n".join(lines), "<RK45 attempt>", "exec"), namespace)
-    return namespace["attempt"]
+    return generate(lines, "attempt", "<RK45 attempt>",
+                    abs=abs, sqrt=math.sqrt)
 
 
 class RK45:

@@ -408,6 +408,15 @@ def _float_term(i: int, j: int, c: float) -> str:
     return " * ".join(factors)
 
 
+def generate(lines, name: str, filename: str, **names):
+    """The function ``name`` that the source ``lines`` define, compiled as
+    ``filename`` in a namespace of the globals ``names`` and empty
+    ``__builtins__``: the one ``exec`` of the package's generated code."""
+    namespace = {"__builtins__": {}, **names}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace[name]
+
+
 def float_sums(sums):
     """Generate ``f(z)``, the list of the float values at ``z = (x, y)`` of
     each ``(terms, part)`` of ``sums``, in order: the part, ``"re"`` or
@@ -423,11 +432,11 @@ def float_sums(sums):
     range; no caller catches an OverflowError.  The source holds only float
     reprs, x, y and integer exponents.
     """
-    namespace = {"__builtins__": {}, "OverflowError": OverflowError,
-                 "float_range_error": float_range_error}
+    names = {"OverflowError": OverflowError,
+             "float_range_error": float_range_error}
     lines = ["def f(z):", "    x, y = z"]
     for k, (terms, part) in enumerate(sums):
-        namespace[f"t{k}"] = terms
+        names[f"t{k}"] = terms
         raise_line = f"raise float_range_error(t{k}, x, y)"
         try:
             table = [(i, j, float(getattr(c, part)))
@@ -446,8 +455,7 @@ def float_sums(sums):
         lines.append("    except OverflowError:")
         lines.append(f"        {raise_line} from None")
     lines.append(f"    return [{', '.join(f's{k}' for k in range(len(sums)))}]")
-    exec(compile("\n".join(lines), "<poly.float_sums>", "exec"), namespace)
-    return namespace["f"]
+    return generate(lines, "f", "<poly.float_sums>", **names)
 
 
 def float_range_error(terms, x: float, y: float) -> ValueError:

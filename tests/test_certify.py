@@ -27,7 +27,7 @@ from dulac.certify import (
 from dulac.jsonform import from_json, to_json
 from dulac.multiplier import BENDIXSON, Multiplier
 from dulac.parse import parse_multiplier, parse_poly, parse_system
-from dulac.poly import CRat, Point, Poly
+from dulac.poly import CRat, Point, Poly, generate
 from dulac.synthesis import local_dulac_hyperbolic
 
 from conftest import (
@@ -214,6 +214,48 @@ class TestCertifyPositive:
             certify_positive(p, SYM, -1)
         with pytest.raises(ValueError, match="depth must be >= 0"):
             bendixson(parse_system("P = x\nQ = y"), SYM, max_depth=-3)
+
+    def test_kernels_generated_once_per_degree(self, monkeypatch):
+        # each axis degree has one halving and one conversion function,
+        # generated on first use and shared by every later patch
+        import dulac.certify as certify
+
+        generated = []
+
+        def counted(lines, name, filename, **names):
+            generated.append(filename)
+            return generate(lines, name, filename, **names)
+
+        monkeypatch.setattr(certify, "generate", counted)
+        certify._halving.cache_clear()
+        certify._conversion.cache_clear()
+        rng = random.Random(5)
+        for _ in range(30):
+            # small near (1/3, 1/3), so every root patch splits
+            p = parse_poly(f"{rng.choice((-1, 1))}*x^3*y^2/8 + (3*x - 1)^2"
+                           f" + (3*y - 1)^2 + {rng.randint(1, 9)}/10")
+            certify_positive(p, SYM, max_depth=3)
+        assert sorted(generated) == [
+            "<certify conversion 2>", "<certify conversion 3>",
+            "<certify halving 2>", "<certify halving 3>"]
+        assert certify._conversion.cache_info().hits == 2 * 30 - 2
+        assert certify._halving.cache_info().hits > 30
+
+    def test_degree_16_kernels(self):
+        # positive at the root on a non-dyadic box away from the origin,
+        # and a violation at the exact centre vertex one split down
+        box = Box2(Fraction(1, 3), Fraction(2, 3), Fraction(1, 7), Fraction(1))
+        p = parse_poly("1 + x^16*y^16 + x*y^15 + 3*x^16")
+        assert bernstein_coefficients(p, box).degrees == (16, 16)
+        cert = certify_positive(p, box)
+        assert cert.outcome == Positive(max_depth_used=0, box_count=1)
+        q = parse_poly("(2*x - 1)^16*(2*y - 1)^16 + (2*x - 1)^2 + (2*y - 1)^2"
+                       " - 1/8")
+        cert = certify_positive(q, UNIT)
+        half = Fraction(1, 2)
+        assert cert.outcome == Violation(witness=(half, half),
+                                         value=Fraction(-1, 8), depth=1)
+        assert q.evaluate_exact(half, half).re == Fraction(-1, 8)
 
     def test_violation_witness_exact(self):
         rng = random.Random(13)
@@ -480,18 +522,29 @@ def _ref_children(b, corners):
 
 def _differential_polys():
     """Seeded real polys up to degree (6, 6) with non-dyadic coefficients,
-    plus the zero, constant and one-axis extremes."""
+    plus the zero, constant and one-axis extremes.  Each degree has its own
+    generated kernels, so one-axis polys of every degree 0..12 in x and in
+    y follow, then the mixed degrees (12, 7) and (0, 9), and a (3, 4) poly
+    whose coefficients have 1,000-bit numerators of both signs."""
     rng = random.Random(3571)
     dens = (3, 5, 7, 9, 11, 13, 21, 1)
-    out = [{}, {(0, 0): Fraction(-5, 3)}, {(6, 0): Fraction(2, 7)},
-           {(0, 6): Fraction(-1, 9), (0, 0): Fraction(1, 3)}]
-    for _ in range(8):
-        dx, dy = rng.randint(0, 6), rng.randint(0, 6)
+
+    def sample(dx, dy):
         terms = {(dx, dy): Fraction(rng.choice((-1, 1)), rng.choice(dens))}
         for _ in range(rng.randint(1, 10)):
             terms[(rng.randint(0, dx), rng.randint(0, dy))] = Fraction(
                 rng.randint(-99, 99), rng.choice(dens))
-        out.append({e: c for e, c in terms.items() if c})
+        return {e: c for e, c in terms.items() if c}
+
+    out = [{}, {(0, 0): Fraction(-5, 3)}, {(6, 0): Fraction(2, 7)},
+           {(0, 6): Fraction(-1, 9), (0, 0): Fraction(1, 3)}]
+    out += [sample(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(8)]
+    for d in range(13):
+        out += [sample(d, 0), sample(0, d)]
+    out += [sample(12, 7), sample(0, 9)]
+    out.append({(i, j): Fraction((-1) ** (i * j + j) * rng.getrandbits(1010),
+                                 rng.choice(dens))
+                for i in range(4) for j in range(5)})
     return out
 
 
@@ -509,6 +562,16 @@ class TestDifferential:
         box = DIFFERENTIAL_BOXES[2]
         assert all(c.denominator.bit_length() >= 60
                    for c in (box.x_min, box.x_max, box.y_min, box.y_max))
+
+    def test_polys_reach_every_kernel_degree(self):
+        polys = _differential_polys()
+        for axis in (0, 1):
+            degrees = {max((e[axis] for e in terms), default=0)
+                       for terms in polys}
+            assert degrees == set(range(13))
+        big = [c.numerator for terms in polys for c in terms.values()
+               if abs(c.numerator).bit_length() >= 1000]
+        assert min(big) < 0 < max(big)
 
     @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES,
                              ids=["thirds", "sevenths", "float"])

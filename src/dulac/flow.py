@@ -16,10 +16,12 @@ its dense output (``_locate``).  The cycle search's budgets are module
 constants, not parameters: ``detect_limit_cycle`` and ``poincare_return``
 read ``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each
 call.  Every float value of a polynomial comes from one function that
-``poly.float_sums`` generates for its use.  A field caches one over the
-real parts of P and Q (``VectorField.float_function``), which raises the
-"beyond float range" ValueError itself: ``VectorField.__call__`` (Newton,
-the zero tests) and the RK right-hand side (``compile_field``) share it.
+``poly.float_sums`` generates for its use; none is this module's own.  A
+field caches one over the real parts of P and Q (``float_function``),
+shared by ``VectorField.__call__`` (Newton, the zero tests) and the RK
+right-hand side (``compile_field``), and one over its Jacobian's
+(``float_jacobian``), which Newton and ``classify_equilibrium`` unpack.
+Each raises the "beyond float range" ValueError itself.
 This is the empirical cross-check side of the package: nothing here is
 rigorous, and certificates always win over these numbers.
 """
@@ -202,11 +204,6 @@ def _classify(eigs) -> tuple:
     return Classification.NODE, hyperbolic
 
 
-def _jacobian_at(system: VectorField, x: float, y: float) -> tuple:
-    """Float values at (x, y) of the field's Jacobian (Px, Py, Qx, Qy)."""
-    return tuple(f.evaluate((x, y)).real for f in system.jacobian)
-
-
 def is_zero(values) -> bool:
     """The zero test: every value is within ``ZERO_TOL`` of 0 (nan fails)."""
     return all(abs(v) <= ZERO_TOL for v in values)
@@ -227,7 +224,7 @@ def classify_equilibrium(system: VectorField, z) -> EquilibriumReport:
     """
     x, y = float(z[0]), float(z[1])
     check_zero(system, (x, y))
-    j11, j12, j21, j22 = _jacobian_at(system, x, y)
+    j11, j12, j21, j22 = system.float_jacobian((x, y))
     eigs = eigenvalues_2x2(j11, j12, j21, j22)
     classification, hyperbolic = _classify(eigs)
     return EquilibriumReport(
@@ -276,18 +273,20 @@ def _may_vanish(patches):
 
 
 def _newton(system, x, y):
-    """(max(|P|, |Q|), x, y) once X passes ``is_zero``, or None."""
+    """(max(|P|, |Q|), x, y) once X passes ``is_zero``, or None, also once
+    a step lands more than 1e8 from the start in x or y (or at a nan)."""
+    x0, y0 = x, y
     for _ in range(NEWTON_MAX_ITER):
         fx, fy = system((x, y))
         if is_zero((fx, fy)):
             return (max(abs(fx), abs(fy)), x, y)
-        j11, j12, j21, j22 = _jacobian_at(system, x, y)
+        j11, j12, j21, j22 = system.float_jacobian((x, y))
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             return None
         x -= (j22 * fx - j12 * fy) / det
         y -= (-j21 * fx + j11 * fy) / det
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > 1e8:
+        if not (abs(x - x0) <= 1e8 and abs(y - y0) <= 1e8):  # nan fails
             return None
     return None
 

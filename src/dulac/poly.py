@@ -5,9 +5,11 @@ every symbolic identity in this package (multipliers, divergences, cofactors,
 first integrals).  All arithmetic here is exact, including the one linear
 solver (``kernel_basis``); floats appear only in point evaluation, through
 the straight-line functions that ``float_sums`` generates, one function for
-the float sums that one use needs.  They raise the one "beyond float range"
-ValueError (``float_range_error``) themselves, so no caller catches an
-OverflowError.
+the float sums that one use needs: a field's values and its Jacobian's
+(``VectorField.float_function`` and ``float_jacobian``), and a polynomial's
+complex value (``Poly.evaluate``, for Darboux's curves).  They raise the one
+"beyond float range" ValueError (``float_range_error``) themselves, so no
+caller catches an OverflowError.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class CRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, which it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self) -> "CRat":
         return CRat._raw(-self.re, -self.im)
@@ -237,6 +240,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant:  # as the coefficient, which it equals
+            return hash(self.constant_term)
         return hash(frozenset(self.terms.items()))
 
     def __reduce__(self):
@@ -585,6 +590,11 @@ class VectorField:
     def float_function(self):
         """``f(z) -> [P, Q]``, the ``float_sums`` of P's and Q's real parts."""
         return float_sums([(self.p.terms, "re"), (self.q.terms, "re")])
+
+    @cached_property
+    def float_jacobian(self):
+        """``f(z) -> [Px, Py, Qx, Qy]``, the real parts of ``jacobian``."""
+        return float_sums([(f.terms, "re") for f in self.jacobian])
 
     def __call__(self, z) -> tuple:
         """(P, Q) at z as floats: ``float_function`` at z converted to

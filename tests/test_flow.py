@@ -106,6 +106,14 @@ class TestFindEquilibria:
             total += len(reports)
         assert total == 326
 
+    def test_zero_far_from_the_origin(self):
+        # Newton gave up once |x| or |y| passed 1e8, wherever it started
+        system = parse_system("P = x - 1000000000\nQ = y")
+        box = Box2(999_999_999, 1_000_000_001, -1, 1)
+        (report,) = find_equilibria(system, box)
+        assert report.location == (1e9, 0.0)
+        assert report.classification is Classification.NODE
+
     @pytest.mark.parametrize("zx,zy", [
         (Fraction(1, 3), Fraction(-2, 7)),
         (Fraction(-5, 2), Fraction(7, 4)),  # on the edges of four cells
@@ -247,7 +255,7 @@ class TestClassify:
 
     def test_jacobian_functions_generated_once(self, monkeypatch):
         # each call derived the Jacobian again and generated its four
-        # entries' functions anew
+        # entries' functions anew; then each entry had its own function
         generated = []
 
         def counted(sums):
@@ -261,8 +269,8 @@ class TestClassify:
         assert [r.classification for r in reports] == [
             Classification.SADDLE, Classification.NODE] * 2
         assert reports[1].jacobian == ((-2.0, 1.0), (1.0, -1.0))
-        entries = [[(f.terms, "re"), (f.terms, "im")] for f in system.jacobian]
-        assert generated[1:] == entries  # after the field's own function
+        entries = [(f.terms, "re") for f in system.jacobian]
+        assert generated[1:] == [entries]  # after the field's own function
 
     def test_rescaling_invariance(self):
         rng = random.Random(31)
@@ -406,9 +414,10 @@ class TestIntegrate:
 
 
 class TestCompileField:
-    """A field has one generated float function: ``VectorField.__call__``
-    and the RK right-hand side share it, and it must agree with the real
-    parts of ``Poly.evaluate`` bit for bit."""
+    """A field's values come from one generated float function:
+    ``VectorField.__call__`` and the RK right-hand side share it.  It, and
+    the field's ``float_jacobian``, must agree with the real parts of
+    ``Poly.evaluate`` bit for bit."""
 
     @staticmethod
     def _evaluations(system):
@@ -427,6 +436,8 @@ class TestCompileField:
             return str(error)
 
     def test_values_are_evaluate_values(self):
+        # float_jacobian too: Newton and classification read it where they
+        # read the real parts of four Poly.evaluate calls
         rng = random.Random(8)
         systems = [parse_system(path.read_text())
                    for path in sorted(SYSTEMS.glob("*.vf"))]
@@ -438,13 +449,18 @@ class TestCompileField:
         points += [(rand_fraction(rng), rand_fraction(rng)) for _ in range(5)]
         for system in systems:
             fun, call, reference = self._evaluations(system)
+            pairs = [(fun, reference), (call, reference),
+                     (lambda z: system.float_jacobian((float(z[0]),
+                                                       float(z[1]))),
+                      lambda z: [f.evaluate(z).real for f in system.jacobian])]
             for z in points:
-                want = self._outcome(reference, z)
-                for got in (self._outcome(fun, z), self._outcome(call, z)):
+                for evaluate, evaluate_reference in pairs:
+                    want = self._outcome(evaluate_reference, z)
+                    got = self._outcome(evaluate, z)
                     if isinstance(want, str):  # beyond float range
                         assert got == want, (system, z)
                     else:
-                        assert [type(v) for v in got] == [float, float]
+                        assert [type(v) for v in got] == [float] * len(want)
                         assert all(map(same_float, got, want)), (system, z)
 
     @pytest.mark.parametrize("text,z,message", [
@@ -462,6 +478,27 @@ class TestCompileField:
         # only Q, both (P is named), P's coefficient, Q's coefficient, only
         # P, both coefficients: the same message from each evaluation
         for evaluate in self._evaluations(parse_system(text)):
+            for _ in range(2):  # a failed coefficient raises on every call
+                with pytest.raises(ValueError) as info:
+                    evaluate(z)
+                assert str(info.value) == message + " is beyond float range"
+
+    @pytest.mark.parametrize("text,z,message", [
+        ("P = x\nQ = x + y^3", (0.0, 1e200), "3*y^2 at (0, 1e+200)"),
+        ("P = x^3\nQ = y^3", (1e200, 1e200), "3*x^2 at (1e+200, 1e+200)"),
+        ("P = x + y^3\nQ = y", (0.0, 1e200), "3*y^2 at (0, 1e+200)"),
+        ("P = y\nQ = x^3", (1e200, 0.0), "3*x^2 at (1e+200, 0)"),
+        ("P = 10^400*x*y\nQ = y", (0.5, 0.25),
+         "100000...(401 digits)*y at (0.5, 0.25)"),
+    ])
+    def test_jacobian_names_the_entry_beyond_float_range(self, text, z,
+                                                          message):
+        # only Qy, Px and Qy (Px is named), only Py, only Qx, the
+        # coefficients of Px and Py (Px is named): Poly.evaluate's message
+        # for the first entry beyond float range in Px, Py, Qx, Qy
+        system = parse_system(text)
+        for evaluate in (system.float_jacobian, lambda z: [
+                f.evaluate(z).real for f in system.jacobian]):
             for _ in range(2):  # a failed coefficient raises on every call
                 with pytest.raises(ValueError) as info:
                     evaluate(z)

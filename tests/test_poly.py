@@ -66,6 +66,16 @@ class TestPolyBasics:
         assert P("(x+y)^2") == P("x^2 + 2*x*y + y^2")
         assert P("x") != P("y")
 
+    def test_hash_agrees_with_equality(self):
+        # CRat(1) == 1 and Poly.const(1) == 1 held, yet 1 in {CRat(1)} did not
+        for v in [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)]:
+            forms = [v, CRat(v), Poly.const(v)]
+            for a in forms:
+                for b in forms:
+                    assert a == b and a in {b}, (a, b)
+        z = CRat(1, 2)  # a complex constant too
+        assert Poly.const(z) in {z} and z in {Poly.const(z)}
+
     def test_evaluate(self):
         assert P("x^2 + y^2").evaluate((3.0, 4.0)) == 25
         assert P("7 - x*y").evaluate((0.0, 0.0)) == 7
@@ -412,14 +422,18 @@ class TestFieldOperators:
         field = VectorField(P("y"), P("-x + (1 - x^2)*y"),
                             params={"mu": Fraction(1)}, source_text="vdp")
         value, jacobian = field((0.75, -1.5)), field.jacobian
+        jacobian_value = field.float_jacobian((0.75, -1.5))
         for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
-            # the cached function and Jacobian are left behind and rebuilt
+            # the cached functions and Jacobian are left behind and rebuilt
             assert "float_function" not in vars(copied)
+            assert "float_jacobian" not in vars(copied)
             assert "jacobian" not in vars(copied)
             assert copied == field and hash(copied) == hash(field)
             assert (copied.params, copied.source_text) == ({"mu": 1}, "vdp")
             assert all(map(same_float, copied((0.75, -1.5)), value))
             assert copied.jacobian == jacobian
+            assert all(map(same_float, copied.float_jacobian((0.75, -1.5)),
+                           jacobian_value))
 
     @settings(max_examples=60)
     @given(polys(), vector_fields())

@@ -240,16 +240,14 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     """Exact Bernstein form of a real polynomial on a box.
 
     Degrees are (deg_x p, deg_y p); raises ValueError on complex coefficients.
-    The coefficient denominators are cleared by their lcm L_c and the box
-    corners by theirs, L_b, so the patch denominator is
-    L_c * L_b^(m+n) * m! * n!.
+    The coefficients are p's integer numerators over its denominator L_c,
+    and the box corners are cleared by their lcm L_b, so the patch
+    denominator is L_c * L_b^(m+n) * m! * n!.
     """
     if not p.is_real:
         raise ValueError("Bernstein certification requires real coefficients")
     m = max(p.deg_x, 0)
     n = max(p.deg_y, 0)
-    coeffs = [(e, c.re) for e, c in p.terms.items()]
-    lc = math.lcm(*(c.denominator for _, c in coeffs))
     corners = (box.x_min, box.x_max, box.y_min, box.y_max)
     lb = math.lcm(*(c.denominator for c in corners))
     x0, x1, y0, y1 = (c.numerator * (lb // c.denominator) for c in corners)
@@ -257,8 +255,8 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     # power coefficients of L_c L_b^(m+n) p(X/L_b, Y/L_b) in X, Y
     lb_pow = [lb ** k for k in range(m + n + 1)]
     a = [[0] * (n + 1) for _ in range(m + 1)]
-    for (i, j), c in coeffs:
-        a[i][j] = c.numerator * (lc // c.denominator) * lb_pow[m + n - i - j]
+    for (i, j), c in p.numerators.items():
+        a[i][j] = c * lb_pow[m + n - i - j]
 
     # X = x0 + (x1 - x0) u and Y = y0 + (y1 - y0) v, one axis at a time
     wx = _axis_weights(x1 - x0, m)
@@ -266,7 +264,7 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     convert_x, convert_y = _conversion(m), _conversion(n)
     cols = [convert_x(col, x0, wx) for col in zip(*a)]
     b = tuple(convert_y(row, y0, wy) for row in zip(*cols))
-    den = lc * lb_pow[m + n] * math.factorial(m) * math.factorial(n)
+    den = p.denominator * lb_pow[m + n] * math.factorial(m) * math.factorial(n)
     return BernsteinPatch(root=box, cell=(0, 0, 0), degrees=(m, n),
                           numerators=b, denominator=den)
 

@@ -2,14 +2,18 @@
 
 Polynomials in x, y with complex-rational coefficients are the carrier for
 every symbolic identity in this package (multipliers, divergences, cofactors,
-first integrals).  All arithmetic here is exact, including the one linear
-solver (``kernel_basis``); floats appear only in point evaluation, through
-the straight-line functions that ``float_sums`` generates, one function for
-the float sums that one use needs: a field's values and its Jacobian's
-(``VectorField.float_function`` and ``float_jacobian``), and a polynomial's
-complex value (``Poly.evaluate``, for Darboux's curves).  They raise the one
-"beyond float range" ValueError (``float_range_error``) themselves, so no
-caller catches an OverflowError.
+first integrals).  A ``Poly`` is integer numerators over one positive
+denominator in lowest terms, Knuth's content and primitive part (TAOCP 2,
+4.6.1): an int numerator per real coefficient, a Gaussian integer per nonreal
+one, so real arithmetic builds no ``Fraction``.  ``terms``, the CRat view, is
+built when it is read.  All arithmetic here is exact, including the one
+linear solver (``kernel_basis``); floats appear only in point evaluation,
+through the straight-line functions that ``float_sums`` generates, one
+function for the float sums that one use needs: a field's values and its
+Jacobian's (``VectorField.float_function`` and ``float_jacobian``), and a
+polynomial's complex value (``Poly.evaluate``, for Darboux's curves).  They
+raise the one "beyond float range" ValueError (``float_range_error``)
+themselves, so no caller catches an OverflowError.
 """
 
 from __future__ import annotations
@@ -140,6 +144,58 @@ def _crat(v):
     return NotImplemented
 
 
+class _Gaussian(NamedTuple):
+    """real + imag*i, imag nonzero, with an int's ``real``, ``imag`` and
+    ``conjugate``: a nonreal coefficient's numerator.  Its arithmetic gives
+    an int where the imaginary part cancels, so real numerators are ints."""
+
+    real: int
+    imag: int
+
+    def __add__(self, other):
+        return _gaussian(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.real, -self.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k: int):  # an exact division by a common factor
+        return _Gaussian(self.real // k, self.imag // k)
+
+    def conjugate(self):
+        return _Gaussian(self.real, -self.imag)
+
+
+def _gaussian(re: int, im: int):
+    return _Gaussian(re, im) if im else re
+
+
+def _scalar(c) -> tuple:
+    """(numerator, positive denominator) of an int, Fraction or CRat."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
+    if isinstance(c, CRat):
+        den = math.lcm(c.re.denominator, c.im.denominator)
+        return _gaussian(c.re.numerator * (den // c.re.denominator),
+                         c.im.numerator * (den // c.im.denominator)), den
+    raise TypeError("a polynomial coefficient must be an int, Fraction or "
+                    f"CRat, not {type(c).__name__}")
+
+
+def _coefficient(n, den: int) -> CRat:
+    """The CRat of the numerator n over den."""
+    if type(n) is int:
+        return CRat._raw(Fraction(n, den), _F0)
+    return CRat._raw(Fraction(n.real, den), Fraction(n.imag, den))
+
+
 def _grlex(exp):
     """Sort key for graded lexicographic order with x > y (larger = later)."""
     return (exp[0] + exp[1], exp[0])
@@ -151,111 +207,126 @@ class Point(NamedTuple):
 
 
 class Poly:
-    """Bivariate polynomial stored as a sparse map (i, j) -> CRat coefficient.
+    """Bivariate polynomial: a sparse map (i, j) -> numerator, an int or a
+    Gaussian integer, over one positive ``denominator``, in lowest terms;
+    ``terms`` is the same map, in the same order, of CRat coefficients.
 
     Instances are immutable values: every operation returns a new Poly, zero
-    coefficients are never stored, and equality is equality of term maps.
-    The degree of the zero polynomial is -1 by convention.
+    coefficients are never stored, and equal polynomials have equal
+    numerators and denominators.  The degree of the zero polynomial is -1.
     """
 
-    __slots__ = ("terms", "_float_sums")
+    __slots__ = ("numerators", "denominator", "is_real", "_terms",
+                 "_float_sums")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
-        clean = {}
-        for exp, c in dict(terms).items():
-            c = _crat(c)
-            if c:
-                clean[(int(exp[0]), int(exp[1]))] = c
-        self.terms = clean
+        scalars = [((int(e[0]), int(e[1])), _scalar(c))
+                   for e, c in dict(terms).items()]
+        den = math.lcm(*(d for _, (_, d) in scalars))
+        self._reduce({e: n * (den // d) for e, (n, d) in scalars if n}, den)
+
+    def _reduce(self, num: dict, den: int) -> "Poly":
+        """Set num / den, both divided by gcd(den, *num.values())."""
+        try:
+            g = math.gcd(den, *num.values())
+            self.is_real = True
+        except TypeError:  # a Gaussian numerator: the gcd of its parts
+            g = math.gcd(den, *(math.gcd(n.real, n.imag)
+                                for n in num.values()))
+            self.is_real = False
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+        self.numerators, self.denominator = num, den // g
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict) -> "Poly":
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
+    def _make(cls, num: dict, den: int) -> "Poly":
+        return object.__new__(cls)._reduce(num, den)
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls._raw({})
+        return cls._make({}, 1)
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
-        c = _crat(c)
-        return cls._raw({(0, 0): c} if c else {})
+        n, d = _scalar(c)
+        return cls._make({(0, 0): n} if n else {}, d)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls._raw({(1, 0): CRAT_ONE})
+        return cls._make({(1, 0): 1}, 1)
 
     @classmethod
     def y(cls) -> "Poly":
-        return cls._raw({(0, 1): CRAT_ONE})
+        return cls._make({(0, 1): 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """``{exponent: CRat}`` in term order, built on the first read."""
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = {e: _coefficient(n, self.denominator)
+                           for e, n in self.numerators.items()}
+            return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     @property
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
-
-    @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
+        return all(e == (0, 0) for e in self.numerators)
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
+        return max((i + j for i, j in self.numerators), default=-1)
 
     @property
     def deg_x(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i for i, _ in self.terms)
+        return max((i for i, _ in self.numerators), default=-1)
 
     @property
     def deg_y(self) -> int:
-        if not self.terms:
-            return -1
-        return max(j for _, j in self.terms)
+        return max((j for _, j in self.numerators), default=-1)
 
     @property
     def constant_term(self) -> CRat:
-        return self.terms.get((0, 0), CRAT_ZERO)
+        return _coefficient(self.numerators.get((0, 0), 0), self.denominator)
 
     def conjugate(self) -> "Poly":
-        return Poly._raw({e: c.conjugate() for e, c in self.terms.items()})
+        return Poly._make({e: n.conjugate() for e, n in self.numerators.items()},
+                          self.denominator)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction, CRat)):
-            return self == Poly.const(other)
-        return NotImplemented
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return (self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
         if self.is_constant:  # as the coefficient, which it equals
             return hash(self.constant_term)
-        return hash(frozenset(self.terms.items()))
+        return hash((self.denominator, frozenset(self.numerators.items())))
 
     def __reduce__(self):
-        # the terms alone: the cached float function is generated code,
+        # the integers alone: the cached float function is generated code,
         # which cannot be pickled, and is rebuilt on demand
-        return Poly._raw, (self.terms,)
+        return Poly._make, (self.numerators, self.denominator)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __iter__(self) -> Iterator[tuple]:
         """Iterate (exponent, coefficient) in descending graded-lex order."""
-        for exp in sorted(self.terms, key=_grlex, reverse=True):
-            yield exp, self.terms[exp]
+        for exp in sorted(self.numerators, key=_grlex, reverse=True):
+            yield exp, _coefficient(self.numerators[exp], self.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -263,20 +334,16 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Poly._raw(out)
+        den = math.lcm(self.denominator, other.denominator)
+        return Poly._make(
+            _accumulate(_scaled(self.numerators, den // self.denominator),
+                        _scaled(other.numerators, den // other.denominator)),
+            den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({e: -c for e, c in self.terms.items()})
+        return Poly._make(_scaled(self.numerators, -1), self.denominator)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -289,33 +356,24 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, CRat)):
-            c = _crat(other)
-            if not c:
-                return Poly._raw({})
-            return Poly._raw({e: v * c for e, v in self.terms.items()})
+            c, d = _scalar(other)
+            return Poly._make(_scaled(self.numerators, c) if c else {},
+                              self.denominator * d)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                exp = (i1 + i2, j1 + j2)
-                p = c1 * c2
-                s = out.get(exp)
-                s = p if s is None else s + p
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return Poly._raw(out)
+        return Poly._make(_product(self.numerators, other.numerators),
+                          self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, CRat)):
-            c = _crat(other)
+            c, d = _scalar(other)
             if not c:
                 raise ZeroDivisionError("division by zero constant")
-            return Poly._raw({e: v / c for e, v in self.terms.items()})
+            # d / c = d * conj(c) / |c|^2
+            return Poly._make(_scaled(self.numerators, c.conjugate() * d),
+                              self.denominator * (c.real ** 2 + c.imag ** 2))
         return NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
@@ -336,15 +394,7 @@ class Poly:
         """Exact partial derivative along ``"x"`` or ``"y"``."""
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        out = {}
-        for (i, j), c in self.terms.items():
-            if axis == "x":
-                if i > 0:
-                    out[(i - 1, j)] = c * i
-            else:
-                if j > 0:
-                    out[(i, j - 1)] = c * j
-        return Poly._raw(out)
+        return Poly._make(_derivative(self.numerators, axis), self.denominator)
 
     def evaluate(self, z) -> complex:
         """Float value at a point: the real and imaginary ``float_sums``,
@@ -361,15 +411,15 @@ class Poly:
         return complex(re, im)
 
     def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
-        """Evaluate with exact rational arithmetic at a rational point."""
-        x = Fraction(x)
-        y = Fraction(y)
-        xp = _frac_powers(x, self.deg_x)
-        yp = _frac_powers(y, self.deg_y)
-        total = CRAT_ZERO
-        for (i, j), c in self.terms.items():
-            total = total + c * (xp[i] * yp[j])
-        return total
+        """Evaluate with exact rational arithmetic at a rational point: one
+        integer sum over the denominator times those of x^deg_x, y^deg_y."""
+        x, y = Fraction(x), Fraction(y)
+        m, n = max(self.deg_x, 0), max(self.deg_y, 0)
+        xs = [x.numerator ** k * x.denominator ** (m - k) for k in range(m + 1)]
+        ys = [y.numerator ** k * y.denominator ** (n - k) for k in range(n + 1)]
+        total = sum(c * xs[i] * ys[j] for (i, j), c in self.numerators.items())
+        den = self.denominator * x.denominator ** m * y.denominator ** n
+        return CRat._raw(Fraction(total.real, den), Fraction(total.imag, den))
 
     # -- printing ----------------------------------------------------------
 
@@ -388,11 +438,49 @@ def _as_poly(v):
     return NotImplemented
 
 
-def _frac_powers(v: Fraction, n: int):
-    powers = [_F1]
-    for _ in range(max(n, 0)):
-        powers.append(powers[-1] * v)
-    return powers
+# -- numerator kernels -------------------------------------------------------
+# Each kernel inserts terms in loop order and drops a sum that cancels to zero
+# at once.  ``float_sums`` adds in term order, so this order fixes the float
+# values bit for bit; the tests replay it on one complex rational per term.
+
+
+def _accumulate(out: dict, other: dict) -> dict:
+    """out + other, in place: the numerators over one denominator."""
+    for exp, c in other.items():
+        s = out.get(exp)
+        s = c if s is None else s + c
+        if s:
+            out[exp] = s
+        else:
+            del out[exp]
+    return out
+
+
+def _product(first: dict, second: dict) -> dict:
+    """first * second: the numerators over the product of denominators."""
+    out: dict = {}
+    pairs = second.items()
+    for (i1, j1), c1 in first.items():
+        for (i2, j2), c2 in pairs:
+            exp = (i1 + i2, j1 + j2)
+            p = c1 * c2
+            s = out.get(exp)
+            s = p if s is None else s + p
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _scaled(num: dict, k: int) -> dict:
+    return {e: n * k for e, n in num.items()}
+
+
+def _derivative(num: dict, axis: str) -> dict:
+    if axis == "x":
+        return {(i - 1, j): n * i for (i, j), n in num.items() if i}
+    return {(i, j - 1): n * j for (i, j), n in num.items() if j}
 
 
 # -- float evaluation --------------------------------------------------------
@@ -466,7 +554,7 @@ def float_sums(sums):
 def float_range_error(terms, x: float, y: float) -> ValueError:
     """The one "beyond float range" error: it names the polynomial of
     ``terms`` and the point (x, y), where its value is beyond float range."""
-    text = format_poly(Poly._raw(terms), short_numeral)
+    text = format_poly(Poly(terms), short_numeral)
     if len(text) > 60:
         text = text[:57] + "..."
     return ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float range")
@@ -621,34 +709,55 @@ def lie_derivative(f: Poly, system: VectorField) -> Poly:
 def div_product(b: Poly, system: VectorField) -> Poly:
     """Divergence of the rescaled field B*X via the Leibniz identity.
 
-    Returns B*Div(X) + <grad B, X> as an exact polynomial.
+    Returns B*Div(X) + <grad B, X> as an exact polynomial: the terms of
+    ``b * divergence(system) + lie_derivative(b, system)``, in its order,
+    summed on numerators over one denominator and reduced once.
     """
-    return b * divergence(system) + lie_derivative(b, system)
+    p, q, bn = system.p.numerators, system.q.numerators, b.numerators
+    pd, qd = system.p.denominator, system.q.denominator
+    div = _accumulate(_scaled(_derivative(p, "x"), qd),
+                      _scaled(_derivative(q, "y"), pd))
+    lie = _accumulate(_product(_scaled(p, qd), _derivative(bn, "x")),
+                      _product(_scaled(q, pd), _derivative(bn, "y")))
+    return Poly._make(_accumulate(_product(bn, div), lie),
+                      b.denominator * pd * qd)
 
 
 def poly_divide(n: Poly, d: Poly):
     """Divide ``n`` by ``d`` under graded-lex order with x > y.
 
     Returns (quotient, remainder) with n == quotient*d + remainder exactly;
-    the remainder is zero iff d divides n.
+    the remainder is zero iff d divides n.  The work, quotient and
+    remainder are integer numerators over one growing ``scale``.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    d_exp = max(d.terms, key=_grlex)
-    d_coeff = d.terms[d_exp]
-    work = dict(n.terms)
+    d_exp = max(d.numerators, key=_grlex)
+    lead = d.numerators[d_exp]
+    # c / lead = c * inv / norm, with norm a positive integer
+    inv, norm = lead.conjugate(), lead.real ** 2 + lead.imag ** 2
+    minus_d = {e: -v for e, v in d.numerators.items()}
+    work = dict(n.numerators)
     quotient: dict = {}
     remainder: dict = {}
+    scale = n.denominator
     while work:
         exp = max(work, key=_grlex)
         c = work[exp]
         if exp[0] >= d_exp[0] and exp[1] >= d_exp[1]:
             q_exp = (exp[0] - d_exp[0], exp[1] - d_exp[1])
-            q_c = c / d_coeff
-            quotient[q_exp] = quotient.get(q_exp, CRAT_ZERO) + q_c
-            for (di, dj), dc in d.terms.items():
+            t = c * inv
+            g = math.gcd(norm, t.real, t.imag)
+            # the quotient term is b * d.denominator / (scale * a)
+            a, b = norm // g, t // g
+            if a != 1:
+                work, quotient, remainder = (
+                    _scaled(m, a) for m in (work, quotient, remainder))
+                scale *= a
+            quotient[q_exp] = b * d.denominator
+            for (di, dj), dc in minus_d.items():
                 t = (q_exp[0] + di, q_exp[1] + dj)
-                v = work.get(t, CRAT_ZERO) - q_c * dc
+                v = work.get(t, 0) + b * dc
                 if v:
                     work[t] = v
                 else:
@@ -656,7 +765,7 @@ def poly_divide(n: Poly, d: Poly):
         else:
             remainder[exp] = c
             del work[exp]
-    return Poly(quotient), Poly(remainder)
+    return Poly._make(quotient, scale), Poly._make(remainder, scale)
 
 
 def kernel_basis(rows, n_cols):

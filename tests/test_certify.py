@@ -103,6 +103,25 @@ class TestBernsteinPatch:
         with pytest.raises(ValueError):
             bernstein_coefficients(parse_poly("i*x"), SYM)
 
+    def test_carrier_to_patch_builds_no_fraction(self, monkeypatch):
+        # the carrier Div(B*X) and its conversion run on integer numerators
+        system = parse_system("P = y/3 - x^3\nQ = -x/2 + (1 - 7/4*x^2)*y\n")
+        mult = parse_multiplier("exp(x/2 - y^2/6)*(1 + x^2/4 - 2/9*x*y)")
+        box = Box2(Fraction(-1, 3), Fraction(1, 2), Fraction(-2), Fraction(5, 7))
+        expected = bernstein_coefficients(mult.sign_carrier(system), box)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        patch = bernstein_coefficients(mult.sign_carrier(system), box)
+        monkeypatch.undo()
+        assert made == [] and patch == expected
+        assert Fraction(1, 2) + 1 == Fraction(3, 2)  # __new__ restored
+
     @settings(max_examples=50)
     @given(polys(max_degree=4))
     def test_corner_interpolation(self, p):

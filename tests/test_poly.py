@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac import poly
 from dulac.parse import parse_poly
@@ -516,3 +517,273 @@ class TestPrinting:
     @given(polys(allow_complex=True))
     def test_print_parse_round_trip(self, p):
         assert parse_poly(str(p)) == p
+
+
+# -- the integer form against the coefficient-map loops ----------------------
+#
+# A Poly stores integer numerators over one denominator.  The reference
+# below replays the arithmetic of a map {exponent: (re, im)} of Fractions
+# term by term, as Poly did when it stored one complex rational per term:
+# values and the term order of ``terms`` must be the same.
+
+def _c_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _c_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _c_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def _ref_make(raw):
+    """The map of the (exponent, coefficient) pairs raw, zeros dropped."""
+    return {e: c for e, c in raw if c != (0, 0)}
+
+
+def _ref_accumulate(out, exp, c):
+    s = out.get(exp)
+    s = c if s is None else _c_add(s, c)
+    if s != (0, 0):
+        out[exp] = s
+    else:
+        out.pop(exp, None)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for exp, c in b.items():
+        _ref_accumulate(out, exp, c)
+    return out
+
+
+def _ref_neg(a):
+    return {e: (-re, -im) for e, (re, im) in a.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            _ref_accumulate(out, (i1 + i2, j1 + j2), _c_mul(c1, c2))
+    return out
+
+
+def _ref_scale(a, c):
+    return {e: _c_mul(v, c) for e, v in a.items()} if c != (0, 0) else {}
+
+
+def _ref_pow(a, n):
+    result, base = {(0, 0): (Fraction(1), Fraction(0))}, a
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _ref_derive(a, axis):
+    k = 0 if axis == "x" else 1
+    return {(i - (k == 0), j - (k == 1)): _c_mul(c, ((i, j)[k], 0))
+            for (i, j), c in a.items() if (i, j)[k]}
+
+
+def _ref_divide(n, d):
+    grlex = lambda e: (e[0] + e[1], e[0])  # noqa: E731
+    d_exp = max(d, key=grlex)
+    work, quotient, remainder = dict(n), {}, {}
+    while work:
+        exp = max(work, key=grlex)
+        c = work[exp]
+        if exp[0] >= d_exp[0] and exp[1] >= d_exp[1]:
+            q_exp = (exp[0] - d_exp[0], exp[1] - d_exp[1])
+            q_c = _c_div(c, d[d_exp])
+            quotient[q_exp] = q_c
+            for (di, dj), dc in d.items():
+                t = (q_exp[0] + di, q_exp[1] + dj)
+                v = _c_add(work.get(t, (0, 0)), _c_mul((-q_c[0], -q_c[1]), dc))
+                if v != (0, 0):
+                    work[t] = v
+                else:
+                    work.pop(t, None)
+        else:
+            remainder[exp] = c
+            del work[exp]
+    return quotient, remainder
+
+
+def _ref_value(a, x, y):
+    total = (Fraction(0), Fraction(0))
+    for (i, j), c in a.items():
+        total = _c_add(total, _c_mul(c, (x ** i * y ** j, 0)))
+    return total
+
+
+def _assert_matches(p: Poly, ref: dict) -> None:
+    """Same terms in the same order, and the integer form in lowest terms."""
+    assert list(p.terms) == list(ref)
+    assert p.terms == {e: CRat(*c) for e, c in ref.items()}
+    assert p.is_real == all(im == 0 for _, im in ref.values())
+    parts = [v for n in p.numerators.values() for v in (n.real, n.imag)]
+    assert p.denominator > 0
+    assert math.gcd(p.denominator, *parts) == 1
+    assert all(type(v) is int for v in parts)
+
+
+_big = st.integers(-2 ** 1000, 2 ** 1000)
+_parts = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, _big, st.integers(1, 2 ** 64)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 2 ** 1000)),
+    st.just(Fraction(0)))
+
+
+@st.composite
+def _raw_terms(draw, allow_complex=True):
+    """(exponent, (re, im)) pairs: small and 1,000-bit numerators and
+    denominators, real or complex, zeros and repeated exponents included."""
+    complex_ = allow_complex and draw(st.booleans())
+    raw = []
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, 4))
+        exp = (i, draw(st.integers(0, 4 - i)))
+        im = draw(_parts) if complex_ and draw(st.booleans()) else Fraction(0)
+        raw.append((exp, (draw(_parts), im)))
+    return raw
+
+
+def _from_raw(raw):
+    return Poly({e: CRat(*c) for e, c in raw}), _ref_make(dict(raw).items())
+
+
+_scalars = st.one_of(st.integers(-5, 5), _parts,
+                     st.builds(CRat, _parts, _parts))
+
+
+def _pair(c):
+    c = CRat(c) if not isinstance(c, CRat) else c
+    return c.re, c.im
+
+
+class TestIntegerFormAgainstCoefficientLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(_raw_terms(), _raw_terms())
+    def test_ring_operations(self, raw_a, raw_b):
+        (a, ra), (b, rb) = _from_raw(raw_a), _from_raw(raw_b)
+        _assert_matches(a, ra)
+        _assert_matches(b, rb)
+        _assert_matches(a + b, _ref_add(ra, rb))
+        _assert_matches(a - b, _ref_add(ra, _ref_neg(rb)))
+        _assert_matches(-a, _ref_neg(ra))
+        _assert_matches(a * b, _ref_mul(ra, rb))
+        _assert_matches(a - a, {})
+        _assert_matches(a.conjugate(),
+                        {e: (re, -im) for e, (re, im) in ra.items()})
+        assert (a == b) == (ra == rb)
+        assert (a + b == b + a) and hash(a + b) == hash(b + a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_raw_terms(), _scalars)
+    def test_scalar_operations(self, raw, c):
+        p, ref = _from_raw(raw)
+        _assert_matches(p * c, _ref_scale(ref, _pair(c)))
+        _assert_matches(c * p, _ref_scale(ref, _pair(c)))
+        _assert_matches(p + c, _ref_add(ref, _ref_make([((0, 0), _pair(c))])))
+        if _pair(c) != (0, 0):
+            inv = _c_div((Fraction(1), Fraction(0)), _pair(c))
+            _assert_matches(p / c, {e: _c_div(v, _pair(c))
+                                    for e, v in ref.items()})
+            assert p / c == p * CRat(*inv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_raw_terms(), st.integers(0, 3))
+    def test_power_and_derivatives(self, raw, n):
+        p, ref = _from_raw(raw)
+        _assert_matches(p ** n, _ref_pow(ref, n))
+        for axis in "xy":
+            _assert_matches(p.derive(axis), _ref_derive(ref, axis))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_raw_terms(), _raw_terms(allow_complex=False),
+           _raw_terms(allow_complex=False))
+    def test_div_product(self, raw_b, raw_p, raw_q):
+        # one sum over one denominator, in the order of the Poly expression
+        (b, rb), (p, rp), (q, rq) = map(_from_raw, (raw_b, raw_p, raw_q))
+        div = _ref_add(_ref_derive(rp, "x"), _ref_derive(rq, "y"))
+        lie = _ref_add(_ref_mul(rp, _ref_derive(rb, "x")),
+                       _ref_mul(rq, _ref_derive(rb, "y")))
+        _assert_matches(div_product(b, VectorField(p, q)),
+                        _ref_add(_ref_mul(rb, div), lie))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_raw_terms(), _raw_terms())
+    def test_division(self, raw_n, raw_d):
+        (n, rn), (d, rd) = _from_raw(raw_n), _from_raw(raw_d)
+        if not rd:
+            with pytest.raises(ZeroDivisionError):
+                poly_divide(n, d)
+            return
+        (q, r), (rq, rr) = poly_divide(n, d), _ref_divide(rn, rd)
+        _assert_matches(q, rq)
+        _assert_matches(r, rr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_raw_terms(), _parts, _parts)
+    def test_exact_value(self, raw, x, y):
+        p, ref = _from_raw(raw)
+        assert p.evaluate_exact(x, y) == CRat(*_ref_value(ref, x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_raw_terms())
+    def test_pickle_and_copy(self, raw):
+        p, ref = _from_raw(raw)
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            _assert_matches(copied, ref)
+            assert copied == p and hash(copied) == hash(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scalars, _raw_terms())
+    def test_hash_agrees_with_equality(self, c, raw):
+        # a constant equals its int, Fraction or CRat and hashes as it does,
+        # also where it is left over from a cancellation
+        p, _ = _from_raw(raw)
+        forms = [CRat(c) if not isinstance(c, CRat) else c]
+        if not forms[0].im:
+            forms += [forms[0].re] + ([int(forms[0].re)]
+                                      if forms[0].re.denominator == 1 else [])
+        for const in (Poly.const(c), (p + c) - p, (Poly.x() + c) - Poly.x()):
+            for v in forms:
+                assert const == v and v == const and hash(const) == hash(v)
+                assert const in {v} and v in {const}
+
+    def test_cancellations(self):
+        x, one = Poly.x(), Poly.const(1)
+        _assert_matches((x + one) * (x - one),
+                        {(2, 0): (1, 0), (0, 0): (-1, 0)})
+        p = P("1/3*x^2*y - 2/7*x + (1 + i)*y + 5")
+        _assert_matches(p - p, {})
+        _assert_matches(Poly.zero(), {})
+        assert (p - p).denominator == 1 and (p - p) == 0 and hash(p - p) == 0
+        # a complex polynomial whose imaginary parts cancel is real
+        q = p - P("(1 + i)*y")
+        assert q.is_real and q == P("1/3*x^2*y - 2/7*x + 5")
+        assert all(type(n) is int for n in q.numerators.values())
+
+    def test_big_numerators_keep_lowest_terms(self):
+        big = 2 ** 1000 + 1
+        p = Poly({(1, 0): Fraction(big, 3), (0, 1): Fraction(2, 3)})
+        assert (p.numerators, p.denominator) == ({(1, 0): big, (0, 1): 2}, 3)
+        q = p * 3 - Poly({(0, 1): 2})
+        assert (q.numerators, q.denominator) == ({(1, 0): big}, 1)
+
+    @pytest.mark.parametrize("bad", [1.5, 0.5, "1", None, complex(1, 2)])
+    def test_non_exact_coefficients_are_rejected(self, bad):
+        # a float was stored as NotImplemented, which is truthy
+        with pytest.raises(TypeError):
+            Poly({(1, 0): bad})
+        with pytest.raises(TypeError):
+            Poly.const(bad)

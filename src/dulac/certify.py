@@ -344,7 +344,7 @@ class Certificate:
             extra = {"box_count": o.box_count}
         elif isinstance(o, Violation):
             outcome, witness = "violation", to_json(o.witness)
-            extra = {"value": str(o.value)}
+            extra = {"value": to_json(o.value)}
         else:
             outcome, witness = "inconclusive", None
             extra = {"undecided_boxes": o.undecided_boxes}
@@ -359,8 +359,7 @@ class Certificate:
             outcome = Positive(max_depth_used=d["depth"],
                                box_count=d["box_count"])
         elif kind == "violation":
-            outcome = Violation(witness=tuple(map(Fraction, d["witness"])),
-                                value=Fraction(d["value"]), depth=d["depth"])
+            outcome = from_json(Violation, d)
         else:
             outcome = Inconclusive(depth_limit=d["depth"],
                                    undecided_boxes=d["undecided_boxes"])

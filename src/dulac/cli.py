@@ -146,7 +146,7 @@ def _cmd_parse(args, system) -> Record:
         "P": str(system.p),
         "Q": str(system.q),
         "degree": system.degree,
-        "params": {k: str(v) for k, v in system.params.items()},
+        "params": {k: to_json(v) for k, v in system.params.items()},
     }
     return Record(result, [f"P = {system.p}", f"Q = {system.q}",
                            f"degree = {system.degree}"])

@@ -268,26 +268,30 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
                            expf: Sequence[ExponentialFactor] = ()) -> DarbouxExpr:
     """Find exponents making the cofactor-weighted sum vanish identically.
 
-    Stacks every cofactor monomial-wise into an exact linear map and computes
-    its rational kernel.  Among kernel combinations of at most two basis
-    vectors (including real/imaginary parts, so conjugate pairs can combine
-    to real expressions) the all-real, smallest-integer-weight vector is
-    preferred.  Raises NoNontrivialRelationError when only the zero vector
-    works.
+    Stacks the cofactors' numerators, over their lcm denominator, monomial-
+    wise into an integer matrix and computes its kernel.  Among kernel
+    combinations of at most two basis vectors (including real/imaginary
+    parts, so conjugate pairs can combine to real expressions) the all-real,
+    smallest-integer-weight vector is preferred.  Raises
+    NoNontrivialRelationError when only the zero vector works.
     """
     curves = tuple(curves)
     expf = tuple(expf)
     cofactors = [c.k for c in curves] + [e.k for e in expf]
     if not cofactors:
         raise ValueError("at least one invariant curve or exponential factor needed")
-    monomials = sorted({exp for k in cofactors for exp in k.terms},
+    monomials = sorted({exp for k in cofactors for exp in k.numerators},
                        key=lambda e: (e[0] + e[1], e[0]))
     n = len(cofactors)
-    rows = [[k.terms.get(mono, CRAT_ZERO) for k in cofactors]
-            for mono in monomials]
+    den = math.lcm(*(k.denominator for k in cofactors))
+    rows = [[k.numerators.get(mono, 0) * (den // k.denominator)
+             for k in cofactors] for mono in monomials]
     basis = kernel_basis(rows, n)
     if not basis:
         raise NoNontrivialRelationError("cofactor relation has trivial kernel")
+    # as CRats (integer rows give Fractions), against rows of CRats
+    basis = [[CRAT_ZERO + c for c in v] for v in basis]
+    rows = [[CRat(v.real, v.imag) for v in row] for row in rows]
 
     combos = [[basis[a][j] + basis[b][j] * sign for j in range(n)]
               for a in range(len(basis)) for b in range(a + 1, len(basis))

@@ -23,8 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .parse import parse_poly
-from .poly import Poly
+from .parse import parse_constant, parse_poly
+from .poly import Poly, exact_numeral
 
 _SCALARS = (str, int, float, type(None))  # bool is an int
 
@@ -45,7 +45,7 @@ def to_json(value):
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (Fraction, Poly)):
-        return str(value)
+        return exact_numeral(value) if type(value) is Fraction else str(value)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
@@ -77,7 +77,7 @@ def from_json(tp, data):
     if issubclass(tp, Enum):
         return tp(data)
     if tp is Fraction:
-        return Fraction(data)
+        return parse_constant(data)
     if tp is Poly:
         return parse_poly(data)
     raise TypeError(f"no JSON form for {tp}")

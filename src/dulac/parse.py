@@ -14,12 +14,15 @@ Grammar for expressions (explicit operators only, no implicit products):
 
 ``_ExprParser.expr`` reads the first three rules in loops, so only a
 parenthesis nests a call (of ``power``), and runs of signs have no limit.
+A sum is built once: its terms, products of powers whose signs make one
+sign, are added by ``poly.signed_sum`` over their lcm denominator, in the
+pairwise sum's term order.  A number, x or y is one Poly with its exponent.
 
 NUMBER is ASCII ``[0-9]+('.'[0-9]+)?`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``.
 Division is restricted to nonzero constant divisors and exponents to literal
 nonnegative integers; anything else is rejected as a nonpolynomial construct.
-Decimal literals are converted exactly to rationals (0.5 -> 1/2).  The
-identifier ``i`` is reserved for the imaginary unit.
+Decimal literals of any length are converted exactly (0.5 -> 1/2, through
+``Decimal``).  The identifier ``i`` is reserved for the imaginary unit.
 
 `.vf` files are line-oriented:
 
@@ -32,12 +35,13 @@ A multiplier is an expression, or ``exp(expr)`` optionally followed by
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
 from .multiplier import Multiplier
-from .poly import CRAT_I, Poly, VectorField
+from .poly import CRAT_I, Poly, VectorField, signed_sum
 
 _RESERVED = {"x", "y", "i", "P", "Q", "param"}
 
@@ -128,16 +132,16 @@ class _ExprParser:
             self.fail("expression nested too deeply")
 
     def expr(self) -> Poly:
-        """A sum of terms, each a product of signed powers, read left to
-        right in loops: only a parenthesis (through ``power``) nests."""
-        total = None
+        """A sum of signed terms, each a product of powers, read left to right
+        in loops (only a parenthesis nests, through ``power``), added once."""
+        terms = []
+        sign = 1
         while True:
             term = op = None
             while True:
-                negate = False
                 while self.peek().text in ("+", "-"):
-                    negate ^= self.advance().text == "-"
-                q = -self.power() if negate else self.power()
+                    sign = -sign if self.advance().text == "-" else sign
+                q = self.power()
                 if op is None:
                     term = q
                 elif op.text == "*":
@@ -146,25 +150,29 @@ class _ExprParser:
                     if not q.is_constant:
                         self.fail("nonpolynomial construct: division by a "
                                   "nonconstant expression", op)
-                    c = q.constant_term
-                    if not c:
+                    if q.is_zero:
                         self.fail("division by zero", op)
-                    term = term * (Poly.const(1) / c)
+                    term = term / q
                 if self.peek().text not in ("*", "/"):
                     break
                 op = self.advance()
-            total = term if total is None else (
-                total + term if add else total - term)
+            terms.append((term, sign))
             if self.peek().text not in ("+", "-"):
-                return total
-            add = self.advance().text == "+"
+                return signed_sum(terms)
+            sign = 1 if self.advance().text == "+" else -1
 
     def power(self) -> Poly:
         """An atom (a number, a name or ``( expr )``) and its exponent."""
         tok = self.advance()
         if tok.kind == "NUMBER":
-            base = Poly.const(Fraction(tok.text))
-        elif tok.kind == "IDENT":
+            num, den = Decimal(tok.text).as_integer_ratio()  # at any length
+            k = self.exponent()
+            c = num ** k
+            return Poly._make({(0, 0): c} if c else {}, den ** k)
+        if self.variables and tok.text in ("x", "y"):
+            k = self.exponent()
+            return Poly._make({(k, 0) if tok.text == "x" else (0, k): 1}, 1)
+        if tok.kind == "IDENT":
             base = self.lookup(tok)
         elif tok.text == "(":
             base = self.expr()
@@ -174,8 +182,12 @@ class _ExprParser:
         else:
             self.fail(f"unexpected token {tok.text!r}" if tok.kind != "END"
                       else "unexpected end of expression", tok)
+        k = self.exponent()
+        return base if k == 1 else base ** k
+
+    def exponent(self) -> int:  # the literal after a '^', or 1
         if self.peek().text != "^":
-            return base
+            return 1
         caret = self.advance()
         exp_tok = self.peek()
         if exp_tok.text == "-":
@@ -185,17 +197,12 @@ class _ExprParser:
         self.advance()
         if "." in exp_tok.text:
             self.fail("nonpolynomial construct: fractional exponent", exp_tok)
-        return base ** int(exp_tok.text)
+        return int(exp_tok.text)
 
     def lookup(self, tok: Token) -> Poly:
         name = tok.text
-        if self.variables:
-            if name == "x":
-                return Poly.x()
-            if name == "y":
-                return Poly.y()
-            if name == "i":
-                return Poly.const(CRAT_I)
+        if self.variables and name == "i":
+            return Poly.const(CRAT_I)
         if name in self.env:
             return self.env[name]
         if self.variables and self.has_params and name not in _RESERVED:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from decimal import Decimal
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -130,7 +131,6 @@ class CRat:
 
 
 CRAT_ZERO = CRat._raw(_F0, _F0)
-CRAT_ONE = CRat._raw(_F1, _F0)
 CRAT_I = CRat._raw(_F0, _F1)
 
 Scalar = Union[int, Fraction, CRat]
@@ -178,9 +178,11 @@ def _gaussian(re: int, im: int):
 
 
 def _scalar(c) -> tuple:
-    """(numerator, positive denominator) of an int, Fraction or CRat."""
+    """(numerator, positive denominator) of an int, Fraction, CRat or numerator."""
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
+    if type(c) is _Gaussian:
+        return c, 1
     if isinstance(c, CRat):
         den = math.lcm(c.re.denominator, c.im.denominator)
         return _gaussian(c.re.numerator * (den // c.re.denominator),
@@ -367,14 +369,17 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, Poly) and other.is_constant:
+            c, d = other.numerators.get((0, 0), 0), other.denominator
+        elif isinstance(other, (int, Fraction, CRat)):
             c, d = _scalar(other)
-            if not c:
-                raise ZeroDivisionError("division by zero constant")
-            # d / c = d * conj(c) / |c|^2
-            return Poly._make(_scaled(self.numerators, c.conjugate() * d),
-                              self.denominator * (c.real ** 2 + c.imag ** 2))
-        return NotImplemented
+        else:
+            return NotImplemented
+        if not c:
+            raise ZeroDivisionError("division by zero constant")
+        # d / c = d * conj(c) / |c|^2
+        return Poly._make(_scaled(self.numerators, c.conjugate() * d),
+                          self.denominator * (c.real ** 2 + c.imag ** 2))
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -477,6 +482,17 @@ def _scaled(num: dict, k: int) -> dict:
     return {e: n * k for e, n in num.items()}
 
 
+def signed_sum(terms) -> Poly:
+    """The sum of ``(p, sign)`` pairs, sign 1 or -1, over one lcm denominator in
+    ``_accumulate``'s order, reduced once: the pairwise sum, term order too."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    den = math.lcm(*(p.denominator for p, _ in terms))
+    return Poly._make(reduce(_accumulate, (
+        _scaled(p.numerators, sign * (den // p.denominator))
+        for p, sign in terms), {}), den)
+
+
 def _derivative(num: dict, axis: str) -> dict:
     if axis == "x":
         return {(i - 1, j): n * i for (i, j), n in num.items() if i}
@@ -576,6 +592,13 @@ def _monomial_str(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+def exact_numeral(q: Fraction) -> str:
+    """``str(q)`` at any length: ``str`` refuses an int of over 4,300
+    digits, and the exact ``Decimal`` of one has no such limit."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def short_numeral(q: Fraction) -> str:
     """Text of q with each integer over 6 digits cut to its leading 6 digits
     and digit count, e.g. ``100000...(401 digits)``.  Counts digits without
@@ -620,11 +643,11 @@ def _term_str(c: CRat, mono: str, numeral):
     return "+", body if not mono else f"{body}*{mono}"
 
 
-def format_poly(p: Poly, numeral=str) -> str:
+def format_poly(p: Poly, numeral=exact_numeral) -> str:
     """Canonical text form: graded-lex descending terms, explicit * and ^.
 
-    ``numeral`` writes each rational coefficient (``short_numeral`` cuts
-    long integers)."""
+    ``numeral`` writes each rational coefficient, by default exactly at any
+    length (``short_numeral`` cuts long integers)."""
     if p.is_zero:
         return "0"
     pieces = []
@@ -769,38 +792,44 @@ def poly_divide(n: Poly, d: Poly):
 
 
 def kernel_basis(rows, n_cols):
-    """Exact kernel basis of a rational matrix (RREF back-solve).
-
-    One vector per free column, with a 1 in that column.  Rows of only
-    Fraction or int entries give Fraction vectors; rows with a CRat entry,
-    or no rows at all, give CRat vectors.
-    """
-    real = bool(rows) and all(type(v) is not CRat for r in rows for v in r)
-    zero, one = (_F0, _F1) if real else (CRAT_ZERO, CRAT_ONE)
-    work = [list(r) for r in rows]
+    """Exact kernel basis: one vector per free column of the reduced row
+    echelon form (RREF), with a 1 in that column.  Rows are cleared to
+    integers (Gaussian for nonreal rows) and eliminated fraction-free,
+    Gauss-Jordan with Bareiss's exact division by the previous pivot (Math.
+    Comp. 22, 1968): each pivot ends as the last, D, and an entry over D is
+    the RREF's.  Entries are ints, Fractions, CRats or Poly numerators; the
+    vectors hold Fractions if all entries are ints or Fractions, else CRats."""
+    real = bool(rows) and all(type(v) in (int, Fraction) for r in rows for v in r)
+    work = []
+    for row in rows:
+        scalars = [_scalar(v) for v in row]
+        den = math.lcm(*(d for _, d in scalars))
+        work.append([n * (den // d) for n, d in scalars])
     pivot_cols = []
     r = 0
+    conj, norm = 1, 1  # x / pivot == x * conj // norm, for the last pivot
     for c in range(n_cols):
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = one / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        p, pivot_row = work[r][c], work[r]
+        for i, row in enumerate(work):
+            if i != r:
+                f = -row[c]
+                work[i] = [(p * v + f * w) * conj // norm
+                           for v, w in zip(row, pivot_row)]
+        conj, norm = p.conjugate(), p.real ** 2 + p.imag ** 2
         pivot_cols.append(c)
         r += 1
         if r == len(work):
             break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    entry = Fraction if real else _coefficient  # an integer over another
     basis = []
-    for fc in free_cols:
-        v = [zero] * n_cols
-        v[fc] = one
+    for fc in [c for c in range(n_cols) if c not in pivot_cols]:
+        v = [entry(0, 1)] * n_cols
+        v[fc] = entry(1, 1)
         for pr, pc in enumerate(pivot_cols):
-            v[pc] = -work[pr][fc]
+            v[pc] = entry(-work[pr][fc] * conj, norm)
         basis.append(v)
     return basis

@@ -1170,6 +1170,34 @@ class TestBeyondFloatRange:
         assert report["certificate"]["outcome"] == "violation"
         assert report["result"]["box"]["x_max"] == str(10 ** 400)
 
+    @pytest.mark.parametrize("field,printed", [
+        ("P = 10^5000*x\nQ = -y", "P = 1" + "0" * 5000 + "*x\nQ = -y"),
+        ("P = " + "7" * 5000 + "*x - y\nQ = x",
+         "P = " + "7" * 5000 + "*x - y\nQ = x")], ids=["power", "literal"])
+    def test_coefficients_past_the_str_limit(self, capsys, tmp_path, field,
+                                             printed):
+        # int's str and int(str) refuse over 4,300 digits: certify did all
+        # its work and then exited 3 printing the carrier, and a 5,000-digit
+        # literal failed to parse, both with an unpositioned message
+        path = tmp_path / "long.vf"
+        path.write_text(field)
+        assert main(["parse", "--system", str(path)]) == 0
+        assert capsys.readouterr().out == printed + "\ndegree = 1\n"
+        code, report = run_json(capsys, ["certify", "--system", str(path),
+                                         "--multiplier", "1",
+                                         "--region", "1:2,1:2"])
+        assert code == 0
+        assert report["certificate"]["outcome"] == "positive"
+        assert report["certificate"]["carrier"] == str(
+            dulac.poly.divergence(parse_system(field)))
+        assert len(report["certificate"]["carrier"]) >= 5000
+
+    def test_parameter_past_the_str_limit(self, capsys, tmp_path):
+        path = tmp_path / "param.vf"
+        path.write_text("param a = 10^5000\nP = a*x\nQ = -y\n")
+        code, report = run_json(capsys, ["parse", "--system", str(path)])
+        assert code == 0
+        assert report["result"]["params"] == {"a": "1" + "0" * 5000}
 
 def test_simulate_rejects_start_outside_region(capsys):
     # the start lay 4 units outside the box, yet the run reported a

@@ -267,6 +267,30 @@ class TestDarbouxFirstIntegral:
         with pytest.raises(ValueError):
             darboux_first_integral([])
 
+    def test_no_relation_builds_no_fraction(self, monkeypatch):
+        # X = f*g*(a1, a2): the cofactors g*a1 and f*<grad g, (a1, a2)>,
+        # over denominators, are independent, which integer rows and a
+        # fraction-free solve find without a Fraction
+        f, g = parse_poly("x - 2/3"), parse_poly("2/3 + y/5")
+        a1, a2 = parse_poly("1/2 + y"), parse_poly("x/3 - 1")
+        fg = f * g
+        system = VectorField(fg * a1, fg * a2)
+        curves = [cofactor_of(h, system, check_degeneracy=False)
+                  for h in (f, g)]
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        with pytest.raises(NoNontrivialRelationError):
+            darboux_first_integral(curves)
+        monkeypatch.undo()
+        assert made == []
+        assert all(c.k.denominator > 1 for c in curves)
+
     @pytest.mark.parametrize("system,curves,expected", [
         # three curves: a kernel of two basis vectors
         (SADDLE, "x;y;x*y", "(x)^0 * (y)^0 * (x*y)^1"),
@@ -278,6 +302,11 @@ class TestDarbouxFirstIntegral:
         (FOCUS, "x+i*y;x-i*y", "(x + i*y)^(0 + i) * (x - i*y)^1"),
         (FOCUS, "x-i*y;x+i*y", "(x - i*y)^(0 + i) * (x + i*y)^-1"),
         (FOCUS, "x+i*y;x^2+y^2", "(x + i*y)^(1 - i) * (x^2 + y^2)^-1"),
+        # cofactors over different denominators: 1/2 and 3, and
+        # 1/2 -+ i/3 (a focus, so only a complex relation)
+        (parse_system("P = x/2\nQ = 3*y"), "x;y", "(x)^6 * (y)^-1"),
+        (parse_system("P = x/2 - y/3\nQ = x/3 + y/2"), "x+i*y;x-i*y",
+         "(x + i*y)^(5 - 12*i) * (x - i*y)^-13"),
     ])
     def test_printed_relation(self, system, curves, expected):
         expr = darboux_first_integral(

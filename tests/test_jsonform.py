@@ -103,6 +103,19 @@ class TestRoundTrips:
         assert to_json(cert)["outcome"] == outcome
         assert round_trip(Certificate, cert) == cert
 
+    def test_numerals_past_the_str_limit(self):
+        # int's str and int(str) refuse over 4,300 digits; the codec's
+        # numerals are exact at any length
+        q = Fraction(7 * 10 ** 5000 + 1, 3 ** 9000)
+        text = to_json(q)
+        assert text.startswith("7" + "0" * 4999 + "1/")
+        assert len(text) == 5001 + 1 + 4295 and round_trip(Fraction, q) == q
+        assert from_json(Fraction, "-0.25") == Fraction(-1, 4)
+        cert = certify_positive(parse_poly("10^5000*x - 1"), UNIT, 6)
+        assert to_json(cert)["outcome"] == "violation"
+        assert to_json(cert)["value"] == "-1" + "0" * 4999 + "1"
+        assert round_trip(Certificate, cert) == cert
+
     def test_equilibrium_with_complex_eigenvalues(self):
         eq = classify_equilibrium(VDP, (0.0, 0.0))
         d = to_json(eq)

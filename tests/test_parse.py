@@ -3,10 +3,13 @@
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import ParseError
 from dulac.jsonform import from_json
 from dulac.parse import (
+    _expression,
+    _ExprParser,
     parse_constant,
     parse_list,
     parse_multiplier,
@@ -16,7 +19,7 @@ from dulac.parse import (
 
 PARSERS = {"poly": parse_poly, "constant": parse_constant,
            "system": parse_system, "multiplier": parse_multiplier}
-from dulac.poly import CRat, Poly
+from dulac.poly import CRAT_I, CRat, Poly, exact_numeral, format_poly
 
 from conftest import polys
 
@@ -370,3 +373,197 @@ class TestDeepNesting:
         assert parse_multiplier("(" * 190 + "x" + ")" * 190).p == x
         assert parse_system("P = " + "(" * 190 + "y" + ")" * 190
                             + "\nQ = " + "-" * 501 + "x").q == -x
+
+
+class _PairwiseParser(_ExprParser):
+    """The parser as it was before sums were added at once: a Poly per atom,
+    ``x^k`` through ``**``, a divisor as a product with its inverse, and
+    each sum taken pair by pair."""
+
+    def expr(self):
+        total = None
+        while True:
+            term = op = None
+            while True:
+                negate = False
+                while self.peek().text in ("+", "-"):
+                    negate ^= self.advance().text == "-"
+                q = -self.power() if negate else self.power()
+                if op is None:
+                    term = q
+                elif op.text == "*":
+                    term = term * q
+                else:
+                    if not q.is_constant:
+                        self.fail("nonpolynomial construct: division by a "
+                                  "nonconstant expression", op)
+                    c = q.constant_term
+                    if not c:
+                        self.fail("division by zero", op)
+                    term = term * (Poly.const(1) / c)
+                if self.peek().text not in ("*", "/"):
+                    break
+                op = self.advance()
+            total = term if total is None else (
+                total + term if add else total - term)
+            if self.peek().text not in ("+", "-"):
+                return total
+            add = self.advance().text == "+"
+
+    def power(self):
+        tok = self.advance()
+        if tok.kind == "NUMBER":
+            base = Poly.const(Fraction(tok.text))
+        elif tok.kind == "IDENT":
+            base = self.lookup(tok)
+        elif tok.text == "(":
+            base = self.expr()
+            closing = self.advance()
+            if closing.text != ")":
+                self.fail("expected ')'", closing)
+        else:
+            self.fail(f"unexpected token {tok.text!r}" if tok.kind != "END"
+                      else "unexpected end of expression", tok)
+        if self.peek().text != "^":
+            return base
+        caret = self.advance()
+        exp_tok = self.peek()
+        if exp_tok.text == "-":
+            self.fail("nonpolynomial construct: negative exponent", caret)
+        if exp_tok.kind != "NUMBER":
+            self.fail("exponent must be a nonnegative integer literal", exp_tok)
+        self.advance()
+        if "." in exp_tok.text:
+            self.fail("nonpolynomial construct: fractional exponent", exp_tok)
+        return base ** int(exp_tok.text)
+
+    def lookup(self, tok):
+        name = tok.text
+        if self.variables:
+            if name == "x":
+                return Poly.x()
+            if name == "y":
+                return Poly.y()
+            if name == "i":
+                return Poly.const(CRAT_I)
+        if name in self.env:
+            return self.env[name]
+        self.fail(f"unknown identifier {name!r}", tok)
+
+
+# parameters, one of them zero, so a division by it is an error
+_ENV = {"a": Poly.const(Fraction(3, 4)), "b": Poly.const(-2),
+        "c": Poly.const(0)}
+_NUMERALS = st.one_of(st.integers(0, 12).map(str),
+                      st.integers(10 ** 20, 10 ** 40).map(str),
+                      st.from_regex(r"[0-9]{1,3}\.[0-9]{1,3}", fullmatch=True))
+
+
+@st.composite
+def _expression_texts(draw, depth=2, constant=False):
+    """Text of the expression grammar: decimals, names (``i`` and
+    parameters too), parentheses, powers (of sums as well), runs of signs,
+    and divisions by constant expressions, which may be zero.  A power of a
+    parenthesis holds no parenthesis, so the degree stays small."""
+
+    def power(constant, depth):
+        kinds = ["number", "name"] + (["parenthesis"] if depth else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "number":
+            atom = draw(_NUMERALS)
+        elif kind == "name":
+            names = ["i", *_ENV] + ([] if constant else ["x", "y"])
+            atom = draw(st.sampled_from(names))
+        else:
+            atom = f"({draw(_expression_texts(depth - 1, constant))})"
+        if (kind != "parenthesis" or depth == 1) and draw(st.booleans()):
+            atom += f"^{draw(st.integers(0, 3 if kind != 'parenthesis' else 2))}"
+        return atom
+
+    def signed(constant):
+        signs = draw(st.sampled_from(["", "-", "+", "--", "- +", "-+-"]))
+        return signs + power(constant, depth)
+
+    text = ""
+    for n in range(draw(st.integers(1, 4))):
+        if n:
+            text += draw(st.sampled_from([" + ", " - ", "-", "+"]))
+        text += signed(constant)
+        for _ in range(draw(st.integers(0, 2))):
+            text += ("*" + signed(constant) if draw(st.booleans())
+                     else "/" + signed(True))
+    return text
+
+
+def _parse_with(parser_class, text):
+    try:
+        return parser_class(_expression(text), env=dict(_ENV)).parse()
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+class TestAgainstPairwiseParser:
+    @settings(max_examples=300, deadline=None)
+    @given(_expression_texts())
+    def test_same_polynomial_and_term_order(self, text):
+        got = _parse_with(_ExprParser, text)
+        expected = _parse_with(_PairwiseParser, text)
+        if isinstance(expected, tuple):  # an error: the same one
+            assert got == expected
+            return
+        assert got.numerators == expected.numerators
+        assert got.denominator == expected.denominator
+        assert list(got.numerators) == list(expected.numerators)
+        assert list(got.terms) == list(expected.terms)
+
+    @pytest.mark.parametrize("text", [
+        "x - x + y - x", "-(x + y)^2/3 + (x - y)*(x + y)", "--x*-y/-2",
+        "1/3*x + 1/6*x - 1/2*x + y", "(x + i*y)*(x - i*y) - x^2", "0^0*x^0",
+        "2.50*x^3/0.5 - 10*x^3 + 0.125", "a*x/b + (i/a)^2"])
+    def test_cancellations_and_signs(self, text):
+        got = _parse_with(_ExprParser, text)
+        expected = _parse_with(_PairwiseParser, text)
+        assert (got.numerators, got.denominator) == (
+            expected.numerators, expected.denominator)
+        assert list(got.numerators) == list(expected.numerators)
+
+    def test_parse_builds_no_fraction(self, monkeypatch):
+        # literals, powers, divisions and sums stay on integer numerators
+        text = "3*x^2*y - 12*(x + 2*y)^3/7 + 0.25 - (x - y)*(5*x + 1)^2 + 4"
+        expected = parse_poly(text)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        got = parse_poly(text)
+        monkeypatch.undo()
+        assert made == [] and got == expected
+        assert list(got.numerators) == list(expected.numerators)
+
+
+class TestLongNumerals:
+    """Integers past the interpreter's 4,300-digit limit on ``int`` and
+    ``str`` conversion are read and printed exactly."""
+
+    def test_power_and_literal_print_exactly(self):
+        p = parse_poly("10^5000*x - y")
+        assert p.numerators == {(1, 0): 10 ** 5000, (0, 1): -1}
+        assert format_poly(p) == "1" + "0" * 5000 + "*x - y"
+        literal = "7" * 5000  # 7 * (10^5000 - 1) / 9
+        q = parse_poly(f"{literal}/3*x + 0.{literal}")
+        sevens = 7 * (10 ** 5000 - 1)
+        assert q.terms == {(1, 0): CRat(Fraction(sevens, 27)),
+                           (0, 0): CRat(Fraction(sevens, 9 * 10 ** 5000))}
+        assert parse_poly(format_poly(q)) == q
+        assert parse_poly(format_poly(-p)) == -p
+
+    @settings(max_examples=200)
+    @given(st.fractions())
+    def test_ordinary_numerals_print_as_str(self, q):
+        assert format_poly(Poly.const(q)) == (str(q) if q else "0")
+        assert exact_numeral(q) == str(q)
+        assert parse_constant(str(q)) == q

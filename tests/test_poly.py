@@ -787,3 +787,113 @@ class TestIntegerFormAgainstCoefficientLoops:
             Poly({(1, 0): bad})
         with pytest.raises(TypeError):
             Poly.const(bad)
+
+
+def _ref_kernel_basis(rows, n_cols):
+    """Gauss-Jordan on Fraction rows, or on CRat rows when an entry is a
+    CRat or there are none: the solver before fraction-free elimination."""
+    real = bool(rows) and all(type(v) is not CRat for r in rows for v in r)
+    zero, one = ((Fraction(0), Fraction(1)) if real
+                 else (CRat(0), CRat(1)))
+    work = [list(r) for r in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = one / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(work):
+            break
+    basis = []
+    for fc in [c for c in range(n_cols) if c not in pivot_cols]:
+        v = [zero] * n_cols
+        v[fc] = one
+        for pr, pc in enumerate(pivot_cols):
+            v[pc] = -work[pr][fc]
+        basis.append(v)
+    return basis
+
+
+_small = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))  # zeros often
+_entry_parts = st.one_of(
+    _small, _big, st.builds(Fraction, _small, st.integers(1, 6)),
+    st.builds(Fraction, _big, st.integers(1, 2 ** 1000)))
+
+
+@st.composite
+def _matrices(draw):
+    """(kind, rows, n_cols): rows of ints and Fractions ("real"), of CRats
+    ("crat") or of a Poly's numerators, ints and Gaussian integers
+    ("numerators"); with zero rows, duplicate rows and combinations of
+    rows, so the rank falls short, and no rows at all."""
+    kind = draw(st.sampled_from(["real", "crat", "numerators"]))
+    n_cols = draw(st.integers(1, 5))
+    if kind == "real":
+        entry = _entry_parts
+    elif kind == "crat":
+        entry = st.builds(CRat, _entry_parts,
+                          st.one_of(st.just(0), _entry_parts))
+    else:
+        ints = st.one_of(_small, _big)
+        entry = st.builds(poly._gaussian, ints, st.one_of(st.just(0), ints))
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+            for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        how = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if how == "zero":
+            rows.append([0] * n_cols)
+        elif how == "duplicate":
+            rows.append(list(u))
+        else:
+            a, b = draw(_small), draw(_small)
+            rows.append([a * s + b * t for s, t in zip(u, w)])
+    return kind, draw(st.permutations(rows)), n_cols
+
+
+class TestKernelBasisAgainstGaussJordan:
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices())
+    def test_same_vectors_and_types(self, matrix):
+        kind, rows, n_cols = matrix
+        ref_rows = ([[CRat(v.real, v.imag) for v in row] for row in rows]
+                    if kind == "numerators" else rows)
+        expected = _ref_kernel_basis(ref_rows, n_cols)
+        got = kernel_basis(rows, n_cols)
+        # equal vectors: the same free columns, in order, and RREF entries
+        assert got == expected
+        real = bool(rows) and all(type(v) in (int, Fraction)
+                                  for row in rows for v in row)
+        entry_type = Fraction if real else CRat
+        assert all(type(c) is entry_type for v in got for c in v)
+
+    @pytest.mark.parametrize("rows,n_cols,expected", [
+        ([], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[0, 0, 0]], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[2, 4, 6], [1, 2, 3], [0, 0, 0]], 3, [[-2, 1, 0], [-3, 0, 1]]),
+        ([[1, 1], [1, -1]], 2, []),
+        ([[0, 3, 0, 6], [0, 0, 2, 4]], 4, [[1, 0, 0, 0], [0, -2, -2, 1]]),
+    ])
+    def test_rank_deficient_and_zero_rows(self, rows, n_cols, expected):
+        got = kernel_basis(rows, n_cols)
+        assert got == expected
+        assert got == _ref_kernel_basis(rows, n_cols)
+
+    def test_gaussian_rows(self):
+        # (1 + i) x + 2 y = 0 and its multiple by i: x = -2/(1 + i) y
+        rows = [[poly._gaussian(1, 1), 2], [poly._gaussian(-1, 1),
+                                            poly._gaussian(0, 2)]]
+        (v,) = kernel_basis(rows, 2)
+        assert v == [CRat(-1, 1), CRat(1)]
+        assert all(type(c) is CRat for c in v)
+        assert v == _ref_kernel_basis(
+            [[CRat(c.real, c.imag) for c in row] for row in rows], 2)[0]

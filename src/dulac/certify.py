@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
-from .poly import Poly, VectorField, generate, short_numeral
+from .poly import Poly, VectorField, exact_numeral, generate, short_numeral
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -107,7 +107,9 @@ class Box2:
         return tuple(floats)
 
     def __str__(self) -> str:
-        return f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
+        x_min, x_max, y_min, y_max = map(exact_numeral, (
+            self.x_min, self.x_max, self.y_min, self.y_max))
+        return f"[{x_min}, {x_max}] x [{y_min}, {y_max}]"
 
 
 @dataclass(frozen=True)

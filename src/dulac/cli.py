@@ -59,7 +59,7 @@ from .flow import (
 )
 from .jsonform import to_json
 from .parse import parse_list, parse_multiplier, parse_poly, parse_system
-from .poly import VectorField
+from .poly import VectorField, exact_numeral
 from .synthesis import (
     Matrix2,
     local_dulac_hyperbolic,
@@ -167,17 +167,17 @@ def _cmd_equilibria(args, system) -> Record:
 def _cmd_dulac_linear(args, system) -> Record:
     m = Matrix2.parse(args.matrix)
     quad = quadratic_dulac_linear(m)
-    p20, p02, p11 = printed_coefficients(m)
+    p20, p02, p11 = map(exact_numeral, printed_coefficients(m))
     x_field = m.field()
     carrier = x_field.p * x_field.p + x_field.q * x_field.q
     result = {
         "matrix": str(m),
-        "b20": str(quad.b20),
-        "b11": str(quad.b11),
-        "b02": str(quad.b02),
+        "b20": exact_numeral(quad.b20),
+        "b11": exact_numeral(quad.b11),
+        "b02": exact_numeral(quad.b02),
         "multiplier": str(quad.to_poly()),
         "carrier": str(carrier),
-        "closed_form": {"b20": str(p20), "b02": str(p02), "b11": str(p11),
+        "closed_form": {"b20": p20, "b02": p02, "b11": p11,
                         "reading": RECORDED_READING.value},
     }
     lines = [
@@ -200,9 +200,9 @@ def _cmd_certify(args, system) -> Record:
              f"  outcome = {result['certificate_full']['outcome']} "
              f"(depth {cert.depth})"]
     if isinstance(cert.outcome, Violation):  # the witness may exceed floats
-        lines.append(f"  witness = ({cert.outcome.witness[0]}, "
-                     f"{cert.outcome.witness[1]}) with value "
-                     f"{cert.outcome.value} <= 0")
+        wx, wy, value = map(exact_numeral, (*cert.outcome.witness,
+                                            cert.outcome.value))
+        lines.append(f"  witness = ({wx}, {wy}) with value {value} <= 0")
     return Record(result, lines, certificate=cert, notes=[OPEN_BOX_NOTE])
 
 

@@ -31,11 +31,12 @@ from .flow import find_equilibria, integrate
 from .jsonform import to_json
 from .multiplier import Multiplier
 from .poly import (
-    CRAT_ZERO,
     CRat,
     Poly,
     VectorField,
+    _scalar,
     divergence,
+    exact_numeral,
     kernel_basis,
     lie_derivative,
     poly_divide,
@@ -78,11 +79,11 @@ class ExponentialFactor:
 
 def _fmt_exponent(c: CRat) -> str:
     if c.is_real:
-        return str(c.re)
+        return exact_numeral(c.re)
     sign = "-" if c.im < 0 else "+"
     mag = abs(c.im)
-    istr = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re} {sign} {istr})"
+    istr = "i" if mag == 1 else f"{exact_numeral(mag)}*i"
+    return f"({exact_numeral(c.re)} {sign} {istr})"
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,13 @@ class DarbouxExpr:
     def to_json(self) -> dict:
         return {
             "curve_factors": [
-                {**to_json(c), "exponent": [str(lam.re), str(lam.im)]}
+                {**to_json(c), "exponent": [exact_numeral(lam.re),
+                                            exact_numeral(lam.im)]}
                 for c, lam in self.curve_factors
             ],
             "exp_factors": [
-                {**to_json(e), "exponent": [str(mu.re), str(mu.im)]}
+                {**to_json(e), "exponent": [exact_numeral(mu.re),
+                                            exact_numeral(mu.im)]}
                 for e, mu in self.exp_factors
             ],
             "expression": str(self),
@@ -240,28 +243,20 @@ def check_inverse_integrating_factor(v: Poly,
 
 
 def _normalize_integer_vector(vec):
-    """Scale a rational vector to coprime integers with a positive lead.
+    """Divide a nonzero vector of (Gaussian) integers by the gcd of its
+    parts, signed so that the lead is positive.
 
     The lead is the first nonzero part, real before imaginary.
     """
-    parts = [q for c in vec for q in (c.re, c.im) if q]
-    if not parts:
-        return vec
-    scale = Fraction(math.lcm(*(q.denominator for q in parts)),
-                     math.gcd(*(q.numerator for q in parts)))
-    if parts[0] < 0:
-        scale = -scale
-    return [CRat(c.re * scale, c.im * scale) for c in vec]
-
-
-def _vector_weight(vec) -> Fraction:
-    return sum((abs(c.re) + abs(c.im) for c in vec), Fraction(0))
+    parts = [q for c in vec for q in (c.real, c.imag) if q]
+    g = math.gcd(*parts)
+    return [c // (g if parts[0] > 0 else -g) for c in vec]
 
 
 def _sort_key(vec):
-    all_real = all(c.is_real for c in vec)
-    return (not all_real, _vector_weight(vec),
-            tuple((c.re, c.im) for c in vec))
+    return (any(c.imag for c in vec),
+            sum(abs(c.real) + abs(c.imag) for c in vec),
+            tuple((c.real, c.imag) for c in vec))
 
 
 def darboux_first_integral(curves: Sequence[InvariantCurve],
@@ -269,11 +264,13 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
     """Find exponents making the cofactor-weighted sum vanish identically.
 
     Stacks the cofactors' numerators, over their lcm denominator, monomial-
-    wise into an integer matrix and computes its kernel.  Among kernel
-    combinations of at most two basis vectors (including real/imaginary
-    parts, so conjugate pairs can combine to real expressions) the all-real,
-    smallest-integer-weight vector is preferred.  Raises
-    NoNontrivialRelationError when only the zero vector works.
+    wise into an integer matrix and computes its kernel, whose vectors are
+    cleared to (Gaussian) integers over one lcm.  Among the basis vectors
+    and their pairwise sums and differences (so conjugate pairs can combine
+    to real expressions) the all-real, smallest-integer-weight vector is
+    preferred; the candidates are normalized on integers, and only the
+    chosen one becomes CRat exponents.  Raises NoNontrivialRelationError
+    when only the zero vector works.
     """
     curves = tuple(curves)
     expf = tuple(expf)
@@ -286,24 +283,21 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
     den = math.lcm(*(k.denominator for k in cofactors))
     rows = [[k.numerators.get(mono, 0) * (den // k.denominator)
              for k in cofactors] for mono in monomials]
-    basis = kernel_basis(rows, n)
+    basis = [[_scalar(c) for c in v] for v in kernel_basis(rows, n)]
     if not basis:
         raise NoNontrivialRelationError("cofactor relation has trivial kernel")
-    # as CRats (integer rows give Fractions), against rows of CRats
-    basis = [[CRAT_ZERO + c for c in v] for v in basis]
-    rows = [[CRat(v.real, v.imag) for v in row] for row in rows]
+    # one positive scale keeps each candidate's direction and normal form
+    scale = math.lcm(*(d for v in basis for _, d in v))
+    basis = [[c * (scale // d) for c, d in v] for v in basis]
 
+    # a candidate is a nonzero kernel vector with real entries in the free
+    # columns, which fix a kernel vector: its real part is in the kernel
+    # only if it equals the candidate, its imaginary part only if zero
     combos = [[basis[a][j] + basis[b][j] * sign for j in range(n)]
               for a in range(len(basis)) for b in range(a + 1, len(basis))
               for sign in (1, -1)]
-    candidates = [
-        _normalize_integer_vector(vec)
-        for v in basis + combos
-        for vec in (v, [CRat(c.re) for c in v], [CRat(c.im) for c in v])
-        if any(vec) and all(
-            sum((row[j] * vec[j] for j in range(n)), CRAT_ZERO) == CRAT_ZERO
-            for row in rows)]
-    best = min(candidates, key=_sort_key)
+    candidates = [_normalize_integer_vector(v) for v in basis + combos]
+    best = [CRat(c.real, c.imag) for c in min(candidates, key=_sort_key)]
     expr = DarbouxExpr(
         curve_factors=tuple((c, best[i]) for i, c in enumerate(curves)),
         exp_factors=tuple((e, best[len(curves) + i]) for i, e in enumerate(expf)),

@@ -5,15 +5,18 @@ every symbolic identity in this package (multipliers, divergences, cofactors,
 first integrals).  A ``Poly`` is integer numerators over one positive
 denominator in lowest terms, Knuth's content and primitive part (TAOCP 2,
 4.6.1): an int numerator per real coefficient, a Gaussian integer per nonreal
-one, so real arithmetic builds no ``Fraction``.  ``terms``, the CRat view, is
-built when it is read.  All arithmetic here is exact, including the one
-linear solver (``kernel_basis``); floats appear only in point evaluation,
-through the straight-line functions that ``float_sums`` generates, one
-function for the float sums that one use needs: a field's values and its
-Jacobian's (``VectorField.float_function`` and ``float_jacobian``), and a
-polynomial's complex value (``Poly.evaluate``, for Darboux's curves).  They
-raise the one "beyond float range" ValueError (``float_range_error``)
-themselves, so no caller catches an OverflowError.
+one, so real arithmetic builds no ``Fraction``.  All arithmetic here is exact
+and runs on those integers, including the one linear solver
+(``kernel_basis``).  A ``CRat`` is a read-only complex rational with no
+arithmetic: a coefficient as printed or read back, a Darboux exponent, an
+exact value.  ``terms``, the CRat view of a Poly, is built when it is read,
+and no module here reads it.  Floats appear only in point evaluation,
+through the straight-line functions that ``float_sums`` generates from
+``(poly, part)`` pairs, one function for the float sums that one use needs:
+a field's values and its Jacobian's (``VectorField.float_function`` and
+``float_jacobian``), and a polynomial's complex value (``Poly.evaluate``,
+for Darboux's curves).  They raise the one "beyond float range" ValueError
+(``float_range_error``) themselves, so no caller catches an OverflowError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ _F1 = Fraction(1)
 
 
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts: a value
+    to read (parts, equality and hash, also against int and Fraction, truth
+    and ``complex``) with no arithmetic; exact arithmetic runs on a Poly's
+    integer numerators."""
 
     __slots__ = ("re", "im")
 
@@ -49,99 +55,32 @@ class CRat:
     def is_real(self) -> bool:
         return not self.im
 
-    def conjugate(self) -> "CRat":
-        return CRat._raw(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, CRat):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # a real value hashes as its Fraction, which it equals
         return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __neg__(self) -> "CRat":
-        return CRat._raw(-self.re, -self.im)
-
-    def __add__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRat._raw(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRat._raw(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return CRat._raw(self.re * other.re, _F0)
-        return CRat._raw(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero coefficient")
-        if not other.im:
-            return CRat._raw(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return CRat._raw(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other) -> "CRat":
-        other = _crat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
         if not self.im:
-            return f"CRat({self.re})"
-        return f"CRat({self.re}, {self.im})"
+            return f"CRat({exact_numeral(self.re)})"
+        return f"CRat({exact_numeral(self.re)}, {exact_numeral(self.im)})"
 
 
-CRAT_ZERO = CRat._raw(_F0, _F0)
 CRAT_I = CRat._raw(_F0, _F1)
 
 Scalar = Union[int, Fraction, CRat]
-
-
-def _crat(v):
-    if isinstance(v, CRat):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return CRat._raw(Fraction(v), _F0)
-    return NotImplemented
 
 
 class _Gaussian(NamedTuple):
@@ -410,8 +349,7 @@ class Poly:
         try:
             sums = self._float_sums
         except AttributeError:
-            sums = self._float_sums = float_sums(
-                [(self.terms, "re"), (self.terms, "im")])
+            sums = self._float_sums = float_sums([(self, "re"), (self, "im")])
         re, im = sums((float(z[0]), float(z[1])))
         return complex(re, im)
 
@@ -528,12 +466,14 @@ def generate(lines, name: str, filename: str, **names):
 
 def float_sums(sums):
     """Generate ``f(z)``, the list of the float values at ``z = (x, y)`` of
-    each ``(terms, part)`` of ``sums``, in order: the part, ``"re"`` or
-    ``"im"``, of the polynomial of ``terms``.
+    each ``(poly, part)`` of ``sums``, in order: the part, ``"re"`` or
+    ``"im"``, of the polynomial ``poly``.
 
     Each value is the float sum, from ``0.0`` and left to right in term
     order, of ``c * x**i * y**j`` with ``c`` the float of the coefficient's
-    part; an ``"im"`` sum keeps only the terms whose float part is nonzero.
+    part: its numerator's ``real`` or ``imag`` over the denominator, an int
+    division that rounds as ``float`` of the coefficient's Fraction part
+    does.  An ``"im"`` sum keeps only the terms whose float part is nonzero.
     Only exact rewrites are made (``x**0`` dropped, ``x**1`` written ``x``),
     so the values are bit for bit those of the term-by-term sum.  A sum
     raises ``float_range_error`` for its own polynomial where a power
@@ -544,12 +484,13 @@ def float_sums(sums):
     names = {"OverflowError": OverflowError,
              "float_range_error": float_range_error}
     lines = ["def f(z):", "    x, y = z"]
-    for k, (terms, part) in enumerate(sums):
-        names[f"t{k}"] = terms
+    for k, (poly, part) in enumerate(sums):
+        names[f"t{k}"] = poly
         raise_line = f"raise float_range_error(t{k}, x, y)"
+        attr, den = ("real" if part == "re" else "imag"), poly.denominator
         try:
-            table = [(i, j, float(getattr(c, part)))
-                     for (i, j), c in terms.items()]
+            table = [(i, j, getattr(n, attr) / den)
+                     for (i, j), n in poly.numerators.items()]
         except OverflowError:
             lines.append(f"    {raise_line}")
             continue
@@ -567,10 +508,10 @@ def float_sums(sums):
     return generate(lines, "f", "<poly.float_sums>", **names)
 
 
-def float_range_error(terms, x: float, y: float) -> ValueError:
-    """The one "beyond float range" error: it names the polynomial of
-    ``terms`` and the point (x, y), where its value is beyond float range."""
-    text = format_poly(Poly(terms), short_numeral)
+def float_range_error(poly: Poly, x: float, y: float) -> ValueError:
+    """The one "beyond float range" error: it names ``poly`` and the point
+    (x, y), where its value is beyond float range."""
+    text = format_poly(poly, short_numeral)
     if len(text) > 60:
         text = text[:57] + "..."
     return ValueError(f"{text} at ({x:.6g}, {y:.6g}) is beyond float range")
@@ -700,12 +641,12 @@ class VectorField:
     @cached_property
     def float_function(self):
         """``f(z) -> [P, Q]``, the ``float_sums`` of P's and Q's real parts."""
-        return float_sums([(self.p.terms, "re"), (self.q.terms, "re")])
+        return float_sums([(self.p, "re"), (self.q, "re")])
 
     @cached_property
     def float_jacobian(self):
         """``f(z) -> [Px, Py, Qx, Qy]``, the real parts of ``jacobian``."""
-        return float_sums([(f.terms, "re") for f in self.jacobian])
+        return float_sums([(f, "re") for f in self.jacobian])
 
     def __call__(self, z) -> tuple:
         """(P, Q) at z as floats: ``float_function`` at z converted to

@@ -28,7 +28,7 @@ from .errors import (
 from .flow import check_zero
 from .multiplier import Multiplier
 from .parse import parse_list
-from .poly import Point, Poly, VectorField, kernel_basis
+from .poly import Point, Poly, VectorField, exact_numeral, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ class Matrix2:
         return VectorField(p=x * self.a + y * self.b, q=x * self.c + y * self.d)
 
     def __str__(self) -> str:
-        return f"{self.a},{self.b};{self.c},{self.d}"
+        a, b, c, d = map(exact_numeral, (self.a, self.b, self.c, self.d))
+        return f"{a},{b};{c},{d}"
 
 
 @dataclass(frozen=True)

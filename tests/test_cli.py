@@ -28,9 +28,10 @@ from dulac.analyze import (
 from dulac.certify import Box2
 from dulac.cli import build_parser, main, parse_region
 from dulac.jsonform import from_json, to_json
-from dulac.parse import parse_system
-from dulac.poly import float_sums
-from dulac.synthesis import Matrix2
+from dulac.parse import parse_constant, parse_system
+from dulac.poly import Poly, float_sums
+from dulac.synthesis import (Matrix2, printed_coefficients,
+                             quadratic_dulac_linear)
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -43,6 +44,7 @@ SADDLE = str(SYSTEMS / "saddle.vf")
 SHEAR = str(SYSTEMS / "shear.vf")
 
 SCHEMA_KEYS = {"system", "command", "result", "certificate", "notes"}
+BIG = "1" + "0" * 5000  # 10^5000, past str's 4,300-digit limit
 CERT_KEYS = {"outcome", "carrier", "witness", "depth"}
 
 
@@ -757,6 +759,8 @@ class TestAnalyzeGolden:
                      "--format", "json"])
         out = capsys.readouterr().out
         assert code == 2 and len(generated) <= 2
+        assert all(type(p) is Poly and part == "re"
+                   for sums in generated for p, part in sums)
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "993231eec0d600995bc17b7ba41c53d528ad097327045d7f9240a2abe5acddc2")
 
@@ -1198,6 +1202,56 @@ class TestBeyondFloatRange:
         code, report = run_json(capsys, ["parse", "--system", str(path)])
         assert code == 0
         assert report["result"]["params"] == {"a": "1" + "0" * 5000}
+
+    @pytest.mark.parametrize("argv,line", [
+        (["equilibria", "--system", RADIAL, "--region", "0:1/10^5000,0:1"],
+         f"1 equilibria in [0, 1/{BIG}] x [0, 1]"),
+        (["certify", "--system", RADIAL, "--multiplier=-1",
+          "--region", "10^5000:10^5000+1,0:1"],
+         f"  witness = ({BIG}, 0) with value -2 <= 0"),
+        (["darboux", "--system", "power.vf", "--curves", "x;y"],
+         f"H = (x)^1 * (y)^{BIG}"),
+    ], ids=["equilibria", "certify", "darboux"])
+    def test_reports_past_the_str_limit(self, capsys, monkeypatch, tmp_path,
+                                        argv, line):
+        # a region, a witness or an exponent of over 4,300 digits went
+        # through str: each of these exited 3 with Python's digit-limit
+        # message, in JSON too, which builds the text lines
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "power.vf").write_text("P = 10^5000*x\nQ = -y\n")
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        if argv[0] == "certify":
+            assert report["certificate"]["witness"] == [BIG, "0"]
+        elif argv[0] == "darboux":
+            factors = report["result"]["first_integral"]["curve_factors"]
+            assert [f["exponent"] for f in factors] == [["1", "0"],
+                                                        [BIG, "0"]]
+
+    def test_dulac_linear_past_the_str_limit(self, capsys):
+        # the matrix and the coefficients went through str, as above
+        argv = ["dulac-linear", "--matrix", "10^5000,1;0,1"]
+        m = Matrix2(10 ** 5000, 1, 0, 1)
+        quad = quadratic_dulac_linear(m)
+        closed_form = dict(zip(("b20", "b02", "b11"),
+                               printed_coefficients(m)))
+        assert main(argv) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("closed-form cross-check: ")
+        printed = dict(item.split("=") for item in line.split()[2:5])
+        assert {k: parse_constant(v) for k, v in printed.items()
+                } == closed_form
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        result = report["result"]
+        assert result["matrix"] == report["system"] == f"{BIG},1;0,1"
+        assert [parse_constant(result[k]) for k in ("b20", "b11", "b02")
+                ] == [quad.b20, quad.b11, quad.b02]
+        assert {k: parse_constant(result["closed_form"][k])
+                for k in closed_form} == closed_form
+
 
 def test_simulate_rejects_start_outside_region(capsys):
     # the start lay 4 units outside the box, yet the run reported a

@@ -1,9 +1,13 @@
 """Cofactors, exponential factors, integrating factors, Darboux integrals."""
 
+import functools
+import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac import darboux
 from dulac.darboux import (
@@ -24,7 +28,7 @@ from dulac.errors import (
     NotInvariantError,
 )
 from dulac.parse import parse_multiplier, parse_poly, parse_system
-from dulac.poly import CRat, Poly, VectorField
+from dulac.poly import CRat, Poly, VectorField, kernel_basis
 
 from conftest import rand_poly
 
@@ -313,6 +317,125 @@ class TestDarbouxFirstIntegral:
             [cofactor_of(parse_poly(f), system) for f in curves.split(";")])
         assert expr.is_first_integral
         assert str(expr) == expected
+
+
+# -- the integer candidate selection against the complex-rational one --------
+#
+# darboux_first_integral clears its kernel vectors to (Gaussian) integers
+# over one lcm and chooses among them on integers.  The reference replays
+# the choice on (re, im) pairs of Fractions, as it ran on complex rationals:
+# the same candidates, checked against the cofactors' coefficients, scaled
+# to coprime integers and ranked by the same key.
+
+def _pair(c) -> tuple:
+    return (c.re, c.im) if isinstance(c, CRat) else (Fraction(c), Fraction(0))
+
+
+def _pair_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _pair_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_normalize(vec):
+    parts = [q for c in vec for q in c if q]
+    scale = Fraction(math.lcm(*(q.denominator for q in parts)),
+                     math.gcd(*(q.numerator for q in parts)))
+    if parts[0] < 0:
+        scale = -scale
+    return [(re * scale, im * scale) for re, im in vec]
+
+
+def _ref_sort_key(vec):
+    return (any(im for _, im in vec),
+            sum((abs(re) + abs(im) for re, im in vec), Fraction(0)),
+            tuple(vec))
+
+
+def _ref_exponents(cofactors):
+    """The exponents as complex rationals, or None for a trivial kernel."""
+    monomials = sorted({e for k in cofactors for e in k.numerators},
+                       key=lambda e: (e[0] + e[1], e[0]))
+    rows = [[k.terms.get(mono, CRat(0)) for k in cofactors]
+            for mono in monomials]
+    basis = [[_pair(c) for c in v] for v in kernel_basis(rows, len(cofactors))]
+    if not basis:
+        return None
+    rows = [[_pair(c) for c in row] for row in rows]
+    combos = [[(u[0] + sign * w[0], u[1] + sign * w[1])
+               for u, w in zip(basis[a], basis[b])]
+              for a in range(len(basis)) for b in range(a + 1, len(basis))
+              for sign in (1, -1)]
+    zero = (Fraction(0), Fraction(0))
+    candidates = []
+    for v in basis + combos:
+        for vec in (v, [(re, Fraction(0)) for re, _ in v],
+                    [(im, Fraction(0)) for _, im in v]):
+            if any(c != zero for c in vec) and all(
+                    functools.reduce(_pair_add, map(_pair_mul, row, vec),
+                                     zero) == zero for row in rows):
+                candidates.append(_ref_normalize(vec))
+    return [CRat(*c) for c in min(candidates, key=_ref_sort_key)]
+
+
+_parts = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(-2 ** 1000, 2 ** 1000),
+    st.builds(Fraction, st.integers(-2 ** 1000, 2 ** 1000),
+              st.integers(1, 2 ** 1000)))
+
+
+@st.composite
+def _coefficients(draw, real=False):
+    im = Fraction(0) if real or draw(st.booleans()) else draw(_parts)
+    return CRat(draw(_parts), im)
+
+
+@st.composite
+def _cofactor_sets(draw):
+    """(cofactors, number of curves): combinations of one or two random
+    generators of degree <= 2, real or complex, and conjugates of earlier
+    cofactors, so the kernel often has a dimension of 2 or more; the
+    cofactors after the curves' are exponential factors'."""
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        real = draw(st.booleans())
+        gens.append(Poly({(i, j): draw(_coefficients(real))
+                          for i in range(3) for j in range(3 - i)
+                          if draw(st.booleans())}))
+    cofactors = []
+    for _ in range(draw(st.integers(1, 5))):
+        if cofactors and draw(st.booleans()):
+            cofactors.append(draw(st.sampled_from(cofactors)).conjugate())
+        else:
+            cofactors.append(sum((g * draw(_coefficients())
+                                  for g in gens), Poly.zero()))
+    return cofactors, draw(st.integers(0, len(cofactors)))
+
+
+class TestDarbouxAgainstComplexRationalSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(_cofactor_sets())
+    def test_same_exponents_and_types(self, case):
+        cofactors, n_curves = case
+        curves = [darboux.InvariantCurve(f=Poly.x(), k=k)
+                  for k in cofactors[:n_curves]]
+        expf = [darboux.ExponentialFactor(g=Poly.y(), h=Poly.const(1), k=k)
+                for k in cofactors[n_curves:]]
+        expected = _ref_exponents(cofactors)
+        if expected is None:
+            with pytest.raises(NoNontrivialRelationError):
+                darboux_first_integral(curves, expf)
+            return
+        expr = darboux_first_integral(curves, expf)
+        got = [e for _, e in expr.curve_factors + expr.exp_factors]
+        assert got == expected
+        assert all(type(e) is CRat and type(e.re) is Fraction
+                   and type(e.im) is Fraction for e in got)
+        assert expr.is_first_integral
 
 
 class TestVerifyFirstIntegral:

@@ -269,7 +269,7 @@ class TestClassify:
         assert [r.classification for r in reports] == [
             Classification.SADDLE, Classification.NODE] * 2
         assert reports[1].jacobian == ((-2.0, 1.0), (1.0, -1.0))
-        entries = [(f.terms, "re") for f in system.jacobian]
+        entries = [(f, "re") for f in system.jacobian]
         assert generated[1:] == [entries]  # after the field's own function
 
     def test_rescaling_invariance(self):
@@ -522,7 +522,7 @@ class TestCompileField:
             poincare_return(system, section, (2.0, 0.0))
         detect_limit_cycle(system, (2.0, 0.0))
         assert flow.compile_field(system) is system.float_function
-        assert generated == [[(system.p.terms, "re"), (system.q.terms, "re")]]
+        assert generated == [[(system.p, "re"), (system.q, "re")]]
 
 
 def _van_der_pol(z):

@@ -7,7 +7,9 @@ so a numerator has its coefficient's sign, and is a dyadic cell of its
 root box.  Conversion clears every denominator once and stays in integers;
 halving is de Casteljau with integer adds and shifts.  Each is
 straight-line code, generated once per axis degree and cached like RK45's
-attempt kernel (``_conversion``, ``_halving``).  ``walk`` is the one
+attempt kernel (``_conversion``, ``_halving``); their size grows with the
+square of the degree, so an axis degree above ``MAX_DEGREE`` is a
+ValueError before any is generated.  ``walk`` is the one
 subdivision walk (here and in ``flow.find_equilibria``).  No rounding
 happens anywhere, so a Positive certificate is a machine-checked proof and
 a Violation carries an exact witness vertex.  Wrapped around a multiplier's
@@ -27,6 +29,9 @@ from .multiplier import BENDIXSON, Multiplier
 from .poly import Poly, VectorField, exact_numeral, generate, short_numeral
 
 DEFAULT_MAX_DEPTH = 12
+# the largest degree in x or in y that a patch may have: the generated
+# kernels hold about 1.5 m^2 lines for axis degree m, kept for the process
+MAX_DEGREE = 256
 
 OPEN_BOX_NOTE = (
     "a Positive certificate excludes periodic orbits fully contained in the "
@@ -244,12 +249,17 @@ def bernstein_coefficients(p: Poly, box: Box2) -> BernsteinPatch:
     Degrees are (deg_x p, deg_y p); raises ValueError on complex coefficients.
     The coefficients are p's integer numerators over its denominator L_c,
     and the box corners are cleared by their lcm L_b, so the patch
-    denominator is L_c * L_b^(m+n) * m! * n!.
+    denominator is L_c * L_b^(m+n) * m! * n!.  Raises ValueError for a
+    degree above ``MAX_DEGREE``, before any kernel is generated.
     """
     if not p.is_real:
         raise ValueError("Bernstein certification requires real coefficients")
     m = max(p.deg_x, 0)
     n = max(p.deg_y, 0)
+    for axis, degree in (("x", m), ("y", n)):
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} in {axis} is above the "
+                             f"Bernstein degree budget {MAX_DEGREE}")
     corners = (box.x_min, box.x_max, box.y_min, box.y_max)
     lb = math.lcm(*(c.denominator for c in corners))
     x0, x1, y0, y1 = (c.numerator * (lb // c.denominator) for c in corners)

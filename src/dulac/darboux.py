@@ -34,7 +34,6 @@ from .poly import (
     CRat,
     Poly,
     VectorField,
-    _scalar,
     divergence,
     exact_numeral,
     kernel_basis,
@@ -265,7 +264,7 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
 
     Stacks the cofactors' numerators, over their lcm denominator, monomial-
     wise into an integer matrix and computes its kernel, whose vectors are
-    cleared to (Gaussian) integers over one lcm.  Among the basis vectors
+    (Gaussian) integers over one denominator.  Among the basis vectors
     and their pairwise sums and differences (so conjugate pairs can combine
     to real expressions) the all-real, smallest-integer-weight vector is
     preferred; the candidates are normalized on integers, and only the
@@ -283,12 +282,9 @@ def darboux_first_integral(curves: Sequence[InvariantCurve],
     den = math.lcm(*(k.denominator for k in cofactors))
     rows = [[k.numerators.get(mono, 0) * (den // k.denominator)
              for k in cofactors] for mono in monomials]
-    basis = [[_scalar(c) for c in v] for v in kernel_basis(rows, n)]
+    basis, _ = kernel_basis(rows, n)  # over one d > 0, which normalizing drops
     if not basis:
         raise NoNontrivialRelationError("cofactor relation has trivial kernel")
-    # one positive scale keeps each candidate's direction and normal form
-    scale = math.lcm(*(d for v in basis for _, d in v))
-    basis = [[c * (scale // d) for c, d in v] for v in basis]
 
     # a candidate is a nonzero kernel vector with real entries in the free
     # columns, which fix a kernel vector: its real part is in the kernel

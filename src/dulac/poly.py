@@ -733,14 +733,13 @@ def poly_divide(n: Poly, d: Poly):
 
 
 def kernel_basis(rows, n_cols):
-    """Exact kernel basis: one vector per free column of the reduced row
-    echelon form (RREF), with a 1 in that column.  Rows are cleared to
-    integers (Gaussian for nonreal rows) and eliminated fraction-free,
-    Gauss-Jordan with Bareiss's exact division by the previous pivot (Math.
-    Comp. 22, 1968): each pivot ends as the last, D, and an entry over D is
-    the RREF's.  Entries are ints, Fractions, CRats or Poly numerators; the
-    vectors hold Fractions if all entries are ints or Fractions, else CRats."""
-    real = bool(rows) and all(type(v) in (int, Fraction) for r in rows for v in r)
+    """Exact kernel basis ``(vectors, d)``: one vector per free column of
+    the reduced row echelon form (RREF), ``v[i] / d`` the RREF's, with d in
+    that column.  Rows are cleared to integers (Gaussian for nonreal rows)
+    and eliminated fraction-free, Gauss-Jordan with Bareiss's exact division
+    by the previous pivot (Math. Comp. 22, 1968): each pivot ends as the
+    last, D, and d > 0 is |D|^2 (1 with no pivot).  Entries are ints,
+    Fractions, CRats or Poly numerators; the vectors' are (Gaussian) ints."""
     work = []
     for row in rows:
         scalars = [_scalar(v) for v in row]
@@ -765,12 +764,11 @@ def kernel_basis(rows, n_cols):
         r += 1
         if r == len(work):
             break
-    entry = Fraction if real else _coefficient  # an integer over another
     basis = []
     for fc in [c for c in range(n_cols) if c not in pivot_cols]:
-        v = [entry(0, 1)] * n_cols
-        v[fc] = entry(1, 1)
+        v = [0] * n_cols
+        v[fc] = norm
         for pr, pc in enumerate(pivot_cols):
-            v[pc] = entry(-work[pr][fc] * conj, norm)
+            v[pc] = -work[pr][fc] * conj
         basis.append(v)
-    return basis
+    return basis, norm

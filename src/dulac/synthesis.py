@@ -93,8 +93,9 @@ def quadratic_dulac_linear(m: Matrix2) -> QuadraticMultiplier:
     """Quadratic multiplier B with Div(B*Az) = |Az|^2, as an exact identity.
 
     Matches the x^2, xy, y^2 coefficients of Div(B*X) against P^2 + Q^2 and
-    solves the resulting 3x3 rational system exactly.  Its determinant is
-    2(a+d)(3a^2+10ad-4bc+3d^2), so the checks below leave it nonsingular.
+    solves the resulting 3x3 rational system exactly, in integers over one
+    denominator.  Its determinant is 2(a+d)(3a^2+10ad-4bc+3d^2), so the
+    checks below leave it nonsingular.
     """
     if m.trace == 0:
         if m.det == 0:
@@ -103,14 +104,14 @@ def quadratic_dulac_linear(m: Matrix2) -> QuadraticMultiplier:
     if _ansatz_discriminant(m) == 0:
         raise SingularAnsatzError("3a^2 + 10ad - 4bc + 3d^2 = 0")
     a, b, c, d = m.a, m.b, m.c, m.d
-    # (rows | -rhs): its one kernel vector ends in 1 and starts with B
+    # (rows | -rhs): its one kernel vector ends in den and starts with den*B
     rows = (
         (3 * a + d, c, 0, -(a * a + c * c)),
         (2 * b, 2 * (a + d), 2 * c, -2 * (a * b + c * d)),
         (0, b, a + 3 * d, -(b * b + d * d)),
     )
-    (kernel,) = kernel_basis(rows, 4)
-    b20, b11, b02 = kernel[:3]
+    (kernel,), den = kernel_basis(rows, 4)
+    b20, b11, b02 = (Fraction(k, den) for k in kernel[:3])
     return QuadraticMultiplier(b20=b20, b11=b11, b02=b02)
 
 

@@ -260,6 +260,45 @@ class TestCertifyPositive:
         assert certify._conversion.cache_info().hits == 2 * 30 - 2
         assert certify._halving.cache_info().hits > 30
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_degree_budget(self, monkeypatch, axis):
+        # the budget's own degree certifies; one above is a ValueError
+        # naming the axis and the degree, before any kernel is generated
+        import dulac.certify as certify
+
+        generated = []
+
+        def counted(lines, name, filename, **names):
+            generated.append(filename)
+            return generate(lines, name, filename, **names)
+
+        monkeypatch.setattr(certify, "MAX_DEGREE", 5)
+        monkeypatch.setattr(certify, "generate", counted)
+        certify._halving.cache_clear()
+        certify._conversion.cache_clear()
+        at = certify_positive(parse_poly(f"1 + {axis}^5"), UNIT)
+        assert at.outcome == Positive(max_depth_used=0, box_count=1)
+        assert generated
+        generated.clear()
+        with pytest.raises(ValueError, match=(
+                f"^degree 6 in {axis} is above the Bernstein degree budget "
+                "5$")):
+            bernstein_coefficients(parse_poly(f"x*y + {axis}^6"), UNIT)
+        assert generated == []
+
+    def test_degree_above_default_budget_generates_nothing(self, monkeypatch):
+        # x^257 would generate about 100,000 lines per kernel
+        import dulac.certify as certify
+
+        generated = []
+        monkeypatch.setattr(certify, "generate",
+                            lambda *args, **names: generated.append(args))
+        assert certify.MAX_DEGREE == 256
+        for text, axis in (("x^257", "x"), ("x^256*y^257", "y")):
+            with pytest.raises(ValueError, match=f"degree 257 in {axis} "):
+                certify_positive(parse_poly(text), UNIT)
+        assert generated == []
+
     def test_degree_16_kernels(self):
         # positive at the root on a non-dyadic box away from the origin,
         # and a violation at the exact centre vertex one split down

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dulac.analyze
+import dulac.certify
 import dulac.darboux
 import dulac.errors
 import dulac.flow
@@ -1251,6 +1252,31 @@ class TestBeyondFloatRange:
                 ] == [quad.b20, quad.b11, quad.b02]
         assert {k: parse_constant(result["closed_form"][k])
                 for k in closed_form} == closed_form
+
+
+class TestDegreeBudget:
+    @pytest.mark.parametrize("argv,degree", [
+        (["certify", "--system", RADIAL, "--region", "1:2,1:2",
+          "--multiplier", "x^5"], 5),
+        (["bendixson", "--region", "1:2,1:2"], 5),
+        (["equilibria", "--region=-1:1,-1:1"], 6),
+        (["analyze", "--region=-1:1,-1:1"], 6),
+        (["local-dulac", "--region=-1:1,-1:1"], 6),
+    ], ids=["certify", "bendixson", "equilibria", "analyze", "local-dulac"])
+    def test_degree_above_budget_exits_3(self, capsys, monkeypatch, tmp_path,
+                                         argv, degree):
+        # the Bernstein kernels grow with the square of an axis degree: one
+        # above certify.MAX_DEGREE is refused before any is generated
+        monkeypatch.setattr(dulac.certify, "MAX_DEGREE", 4)
+        if "--system" not in argv:
+            path = tmp_path / "high.vf"
+            path.write_text("P = x^6\nQ = y")
+            argv = argv + ["--system", str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: degree {degree} in x is above the "
+                                "Bernstein degree budget 4\n")
 
 
 def test_simulate_rejects_start_outside_region(capsys):

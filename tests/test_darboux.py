@@ -360,7 +360,9 @@ def _ref_exponents(cofactors):
                        key=lambda e: (e[0] + e[1], e[0]))
     rows = [[k.terms.get(mono, CRat(0)) for k in cofactors]
             for mono in monomials]
-    basis = [[_pair(c) for c in v] for v in kernel_basis(rows, len(cofactors))]
+    vectors, d = kernel_basis(rows, len(cofactors))
+    basis = [[(Fraction(c.real, d), Fraction(c.imag, d)) for c in v]
+             for v in vectors]
     if not basis:
         return None
     rows = [[_pair(c) for c in row] for row in rows]

@@ -437,20 +437,47 @@ class TestFieldOperators:
         assert (lhs - rhs).is_zero
 
 
+def _over(got):
+    """kernel_basis's vectors v over d as exact values v[i] / d."""
+    vectors, d = got
+    return [[CRat(Fraction(c.real, d), Fraction(c.imag, d)) for c in v]
+            for v in vectors]
+
+
 class TestKernelBasis:
-    def test_real_rows_stay_fractions(self):
+    def test_real_rows_give_ints_over_d(self):
         rows = [[Fraction(1, 2), 0, Fraction(-3)], [0, Fraction(2, 3), 1]]
-        (v,) = kernel_basis(rows, 3)
-        assert all(type(c) is Fraction for c in v)
-        assert v == [Fraction(6), Fraction(-3, 2), Fraction(1)]
+        (v,), d = kernel_basis(rows, 3)
+        assert all(type(c) is int for c in v + [d]) and d > 0
+        assert v[2] == d
+        assert _over(([v], d)) == [[Fraction(6), Fraction(-3, 2), 1]]
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
-    def test_complex_rows_give_crat(self):
+    def test_complex_rows_give_gaussian_integers_over_d(self):
         rows = [[CRat(1), CRat(0, 1)]]
-        (v,) = kernel_basis(rows, 2)
-        assert v == [CRat(0, -1), CRat(1)]
-        assert all(type(c) is CRat for c in v)
-        assert all(type(c) is CRat for c in kernel_basis([], 2)[0])
+        (v,), d = kernel_basis(rows, 2)
+        assert type(v[0]) is poly._Gaussian and type(d) is int and d > 0
+        assert v[1] == d
+        assert _over(([v], d)) == [[CRat(0, -1), CRat(1)]]
+
+    def test_no_rows_give_unit_vectors_over_one(self):
+        assert kernel_basis([], 2) == ([[1, 0], [0, 1]], 1)
+
+    def test_real_integer_rows_build_no_fraction(self, monkeypatch):
+        rows = [[2, 4, 6, -1], [1, 3, 0, 5], [7, 0, -2, 2 ** 100]]
+        expected = kernel_basis(rows, 4)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        got = kernel_basis(rows, 4)
+        monkeypatch.undo()
+        assert made == [] and got == expected
+        assert Fraction(1, 2) + 1 == Fraction(3, 2)  # __new__ restored
 
 
 class TestDivision:
@@ -870,11 +897,12 @@ class TestKernelBasisAgainstGaussJordan:
         expected = _ref_kernel_basis(ref_rows, n_cols)
         got = kernel_basis(rows, n_cols)
         # equal vectors: the same free columns, in order, and RREF entries
-        assert got == expected
-        real = bool(rows) and all(type(v) in (int, Fraction)
-                                  for row in rows for v in row)
-        entry_type = Fraction if real else CRat
-        assert all(type(c) is entry_type for v in got for c in v)
+        assert _over(got) == expected
+        vectors, d = got
+        assert type(d) is int and d > 0
+        real = all(not _pair(v)[1] for row in ref_rows for v in row)
+        entry_types = (int,) if real else (int, poly._Gaussian)
+        assert all(type(c) in entry_types for v in vectors for c in v)
 
     @pytest.mark.parametrize("rows,n_cols,expected", [
         ([], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
@@ -885,15 +913,15 @@ class TestKernelBasisAgainstGaussJordan:
     ])
     def test_rank_deficient_and_zero_rows(self, rows, n_cols, expected):
         got = kernel_basis(rows, n_cols)
-        assert got == expected
-        assert got == _ref_kernel_basis(rows, n_cols)
+        assert _over(got) == expected
+        assert _over(got) == _ref_kernel_basis(rows, n_cols)
 
     def test_gaussian_rows(self):
         # (1 + i) x + 2 y = 0 and its multiple by i: x = -2/(1 + i) y
         rows = [[poly._gaussian(1, 1), 2], [poly._gaussian(-1, 1),
                                             poly._gaussian(0, 2)]]
-        (v,) = kernel_basis(rows, 2)
-        assert v == [CRat(-1, 1), CRat(1)]
-        assert all(type(c) is CRat for c in v)
-        assert v == _ref_kernel_basis(
-            [[CRat(c.real, c.imag) for c in row] for row in rows], 2)[0]
+        (v,), d = kernel_basis(rows, 2)
+        assert v[1] == d and type(v[0]) is poly._Gaussian
+        assert _over(([v], d)) == [[CRat(-1, 1), CRat(1)]]
+        assert _over(([v], d)) == _ref_kernel_basis(
+            [[CRat(c.real, c.imag) for c in row] for row in rows], 2)

@@ -197,8 +197,6 @@ def _tiles(region: Box2, n: int):
 def _subsample(items, limit: int):
     if len(items) <= limit:
         return list(items)
-    if limit <= 1:
-        return list(items[:limit])
     step = (len(items) - 1) / (limit - 1)
     indices = sorted({round(i * step) for i in range(limit)})
     return [items[i] for i in indices]

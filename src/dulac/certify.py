@@ -4,16 +4,17 @@ A polynomial with all-positive Bernstein coefficients on a box is positive
 there; a nonpositive coefficient triggers quaternary midpoint subdivision.
 A patch holds integer numerators over one positive integer denominator,
 so a numerator has its coefficient's sign, and is a dyadic cell of its
-root box.  Conversion clears every denominator once and stays in integers;
-halving is de Casteljau with integer adds and shifts.  Each is
-straight-line code, generated once per axis degree and cached like RK45's
-attempt kernel (``_conversion``, ``_halving``); their size grows with the
-square of the degree, so an axis degree above ``MAX_DEGREE`` is a
-ValueError before any is generated.  ``walk`` is the one
-subdivision walk (here and in ``flow.find_equilibria``).  No rounding
-happens anywhere, so a Positive certificate is a machine-checked proof and
-a Violation carries an exact witness vertex.  Wrapped around a multiplier's
-sign carrier this decides the no-periodic-orbit criterion on the open box.
+root box; its one Fraction view is the leaf test's ``min_coefficient``.
+Conversion clears every denominator once and stays in integers; halving is
+de Casteljau with integer adds and shifts.  Each is straight-line code,
+generated once per axis degree and cached like RK45's attempt kernel
+(``_conversion``, ``_halving``); their size grows with the square of the
+degree, so an axis degree above ``MAX_DEGREE`` is a ValueError before any
+is generated.  ``walk`` is the one subdivision walk (here and in
+``flow.find_equilibria``).  No rounding happens anywhere, so a Positive
+certificate is a machine-checked proof and a Violation carries an exact
+witness vertex.  Wrapped around a multiplier's sign carrier this decides
+the no-periodic-orbit criterion on the open box.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ class BernsteinPatch:
     grid; ``box`` builds it on demand and is the root itself at level 0.
     ``numerators[i][j] / denominator`` is the exact coefficient of
     B_{i,m}(u) B_{j,n}(v) on the cell mapped onto the unit square, so a
-    numerator has its coefficient's sign.  The Fraction accessors give
-    exact values: corner coefficients are the values at the cell corners,
-    and min/max coefficients enclose the range on the cell.
+    numerator has its coefficient's sign.  The corner numerators over the
+    denominator are the values at the cell corners, and the least and
+    greatest coefficients enclose the range on the cell; ``min_coefficient``
+    is the least as an exact Fraction.
     """
 
     root: Box2
@@ -147,28 +149,13 @@ class BernsteinPatch:
                     r.y_min + j * dy, r.y_min + (j + 1) * dy)
 
     @property
-    def coefficients(self) -> tuple:
-        d = self.denominator
-        return tuple(tuple(Fraction(c, d) for c in row)
-                     for row in self.numerators)
-
-    @property
     def min_coefficient(self) -> Fraction:
         return Fraction(min(map(min, self.numerators)), self.denominator)
-
-    @property
-    def max_coefficient(self) -> Fraction:
-        return Fraction(max(map(max, self.numerators)), self.denominator)
 
     def corner_numerators(self):
         """Numerators at (SW, SE, NW, NE), aligned with box.corners()."""
         c = self.numerators
         return (c[0][0], c[-1][0], c[0][-1], c[-1][-1])
-
-    def corner_coefficients(self):
-        """Values at (SW, SE, NW, NE) corners, aligned with box.corners()."""
-        d = self.denominator
-        return tuple(Fraction(c, d) for c in self.corner_numerators())
 
     def subdivide(self):
         """The four child cells (SW, SE, NW, NE); denominators gain 2^(m+n).

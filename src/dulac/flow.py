@@ -646,10 +646,14 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
     ``CYCLE_MAX_ITERS`` + 1 returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3
     of 1 is reported MARGINAL (a non-isolated periodic family, e.g. a linear
-    center, converges immediately with slope 1).  Raises ValueError for a
-    seed that passes the zero test (``is_zero``) and a field that is not
-    finite at the seed, both before any return; and CycleNotFoundError when
-    a return fails or the iteration does not converge.
+    center, converges immediately with slope 1).  The loop is sampled over
+    one period from the fixed point, forward in time, but an UNSTABLE
+    cycle's backward, where it attracts and the fixed point's error
+    shrinks; it is reported in ascending time and so ends at the fixed
+    point.  Raises ValueError for a seed that passes the zero test
+    (``is_zero``) and a field that is not finite at the seed, both before
+    any return; and CycleNotFoundError when a return fails or the
+    iteration does not converge.
     """
     vx, vy = system(seed)
     if not (math.isfinite(vx) and math.isfinite(vy)):
@@ -688,11 +692,6 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
     # measure the period at the fixed point itself so the sampled loop closes
     _, period = return_map(u_star)
     z_star = section.point_at(u_star)
-    try:
-        times, points = _sample_loop(system, z_star, period)
-    except _StepFailure as exc:
-        raise CycleNotFoundError(f"loop sampling failed: {exc}") from exc
-    amplitude = max(abs(p.x) for p in points)
     # probe step large enough that crossing-location error (~1e-10) stays
     # well below the divided difference
     h = 1e-4 * max(1.0, abs(u_star))
@@ -704,20 +703,32 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
         stability = Stability.UNSTABLE
     else:
         stability = Stability.MARGINAL
+    try:
+        times, points = _sample_loop(
+            system, z_star,
+            -period if stability is Stability.UNSTABLE else period)
+    except _StepFailure as exc:
+        raise CycleNotFoundError(f"loop sampling failed: {exc}") from exc
+    amplitude = max(abs(p.x) for p in points)
     return LimitCycleReport(period=period, points=points, amplitude_x=amplitude,
                             return_map_slope=slope, stability=stability,
                             times=times)
 
 
-def _sample_loop(system: VectorField, z0: Point, period: float):
-    """One full loop from z0, densely sampled from the step interpolants."""
+def _sample_loop(system: VectorField, z0: Point, span: float):
+    """One full loop from z0 over the time ``span``, densely sampled from
+    the step interpolants, in ascending time from 0: a backward loop
+    (``span`` < 0) is reversed and shifted by -span, so it ends at z0."""
     times = [0.0]
     points = [z0]
-    for solver in _steps(compile_field(system), z0, period, CYCLE_TOL):
+    for solver in _steps(compile_field(system), z0, span, CYCLE_TOL):
         dense = solver.dense_output()
         for k in range(1, LOOP_SUBSAMPLES + 1):
             t = solver.t_old + (solver.t - solver.t_old) * k / LOOP_SUBSAMPLES
             z = dense(t)
             times.append(t)
             points.append(Point(z[0], z[1]))
+    if span < 0:
+        times = [t - span for t in reversed(times)]
+        points.reverse()
     return tuple(times), tuple(points)

@@ -7,16 +7,18 @@ denominator in lowest terms, Knuth's content and primitive part (TAOCP 2,
 4.6.1): an int numerator per real coefficient, a Gaussian integer per nonreal
 one, so real arithmetic builds no ``Fraction``.  All arithmetic here is exact
 and runs on those integers, including the one linear solver
-(``kernel_basis``).  A ``CRat`` is a read-only complex rational with no
-arithmetic: a coefficient as printed or read back, a Darboux exponent, an
-exact value.  ``terms``, the CRat view of a Poly, is built when it is read,
-and no module here reads it.  Floats appear only in point evaluation,
-through the straight-line functions that ``float_sums`` generates from
-``(poly, part)`` pairs, one function for the float sums that one use needs:
-a field's values and its Jacobian's (``VectorField.float_function`` and
-``float_jacobian``), and a polynomial's complex value (``Poly.evaluate``,
-for Darboux's curves).  They raise the one "beyond float range" ValueError
-(``float_range_error``) themselves, so no caller catches an OverflowError.
+(``kernel_basis``); an operator's int, Fraction or CRat operand is first a
+constant Poly (``_as_poly``).  A ``CRat`` is a read-only complex rational
+with no arithmetic: a coefficient as printed or read back, a Darboux
+exponent, an exact value.  ``terms``, the CRat view of a Poly, is built on
+each read, and no module here reads it.  Floats appear only in point
+evaluation, through the straight-line functions that ``float_sums``
+generates from ``(poly, part)`` pairs, one function for the float sums that
+one use needs: a field's values and its Jacobian's
+(``VectorField.float_function`` and ``float_jacobian``), and a polynomial's
+complex value (``Poly.evaluate``, for Darboux's curves).  They raise the
+one "beyond float range" ValueError (``float_range_error``) themselves, so
+no caller catches an OverflowError.
 """
 
 from __future__ import annotations
@@ -157,8 +159,7 @@ class Poly:
     numerators and denominators.  The degree of the zero polynomial is -1.
     """
 
-    __slots__ = ("numerators", "denominator", "is_real", "_terms",
-                 "_float_sums")
+    __slots__ = ("numerators", "denominator", "is_real", "_float_sums")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
         scalars = [((int(e[0]), int(e[1])), _scalar(c))
@@ -207,13 +208,9 @@ class Poly:
 
     @property
     def terms(self) -> dict:
-        """``{exponent: CRat}`` in term order, built on the first read."""
-        try:
-            return self._terms
-        except AttributeError:
-            self._terms = {e: _coefficient(n, self.denominator)
-                           for e, n in self.numerators.items()}
-            return self._terms
+        """``{exponent: CRat}`` in term order, built on each read."""
+        return {e: _coefficient(n, self.denominator)
+                for e, n in self.numerators.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -244,9 +241,8 @@ class Poly:
                           self.denominator)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CRat)):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return (self.denominator == other.denominator
                 and self.numerators == other.numerators)
@@ -296,11 +292,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, CRat)):
-            c, d = _scalar(other)
-            return Poly._make(_scaled(self.numerators, c) if c else {},
-                              self.denominator * d)
-        if not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return Poly._make(_product(self.numerators, other.numerators),
                           self.denominator * other.denominator)
@@ -308,14 +301,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        if isinstance(other, Poly) and other.is_constant:
-            c, d = other.numerators.get((0, 0), 0), other.denominator
-        elif isinstance(other, (int, Fraction, CRat)):
-            c, d = _scalar(other)
-        else:
+        other = _as_poly(other)
+        if other is NotImplemented or not other.is_constant:
             return NotImplemented
-        if not c:
+        if not other:
             raise ZeroDivisionError("division by zero constant")
+        c, d = other.numerators[(0, 0)], other.denominator
         # d / c = d * conj(c) / |c|^2
         return Poly._make(_scaled(self.numerators, c.conjugate() * d),
                           self.denominator * (c.real ** 2 + c.imag ** 2))
@@ -374,6 +365,8 @@ class Poly:
 
 
 def _as_poly(v):
+    """``v`` as a Poly: the operators' one conversion of an int, Fraction or
+    CRat operand, which then runs through the Poly kernels."""
     if isinstance(v, Poly):
         return v
     if isinstance(v, (int, Fraction, CRat)):

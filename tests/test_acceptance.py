@@ -270,7 +270,7 @@ def test_criterion_7_bernstein_soundness():
             box = rand_box()
             patch = bernstein_coefficients(p, box)
             lo = float(patch.min_coefficient) - 1e-9
-            hi = float(patch.max_coefficient) + 1e-9
+            hi = max(map(max, patch.numerators)) / patch.denominator + 1e-9
             x_min, x_max, y_min, y_max = box.as_floats()
             for _ in range(4):
                 z = (rng.uniform(x_min, x_max), rng.uniform(y_min, y_max))

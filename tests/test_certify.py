@@ -87,17 +87,17 @@ class TestBox2:
 class TestBernsteinPatch:
     def test_constant(self):
         patch = bernstein_coefficients(Poly.const(1), SYM)
-        assert patch.coefficients == ((Fraction(1),),)
+        assert patch.numerators == ((patch.denominator,),)
 
     def test_linear_on_unit(self):
         patch = bernstein_coefficients(parse_poly("x"), UNIT)
-        assert patch.coefficients == ((Fraction(0),), (Fraction(1),))
+        assert patch.numerators == ((0,), (patch.denominator,))
 
     def test_x_squared_on_sym(self):
         patch = bernstein_coefficients(parse_poly("x^2"), SYM)
         assert patch.degrees == (2, 0)
-        flat = [c[0] for c in patch.coefficients]
-        assert flat == [Fraction(1), Fraction(-1), Fraction(1)]
+        d = patch.denominator
+        assert [c[0] for c in patch.numerators] == [d, -d, d]
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -129,9 +129,8 @@ class TestBernsteinPatch:
             return
         for box in box_st_cache[:2]:
             patch = bernstein_coefficients(p, box)
-            for corner, coeff in zip(box.corners(),
-                                     patch.corner_coefficients()):
-                assert coeff == p.evaluate_exact(*corner).re
+            for corner, num in zip(box.corners(), patch.corner_numerators()):
+                assert num == p.evaluate_exact(*corner).re * patch.denominator
 
     @settings(max_examples=50)
     @given(polys(max_degree=4))
@@ -141,19 +140,25 @@ class TestBernsteinPatch:
         rng = random.Random(5)
         for box in box_st_cache:
             patch = bernstein_coefficients(p, box)
-            lo, hi = patch.min_coefficient, patch.max_coefficient
+            # the least and greatest coefficients, correctly rounded
+            lo = float(patch.min_coefficient)
+            hi = max(map(max, patch.numerators)) / patch.denominator
             x_min, x_max, y_min, y_max = box.as_floats()
             for _ in range(10):
                 z = (rng.uniform(x_min, x_max), rng.uniform(y_min, y_max))
                 v = p.evaluate(z).real
-                assert float(lo) - 1e-9 <= v <= float(hi) + 1e-9
+                assert lo - 1e-9 <= v <= hi + 1e-9
 
     def test_subdivision_is_exact(self):
         p = parse_poly("x^3*y - 2*x*y^2 + y - 1/3")
         patch = bernstein_coefficients(p, SYM)
         for child in patch.subdivide():
             direct = bernstein_coefficients(p, child.box)
-            assert child.coefficients == direct.coefficients
+            # equal coefficients: numerators cross-multiplied
+            assert ([[c * direct.denominator for c in row]
+                     for row in child.numerators]
+                    == [[c * child.denominator for c in row]
+                        for row in direct.numerators])
 
 
 class TestWalk:
@@ -178,8 +183,11 @@ class TestWalk:
             assert patch.cell == (2, i, j)
             cell = Box2(xs[i], xs[i + 1], ys[j], ys[j + 1])
             assert patch.box == cell
-            assert patch.coefficients == bernstein_coefficients(
-                p, cell).coefficients
+            direct = bernstein_coefficients(p, cell)
+            assert ([[c * direct.denominator for c in row]
+                     for row in patch.numerators]
+                    == [[c * patch.denominator for c in row]
+                        for row in direct.numerators])
 
 
 class TestCertifyPositive:
@@ -659,12 +667,12 @@ class TestDifferential:
         assert patch.degrees == degrees
         assert patch.denominator > 0
         assert all(type(c) is int for row in patch.numerators for c in row)
-        assert patch.coefficients == tuple(tuple(row) for row in ref)
-        flat = [c for row in ref for c in row]
-        assert patch.min_coefficient == min(flat)
-        assert patch.max_coefficient == max(flat)
-        assert patch.corner_coefficients() == (ref[0][0], ref[m][0],
-                                               ref[0][n], ref[m][n])
+        d = patch.denominator
+        assert patch.numerators == tuple(tuple(c * d for c in row)
+                                         for row in ref)
+        assert patch.min_coefficient == min(c for row in ref for c in row)
+        assert patch.corner_numerators() == tuple(
+            c * d for c in (ref[0][0], ref[m][0], ref[0][n], ref[m][n]))
 
 
 # --- golden certificates ----------------------------------------------------

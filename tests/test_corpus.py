@@ -14,10 +14,9 @@ file: 1 to 3 circles with c_k in {1/4, 1, 9/4, 4, 25/4}, s = +-1 and A =
 Its seed and size are fixed by the test time (a few seconds), not by what
 the analysis finds.  The assertions are the ones that hold today: no field
 with a known cycle inside the region exits 0, every reported cycle's fixed
-point lies within 1e-6 of a known ellipse, with that ellipse's stability,
-and no certified box of the report holds a whole known ellipse.  That every
-point of a reported loop does too is an expected failure, for an unstable
-cycle whose loop drifts off as it is integrated forward.
+point and every point of its loop lie within 1e-6 of one known ellipse,
+whose stability it has, and no certified box of the report holds a whole
+known ellipse.
 """
 
 import math
@@ -124,22 +123,20 @@ def test_no_field_with_a_cycle_inside_exits_0(analyzed):
 
 
 def test_reported_cycles_are_known_ellipses(analyzed):
-    # the cycle's fixed point on its section (the loop's start) is within
-    # CYCLE_TOL of a known ellipse, the whole loop stays nearest to that
-    # ellipse, and the stability is the ellipse's
+    # the cycle's fixed point on its section (the loop's start, or its end
+    # for an unstable cycle) is within CYCLE_TOL of a known ellipse, the
+    # whole loop stays nearest to that ellipse, and the stability is the
+    # ellipse's
     for field, report in analyzed:
         for cycle in report.limit_cycles:
-            distance, k = field.nearest_circle(cycle.points[0])
+            fixed = cycle.points[
+                -1 if cycle.stability is Stability.UNSTABLE else 0]
+            distance, k = field.nearest_circle(fixed)
             assert distance <= CYCLE_TOL, (field.circles, distance)
             assert all(field.nearest_circle(z)[1] == k for z in cycle.points)
             assert cycle.stability is field.stabilities[k]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "an unstable cycle's loop is sampled forward in time from its fixed "
-    "point, so the fixed point's error grows by the return-map slope: "
-    "7.3e-6 at the loop's end for the slope-4,749 cycle r^2 = 1/4 of the "
-    "third field"))
 def test_reported_loops_stay_on_their_ellipse(analyzed):
     for field, report in analyzed:
         for cycle in report.limit_cycles:

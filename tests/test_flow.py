@@ -974,6 +974,21 @@ class TestDetectLimitCycle:
         assert report.stability is Stability.UNSTABLE
         assert abs(report.period - 2 * math.pi) < 1e-6
 
+    def test_unstable_loop_stays_on_the_cycle(self):
+        # sampled forward from the fixed point, the loop drifted off r = 1
+        # by the return-map slope (8.7e3): 8.7e-6 at its end.  Backward it
+        # stays on the cycle, and ascending time ends at the fixed point on
+        # the section y = 0 through the seed
+        annulus = parse_system("P = -x - y + x*(x^2+y^2)\n"
+                               "Q = x - y + y*(x^2+y^2)")
+        report = detect_limit_cycle(annulus, (1.0, 0.0))
+        assert report.stability is Stability.UNSTABLE
+        assert max(abs(math.hypot(*z) - 1) for z in report.points) <= 1e-8
+        assert report.times[0] == 0.0 and report.times[-1] == report.period
+        assert all(s < t for s, t in zip(report.times, report.times[1:]))
+        end = report.points[-1]
+        assert end.y == 0.0 and abs(end.x - 1) <= 1e-8
+
     def test_report_values_are_python_floats(self, monkeypatch):
         # the period and a located exit time were numpy.float64
         monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)

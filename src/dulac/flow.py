@@ -12,15 +12,16 @@ floats with scipy's arithmetic.  Every field is autonomous, so a
 right-hand side is ``fun(y)``, of the state alone.  The stages are
 straight-line code generated from the tableau once per state length
 (``_attempt_kernel``).  Events on a step are found by one bisection of
-its dense output (``_locate``).  The cycle search's budgets are module
-constants, not parameters: ``detect_limit_cycle`` and ``poincare_return``
-read ``CYCLE_MAX_ITERS``, ``CYCLE_TOL`` and ``CYCLE_MAX_TIME`` at each
-call.  Every float value of a polynomial comes from one function that
-``poly.float_sums`` generates for its use; none is this module's own.  A
-field caches one over the real parts of P and Q (``float_function``),
-shared by ``VectorField.__call__`` (Newton, the zero tests) and the RK
-right-hand side (``compile_field``), and one over its Jacobian's
-(``float_jacobian``), which Newton and ``classify_equilibrium`` unpack.
+its dense output (``_locate``).  A cycle's period and its sampled loop
+come from one return from its fixed point (``_first_return``), run
+backward for an unstable cycle.  The cycle search's budgets are module
+constants read at each call, not parameters.  Every float value of a
+polynomial comes from one function that ``poly.float_sums`` generates for
+its use; none is this module's own.  A field caches one over the real parts
+of P and Q (``float_function``), shared by ``VectorField.__call__``
+(Newton, the zero tests) and the RK right-hand side (``compile_field``),
+and one over its Jacobian's (``float_jacobian``), which Newton and
+``classify_equilibrium`` unpack.
 Each raises the "beyond float range" ValueError itself.
 This is the empirical cross-check side of the package: nothing here is
 rigorous, and certificates always win over these numbers.
@@ -615,23 +616,41 @@ def poincare_return(system: VectorField, section: Section, z0):
     return occurs within t = ``CYCLE_MAX_TIME``, or if the integrator fails
     or runs out of its step budget first.
     """
+    return _first_return(system, section, z0, CYCLE_MAX_TIME)
+
+
+def _first_return(system, section, z0, t_max: float, loop=None):
+    """``poincare_return`` within the signed time ``t_max``: run backward
+    (``t_max`` < 0), a return crosses the section against its normal.
+    Given a list ``loop``, it also appends (t, Point) at ``LOOP_SUBSAMPLES``
+    points of each step's dense output, the last step's ending at the
+    located return."""
     s_old = section.signed_distance(z0)
     if abs(s_old) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
-    armed = False
+    sign = 1.0 if t_max > 0 else -1.0
+    armed, crossing = False, None
     try:
-        for solver in _steps(compile_field(system), z0, CYCLE_MAX_TIME,
-                             CYCLE_TOL):
+        for solver in _steps(compile_field(system), z0, t_max, CYCLE_TOL):
             s_new = section.signed_distance(solver.y)
             if not armed:
                 armed = abs(s_new) > 1e-6
-            elif s_old < 0 <= s_new:
-                t_cross, z_cross = _locate(section.signed_distance, solver)
-                return z_cross, t_cross
+            elif sign * s_old < 0 <= sign * s_new:
+                crossing = _locate(section.signed_distance, solver)
+            if loop is not None:
+                t_old, dense = solver.t_old, solver.dense_output()
+                t_end = solver.t if crossing is None else crossing[0]
+                for k in range(1, LOOP_SUBSAMPLES + 1):
+                    t = t_old + (t_end - t_old) * k / LOOP_SUBSAMPLES
+                    loop.append((t, Point(*dense(t))))
+            if crossing is not None:
+                if loop is not None:
+                    loop[-1] = crossing  # ends on the located return
+                return crossing[1], crossing[0]
             s_old = s_new
     except _StepFailure as exc:
         raise NoReturnError("integration failed before a return") from exc
-    raise NoReturnError(f"no section return within t = {CYCLE_MAX_TIME}")
+    raise NoReturnError(f"no section return within t = {t_max}")
 
 
 # --- limit cycles ----------------------------------------------------------------
@@ -646,11 +665,11 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
     ``CYCLE_MAX_ITERS`` + 1 returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3
     of 1 is reported MARGINAL (a non-isolated periodic family, e.g. a linear
-    center, converges immediately with slope 1).  The loop is sampled over
-    one period from the fixed point, forward in time, but an UNSTABLE
-    cycle's backward, where it attracts and the fixed point's error
-    shrinks; it is reported in ascending time and so ends at the fixed
-    point.  Raises ValueError for a seed that passes the zero test
+    center, converges immediately with slope 1).  One return from the fixed
+    point then gives the period and the loop, sampled on its own steps:
+    forward, but an UNSTABLE cycle's backward, where it attracts.  The loop
+    ascends in time from 0 to the period, so a backward one ends at the
+    fixed point.  Raises ValueError for a seed that passes the zero test
     (``is_zero``) and a field that is not finite at the seed, both before
     any return; and CycleNotFoundError when a return fails or the
     iteration does not converge.
@@ -664,19 +683,18 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
                          f"the field: max(|P|, |Q|) <= {ZERO_TOL:g}")
     section = Section.through(seed, (vx, vy))
 
-    def return_map(u: float):
-        z = section.point_at(u)
+    def return_map(u: float) -> float:
         try:
-            z_next, t_next = poincare_return(system, section, z)
+            z_next, _ = poincare_return(system, section, section.point_at(u))
         except NoReturnError as exc:
             raise CycleNotFoundError(f"return map undefined: {exc}") from exc
-        return section.along(z_next), t_next
+        return section.along(z_next)
 
     # the first return and CYCLE_MAX_ITERS more; with no previous residual
     # yet, or a flat secant, the step is plain iteration u -> u_next
     u, u_prev, f_prev = 0.0, None, None  # the seed is the section's anchor
     for _ in range(CYCLE_MAX_ITERS + 1):
-        u_next, _ = return_map(u)
+        u_next = return_map(u)
         f = u_next - u
         if abs(f) <= 1e-9:
             u_star = u_next
@@ -689,46 +707,28 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
         raise CycleNotFoundError("return map did not converge within "
                                  f"{CYCLE_MAX_ITERS} iterations")
 
-    # measure the period at the fixed point itself so the sampled loop closes
-    _, period = return_map(u_star)
-    z_star = section.point_at(u_star)
     # probe step large enough that crossing-location error (~1e-10) stays
     # well below the divided difference
     h = 1e-4 * max(1.0, abs(u_star))
-    u_h, _ = return_map(u_star + h)
-    slope = (u_h - u_star) / h
+    slope = (return_map(u_star + h) - u_star) / h
     if abs(slope) < 1.0 - 1e-3:
         stability = Stability.STABLE
     elif abs(slope) > 1.0 + 1e-3:
         stability = Stability.UNSTABLE
     else:
         stability = Stability.MARGINAL
+    z_star = section.point_at(u_star)
+    loop = [(0.0, z_star)]
+    backward = stability is Stability.UNSTABLE
+    t_max = -CYCLE_MAX_TIME if backward else CYCLE_MAX_TIME
     try:
-        times, points = _sample_loop(
-            system, z_star,
-            -period if stability is Stability.UNSTABLE else period)
-    except _StepFailure as exc:
-        raise CycleNotFoundError(f"loop sampling failed: {exc}") from exc
-    amplitude = max(abs(p.x) for p in points)
-    return LimitCycleReport(period=period, points=points, amplitude_x=amplitude,
+        _, t_cross = _first_return(system, section, z_star, t_max, loop)
+    except NoReturnError as exc:
+        raise CycleNotFoundError(f"no period return: {exc}") from exc
+    if backward:  # ascending time from 0, ending at the fixed point
+        loop = [(t - t_cross, z) for t, z in reversed(loop)]
+    times, points = zip(*loop)
+    return LimitCycleReport(period=abs(t_cross), points=points,
+                            amplitude_x=max(abs(p.x) for p in points),
                             return_map_slope=slope, stability=stability,
                             times=times)
-
-
-def _sample_loop(system: VectorField, z0: Point, span: float):
-    """One full loop from z0 over the time ``span``, densely sampled from
-    the step interpolants, in ascending time from 0: a backward loop
-    (``span`` < 0) is reversed and shifted by -span, so it ends at z0."""
-    times = [0.0]
-    points = [z0]
-    for solver in _steps(compile_field(system), z0, span, CYCLE_TOL):
-        dense = solver.dense_output()
-        for k in range(1, LOOP_SUBSAMPLES + 1):
-            t = solver.t_old + (solver.t - solver.t_old) * k / LOOP_SUBSAMPLES
-            z = dense(t)
-            times.append(t)
-            points.append(Point(z[0], z[1]))
-    if span < 0:
-        times = [t - span for t in reversed(times)]
-        points.reverse()
-    return tuple(times), tuple(points)

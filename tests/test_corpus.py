@@ -15,8 +15,9 @@ Its seed and size are fixed by the test time (a few seconds), not by what
 the analysis finds.  The assertions are the ones that hold today: no field
 with a known cycle inside the region exits 0, every reported cycle's fixed
 point and every point of its loop lie within 1e-6 of one known ellipse,
-whose stability it has, and no certified box of the report holds a whole
-known ellipse.
+whose stability it has, its period is within 1e-8 of 2*pi (the period of
+every ellipse: on r^2 = c_k the angle in (u, v) turns at rate 1), and no
+certified box of the report holds a whole known ellipse.
 """
 
 import math
@@ -142,6 +143,16 @@ def test_reported_loops_stay_on_their_ellipse(analyzed):
         for cycle in report.limit_cycles:
             assert max(field.nearest_circle(z)[0]
                        for z in cycle.points) <= CYCLE_TOL
+
+
+def test_reported_periods_are_2pi(analyzed):
+    # every known ellipse is traversed in time 2*pi; an unstable cycle's
+    # period is measured backward, where it attracts (forward, its error
+    # grows by the return-map slope)
+    for field, report in analyzed:
+        for cycle in report.limit_cycles:
+            assert abs(cycle.period - 2 * math.pi) <= 1e-8, (
+                field.circles, cycle.period)
 
 
 def test_no_certified_box_holds_a_known_ellipse(analyzed):

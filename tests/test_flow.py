@@ -919,6 +919,22 @@ class TestDetectLimitCycle:
         first, last = report.points[0], report.points[-1]
         assert math.hypot(first.x - last.x, first.y - last.y) <= 10 * 1e-10
 
+    def test_stable_loop_is_the_period_return(self):
+        # the loop is sampled on the return that measures the period: it
+        # starts at the fixed point and ends where that return meets the
+        # section through the seed
+        report = detect_limit_cycle(VDP, (2.0, 0.0))
+        section = Section.through((2.0, 0.0), VDP((2.0, 0.0)))
+        start, end = report.points[0], report.points[-1]
+        assert section.signed_distance(start) == 0.0
+        z, t = poincare_return(VDP, section, start)
+        assert abs(section.along(z) - section.along(start)) <= 1e-9
+        assert (end, report.period) == (z, t)
+        assert abs(section.signed_distance(end)) <= 1e-10
+        times = report.times
+        assert times[0] == 0.0 and times[-1] == report.period
+        assert all(s < t for s, t in zip(times, times[1:]))
+
     def test_rotation_marginal_family(self, monkeypatch):
         monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 10)
         rot = parse_system("P = -y\nQ = x")
@@ -972,7 +988,8 @@ class TestDetectLimitCycle:
                                "Q = x - y + y*(x^2+y^2)")
         report = detect_limit_cycle(annulus, (1.0, 0.0))
         assert report.stability is Stability.UNSTABLE
-        assert abs(report.period - 2 * math.pi) < 1e-6
+        # the period is measured backward, where the cycle attracts
+        assert abs(report.period - 2 * math.pi) < 1e-8
 
     def test_unstable_loop_stays_on_the_cycle(self):
         # sampled forward from the fixed point, the loop drifted off r = 1
@@ -1002,43 +1019,58 @@ class TestDetectLimitCycle:
         assert {type(t) for t in traj.times} == {float}
 
     def test_loop_sampling_failure_raises(self, monkeypatch):
-        # the return maps integrate up to CYCLE_MAX_TIME = 100 and succeed;
-        # only the loop sampling, bounded by the period, fails
-        class FailsWithinPeriod(flow.RK45):
+        # the first return (which converges) and the slope probe succeed;
+        # only the third run, from the fixed point, which samples the loop
+        # and measures the period, fails
+        runs = []
+
+        class FailsOnThirdRun(flow.RK45):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
             def step(self):
                 super().step()
-                if abs(self.t_bound) < 50.0:
-                    raise flow._StepFailure("failed within the period")
+                if len(runs) == 3:
+                    raise flow._StepFailure("failed from the fixed point")
 
-        monkeypatch.setattr(flow, "RK45", FailsWithinPeriod)
+        monkeypatch.setattr(flow, "RK45", FailsOnThirdRun)
         monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 10)
         rot = parse_system("P = -y\nQ = x")
-        with pytest.raises(CycleNotFoundError):
+        with pytest.raises(CycleNotFoundError, match="no period return"):
             detect_limit_cycle(rot, (1.0, 0.0))
+        assert len(runs) == 3
 
     @pytest.fixture
     def returns(self, monkeypatch):
-        """(section, start, u of the return) of each return-map call."""
+        """(section, start, time budget, u of the return) of each return,
+        through ``poincare_return`` or not."""
         calls = []
+        first_return = flow._first_return
 
-        def counting(system, section, z0):
-            z_next, t_next = poincare_return(system, section, z0)
-            calls.append((section, z0, section.along(z_next)))
+        def counting(system, section, z0, t_max, loop=None):
+            z_next, t_next = first_return(system, section, z0, t_max, loop)
+            calls.append((section, z0, t_max, section.along(z_next)))
             return z_next, t_next
 
-        monkeypatch.setattr(flow, "poincare_return", counting)
+        monkeypatch.setattr(flow, "_first_return", counting)
         return calls
 
     def test_first_return_converges(self, returns):
-        # one return to converge, then one for the period and one for the
-        # slope, both at the fixed point
+        # one return to converge, then one for the slope and one for the
+        # period and loop, both at the fixed point, forward for a marginal
+        # family
         rot = parse_system((SYSTEMS / "rotation.vf").read_text())
         report = detect_limit_cycle(rot, (1.0, 0.0))
         assert report.stability is Stability.MARGINAL
-        (s, z0, r0), (_, z_period, _), (_, z_slope, _) = returns
+        (s, z0, t0, r0), (_, z_slope, t_slope, _), \
+            (_, z_period, t_period, r_period) = returns
         assert z0 == s.point_at(0.0) and abs(r0) <= 1e-9
-        assert z_period == s.point_at(r0)
         assert z_slope == s.point_at(r0 + 1e-4)
+        assert z_period == s.point_at(r0)
+        assert t0 == t_slope == t_period == flow.CYCLE_MAX_TIME
+        assert report.points[0] == z_period
+        assert s.along(report.points[-1]) == r_period
 
     def test_secant_run(self, returns):
         # plain iteration from the first return (there is no previous
@@ -1046,15 +1078,29 @@ class TestDetectLimitCycle:
         report = detect_limit_cycle(VDP, (2.0, 0.0))
         assert report.stability is Stability.STABLE
         assert len(returns) == 5
-        (s, z0, r0), (_, z1, r1), (_, z2, r2) = returns[:3]
+        (s, z0, _, r0), (_, z1, _, r1), (_, z2, _, r2) = returns[:3]
         u0, u1 = 0.0, r0
         f0, f1 = r0 - u0, r1 - u1
         u2 = u1 - f1 * (u1 - u0) / (f1 - f0)
         assert [z0, z1, z2] == [s.point_at(u0), s.point_at(u1),
                                 s.point_at(u2)]
         assert abs(r2 - u2) <= 1e-9
-        assert [z for _, z, _ in returns[3:]] == [s.point_at(r2),
-                                                  s.point_at(r2 + 1e-4)]
+        assert [z for _, z, _, _ in returns[3:]] == [s.point_at(r2 + 1e-4),
+                                                     s.point_at(r2)]
+        assert {t for _, _, t, _ in returns} == {flow.CYCLE_MAX_TIME}
+
+    def test_unstable_cycle_period_runs_backward(self, returns):
+        # the slope probe is forward like every return-map call; the one
+        # run from the fixed point is backward, and it is the loop's end
+        annulus = parse_system("P = -x - y + x*(x^2+y^2)\n"
+                               "Q = x - y + y*(x^2+y^2)")
+        report = detect_limit_cycle(annulus, (1.0, 0.0))
+        assert report.stability is Stability.UNSTABLE
+        *search, (s, z_period, t_period, r_period) = returns
+        assert {t for _, _, t, _ in search} == {flow.CYCLE_MAX_TIME}
+        assert t_period == -flow.CYCLE_MAX_TIME
+        assert report.points[-1] == z_period
+        assert s.along(report.points[0]) == r_period
 
     def test_no_iterations_is_one_return(self, returns, monkeypatch):
         monkeypatch.setattr(flow, "CYCLE_MAX_ITERS", 0)

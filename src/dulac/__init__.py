@@ -50,7 +50,6 @@ from .flow import (
 from .multiplier import BENDIXSON, Multiplier
 from .parse import parse_constant, parse_multiplier, parse_poly, parse_system
 from .poly import (
-    CRAT_I,
     CRat,
     Point,
     Poly,
@@ -76,7 +75,7 @@ from .synthesis import (
 __all__ = [
     "errors",
     # poly
-    "CRat", "CRAT_I", "Point", "Poly", "VectorField", "divergence",
+    "CRat", "Point", "Poly", "VectorField", "divergence",
     "div_product", "format_poly", "lie_derivative", "poly_divide",
     # parse
     "parse_constant", "parse_multiplier", "parse_poly", "parse_system",

@@ -93,8 +93,11 @@ class DarbouxExpr:
     exp_factors: tuple  # of (ExponentialFactor, CRat exponent)
 
     def total_cofactor(self) -> Poly:
+        # each exponent as a constant Poly from its parts, re or re + im*i
         factors = (*self.curve_factors, *self.exp_factors)
-        return sum((f.k * e for f, e in factors), Poly.zero())
+        return sum((f.k * (Poly.const(e.re) + e.im * Poly.i() if e.im
+                           else Poly.const(e.re)) for f, e in factors),
+                   Poly.zero())
 
     @property
     def is_first_integral(self) -> bool:

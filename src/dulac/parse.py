@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .multiplier import Multiplier
-from .poly import CRAT_I, Poly, VectorField, signed_sum
+from .poly import Poly, VectorField, signed_sum
 
 _RESERVED = {"x", "y", "i", "P", "Q", "param"}
 
@@ -202,7 +202,7 @@ class _ExprParser:
     def lookup(self, tok: Token) -> Poly:
         name = tok.text
         if self.variables and name == "i":
-            return Poly.const(CRAT_I)
+            return Poly.i()
         if name in self.env:
             return self.env[name]
         if self.variables and self.has_params and name not in _RESERVED:
@@ -217,7 +217,7 @@ def _expression(text: str) -> list[Token]:
 
 def _constant(tokens: list[Token]) -> Fraction:
     # constant mode admits neither variables nor i, so the value is real
-    return _ExprParser(tokens, variables=False).parse().constant_term.re
+    return _ExprParser(tokens, variables=False).parse().constant_term
 
 
 def parse_poly(text: str) -> Poly:

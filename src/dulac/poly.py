@@ -7,14 +7,15 @@ denominator in lowest terms, Knuth's content and primitive part (TAOCP 2,
 4.6.1): an int numerator per real coefficient, a Gaussian integer per nonreal
 one, so real arithmetic builds no ``Fraction``.  All arithmetic here is exact
 and runs on those integers, including the one linear solver
-(``kernel_basis``); an operator's int, Fraction or CRat operand is first a
-constant Poly (``_as_poly``).  A ``CRat`` is a read-only complex rational
-with no arithmetic: a coefficient as printed or read back, a Darboux
-exponent, an exact value.  ``terms``, the CRat view of a Poly, is built on
-each read, and no module here reads it.  Floats appear only in point
-evaluation, through the straight-line functions that ``float_sums``
-generates from ``(poly, part)`` pairs, one function for the float sums that
-one use needs: a field's values and its Jacobian's
+(``kernel_basis``); an operator's int or Fraction operand is first a
+constant Poly (``_as_poly``), and ``Poly.i()`` is the imaginary unit.  Exact
+values (``evaluate_exact``, ``constant_term``: Fractions of a real Poly) and
+printing read the numerators.  A ``CRat`` is a read-only complex rational
+with no arithmetic, the record of ``terms`` (the coefficient map, built on
+each read, which no module here reads) and of a Darboux exponent.  Floats
+appear only in point evaluation, through the straight-line functions that
+``float_sums`` generates from ``(poly, part)`` pairs, one function for the
+float sums that one use needs: a field's values and its Jacobian's
 (``VectorField.float_function`` and ``float_jacobian``), and a polynomial's
 complex value (``Poly.evaluate``, for Darboux's curves).  They raise the
 one "beyond float range" ValueError (``float_range_error``) themselves, so
@@ -28,17 +29,15 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class CRat:
     """Complex number with exact rational real and imaginary parts: a value
-    to read (parts, equality and hash, also against int and Fraction, truth
-    and ``complex``) with no arithmetic; exact arithmetic runs on a Poly's
-    integer numerators."""
+    to read (parts, equality and hash between CRats, and ``complex``) with
+    no arithmetic; exact arithmetic runs on a Poly's integer numerators."""
 
     __slots__ = ("re", "im")
 
@@ -57,19 +56,13 @@ class CRat:
     def is_real(self) -> bool:
         return not self.im
 
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CRat):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        # a real value hashes as its Fraction, which it equals
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -80,9 +73,7 @@ class CRat:
         return f"CRat({exact_numeral(self.re)}, {exact_numeral(self.im)})"
 
 
-CRAT_I = CRat._raw(_F0, _F1)
-
-Scalar = Union[int, Fraction, CRat]
+Scalar = Union[int, Fraction]
 
 
 class _Gaussian(NamedTuple):
@@ -119,24 +110,19 @@ def _gaussian(re: int, im: int):
 
 
 def _scalar(c) -> tuple:
-    """(numerator, positive denominator) of an int, Fraction, CRat or numerator."""
+    """(numerator, positive denominator) of an int, Fraction or numerator."""
     if isinstance(c, (int, Fraction)):
         return c.numerator, c.denominator
     if type(c) is _Gaussian:
         return c, 1
-    if isinstance(c, CRat):
-        den = math.lcm(c.re.denominator, c.im.denominator)
-        return _gaussian(c.re.numerator * (den // c.re.denominator),
-                         c.im.numerator * (den // c.im.denominator)), den
-    raise TypeError("a polynomial coefficient must be an int, Fraction or "
-                    f"CRat, not {type(c).__name__}")
+    raise TypeError("a polynomial coefficient must be an int or Fraction, "
+                    f"not {type(c).__name__}")
 
 
 def _coefficient(n, den: int) -> CRat:
     """The CRat of the numerator n over den."""
-    if type(n) is int:
-        return CRat._raw(Fraction(n, den), _F0)
-    return CRat._raw(Fraction(n.real, den), Fraction(n.imag, den))
+    return CRat._raw(Fraction(n.real, den),
+                     Fraction(n.imag, den) if n.imag else _F0)
 
 
 def _grlex(exp):
@@ -162,10 +148,14 @@ class Poly:
     __slots__ = ("numerators", "denominator", "is_real", "_float_sums")
 
     def __init__(self, terms: Mapping[tuple, Scalar] = ()):
-        scalars = [((int(e[0]), int(e[1])), _scalar(c))
-                   for e, c in dict(terms).items()]
+        scalars = [(e, _scalar(c)) for e, c in dict(terms).items()]
+        if not all(isinstance(e, tuple) and len(e) == 2 and all(
+                isinstance(k, int) and k >= 0 for k in e) for e, _ in scalars):
+            raise ValueError("a polynomial exponent must be a pair of "
+                             "nonnegative integers")
         den = math.lcm(*(d for _, (_, d) in scalars))
-        self._reduce({e: n * (den // d) for e, (n, d) in scalars if n}, den)
+        self._reduce({(int(e[0]), int(e[1])): n * (den // d)
+                      for e, (n, d) in scalars if n}, den)
 
     def _reduce(self, num: dict, den: int) -> "Poly":
         """Set num / den, both divided by gcd(den, *num.values())."""
@@ -204,6 +194,10 @@ class Poly:
     def y(cls) -> "Poly":
         return cls._make({(0, 1): 1}, 1)
 
+    @classmethod
+    def i(cls) -> "Poly":
+        return cls._make({(0, 0): _Gaussian(0, 1)}, 1)
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -233,8 +227,9 @@ class Poly:
         return max((j for _, j in self.numerators), default=-1)
 
     @property
-    def constant_term(self) -> CRat:
-        return _coefficient(self.numerators.get((0, 0), 0), self.denominator)
+    def constant_term(self) -> Fraction:
+        """A real polynomial's constant coefficient, its value at 0."""
+        return self.evaluate_exact(0, 0)
 
     def conjugate(self) -> "Poly":
         return Poly._make({e: n.conjugate() for e, n in self.numerators.items()},
@@ -248,7 +243,7 @@ class Poly:
                 and self.numerators == other.numerators)
 
     def __hash__(self):
-        if self.is_constant:  # as the coefficient, which it equals
+        if self.is_constant and self.is_real:  # as the Fraction it equals
             return hash(self.constant_term)
         return hash((self.denominator, frozenset(self.numerators.items())))
 
@@ -259,11 +254,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.numerators)
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Iterate (exponent, coefficient) in descending graded-lex order."""
-        for exp in sorted(self.numerators, key=_grlex, reverse=True):
-            yield exp, _coefficient(self.numerators[exp], self.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -344,16 +334,19 @@ class Poly:
         re, im = sums((float(z[0]), float(z[1])))
         return complex(re, im)
 
-    def evaluate_exact(self, x: Fraction, y: Fraction) -> CRat:
-        """Evaluate with exact rational arithmetic at a rational point: one
-        integer sum over the denominator times those of x^deg_x, y^deg_y."""
+    def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
+        """Exact value of a real polynomial at a rational point: one integer
+        sum over the denominator times those of x^deg_x, y^deg_y.  Raises
+        ValueError on a nonreal polynomial."""
+        if not self.is_real:
+            raise ValueError("a rational value needs real coefficients")
         x, y = Fraction(x), Fraction(y)
         m, n = max(self.deg_x, 0), max(self.deg_y, 0)
         xs = [x.numerator ** k * x.denominator ** (m - k) for k in range(m + 1)]
         ys = [y.numerator ** k * y.denominator ** (n - k) for k in range(n + 1)]
         total = sum(c * xs[i] * ys[j] for (i, j), c in self.numerators.items())
-        den = self.denominator * x.denominator ** m * y.denominator ** n
-        return CRat._raw(Fraction(total.real, den), Fraction(total.imag, den))
+        return Fraction(total, self.denominator * x.denominator ** m
+                        * y.denominator ** n)
 
     # -- printing ----------------------------------------------------------
 
@@ -365,11 +358,11 @@ class Poly:
 
 
 def _as_poly(v):
-    """``v`` as a Poly: the operators' one conversion of an int, Fraction or
-    CRat operand, which then runs through the Poly kernels."""
+    """``v`` as a Poly: the operators' one conversion of an int or Fraction
+    operand, which then runs through the Poly kernels."""
     if isinstance(v, Poly):
         return v
-    if isinstance(v, (int, Fraction, CRat)):
+    if isinstance(v, (int, Fraction)):
         return Poly.const(v)
     return NotImplemented
 
@@ -556,23 +549,24 @@ def _imag_str(mag: Fraction, numeral) -> str:
     return "i" if mag == 1 else f"{numeral(mag)}*i"
 
 
-def _term_str(c: CRat, mono: str, numeral):
-    """Return (sign, body) with sign in ``'+'``/``'-'``."""
-    if c.is_real:
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        if not mono:
-            return sign, numeral(mag)
-        if mag == 1:
+def _term_str(n, den: int, mono: str, numeral):
+    """Return (sign, body) of the term with coefficient n / den, its parts
+    n's ``real`` and ``imag`` over den, with sign in ``'+'``/``'-'``."""
+    re, im = n.real, n.imag
+    if not im:
+        sign = "-" if re < 0 else "+"
+        if mono and abs(re) == den:
             return sign, mono
-        return sign, f"{numeral(mag)}*{mono}"
-    if not c.re:
-        sign = "-" if c.im < 0 else "+"
-        body = _imag_str(abs(c.im), numeral)
+        text = numeral(Fraction(abs(re), den))
+        return sign, f"{text}*{mono}" if mono else text
+    if not re:
+        sign = "-" if im < 0 else "+"
+        body = _imag_str(Fraction(abs(im), den), numeral)
         return sign, body if not mono else f"{body}*{mono}"
     # mixed complex coefficient: keep all signs inside parentheses
-    im_sign = "-" if c.im < 0 else "+"
-    inner = f"{numeral(c.re)} {im_sign} {_imag_str(abs(c.im), numeral)}"
+    im_sign = "-" if im < 0 else "+"
+    inner = (f"{numeral(Fraction(re, den))} {im_sign} "
+             f"{_imag_str(Fraction(abs(im), den), numeral)}")
     body = f"({inner})"
     return "+", body if not mono else f"{body}*{mono}"
 
@@ -585,8 +579,9 @@ def format_poly(p: Poly, numeral=exact_numeral) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for k, (exp, c) in enumerate(p):
-        sign, body = _term_str(c, _monomial_str(*exp), numeral)
+    for k, exp in enumerate(sorted(p.numerators, key=_grlex, reverse=True)):
+        sign, body = _term_str(p.numerators[exp], p.denominator,
+                               _monomial_str(*exp), numeral)
         if k == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:
@@ -732,7 +727,7 @@ def kernel_basis(rows, n_cols):
     and eliminated fraction-free, Gauss-Jordan with Bareiss's exact division
     by the previous pivot (Math. Comp. 22, 1968): each pivot ends as the
     last, D, and d > 0 is |D|^2 (1 with no pivot).  Entries are ints,
-    Fractions, CRats or Poly numerators; the vectors' are (Gaussian) ints."""
+    Fractions or Poly numerators; the vectors' are (Gaussian) ints."""
     work = []
     for row in rows:
         scalars = [_scalar(v) for v in row]

@@ -267,10 +267,10 @@ def local_quadratic_multiplier(system: VectorField, eq: Point):
     ex, ey = Fraction(float(eq[0])), Fraction(float(eq[1]))
     j_px, j_py, j_qx, j_qy = system.jacobian
     jac = Matrix2(
-        a=j_px.evaluate_exact(ex, ey).re,
-        b=j_py.evaluate_exact(ex, ey).re,
-        c=j_qx.evaluate_exact(ex, ey).re,
-        d=j_qy.evaluate_exact(ex, ey).re,
+        a=j_px.evaluate_exact(ex, ey),
+        b=j_py.evaluate_exact(ex, ey),
+        c=j_qx.evaluate_exact(ex, ey),
+        d=j_qy.evaluate_exact(ex, ey),
     )
     quad = quadratic_dulac_linear(jac)
     b = Multiplier(QuadraticMultiplier(quad.b20, quad.b11, quad.b02,

@@ -11,7 +11,26 @@ import pytest
 from hypothesis import strategies as st
 
 from dulac.flow import eigenvalues_2x2
-from dulac.poly import CRat, Poly, VectorField
+from dulac.poly import Poly, VectorField, _gaussian
+
+
+def gaussian_poly(terms) -> Poly:
+    """The Poly of ``{exponent: (re, im)}`` in the map's term order: the
+    Poly of the real parts when every imaginary part is zero, else the sum
+    of each term's ``Poly({e: re}) + Poly({e: im}) * Poly.i()``."""
+    if not any(im for _, im in terms.values()):
+        return Poly({e: re for e, (re, _) in terms.items()})
+    return sum((Poly({e: re}) + Poly({e: im}) * Poly.i()
+                for e, (re, im) in terms.items()), Poly.zero())
+
+
+def cleared_row(pairs) -> list:
+    """The (re, im) pairs of Fractions times the lcm of their parts'
+    denominators, as ints and Gaussian integers: a row with the same
+    kernel, in a form ``kernel_basis`` takes."""
+    k = math.lcm(*(q.denominator for c in pairs for q in c))
+    return [_gaussian(int(re * k), int(im * k)) for re, im in pairs]
+
 
 def same_float(a: float, b: float) -> bool:
     """Equal bit for bit up to nan payloads: signs of zeros count."""
@@ -37,8 +56,8 @@ def rand_poly(rng: random.Random, max_degree: int = 5, max_terms: int = 6,
         j = rng.randint(0, max_degree - i)
         re = rand_fraction(rng)
         im = rand_fraction(rng) if allow_complex and rng.random() < 0.5 else 0
-        terms[(i, j)] = CRat(re, im)
-    return Poly(terms)
+        terms[(i, j)] = (re, im)
+    return gaussian_poly(terms)
 
 
 def rand_field(rng: random.Random, max_degree: int = 5) -> VectorField:
@@ -60,8 +79,8 @@ def perturbed_linear_field(rng: random.Random) -> VectorField:
         if (a + d) == 0 or (3 * a ** 2 + 10 * a * d
                             - 4 * b * c + 3 * d ** 2) == 0:
             continue
-        p_terms = {(1, 0): CRat(a), (0, 1): CRat(b)}
-        q_terms = {(1, 0): CRat(c), (0, 1): CRat(d)}
+        p_terms = {(1, 0): a, (0, 1): b}
+        q_terms = {(1, 0): c, (0, 1): d}
         for terms in (p_terms, q_terms):
             for _ in range(rng.randint(1, 3)):
                 i = rng.randint(0, 3)
@@ -70,7 +89,7 @@ def perturbed_linear_field(rng: random.Random) -> VectorField:
                     j = 2 - i
                 coeff = Fraction(rng.randint(-1, 1), rng.randint(10, 40))
                 if coeff:
-                    terms[(i, j)] = CRat(coeff)
+                    terms[(i, j)] = coeff
         return VectorField(Poly(p_terms), Poly(q_terms))
 
 
@@ -89,8 +108,8 @@ def polys(draw, max_degree: int = 5, max_terms: int = 6,
         j = draw(st.integers(0, max_degree - i))
         re = draw(fractions_st)
         im = draw(fractions_st) if allow_complex else Fraction(0)
-        terms[(i, j)] = CRat(re, im)
-    return Poly(terms)
+        terms[(i, j)] = (re, im)
+    return gaussian_poly(terms)
 
 
 @st.composite
@@ -104,8 +123,8 @@ def vector_fields(draw, max_degree: int = 5):
 def batch_eval(p: Poly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorized real evaluation for sampling checks."""
     total = np.zeros_like(xs, dtype=float)
-    for (i, j), c in p.terms.items():
-        total = total + float(c.re) * xs ** i * ys ** j
+    for (i, j), n in p.numerators.items():
+        total = total + n.real / p.denominator * xs ** i * ys ** j
     return total
 
 

@@ -138,7 +138,7 @@ def test_criterion_3_bendixson_van_der_pol_strip():
         patch = bernstein_coefficients(cert.carrier, box)
         assert patch.min_coefficient == Fraction(39, 400)  # 0.0975 at x=0.95
         edge = cert.carrier.evaluate_exact(Fraction(19, 20), Fraction(0))
-        assert edge.re == Fraction(39, 400)
+        assert edge == Fraction(39, 400)
 
 
 def _reference_cycle_oracle(tol=1e-10):
@@ -171,7 +171,7 @@ def test_criterion_4_certificate_cycle_consistency():
         outcome = result.certificate.outcome
         assert isinstance(outcome, Violation)
         value = result.certificate.carrier.evaluate_exact(*outcome.witness)
-        assert value.re == outcome.value and value.re <= 0
+        assert value == outcome.value and value <= 0
 
         cycle = detect_limit_cycle(VDP, (2.0, 0.0))
         assert cycle.stability is Stability.STABLE
@@ -303,8 +303,8 @@ def test_criterion_7_bernstein_soundness():
                 continue
             violations += 1
             wx, wy = cert.outcome.witness
-            assert p.evaluate_exact(wx, wy).re <= 0
-            assert p.evaluate_exact(wx, wy).re == cert.outcome.value
+            assert p.evaluate_exact(wx, wy) <= 0
+            assert p.evaluate_exact(wx, wy) == cert.outcome.value
 
 
 def test_criterion_8_gradient_multipliers():

@@ -133,7 +133,7 @@ def every_record(report):
     curve = cofactor_of(parse_poly("x"), shear)
     factor = exponential_factor_cofactor(parse_poly("y"), parse_poly("1"),
                                          shear)
-    # H = x^1 * y^1; its exponents are Gaussian rationals (CRat)
+    # H = x^1 * y^1; its exponents are CRat records of Gaussian rationals
     saddle_integral = darboux_first_integral(
         [cofactor_of(parse_poly("x"), saddle),
          cofactor_of(parse_poly("y"), saddle)])

@@ -19,7 +19,7 @@ from dulac.parse import (
 
 PARSERS = {"poly": parse_poly, "constant": parse_constant,
            "system": parse_system, "multiplier": parse_multiplier}
-from dulac.poly import CRAT_I, CRat, Poly, exact_numeral, format_poly
+from dulac.poly import CRat, Poly, exact_numeral, format_poly
 
 from conftest import polys
 
@@ -32,10 +32,11 @@ class TestParsePoly:
         assert parse_poly("0.5*x").terms == {(1, 0): CRat(Fraction(1, 2))}
 
     def test_decimal_literals_exact(self):
-        assert parse_poly("0.1").constant_term == CRat(Fraction(1, 10))
+        assert parse_poly("0.1").constant_term == Fraction(1, 10)
         assert parse_poly("2.25*y").terms == {(0, 1): CRat(Fraction(9, 4))}
 
     def test_imaginary_unit(self):
+        assert parse_poly("i") == Poly.i()
         assert parse_poly("i^2") == Poly.const(-1)
         assert parse_poly("(1 + i)*(1 - i)") == Poly.const(2)
 
@@ -397,10 +398,9 @@ class _PairwiseParser(_ExprParser):
                     if not q.is_constant:
                         self.fail("nonpolynomial construct: division by a "
                                   "nonconstant expression", op)
-                    c = q.constant_term
-                    if not c:
+                    if q.is_zero:
                         self.fail("division by zero", op)
-                    term = term * (Poly.const(1) / c)
+                    term = term * (Poly.const(1) / q)
                 if self.peek().text not in ("*", "/"):
                     break
                 op = self.advance()
@@ -445,7 +445,7 @@ class _PairwiseParser(_ExprParser):
             if name == "y":
                 return Poly.y()
             if name == "i":
-                return Poly.const(CRAT_I)
+                return Poly.i()
         if name in self.env:
             return self.env[name]
         self.fail(f"unknown identifier {name!r}", tok)

@@ -26,8 +26,8 @@ from dulac.poly import (
     short_numeral,
 )
 
-from conftest import (polys, rand_fraction, rand_poly, same_float,
-                      vector_fields)
+from conftest import (cleared_row, gaussian_poly, polys, rand_fraction,
+                      rand_poly, same_float, vector_fields)
 
 
 def P(text: str) -> Poly:
@@ -50,14 +50,47 @@ class TestPolyBasics:
         assert P("x") != P("y")
 
     def test_hash_agrees_with_equality(self):
-        # CRat(1) == 1 and Poly.const(1) == 1 held, yet 1 in {CRat(1)} did not
+        # a real constant Poly equals the int or Fraction it is, and hashes
+        # as it does
         for v in [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)]:
-            forms = [v, CRat(v), Poly.const(v)]
+            forms = [v, Fraction(v), Poly.const(v)]
             for a in forms:
                 for b in forms:
                     assert a == b and a in {b}, (a, b)
-        z = CRat(1, 2)  # a complex constant too
-        assert Poly.const(z) in {z} and z in {Poly.const(z)}
+        # a complex constant too, however it is built, and a CRat among CRats
+        z = 1 + 2 * Poly.i()
+        assert z in {P("1 + 2*i")} and P("(2 + 4*i)/2") in {z}
+        assert CRat(1, 2) in {CRat(Fraction(2, 2), 2)}
+
+    def test_i_is_the_imaginary_unit(self):
+        i = Poly.i()
+        assert P("i") == i and i * i == -1 and i * i in {-1}
+        assert not i.is_real and i.is_constant and i.conjugate() == -i
+        assert i.numerators == {(0, 0): poly._gaussian(0, 1)}
+        assert i.terms == {(0, 0): CRat(0, 1)} and str(i) == "i"
+
+    @pytest.mark.parametrize("make", [
+        lambda c: Poly.const(c), lambda c: Poly.x() * c,
+        lambda c: c * Poly.x(), lambda c: Poly.x() + c,
+        lambda c: Poly({(1, 0): c}), lambda c: kernel_basis([[c]], 1)],
+        ids=["const", "mul", "rmul", "add", "terms", "kernel_basis"])
+    def test_crat_is_not_an_operand(self, make):
+        # a CRat is a record of terms and exponents, not a coefficient
+        for c in (CRat(1), CRat(0, 1)):
+            with pytest.raises(TypeError):
+                make(c)
+
+    @pytest.mark.parametrize("exponent", [
+        (-1, 1), (-1, 0), (0, -2), (1.7, 0), (1.0, 0), (Fraction(1), 0),
+        (1,), (1, 0, 0), "xy", 1])
+    def test_exponents_are_pairs_of_nonnegative_ints(self, exponent):
+        # -y + y/x was stored with the term (-1, 1): printed as -y + y and
+        # certified positive on [2, 3] x [1, 2], where it is -0.5 at (2, 1);
+        # (-1, 0) raised IndexError in Bernstein conversion, (1.7, 0) was x
+        with pytest.raises(ValueError, match="exponent"):
+            Poly({exponent: 1})
+        with pytest.raises(ValueError, match="exponent"):
+            Poly({(0, 1): -1, exponent: 1})
 
     def test_repr_past_the_str_limit(self):
         # str of a Fraction refuses an int of over 4,300 digits
@@ -66,7 +99,7 @@ class TestPolyBasics:
         assert repr(CRat(Fraction(-1, 3), 10 ** 5000)) == f"CRat(-1/3, {big})"
 
     def test_division_by_zero_constant(self):
-        for zero in (0, Fraction(0), CRat(0), Poly.zero()):
+        for zero in (0, Fraction(0), Poly.zero(), Poly.i() * 0):
             with pytest.raises(ZeroDivisionError):
                 P("x + i*y") / zero
 
@@ -80,13 +113,28 @@ class TestPolyBasics:
 
     def test_evaluate_exact(self):
         v = P("1 - x^2").evaluate_exact(Fraction(19, 20), Fraction(0))
-        assert v == CRat(Fraction(39, 400))
+        assert v == Fraction(39, 400) and type(v) is Fraction
+        assert P("2/3").constant_term == Fraction(2, 3)
+        assert type(P("x").constant_term) is Fraction
+        for p in (P("i*x"), P("x + (1 + i)*y^2"), Poly.i()):
+            with pytest.raises(ValueError, match="real"):
+                p.evaluate_exact(1, 2)
+            with pytest.raises(ValueError, match="real"):
+                p.constant_term
+
+
+def _exact_parts(p: Poly, x: Fraction, y: Fraction) -> tuple:
+    """The exact value of p at (x, y) as (re, im): the values of p's real
+    and imaginary parts, (p + conj p) / 2 and (p - conj p) / 2i."""
+    re = (p + p.conjugate()) / 2
+    im = (p - p.conjugate()) / (2 * Poly.i())
+    return re.evaluate_exact(x, y), im.evaluate_exact(x, y)
 
 
 def _assert_matches_exact(p: Poly, x: Fraction, y: Fraction) -> None:
     """Float value within 1e-12 of the exact one, relative to the term sizes."""
     value = p.evaluate((float(x), float(y)))
-    exact = complex(p.evaluate_exact(x, y))
+    exact = complex(*map(float, _exact_parts(p, x, y)))
     scale = sum(abs(complex(c)) * abs(float(x)) ** i * abs(float(y)) ** j
                 for (i, j), c in p.terms.items())
     assert abs(value - exact) <= 1e-12 * max(scale, 1.0)
@@ -195,9 +243,9 @@ def _unit_poly(rng: random.Random) -> Poly:
     terms = {}
     for _ in range(rng.randint(1, 8)):
         i = rng.randint(0, 6)
-        c = rng.choice((CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)))
+        c = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
         terms[(i, rng.randint(0, 6 - i))] = c
-    return Poly(terms)
+    return gaussian_poly(terms)
 
 
 class TestFloatEvaluatorAgainstTermLoop:
@@ -232,8 +280,8 @@ class TestFloatEvaluatorAgainstTermLoop:
         # -10^-400 is the float -0.0: a real term of -0.0 * x**i * y**j,
         # and an imaginary part the loop skipped as zero
         tiny = Fraction(1, 10 ** 400)
-        p = Poly({(2, 1): CRat(-tiny, -tiny), (0, 1): CRat(0, tiny),
-                  (1, 0): CRat(-tiny, 1)})
+        p = gaussian_poly({(2, 1): (-tiny, -tiny), (0, 1): (0, tiny),
+                           (1, 0): (-tiny, 1)})
         for z in _points(random.Random(5), 20):
             _assert_matches_term_loop(p, z)
 
@@ -316,9 +364,9 @@ class TestFloatEvaluatorAgainstTermLoop:
         # one function over several sums of more terms than one generated
         # statement holds: each value is its polynomial's own, bit for bit
         rng = random.Random(7)
-        polys = [Poly({(k % 30, k // 30): CRat(rand_fraction(rng) or 1,
-                                               rand_fraction(rng))
-                       for k in range(n)}) for n in (150, 260, 101)]
+        polys = [gaussian_poly({(k % 30, k // 30): (rand_fraction(rng) or 1,
+                                                    rand_fraction(rng))
+                                for k in range(n)}) for n in (150, 260, 101)]
         sums = [(polys[0], "re"), (polys[1], "im"),
                 (polys[2], "re"), (polys[0], "im")]
         f = float_sums(sums)
@@ -438,9 +486,10 @@ class TestFieldOperators:
 
 
 def _over(got):
-    """kernel_basis's vectors v over d as exact values v[i] / d."""
+    """kernel_basis's vectors v over d as exact values v[i] / d, each an
+    (re, im) pair of Fractions."""
     vectors, d = got
-    return [[CRat(Fraction(c.real, d), Fraction(c.imag, d)) for c in v]
+    return [[(Fraction(c.real, d), Fraction(c.imag, d)) for c in v]
             for v in vectors]
 
 
@@ -450,15 +499,15 @@ class TestKernelBasis:
         (v,), d = kernel_basis(rows, 3)
         assert all(type(c) is int for c in v + [d]) and d > 0
         assert v[2] == d
-        assert _over(([v], d)) == [[Fraction(6), Fraction(-3, 2), 1]]
+        assert _over(([v], d)) == [[(6, 0), (Fraction(-3, 2), 0), (1, 0)]]
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
     def test_complex_rows_give_gaussian_integers_over_d(self):
-        rows = [[CRat(1), CRat(0, 1)]]
+        rows = [[Fraction(1, 2), poly._gaussian(0, 1)]]
         (v,), d = kernel_basis(rows, 2)
         assert type(v[0]) is poly._Gaussian and type(d) is int and d > 0
         assert v[1] == d
-        assert _over(([v], d)) == [[CRat(0, -1), CRat(1)]]
+        assert _over(([v], d)) == [[(0, -2), (1, 0)]]
 
     def test_no_rows_give_unit_vectors_over_one(self):
         assert kernel_basis([], 2) == ([[1, 0], [0, 1]], 1)
@@ -677,16 +726,25 @@ def _raw_terms(draw, allow_complex=True):
 
 
 def _from_raw(raw):
-    return Poly({e: CRat(*c) for e, c in raw}), _ref_make(dict(raw).items())
+    return gaussian_poly(dict(raw)), _ref_make(dict(raw).items())
 
 
+def _complex_constant(re, im):
+    return re + im * Poly.i()
+
+
+# operands: ints, Fractions and complex constants, which are Polys
 _scalars = st.one_of(st.integers(-5, 5), _parts,
-                     st.builds(CRat, _parts, _parts))
+                     st.builds(_complex_constant, _parts, _parts))
 
 
 def _pair(c):
-    c = CRat(c) if not isinstance(c, CRat) else c
-    return c.re, c.im
+    """(re, im) Fractions of an int, a Fraction, a numerator or a constant
+    Poly."""
+    if isinstance(c, Poly):
+        n = c.numerators.get((0, 0), 0)
+        return Fraction(n.real, c.denominator), Fraction(n.imag, c.denominator)
+    return Fraction(c.real), Fraction(c.imag)
 
 
 class TestIntegerFormAgainstCoefficientLoops:
@@ -717,7 +775,7 @@ class TestIntegerFormAgainstCoefficientLoops:
             inv = _c_div((Fraction(1), Fraction(0)), _pair(c))
             _assert_matches(p / c, {e: _c_div(v, _pair(c))
                                     for e, v in ref.items()})
-            assert p / c == p * CRat(*inv)
+            assert p / c == p * _complex_constant(*inv)
 
     @settings(max_examples=60, deadline=None)
     @given(_raw_terms(), st.integers(0, 3))
@@ -755,7 +813,13 @@ class TestIntegerFormAgainstCoefficientLoops:
     @given(_raw_terms(), _parts, _parts)
     def test_exact_value(self, raw, x, y):
         p, ref = _from_raw(raw)
-        assert p.evaluate_exact(x, y) == CRat(*_ref_value(ref, x, y))
+        re, im = _ref_value(ref, x, y)
+        assert _exact_parts(p, x, y) == (re, im)
+        if p.is_real:
+            assert p.evaluate_exact(x, y) == re
+        else:
+            with pytest.raises(ValueError):
+                p.evaluate_exact(x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(_raw_terms())
@@ -768,14 +832,16 @@ class TestIntegerFormAgainstCoefficientLoops:
     @settings(max_examples=60, deadline=None)
     @given(_scalars, _raw_terms())
     def test_hash_agrees_with_equality(self, c, raw):
-        # a constant equals its int, Fraction or CRat and hashes as it does,
-        # also where it is left over from a cancellation
+        # a constant equals the one built from its parts, and a real one its
+        # int or Fraction, and hashes as it does, also where it is left over
+        # from a cancellation
         p, _ = _from_raw(raw)
-        forms = [CRat(c) if not isinstance(c, CRat) else c]
-        if not forms[0].im:
-            forms += [forms[0].re] + ([int(forms[0].re)]
-                                      if forms[0].re.denominator == 1 else [])
-        for const in (Poly.const(c), (p + c) - p, (Poly.x() + c) - Poly.x()):
+        re, im = _pair(c)
+        forms = [_complex_constant(re, im)]
+        if not im:
+            forms += [re] + ([int(re)] if re.denominator == 1 else [])
+        for const in (c if isinstance(c, Poly) else Poly.const(c),
+                      (p + c) - p, (Poly.x() + c) - Poly.x()):
             for v in forms:
                 assert const == v and v == const and hash(const) == hash(v)
                 assert const in {v} and v in {const}
@@ -811,9 +877,7 @@ class TestIntegerFormAgainstCoefficientLoops:
 
 def _ref_kernel_basis(rows, n_cols):
     """Gauss-Jordan on (re, im) pairs of Fractions, the solver before
-    fraction-free elimination: its vectors hold Fractions for rows of ints
-    and Fractions, else (a CRat entry, or no rows) CRats."""
-    real = bool(rows) and all(type(v) is not CRat for r in rows for v in r)
+    fraction-free elimination: its vectors hold (re, im) pairs."""
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     work = [[_pair(v) for v in r] for r in rows]
     pivot_cols = []
@@ -841,7 +905,7 @@ def _ref_kernel_basis(rows, n_cols):
         v[fc] = one
         for pr, pc in enumerate(pivot_cols):
             v[pc] = (-work[pr][fc][0], -work[pr][fc][1])
-        basis.append([c[0] if real else CRat(*c) for c in v])
+        basis.append(v)
     return basis
 
 
@@ -853,20 +917,20 @@ _entry_parts = st.one_of(
 
 @st.composite
 def _matrices(draw):
-    """(kind, rows, n_cols): rows of ints and Fractions ("real"), of CRats
-    ("crat") or of a Poly's numerators, ints and Gaussian integers
-    ("numerators"); with zero rows, duplicate rows and combinations of
+    """(rows, n_cols): rows of ints and Fractions ("real"), of a
+    Poly's numerators, ints and Gaussian integers ("numerators"), or of
+    both ("mixed"); with zero rows, duplicate rows and combinations of
     rows, so the rank falls short, and no rows at all."""
-    kind = draw(st.sampled_from(["real", "crat", "numerators"]))
+    kind = draw(st.sampled_from(["real", "mixed", "numerators"]))
     n_cols = draw(st.integers(1, 5))
+    ints = st.one_of(_small, _big)
+    gaussians = st.builds(poly._gaussian, ints, st.one_of(st.just(0), ints))
     if kind == "real":
         entry = _entry_parts
-    elif kind == "crat":
-        entry = st.builds(CRat, _entry_parts,
-                          st.one_of(st.just(0), _entry_parts))
+    elif kind == "mixed":
+        entry = st.one_of(_entry_parts, gaussians)
     else:
-        ints = st.one_of(_small, _big)
-        entry = st.builds(poly._gaussian, ints, st.one_of(st.just(0), ints))
+        entry = gaussians
     rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
             for _ in range(draw(st.integers(0, 4)))]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
@@ -878,29 +942,27 @@ def _matrices(draw):
             rows.append(list(u))
         else:
             a, b = draw(_small), draw(_small)
-            if kind == "crat":  # on pairs: a CRat has no arithmetic
-                rows.append([CRat(*_c_add(_c_mul((a, 0), _pair(s)),
-                                          _c_mul((b, 0), _pair(t))))
-                             for s, t in zip(u, w)])
+            if kind == "mixed":  # on pairs, cleared to (Gaussian) ints
+                rows.append(cleared_row([_c_add(_c_mul((a, 0), _pair(s)),
+                                                _c_mul((b, 0), _pair(t)))
+                                         for s, t in zip(u, w)]))
             else:
                 rows.append([a * s + b * t for s, t in zip(u, w)])
-    return kind, draw(st.permutations(rows)), n_cols
+    return draw(st.permutations(rows)), n_cols
 
 
 class TestKernelBasisAgainstGaussJordan:
     @settings(max_examples=300, deadline=None)
     @given(_matrices())
     def test_same_vectors_and_types(self, matrix):
-        kind, rows, n_cols = matrix
-        ref_rows = ([[CRat(v.real, v.imag) for v in row] for row in rows]
-                    if kind == "numerators" else rows)
-        expected = _ref_kernel_basis(ref_rows, n_cols)
+        rows, n_cols = matrix
+        expected = _ref_kernel_basis(rows, n_cols)
         got = kernel_basis(rows, n_cols)
         # equal vectors: the same free columns, in order, and RREF entries
         assert _over(got) == expected
         vectors, d = got
         assert type(d) is int and d > 0
-        real = all(not _pair(v)[1] for row in ref_rows for v in row)
+        real = all(not _pair(v)[1] for row in rows for v in row)
         entry_types = (int,) if real else (int, poly._Gaussian)
         assert all(type(c) in entry_types for v in vectors for c in v)
 
@@ -913,7 +975,7 @@ class TestKernelBasisAgainstGaussJordan:
     ])
     def test_rank_deficient_and_zero_rows(self, rows, n_cols, expected):
         got = kernel_basis(rows, n_cols)
-        assert _over(got) == expected
+        assert _over(got) == [[(c, 0) for c in v] for v in expected]
         assert _over(got) == _ref_kernel_basis(rows, n_cols)
 
     def test_gaussian_rows(self):
@@ -922,6 +984,5 @@ class TestKernelBasisAgainstGaussJordan:
                                             poly._gaussian(0, 2)]]
         (v,), d = kernel_basis(rows, 2)
         assert v[1] == d and type(v[0]) is poly._Gaussian
-        assert _over(([v], d)) == [[CRat(-1, 1), CRat(1)]]
-        assert _over(([v], d)) == _ref_kernel_basis(
-            [[CRat(c.real, c.imag) for c in row] for row in rows], 2)
+        assert _over(([v], d)) == [[(-1, 1), (1, 0)]]
+        assert _over(([v], d)) == _ref_kernel_basis(rows, 2)

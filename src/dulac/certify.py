@@ -27,12 +27,10 @@ from fractions import Fraction
 
 from .jsonform import from_json, to_json
 from .multiplier import BENDIXSON, Multiplier
-from .poly import Poly, VectorField, exact_numeral, generate, short_numeral
+from .poly import (MAX_DEGREE, Poly, VectorField, exact_numeral, generate,
+                   short_numeral)
 
 DEFAULT_MAX_DEPTH = 12
-# the largest degree in x or in y that a patch may have: the generated
-# kernels hold about 1.5 m^2 lines for axis degree m, kept for the process
-MAX_DEGREE = 256
 
 OPEN_BOX_NOTE = (
     "a Positive certificate excludes periodic orbits fully contained in the "

@@ -1,9 +1,9 @@
 """Parser for polynomial expressions and `.vf` system files.
 
-One scanner, ``tokenize``, reads the characters of every input: `.vf` files,
-expressions, multipliers and the CLI's list arguments.  It skips blanks and
-``#`` comments and gives each token its line and column.  Lines end where
-``str.splitlines`` ends them, or at their ``#`` if they have a comment.
+One scanner, ``tokenize``, reads the characters of every input: `.vf` files a
+line at a time (``str.splitlines``), expressions, multipliers and the CLI's
+list arguments.  It skips blanks, ``#`` comments and line breaks, gives each
+token its line and column, and ends the list with one END token.
 
 Grammar for expressions (explicit operators only, no implicit products):
 
@@ -49,7 +49,7 @@ _RESERVED = {"x", "y", "i", "P", "Q", "param"}
 _BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 _TOKEN_RE = re.compile(rf"""
     [^\S{_BREAKS}]+
-  | (?P<EOL>(?:\#[^{_BREAKS}]*)?(?P<BREAK>\r\n|[{_BREAKS}]|\Z))
+  | (?:\#[^{_BREAKS}]*)?(?:(?P<BREAK>\r\n|[{_BREAKS}])|(?P<END>\Z))
   | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>[-+*/^()=,;:])
@@ -58,30 +58,30 @@ _TOKEN_RE = re.compile(rf"""
 
 
 class Token(NamedTuple):
-    kind: str  # NUMBER | IDENT | OP | EOL | END
+    kind: str  # NUMBER | IDENT | OP | END
     text: str
     line: int
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, with an EOL token where each line ends and an
-    END token where the last one ends.  Raises ParseError at a character
-    that starts no token and at a number that ends in '.'."""
+def tokenize(text: str, line: int = 1) -> list[Token]:
+    """The tokens of ``text``, whose first line is ``line``, and an END
+    token where it ends, at its trailing comment if it has one.  A line
+    break is a blank that starts the next line.  Raises ParseError at a
+    character that starts no token and at a number that ends in '.'."""
     tokens = []
-    line, line_start = 1, 0
+    line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
         col = m.start() - line_start + 1
-        if kind == "EOL":
-            if not m.group("BREAK"):
-                tokens.append(Token("END", "", line, col))
-                return tokens
-            tokens.append(Token("EOL", "", line, col))
+        if kind == "BREAK":
             line += 1
             line_start = m.end()
+        elif kind == "END":
+            tokens.append(Token("END", "", line, col))
+            return tokens
         elif kind == "BAD":
             raise ParseError(f"unexpected character {m.group()!r}", line, col)
         elif kind == "NUMBER" and m.group().endswith("."):
@@ -210,11 +210,6 @@ class _ExprParser:
         self.fail(f"unknown identifier {name!r}", tok)
 
 
-def _expression(text: str) -> list[Token]:
-    """The tokens of ``text`` read as one expression, across its line ends."""
-    return [tok for tok in tokenize(text) if tok.kind != "EOL"]
-
-
 def _constant(tokens: list[Token]) -> Fraction:
     # constant mode admits neither variables nor i, so the value is real
     return _ExprParser(tokens, variables=False).parse().constant_term
@@ -222,12 +217,12 @@ def _constant(tokens: list[Token]) -> Fraction:
 
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial expression in x, y into canonical expanded form."""
-    return _ExprParser(_expression(text)).parse()
+    return _ExprParser(tokenize(text)).parse()
 
 
 def parse_constant(text: str) -> Fraction:
     """Parse a constant real expression ("-3", "1/2", "0.25") to a Fraction."""
-    return _constant(_expression(text))
+    return _constant(tokenize(text))
 
 
 def parse_list(text: str, levels, variables: bool = False) -> list:
@@ -235,7 +230,7 @@ def parse_list(text: str, levels, variables: bool = False) -> list:
     split on (separator, count, shape) ``levels``, outermost first.  A list
     with a count has that many entries, or ParseError ``shape`` points at
     its first extra separator or its end; other lists drop blank entries."""
-    return _read_list(_expression(text), levels, variables)
+    return _read_list(tokenize(text), levels, variables)
 
 
 def _read_list(tokens: list[Token], levels, variables: bool):
@@ -255,18 +250,6 @@ def _read_list(tokens: list[Token], levels, variables: bool):
     return [_read_list(p, inner, variables) for p in pieces]
 
 
-def _lines(tokens: list[Token]):
-    """The nonblank lines of a token stream, each closed by an END token
-    where the line ends."""
-    line = []
-    for tok in tokens:
-        if tok.kind not in ("EOL", "END"):
-            line.append(tok)
-        elif line:
-            yield line + [tok._replace(kind="END")]
-            line = []
-
-
 def parse_system(text: str) -> VectorField:
     """Parse a `.vf` system definition into a VectorField.
 
@@ -275,7 +258,12 @@ def parse_system(text: str) -> VectorField:
     """
     components: dict[str, list[Token]] = {}
     params: dict[str, Fraction] = {}
-    for tokens in _lines(tokenize(text)):
+    # every line is scanned before any is read: a scanner error comes first
+    lines = [tokenize(line_text, n)
+             for n, line_text in enumerate(text.splitlines(), 1)]
+    for tokens in lines:
+        if tokens[0].kind == "END":
+            continue
         first, second, lineno = tokens[0], tokens[1], tokens[0].line
         if (first.text == "param" and second.kind == "IDENT"
                 and tokens[2].text == "="):
@@ -318,7 +306,7 @@ def parse_multiplier(text: str) -> Multiplier:
     """Parse a multiplier: a polynomial p is Multiplier(p), and `exp(<g>)` or
     `exp(<g>)*<p>` is Multiplier(p, g), with p = 1 when absent.  A given g
     of 0 (`exp(0)*x`) is still the exponential form."""
-    parser = _ExprParser(_expression(text))
+    parser = _ExprParser(tokenize(text))
     if [tok.text for tok in parser.tokens[:2]] != ["exp", "("]:
         return Multiplier(parser.parse())
     parser.pos = 2

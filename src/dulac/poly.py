@@ -8,7 +8,9 @@ denominator in lowest terms, Knuth's content and primitive part (TAOCP 2,
 one, so real arithmetic builds no ``Fraction``.  All arithmetic here is exact
 and runs on those integers, including the one linear solver
 (``kernel_basis``); an operator's int or Fraction operand is first a
-constant Poly (``_as_poly``), and ``Poly.i()`` is the imaginary unit.  Exact
+constant Poly (``_as_poly``), and ``Poly.i()`` is the imaginary unit.  A
+power whose degree in x or y would pass ``MAX_DEGREE``, the budget that
+certify's Bernstein patches share, is a ValueError before any product.  Exact
 values (``evaluate_exact``, ``constant_term``: Fractions of a real Poly) and
 printing read the numerators.  A ``CRat`` is a read-only complex rational
 with no arithmetic, the record of ``terms`` (the coefficient map, built on
@@ -32,6 +34,10 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
 _F0 = Fraction(0)
+# the largest degree in x or in y that a power may reach or a Bernstein patch
+# have: certify's generated kernels hold about 1.5 m^2 lines for axis degree
+# m, kept for the process
+MAX_DEGREE = 256
 
 
 class CRat:
@@ -302,8 +308,14 @@ class Poly:
                           self.denominator * (c.real ** 2 + c.imag ** 2))
 
     def __pow__(self, n: int) -> "Poly":
+        """A nonnegative integer power; a degree above ``MAX_DEGREE`` in x or
+        in y is a ValueError before any product."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
+        for axis, degree in (("x", self.deg_x), ("y", self.deg_y)):
+            if degree * n > MAX_DEGREE:
+                raise ValueError(f"degree {degree * n} in {axis} is above the "
+                                 f"degree budget {MAX_DEGREE}")
         result = Poly.const(1)
         base = self
         while n:

@@ -1278,6 +1278,21 @@ class TestDegreeBudget:
         assert captured.err == (f"error: degree {degree} in x is above the "
                                 "Bernstein degree budget 4\n")
 
+    def test_power_above_budget_exits_3(self, capsys, tmp_path):
+        # poly.MAX_DEGREE refuses the power before it is expanded, where
+        # (x+y+1)^400 ran past 120 s
+        path = tmp_path / "power.vf"
+        path.write_text("P = (x+y+1)^400\nQ = y")
+        assert main(["parse", "--system", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: degree 400 in x is above the degree "
+                                "budget 256\n")
+        # a literal power expands nothing, and is read
+        path.write_text("P = x^300\nQ = y")
+        assert main(["parse", "--system", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 def test_simulate_rejects_start_outside_region(capsys):
     # the start lay 4 units outside the box, yet the run reported a

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from dulac.errors import ParseError
 from dulac.jsonform import from_json
 from dulac.parse import (
-    _expression,
     _ExprParser,
+    Token,
     parse_constant,
     parse_list,
     parse_multiplier,
     parse_poly,
     parse_system,
+    tokenize,
 )
 
 PARSERS = {"poly": parse_poly, "constant": parse_constant,
@@ -301,6 +302,8 @@ ERROR_CORPUS = [
     ('multiplier', 'exp + 1',
      "ParseError: line 1, column 1: unknown identifier 'exp'"),
     ('multiplier', '(x', "ParseError: line 1, column 3: expected ')'"),
+    ('system', 'P = x\nfoo\nQ = @',
+     "ParseError: line 3, column 5: unexpected character '@'"),
 ]
 
 
@@ -331,6 +334,60 @@ class TestErrors:
         with pytest.raises(ParseError, match=message) as err:
             parse_multiplier(text)
         assert (err.value.line, err.value.col) == (1, col)
+
+
+# the line breaks of str.splitlines
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """A `.vf` file's lines are those of ``str.splitlines``, whichever of
+    its breaks ends them, and an expression's line breaks are blanks."""
+
+    FIELD = ("# van der Pol\nparam mu = 1/2  # damping\n\nP = y\n"
+             "Q = -x + mu*(1 - x^2)*y  # last\n")
+    ERRORS = [  # (text, its error on the third line)
+        ("P = y  # c\nQ = -x\nparam mu = 1 @",
+         "line 3, column 14: unexpected character '@'"),
+        ("P = y\n\nQ = -x +  # c",
+         "line 3, column 11: unexpected end of expression"),
+        ("P = y\n# c\nQ = (x",
+         "line 3, column 7: expected ')'"),
+        ("P = y\nQ = x\n  param mu =",
+         "line 3, column 1: missing value for parameter 'mu'"),
+    ]
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    def test_every_break_ends_a_line(self, brk):
+        vf = parse_system(self.FIELD.replace("\n", brk))
+        expected = parse_system(self.FIELD)
+        assert (vf.p, vf.q, vf.params) == (expected.p, expected.q,
+                                           expected.params)
+        assert vf.params == {"mu": Fraction(1, 2)}
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    @pytest.mark.parametrize("text,expected", ERRORS)
+    def test_errors_keep_their_line(self, brk, text, expected):
+        with pytest.raises(ParseError) as err:
+            parse_system(text.replace("\n", brk))
+        assert str(err.value) == expected
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    def test_breaks_are_blanks_to_parse_poly(self, brk):
+        text = f"x +{brk}  y*  # c{brk}2"
+        assert parse_poly(text) == parse_poly("x + y*2")
+        with pytest.raises(ParseError, match="line 2, column 7: unexpected "
+                                             "end of expression"):
+            parse_poly(f"x +{brk}  y*  # c")
+
+    def test_tokens(self):
+        assert tokenize("x +\r\n 2 # c") == [
+            Token("IDENT", "x", 1, 1), Token("OP", "+", 1, 3),
+            Token("NUMBER", "2", 2, 2), Token("END", "", 2, 4)]
+        assert tokenize("y\n", 5) == [Token("IDENT", "y", 5, 1),
+                                      Token("END", "", 6, 1)]
 
 
 class TestDeepNesting:
@@ -460,7 +517,7 @@ _NUMERALS = st.one_of(st.integers(0, 12).map(str),
 
 
 @st.composite
-def _expression_texts(draw, depth=2, constant=False):
+def _expr_texts(draw, depth=2, constant=False):
     """Text of the expression grammar: decimals, names (``i`` and
     parameters too), parentheses, powers (of sums as well), runs of signs,
     and divisions by constant expressions, which may be zero.  A power of a
@@ -475,7 +532,7 @@ def _expression_texts(draw, depth=2, constant=False):
             names = ["i", *_ENV] + ([] if constant else ["x", "y"])
             atom = draw(st.sampled_from(names))
         else:
-            atom = f"({draw(_expression_texts(depth - 1, constant))})"
+            atom = f"({draw(_expr_texts(depth - 1, constant))})"
         if (kind != "parenthesis" or depth == 1) and draw(st.booleans()):
             atom += f"^{draw(st.integers(0, 3 if kind != 'parenthesis' else 2))}"
         return atom
@@ -497,14 +554,14 @@ def _expression_texts(draw, depth=2, constant=False):
 
 def _parse_with(parser_class, text):
     try:
-        return parser_class(_expression(text), env=dict(_ENV)).parse()
+        return parser_class(tokenize(text), env=dict(_ENV)).parse()
     except ParseError as exc:
         return (str(exc), exc.line, exc.col)
 
 
 class TestAgainstPairwiseParser:
     @settings(max_examples=300, deadline=None)
-    @given(_expression_texts())
+    @given(_expr_texts())
     def test_same_polynomial_and_term_order(self, text):
         got = _parse_with(_ExprParser, text)
         expected = _parse_with(_PairwiseParser, text)

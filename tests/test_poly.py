@@ -415,6 +415,51 @@ class TestRingAxioms:
         assert (p * p).conjugate() == p.conjugate() * p.conjugate()
 
 
+class TestPowerBudget:
+    """A power whose degree in x or y would pass ``poly.MAX_DEGREE`` is
+    refused before any product: ``(x+y+1)^400`` ran past 120 s."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        made = []
+        mul = Poly.__mul__
+
+        def counted(a, b):
+            made.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        return made
+
+    def test_refused_before_any_product(self, monkeypatch, products):
+        monkeypatch.setattr(poly, "MAX_DEGREE", 4)
+        x1 = Poly.x() + 1
+        with pytest.raises(ValueError, match="^degree 5 in x is above the "
+                                             "degree budget 4$"):
+            x1 ** 5
+        assert products == []
+        assert (x1 ** 4).deg_x == 4
+        y2 = Poly.y() ** 2 + Poly.const(2)
+        with pytest.raises(ValueError, match="^degree 6 in y is above"):
+            y2 ** 3
+
+    def test_large_power_raises_at_once(self, products):
+        with pytest.raises(ValueError, match="^degree 400 in x is above the "
+                                             "degree budget 256$"):
+            (Poly.x() + Poly.y() + 1) ** 400
+        assert products == []
+
+    def test_budget_itself_expands(self):
+        p = (Poly.x() + Poly.y()) ** 256
+        assert (p.deg_x, p.deg_y, len(p.numerators)) == (256, 256, 257)
+        assert p.numerators[(128, 128)] == math.comb(256, 128)
+
+    def test_constants_have_degree_zero(self):
+        assert Poly.const(10) ** 5000 == Poly.const(10 ** 5000)
+        assert Poly.zero() ** 300 == Poly.zero()
+        assert poly.MAX_DEGREE == 256
+
+
 class TestDerive:
     def test_spec_examples(self):
         assert P("x^2*y").derive("x") == P("2*x*y")

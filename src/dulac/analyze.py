@@ -8,7 +8,11 @@ small region) that fits the region (``synthesis.certify_punctured_box``),
 attacks the remaining tiles with the constant multiplier, and finally
 scans leftover tiles for limit cycles from their centers with
 ``flow.detect_limit_cycle`` at its own budgets (``flow.CYCLE_*``) and on
-its own section, as ``limit-cycle`` does.
+its own section, as ``limit-cycle`` does.  The scan also passes the stop
+inputs, the region and the cycles found so far: a seed ends once its orbit
+leaves the region with its half-widths doubled (``flow.ESCAPE_SCALE``) or
+falls onto a stable cycle already found, whose re-detection the scan would
+drop as the same cycle.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",
@@ -136,7 +140,8 @@ def run_analyze(system: VectorField, region: Box2) -> AnalysisReport:
     for tile in _subsample(uncovered, MAX_CYCLE_SEEDS):
         center = (float(tile.x_mid), float(tile.y_mid))
         try:
-            report = detect_limit_cycle(system, center)
+            report = detect_limit_cycle(system, center, region=region,
+                                        known=cycles)
         except (CycleNotFoundError, ValueError):  # e.g. a zero of X, or overflow
             continue
         if any(_same_cycle(report, c) for c in cycles):

@@ -15,7 +15,10 @@ straight-line code generated from the tableau once per state length
 its dense output (``_locate``).  A cycle's period and its sampled loop
 come from one return from its fixed point (``_first_return``), run
 backward for an unstable cycle.  The cycle search's budgets are module
-constants read at each call, not parameters.  Every float value of a
+constants read at each call, not parameters.  Its stop inputs, a region
+and the cycles known so far, end a return-map orbit that escapes the
+doubled region or falls onto a known stable cycle (``_stop_rule``); only
+``analyze``'s scan passes them.  Every float value of a
 polynomial comes from one function that ``poly.float_sums`` generates for
 its use; none is this module's own.  A field caches one over the real parts
 of P and Q (``float_function``), shared by ``VectorField.__call__``
@@ -52,6 +55,13 @@ ZERO_TOL = 1e-9  # the one zero test, ``is_zero``: |P| and |Q| both <= it
 CYCLE_MAX_ITERS = 25
 CYCLE_TOL = 1e-10
 CYCLE_MAX_TIME = 100.0
+# The slope probe's step, relative to max(1, |u*|), and the distance,
+# relative to max(1, |z*|), within which an orbit that crosses a known
+# stable cycle's section at its fixed point z* is captured by that cycle.
+PROBE_STEP = 1e-4
+# A return-map orbit given a region stops once it leaves the region with its
+# half-widths scaled by this factor about the region's centre.
+ESCAPE_SCALE = 2.0
 INTEGRATE_TOL = 1e-9  # ``integrate``'s default RK tolerance, and ``simulate``'s
 LOOP_SUBSAMPLES = 4  # dense-output points per RK step of a reported cycle
 
@@ -296,7 +306,7 @@ def _newton(system, x, y):
 
 
 # Accepted RK steps one ``_steps`` call may take.  The largest call in an
-# ``analyze`` of every systems/*.vf on [-4,4]^2 takes 8,327.
+# ``analyze`` of every systems/*.vf on [-4,4]^2 takes 4,196.
 MAX_STEPS = 100_000
 
 
@@ -605,7 +615,8 @@ def integrate(system: VectorField, z0, t_span: float,
 # --- Poincare sections ----------------------------------------------------------
 
 
-def poincare_return(system: VectorField, section: Section, z0):
+def poincare_return(system: VectorField, section: Section, z0, *,
+                    region: Optional[Box2] = None, known=()):
     """First return of the trajectory from z0 to the section.
 
     z0 must lie on the section (within 1e-9).  The orbit is stepped at
@@ -615,16 +626,64 @@ def poincare_return(system: VectorField, section: Section, z0):
     until the signed distance is below 1e-10.  Raises NoReturnError if no
     return occurs within t = ``CYCLE_MAX_TIME``, or if the integrator fails
     or runs out of its step budget first.
+
+    The stop inputs end a hopeless orbit early, also with NoReturnError.
+    Given a ``region``, an accepted step that ends outside it, with its
+    half-widths scaled by ``ESCAPE_SCALE`` about its centre, escapes.  Of
+    the ``known`` cycles (``LimitCycleReport``), each stable one captures
+    the orbit when it crosses that cycle's own section (through its fixed
+    point ``points[0]``, normal to X there, crossed along X) within
+    ``PROBE_STEP * max(1, |z*|)`` of the fixed point z*: the orbit then
+    converges to a cycle already found.  A step that returns is not tested.
     """
-    return _first_return(system, section, z0, CYCLE_MAX_TIME)
+    return _first_return(system, section, z0, CYCLE_MAX_TIME,
+                         stop=_stop_rule(system, region, known))
 
 
-def _first_return(system, section, z0, t_max: float, loop=None):
+def _stop_rule(system, region, known):
+    """``stop(solver)``, which raises NoReturnError when the last accepted
+    step escapes ``region`` or is captured by a stable ``known`` cycle (see
+    ``poincare_return``), or None when there is nothing to test."""
+    captures = []
+    for cycle in known:
+        if cycle.stability is Stability.STABLE:
+            z = cycle.points[0]
+            captures.append((Section.through(z, system(z)), z, cycle.period,
+                             PROBE_STEP * max(1.0, math.hypot(z.x, z.y))))
+    if region is None and not captures:
+        return None
+    x_lo = y_lo = -math.inf
+    x_hi = y_hi = math.inf
+    if region is not None:  # an overflow to inf leaves that side open
+        x_min, x_max, y_min, y_max = region.as_floats()
+        cx, rx = (x_min + x_max) / 2, (x_max - x_min) / 2 * ESCAPE_SCALE
+        cy, ry = (y_min + y_max) / 2, (y_max - y_min) / 2 * ESCAPE_SCALE
+        x_lo, x_hi, y_lo, y_hi = cx - rx, cx + rx, cy - ry, cy + ry
+
+    def stop(solver):
+        x, y = solver.y
+        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):  # nan escapes
+            raise NoReturnError(f"the orbit left [{x_lo:g}, {x_hi:g}] x "
+                                f"[{y_lo:g}, {y_hi:g}] at t = {solver.t:.6g}")
+        for section, z, period, tol in captures:
+            if (section.signed_distance(solver.y_old) < 0
+                    <= section.signed_distance(solver.y)):
+                t, w = _locate(section.signed_distance, solver)
+                if math.hypot(w.x - z.x, w.y - z.y) <= tol:
+                    raise NoReturnError(
+                        f"the orbit fell onto the stable cycle of period "
+                        f"{period:.6g} at t = {t:.6g}")
+
+    return stop
+
+
+def _first_return(system, section, z0, t_max: float, loop=None, stop=None):
     """``poincare_return`` within the signed time ``t_max``: run backward
     (``t_max`` < 0), a return crosses the section against its normal.
     Given a list ``loop``, it also appends (t, Point) at ``LOOP_SUBSAMPLES``
     points of each step's dense output, the last step's ending at the
-    located return."""
+    located return.  ``stop(solver)``, if given, runs after each accepted
+    step that does not return (``_stop_rule``)."""
     s_old = section.signed_distance(z0)
     if abs(s_old) > 1e-9:
         raise ValueError("z0 must lie on the section (within 1e-9)")
@@ -647,6 +706,8 @@ def _first_return(system, section, z0, t_max: float, loop=None):
                 if loop is not None:
                     loop[-1] = crossing  # ends on the located return
                 return crossing[1], crossing[0]
+            if stop is not None:
+                stop(solver)
             s_old = s_new
     except _StepFailure as exc:
         raise NoReturnError("integration failed before a return") from exc
@@ -656,11 +717,18 @@ def _first_return(system, section, z0, t_max: float, loop=None):
 # --- limit cycles ----------------------------------------------------------------
 
 
-def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
+def detect_limit_cycle(system: VectorField, seed, *,
+                       region: Optional[Box2] = None,
+                       known=()) -> LimitCycleReport:
     """Fixed-point iteration of the return map with secant acceleration.
 
     The return map (``poincare_return``) acts on the section through the
     seed, normal to the field X there and crossed in the direction of X.
+    Each of its returns, the slope probe's too, takes the stop inputs
+    ``region`` and ``known`` (see ``poincare_return``): an orbit that
+    escapes the enlarged region or is captured by a known stable cycle
+    ends the search with CycleNotFoundError.  Without them every return
+    runs to its section or to t = ``CYCLE_MAX_TIME``.
     Convergence is successive section crossings within 1e-9, reached within
     ``CYCLE_MAX_ITERS`` + 1 returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3
@@ -685,7 +753,8 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
 
     def return_map(u: float) -> float:
         try:
-            z_next, _ = poincare_return(system, section, section.point_at(u))
+            z_next, _ = poincare_return(system, section, section.point_at(u),
+                                        region=region, known=known)
         except NoReturnError as exc:
             raise CycleNotFoundError(f"return map undefined: {exc}") from exc
         return section.along(z_next)
@@ -709,7 +778,7 @@ def detect_limit_cycle(system: VectorField, seed) -> LimitCycleReport:
 
     # probe step large enough that crossing-location error (~1e-10) stays
     # well below the divided difference
-    h = 1e-4 * max(1.0, abs(u_star))
+    h = PROBE_STEP * max(1.0, abs(u_star))
     slope = (return_map(u_star + h) - u_star) / h
     if abs(slope) < 1.0 - 1e-3:
         stability = Stability.STABLE

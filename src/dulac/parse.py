@@ -16,7 +16,11 @@ Grammar for expressions (explicit operators only, no implicit products):
 parenthesis nests a call (of ``power``), and runs of signs have no limit.
 A sum is built once: its terms, products of powers whose signs make one
 sign, are added by ``poly.signed_sum`` over their lcm denominator, in the
-pairwise sum's term order.  A number, x or y is one Poly with its exponent.
+pairwise sum's term order, and a term's factors by ``poly.product``, which
+refuses a degree above ``poly.MAX_DEGREE`` before it forms any power.  A
+term's numbers and powers of x and y make one monomial from integers, and
+a monomial term above the budget, ``x^300`` too, is refused as ``**``
+refuses it (``poly.check_degrees``).
 
 NUMBER is ASCII ``[0-9]+('.'[0-9]+)?`` and IDENT is ``[A-Za-z_][A-Za-z0-9_]*``.
 Division is restricted to nonzero constant divisors and exponents to literal
@@ -41,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .multiplier import Multiplier
-from .poly import Poly, VectorField, signed_sum
+from .poly import Poly, VectorField, check_degrees, product, signed_sum
 
 _RESERVED = {"x", "y", "i", "P", "Q", "param"}
 
@@ -133,45 +137,76 @@ class _ExprParser:
 
     def expr(self) -> Poly:
         """A sum of signed terms, each a product of powers, read left to right
-        in loops (only a parenthesis nests, through ``power``), added once."""
+        in loops (only a parenthesis nests, through ``power``), added once.
+        A term's numbers and powers of x and y make one monomial as they are
+        read; the term is that monomial, or ``poly.product`` of it and the
+        term's other ``(base, exponent)`` pairs, a divisor's exponent -1.
+        A monomial factor commutes with the rest without changing the
+        product's term order.  Either way a term of degree above
+        ``poly.MAX_DEGREE`` in x or y, ``x^300`` too, is refused before
+        anything is expanded, as ``**`` refuses it."""
         terms = []
         sign = 1
         while True:
-            term = op = None
+            num, den, mi, mj = 1, 1, 0, 0  # the monomial num/den x^mi y^mj
+            factors, op = [], None
             while True:
                 while self.peek().text in ("+", "-"):
                     sign = -sign if self.advance().text == "-" else sign
-                q = self.power()
-                if op is None:
-                    term = q
-                elif op.text == "*":
-                    term = term * q
-                else:
-                    if not q.is_constant:
-                        self.fail("nonpolynomial construct: division by a "
-                                  "nonconstant expression", op)
-                    if q.is_zero:
+                divide = op is not None and op.text == "/"
+                tok = self.peek()
+                if tok.kind == "NUMBER" or (self.variables
+                                            and tok.text in ("x", "y")):
+                    c, d, i, j = self.monomial()
+                    if not divide:
+                        num, den, mi, mj = num * c, den * d, mi + i, mj + j
+                    elif i or j:
+                        self._nonconstant_divisor(op)
+                    elif not c:
                         self.fail("division by zero", op)
-                    term = term / q
+                    else:
+                        num, den = num * d, den * c
+                else:
+                    base, k = self.power()
+                    if divide:
+                        base = base if k == 1 else base ** k
+                        if not base.is_constant:
+                            self._nonconstant_divisor(op)
+                        if base.is_zero:
+                            self.fail("division by zero", op)
+                        k = -1
+                    factors.append((base, k))
                 if self.peek().text not in ("*", "/"):
                     break
                 op = self.advance()
-            terms.append((term, sign))
+            mono = Poly._make({(mi, mj): num} if num else {}, den)
+            if factors:
+                mono = product([(mono, 1), *factors])
+            elif num:
+                check_degrees(mi, mj)
+            terms.append((mono, sign))
             if self.peek().text not in ("+", "-"):
                 return signed_sum(terms)
             sign = 1 if self.advance().text == "+" else -1
 
-    def power(self) -> Poly:
-        """An atom (a number, a name or ``( expr )``) and its exponent."""
+    def _nonconstant_divisor(self, op: Token):
+        self.fail("nonpolynomial construct: division by a nonconstant "
+                  "expression", op)
+
+    def monomial(self) -> tuple:
+        """A number, x or y and its exponent, as ``(c, d, i, j)``, the
+        monomial c/d x^i y^j."""
         tok = self.advance()
         if tok.kind == "NUMBER":
             num, den = Decimal(tok.text).as_integer_ratio()  # at any length
             k = self.exponent()
-            c = num ** k
-            return Poly._make({(0, 0): c} if c else {}, den ** k)
-        if self.variables and tok.text in ("x", "y"):
-            k = self.exponent()
-            return Poly._make({(k, 0) if tok.text == "x" else (0, k): 1}, 1)
+            return num ** k, den ** k, 0, 0
+        k = self.exponent()
+        return (1, 1, k, 0) if tok.text == "x" else (1, 1, 0, k)
+
+    def power(self) -> tuple:
+        """A name or ``( expr )`` and its exponent, as ``(base, k)``."""
+        tok = self.advance()
         if tok.kind == "IDENT":
             base = self.lookup(tok)
         elif tok.text == "(":
@@ -182,8 +217,7 @@ class _ExprParser:
         else:
             self.fail(f"unexpected token {tok.text!r}" if tok.kind != "END"
                       else "unexpected end of expression", tok)
-        k = self.exponent()
-        return base if k == 1 else base ** k
+        return base, self.exponent()
 
     def exponent(self) -> int:  # the literal after a '^', or 1
         if self.peek().text != "^":

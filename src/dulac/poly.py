@@ -9,8 +9,10 @@ one, so real arithmetic builds no ``Fraction``.  All arithmetic here is exact
 and runs on those integers, including the one linear solver
 (``kernel_basis``); an operator's int or Fraction operand is first a
 constant Poly (``_as_poly``), and ``Poly.i()`` is the imaginary unit.  A
-power whose degree in x or y would pass ``MAX_DEGREE``, the budget that
-certify's Bernstein patches share, is a ValueError before any product.  Exact
+power or product whose degree in x or y would pass ``MAX_DEGREE``, the
+budget that certify's Bernstein patches share, is a ValueError before any
+product (``check_degrees``): ``product``, which ``*`` and the parser's
+terms use, checks a product of powers before it forms any power.  Exact
 values (``evaluate_exact``, ``constant_term``: Fractions of a real Poly) and
 printing read the numerators.  A ``CRat`` is a read-only complex rational
 with no arithmetic, the record of ``terms`` (the coefficient map, built on
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, reduce
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Union
 
 _F0 = Fraction(0)
@@ -38,6 +41,16 @@ _F0 = Fraction(0)
 # have: certify's generated kernels hold about 1.5 m^2 lines for axis degree
 # m, kept for the process
 MAX_DEGREE = 256
+_Y = itemgetter(1)  # an exponent's degree in y
+
+
+def check_degrees(deg_x: int, deg_y: int) -> None:
+    """ValueError naming the first of the degrees in x and in y that is
+    above ``MAX_DEGREE``."""
+    for axis, degree in (("x", deg_x), ("y", deg_y)):
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} in {axis} is above the "
+                             f"degree budget {MAX_DEGREE}")
 
 
 class CRat:
@@ -226,11 +239,11 @@ class Poly:
 
     @property
     def deg_x(self) -> int:
-        return max((i for i, _ in self.numerators), default=-1)
+        return max(self.numerators, default=(-1, -1))[0]
 
     @property
     def deg_y(self) -> int:
-        return max((j for _, j in self.numerators), default=-1)
+        return max(map(_Y, self.numerators), default=-1)
 
     @property
     def constant_term(self) -> Fraction:
@@ -288,11 +301,12 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        """The product; a degree above ``MAX_DEGREE`` in x or in y is a
+        ValueError before it is expanded."""
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly._make(_product(self.numerators, other.numerators),
-                          self.denominator * other.denominator)
+        return product([(self, 1), (other, 1)])
 
     __rmul__ = __mul__
 
@@ -302,20 +316,14 @@ class Poly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero constant")
-        c, d = other.numerators[(0, 0)], other.denominator
-        # d / c = d * conj(c) / |c|^2
-        return Poly._make(_scaled(self.numerators, c.conjugate() * d),
-                          self.denominator * (c.real ** 2 + c.imag ** 2))
+        return Poly._make(*_quotient(self.numerators, self.denominator, other))
 
     def __pow__(self, n: int) -> "Poly":
         """A nonnegative integer power; a degree above ``MAX_DEGREE`` in x or
         in y is a ValueError before any product."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        for axis, degree in (("x", self.deg_x), ("y", self.deg_y)):
-            if degree * n > MAX_DEGREE:
-                raise ValueError(f"degree {degree * n} in {axis} is above the "
-                                 f"degree budget {MAX_DEGREE}")
+        check_degrees(self.deg_x * n, self.deg_y * n)
         result = Poly.const(1)
         base = self
         while n:
@@ -427,6 +435,48 @@ def signed_sum(terms) -> Poly:
     return Poly._make(reduce(_accumulate, (
         _scaled(p.numerators, sign * (den // p.denominator))
         for p, sign in terms), {}), den)
+
+
+def product(factors) -> Poly:
+    """The product of ``(p, k)`` pairs, each ``p ** k`` (after the first, ``k``
+    may be -1 for a nonzero constant ``p``, which divides), formed from the
+    left over one denominator and reduced once: the value and term order of
+    the pairwise products and quotients.  A factor 0 makes it 0 at once;
+    otherwise a degree in x or y above ``MAX_DEGREE`` is a ValueError before
+    any power or product is formed."""
+    if len(factors) == 1:
+        p, k = factors[0]
+        return p if k == 1 else p ** k
+    dx = dy = 0
+    for p, k in factors:
+        if k > 0:
+            num = p.numerators
+            if not num:
+                return Poly.zero()
+            dx += max(num)[0] * k  # the largest exponent has the largest i
+            dy += max(map(_Y, num)) * k
+    if dx > MAX_DEGREE or dy > MAX_DEGREE:
+        check_degrees(dx, dy)
+    num = None
+    for p, k in factors:
+        if k < 0:
+            num, den = _quotient(num, den, p)
+            continue
+        if k != 1:
+            p = p ** k
+        if num is None:
+            num, den = p.numerators, p.denominator
+        else:
+            num, den = _product(num, p.numerators), den * p.denominator
+    return Poly._make(num, den)
+
+
+def _quotient(num: dict, den: int, divisor: "Poly") -> tuple:
+    """num / den divided by a nonzero constant c / e: num * e * conj(c) over
+    den * |c|^2."""
+    c = divisor.numerators[(0, 0)]
+    return (_scaled(num, c.conjugate() * divisor.denominator),
+            den * (c.real ** 2 + c.imag ** 2))
 
 
 def _derivative(num: dict, axis: str) -> dict:

@@ -302,9 +302,11 @@ class TestCertifyPositive:
         monkeypatch.setattr(certify, "generate",
                             lambda *args, **names: generated.append(args))
         assert certify.MAX_DEGREE == 256
-        for text, axis in (("x^257", "x"), ("x^256*y^257", "y")):
-            with pytest.raises(ValueError, match=f"degree 257 in {axis} "):
-                certify_positive(parse_poly(text), UNIT)
+        # built directly: the parser refuses x^257 against poly.MAX_DEGREE
+        for exponent, axis in (((257, 0), "x"), ((256, 257), "y")):
+            with pytest.raises(ValueError, match=f"degree 257 in {axis} is "
+                                                 "above the Bernstein"):
+                certify_positive(Poly({exponent: 1}), UNIT)
         assert generated == []
 
     def test_degree_16_kernels(self):

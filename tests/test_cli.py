@@ -777,7 +777,8 @@ class TestCycleBudgets:
     """``flow.CYCLE_*`` are the one statement of the cycle search's budgets."""
 
     def test_analyze_passes_no_budget(self, monkeypatch):
-        # analyze ran 20 iterations, each return within t = 200
+        # analyze ran 20 iterations, each return within t = 200; it passes
+        # the seed and the stop inputs (the region and the cycles found)
         calls = []
 
         def capture(*args, **kwargs):
@@ -791,7 +792,8 @@ class TestCycleBudgets:
         report = run_analyze(parse_system(Path(VDP).read_text()), region)
         assert report.limit_cycles == ()
         assert calls
-        assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
+        assert all(len(args) == 2 and kwargs == {"region": region, "known": []}
+                   for args, kwargs in calls)
 
     def test_distinct_cycles_of_equal_period(self, tmp_path, capsys,
                                              monkeypatch):
@@ -1288,10 +1290,11 @@ class TestDegreeBudget:
         assert captured.out == ""
         assert captured.err == ("error: degree 400 in x is above the degree "
                                 "budget 256\n")
-        # a literal power expands nothing, and is read
+        # a literal power expands nothing, but is refused as (x)^300 is
         path.write_text("P = x^300\nQ = y")
-        assert main(["parse", "--system", str(path)]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["parse", "--system", str(path)]) == 3
+        assert capsys.readouterr().err == ("error: degree 300 in x is above "
+                                           "the degree budget 256\n")
 
 
 def test_simulate_rejects_start_outside_region(capsys):

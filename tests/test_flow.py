@@ -965,9 +965,9 @@ class TestDetectLimitCycle:
     def test_section_through_seed_along_field(self, monkeypatch):
         sections = []
 
-        def spy(system, section, z0):
+        def spy(system, section, z0, **stops):
             sections.append(section)
-            return poincare_return(system, section, z0)
+            return poincare_return(system, section, z0, **stops)
 
         monkeypatch.setattr(flow, "poincare_return", spy)
         monkeypatch.setattr(flow, "CYCLE_TOL", 1e-9)
@@ -1048,8 +1048,9 @@ class TestDetectLimitCycle:
         calls = []
         first_return = flow._first_return
 
-        def counting(system, section, z0, t_max, loop=None):
-            z_next, t_next = first_return(system, section, z0, t_max, loop)
+        def counting(system, section, z0, t_max, loop=None, stop=None):
+            z_next, t_next = first_return(system, section, z0, t_max, loop,
+                                          stop)
             calls.append((section, z0, t_max, section.along(z_next)))
             return z_next, t_next
 
@@ -1116,6 +1117,130 @@ class TestDetectLimitCycle:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,x,y"
         assert len(lines) == len(report.points) + 1
+
+
+ANNULUS = "P = -x - y + x*(x^2+y^2)\nQ = x - y + y*(x^2+y^2)"
+REGION4 = Box2(Fraction(-4), Fraction(4), Fraction(-4), Fraction(4))
+
+
+def _unit_circle(stability):
+    """A report of the rotation's unit circle, its fixed point (1, 0)."""
+    return flow.LimitCycleReport(
+        period=2 * math.pi, amplitude_x=1.0, return_map_slope=0.5,
+        stability=stability, points=(Point(1.0, 0.0),), times=(0.0,))
+
+
+class TestScanStops:
+    """analyze's cycle scan ends a seed whose orbit leaves the region with
+    its half-widths doubled, or falls onto a stable cycle it already
+    holds."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+
+        class Counted(flow.RK45):
+            def step(self):
+                super().step()
+                taken.append(self.t)
+
+        monkeypatch.setattr(flow, "RK45", Counted)
+        return taken
+
+    @pytest.mark.parametrize("name,count", [
+        ("saddle", 446), ("vanderpol", 18_655)])
+    def test_analyze_step_counts(self, steps, name, count):
+        # 29,610 and 40,284 accepted steps without the stops: every
+        # saddle.vf seed escapes, and 8 of 12 Van der Pol seeds fall onto
+        # the cycle an earlier seed found
+        run_analyze(parse_system((SYSTEMS / f"{name}.vf").read_text()),
+                    REGION4)
+        assert len(steps) == count
+
+    @pytest.mark.parametrize("name", sorted(
+        [p.stem for p in SYSTEMS.glob("*.vf")] + ["annulus"]))
+    def test_stops_change_no_cycle(self, name):
+        # the cycles plain detections find from the same seeds
+        text = ANNULUS if name == "annulus" else (
+            SYSTEMS / f"{name}.vf").read_text()
+        system = parse_system(text)
+        report = run_analyze(system, REGION4)
+        plain = []
+        for tile in analyze._subsample(report.uncovered_regions,
+                                       analyze.MAX_CYCLE_SEEDS):
+            try:
+                cycle = detect_limit_cycle(
+                    system, (float(tile.x_mid), float(tile.y_mid)))
+            except (CycleNotFoundError, ValueError):
+                continue
+            if not any(analyze._same_cycle(cycle, c) for c in plain):
+                plain.append(cycle)
+        assert report.limit_cycles == tuple(plain)
+
+    def test_escape(self, steps):
+        # x = e^t on y = 0 leaves [-2, 2]^2, the box [-1, 1]^2 doubled
+        saddle = parse_system("P = x\nQ = -y")
+        section = Section(anchor=Point(1.0, 0.0), normal=(0.0, 1.0))
+        box = Box2(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
+        with pytest.raises(NoReturnError, match=r"^the orbit left \[-2, 2\] "
+                                                r"x \[-2, 2\] at t = "):
+            poincare_return(saddle, section, (1.0, 0.0), region=box)
+        assert steps[-2] < math.log(2) <= steps[-1]
+
+    def test_capture_by_a_stable_cycle(self, steps):
+        # from (0, 5) the orbit converges to the cycle and never comes back
+        # up to y = 5
+        cycle = detect_limit_cycle(VDP, (2.0, 0.0))
+        section = Section(anchor=Point(0.0, 5.0), normal=(0.0, 1.0))
+        with pytest.raises(NoReturnError, match="^no section return"):
+            poincare_return(VDP, section, (0.0, 5.0))
+        steps.clear()
+        with pytest.raises(NoReturnError, match=(
+                "^the orbit fell onto the stable cycle of period 6.66329 at "
+                "t = ")):
+            poincare_return(VDP, section, (0.0, 5.0), known=[cycle])
+        assert steps[-1] < 20
+        with pytest.raises(CycleNotFoundError, match="fell onto"):
+            detect_limit_cycle(VDP, (0.0, 5.0), known=[cycle])
+
+    @pytest.mark.parametrize("radius,captured", [
+        (1 + 5e-5, True), (1 - 9e-5, True), (1 + 2e-4, False),
+        (1 - 2e-4, False)])
+    def test_capture_tolerance(self, radius, captured):
+        # the rotation's orbit of this radius crosses y = 0 upward at
+        # (radius, 0) at t = 3*pi/2, before it returns to x = 0 at 2*pi:
+        # captured within PROBE_STEP * max(1, |z*|) = 1e-4 of (1, 0)
+        rot = parse_system("P = -y\nQ = x")
+        section = Section.through((0.0, radius), rot((0.0, radius)))
+        known = [_unit_circle(Stability.STABLE)]
+        if captured:
+            with pytest.raises(NoReturnError, match="at t = 4.71239$"):
+                poincare_return(rot, section, (0.0, radius), known=known)
+        else:
+            _, t = poincare_return(rot, section, (0.0, radius), known=known)
+            assert abs(t - 2 * math.pi) < 1e-6
+
+    @pytest.mark.parametrize("stability", [Stability.UNSTABLE,
+                                           Stability.MARGINAL])
+    def test_only_stable_cycles_capture(self, stability):
+        rot = parse_system("P = -y\nQ = x")
+        section = Section.through((0.0, 1.0), (-1.0, 0.0))
+        _, t = poincare_return(rot, section, (0.0, 1.0),
+                               known=[_unit_circle(stability)])
+        assert abs(t - 2 * math.pi) < 1e-6
+
+    def test_without_stop_inputs_no_stop_runs(self, monkeypatch):
+        # limit-cycle's detection takes no stop rule at all
+        stops = []
+        first_return = flow._first_return
+
+        def spy(system, section, z0, t_max, loop=None, stop=None):
+            stops.append(stop)
+            return first_return(system, section, z0, t_max, loop, stop)
+
+        monkeypatch.setattr(flow, "_first_return", spy)
+        detect_limit_cycle(VDP, (2.0, 0.0))
+        assert len(stops) == 5 and stops == [None] * 5
 
 
 class TestCertificateConsistency:

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -297,8 +298,8 @@ class TestFloatEvaluatorAgainstTermLoop:
                 _assert_matches_term_loop(p, z)
 
     @pytest.mark.parametrize("text,z", [
-        ("x^400", (1e2, 1.0)),
-        ("y + x^400", (-1e2, 0.5)),
+        ("x^200", (1e2, 1.0)),
+        ("y + x^200", (-1e2, 0.5)),
         ("1 + x*y^3", (2.0, 1e200)),
         ("10^400*y", (0.5, -0.25)),
         ("x - 10^400*y^2", (0.0, 0.0)),
@@ -384,8 +385,8 @@ class TestFloatEvaluatorAgainstTermLoop:
     @pytest.mark.parametrize("overflows,named", [
         ((0,), 0), ((1,), 1), ((0, 1), 0), ((1, 2), 1)])
     def test_several_sums_name_the_first_overflow(self, overflows, named):
-        # x^400 overflows at x = 100, x^2 does not; sums are read in order
-        polys = [P("x^400 + y" if k in overflows else "x^2 + y")
+        # x^200 overflows at x = 100, x^2 does not; sums are read in order
+        polys = [P("x^200 + y" if k in overflows else "x^2 + y")
                  for k in range(3)]
         f = float_sums([(p, "re") for p in polys])
         with pytest.raises(ValueError) as info:
@@ -458,6 +459,47 @@ class TestPowerBudget:
         assert Poly.const(10) ** 5000 == Poly.const(10 ** 5000)
         assert Poly.zero() ** 300 == Poly.zero()
         assert poly.MAX_DEGREE == 256
+
+    def test_product_refused_before_it_is_expanded(self, monkeypatch):
+        def no_product(first, second):
+            raise AssertionError("product expanded")
+
+        x200, y200 = Poly({(200, 0): 1}), Poly({(0, 200): 1})
+        monkeypatch.setattr(poly, "_product", no_product)
+        with pytest.raises(ValueError, match="^degree 400 in x is above the "
+                                             "degree budget 256$"):
+            x200 * x200
+        with pytest.raises(ValueError, match="^degree 400 in y "):
+            (x200 + y200) * y200
+        monkeypatch.undo()
+        assert (Poly({(128, 0): 1}) * Poly({(128, 1): 1})).deg_x == 256
+        assert Poly.zero() * Poly({(300, 0): 1}) == Poly.zero()
+        monkeypatch.setattr(poly, "MAX_DEGREE", 4)
+        with pytest.raises(ValueError, match="^degree 5 in x .* budget 4$"):
+            (Poly.x() + 1) ** 2 * (Poly.x() + 1) ** 3
+
+    @pytest.mark.parametrize("text,degree", [
+        ("(x+y+1)^60*(x+y+1)^60*(x+y+1)^60*(x+y+1)^60*(x+y+1)^60", 300),
+        ("x^200*x^200", 400),
+    ], ids=["five_powers", "two_literals"])
+    def test_parsed_product_refused_at_once(self, products, text, degree):
+        # the budget held only at **: the first took 39 s to give degree
+        # 300, and the second read as degree 400
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^degree {degree} in x is above "
+                                             "the degree budget 256$"):
+            P(text)
+        assert time.perf_counter() - start < 1.0
+        assert products == []
+
+    @pytest.mark.parametrize("text,axis", [
+        ("x^300", "x"), ("(x)^300", "x"), ("y^300", "y"), ("(y)^300", "y")])
+    def test_literal_power_refused_as_parenthesized(self, text, axis):
+        # x^300 was read, though (x)^300 was refused
+        with pytest.raises(ValueError, match=f"^degree 300 in {axis} is above "
+                                             "the degree budget 256$"):
+            P(text)
+        assert P("x^256") == P("(x)^256") == Poly({(256, 0): 1})
 
 
 class TestDerive:

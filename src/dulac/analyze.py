@@ -10,9 +10,10 @@ scans leftover tiles for limit cycles from their centers with
 ``flow.detect_limit_cycle`` at its own budgets (``flow.CYCLE_*``) and on
 its own section, as ``limit-cycle`` does.  The scan also passes the stop
 inputs, the region and the cycles found so far: a seed ends once its orbit
-leaves the region with its half-widths doubled (``flow.ESCAPE_SCALE``) or
+leaves the region with its half-widths doubled (``flow.ESCAPE_SCALE``),
 falls onto a stable cycle already found, whose re-detection the scan would
-drop as the same cycle.
+drop as the same cycle, or enters a loop of its own orbit that closes clear
+of the seed's section, so that it can never return to it.
 ``local_certificates`` is the one loop over a region's equilibria; the
 CLI's ``local-dulac --region`` reports exactly what it returns.  The
 report is explicitly best-effort: an uncovered tile means "unresolved",

@@ -17,8 +17,9 @@ come from one return from its fixed point (``_first_return``), run
 backward for an unstable cycle.  The cycle search's budgets are module
 constants read at each call, not parameters.  Its stop inputs, a region
 and the cycles known so far, end a return-map orbit that escapes the
-doubled region or falls onto a known stable cycle (``_stop_rule``); only
-``analyze``'s scan passes them.  Every float value of a
+doubled region, falls onto a known stable cycle, or is trapped inside a
+loop of its own that closes clear of its section (``_stop_rule``,
+``_loop_trap``); only ``analyze``'s scan passes them.  Every float value of a
 polynomial comes from one function that ``poly.float_sums`` generates for
 its use; none is this module's own.  A field caches one over the real parts
 of P and Q (``float_function``), shared by ``VectorField.__call__``
@@ -62,6 +63,14 @@ PROBE_STEP = 1e-4
 # A return-map orbit given a region stops once it leaves the region with its
 # half-widths scaled by this factor about the region's centre.
 ESCAPE_SCALE = 2.0
+# The trapped-loop stop (``_loop_trap``): the tangent turn after which an
+# anchor whose section the orbit has not crossed moves to the orbit's
+# current point, the points sampled on a loop's closing segment, and the
+# margin, in the loop's longest step chord, by which every vertex of the
+# loop must clear the home section.
+TRAP_TURN = 2.5 * math.pi
+TRAP_SAMPLES = 8
+TRAP_MARGIN = 2.0
 INTEGRATE_TOL = 1e-9  # ``integrate``'s default RK tolerance, and ``simulate``'s
 LOOP_SUBSAMPLES = 4  # dense-output points per RK step of a reported cycle
 
@@ -306,7 +315,7 @@ def _newton(system, x, y):
 
 
 # Accepted RK steps one ``_steps`` call may take.  The largest call in an
-# ``analyze`` of every systems/*.vf on [-4,4]^2 takes 4,196.
+# ``analyze`` of every systems/*.vf on [-4,4]^2 takes 948.
 MAX_STEPS = 100_000
 
 
@@ -634,24 +643,29 @@ def poincare_return(system: VectorField, section: Section, z0, *,
     the orbit when it crosses that cycle's own section (through its fixed
     point ``points[0]``, normal to X there, crossed along X) within
     ``PROBE_STEP * max(1, |z*|)`` of the fixed point z*: the orbit then
-    converges to a cycle already found.  A step that returns is not tested.
+    converges to a cycle already found.  Given either input, an orbit is
+    also trapped once a loop of its own closes clear of ``section`` and it
+    enters the loop (``_loop_trap``): it can then never return.  A step that
+    returns is not tested.
     """
     return _first_return(system, section, z0, CYCLE_MAX_TIME,
-                         stop=_stop_rule(system, region, known))
+                         stop=_stop_rule(system, section, region, known))
 
 
-def _stop_rule(system, region, known):
+def _stop_rule(system, home, region, known):
     """``stop(solver)``, which raises NoReturnError when the last accepted
-    step escapes ``region`` or is captured by a stable ``known`` cycle (see
-    ``poincare_return``), or None when there is nothing to test."""
+    step escapes ``region``, is captured by a stable ``known`` cycle, or
+    traps the orbit inside a loop of its own that closes clear of the home
+    section ``home`` (see ``poincare_return``); or None when neither stop
+    input is given."""
+    if region is None and not known:
+        return None
     captures = []
     for cycle in known:
         if cycle.stability is Stability.STABLE:
             z = cycle.points[0]
             captures.append((Section.through(z, system(z)), z, cycle.period,
                              PROBE_STEP * max(1.0, math.hypot(z.x, z.y))))
-    if region is None and not captures:
-        return None
     x_lo = y_lo = -math.inf
     x_hi = y_hi = math.inf
     if region is not None:  # an overflow to inf leaves that side open
@@ -659,6 +673,7 @@ def _stop_rule(system, region, known):
         cx, rx = (x_min + x_max) / 2, (x_max - x_min) / 2 * ESCAPE_SCALE
         cy, ry = (y_min + y_max) / 2, (y_max - y_min) / 2 * ESCAPE_SCALE
         x_lo, x_hi, y_lo, y_hi = cx - rx, cx + rx, cy - ry, cy + ry
+    trap = _loop_trap(system, home)
 
     def stop(solver):
         x, y = solver.y
@@ -673,8 +688,105 @@ def _stop_rule(system, region, known):
                     raise NoReturnError(
                         f"the orbit fell onto the stable cycle of period "
                         f"{period:.6g} at t = {t:.6g}")
+        trap(solver)
 
     return stop
+
+
+def _loop_trap(system, home: Section):
+    """``trap(solver)``, the trapped-loop stop of one forward return-map
+    orbit, given its home section ``home``.
+
+    It keeps an anchor w on the orbit, w's section S_w (normal to X(w),
+    crossed along it) and the arc of step ends from w on.  When the orbit
+    next crosses S_w, at w', the arc and the segment [w', w] close a loop:
+    ``trap`` raises NoReturnError if the loop traps the orbit
+    (``_traps``), and otherwise w' becomes the anchor.  An anchor whose
+    section the orbit has not crossed after its tangent turned by
+    ``TRAP_TURN`` moves to the orbit's current point.  The first anchor is
+    the first step's end; no point where X is zero or not finite becomes
+    one.
+    """
+    section = arc = None
+    ax = ay = nx = ny = distance = turn = 0.0
+
+    def anchor(w, v) -> None:
+        nonlocal section, arc, ax, ay, nx, ny, distance, turn
+        arc = None
+        if not (math.isfinite(v[0]) and math.isfinite(v[1])
+                and (v[0] or v[1])):
+            return
+        section = Section.through(w, v)
+        (ax, ay), (nx, ny) = section.anchor, section.normal
+        arc, distance, turn = [section.anchor], 0.0, 0.0
+
+    def trap(solver) -> None:
+        nonlocal distance, turn
+        z = solver.y
+        if arc is None:
+            anchor(z, solver.f)
+            return
+        d = (z[0] - ax) * nx + (z[1] - ay) * ny  # S_w's signed distance
+        if distance < 0 <= d:
+            t, w2 = _locate(section.signed_distance, solver)
+            arc.append(w2)
+            if _traps(system, home, section, arc):
+                raise NoReturnError(
+                    f"the orbit is trapped inside its own loop through "
+                    f"({ax:.6g}, {ay:.6g}) at t = {t:.6g}")
+            anchor(w2, system(w2))
+            if arc is not None:
+                arc.append(z)
+                distance = section.signed_distance(z)
+            return
+        arc.append(z)
+        distance = d
+        (ux, uy), (vx, vy) = solver.K[0], solver.f
+        turn += math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        if abs(turn) > TRAP_TURN:
+            anchor(z, solver.f)
+
+    return trap
+
+
+def _traps(system, home: Section, section: Section, arc) -> bool:
+    """Whether the loop of an orbit's ``arc`` of step ends, from the anchor
+    w of ``section`` to the orbit's next crossing w' of it, closed by the
+    segment [w', w], traps the orbit away from the section ``home``.
+
+    If X crosses [w, w'] along the normal (tested at ``TRAP_SAMPLES``
+    points), the region inside the loop is positively invariant once the
+    orbit enters it, and it enters where the loop's signed area and the
+    position of w' along the section have the same sign, or where w' lies
+    within 1e-9 * max(1, |w|) of w (the return map's own tolerance: the
+    loop is then the cycle).  If every vertex of the loop also lies on one
+    side of ``home``, by more than ``TRAP_MARGIN`` times the loop's longest
+    step chord, the orbit can never return to ``home`` (Perko,
+    Differential Equations and Dynamical Systems, 3.7).
+    """
+    (wx, wy), w2 = arc[0], arc[-1]
+    area = chord = 0.0
+    ax = ay = 0.0  # each vertex about w
+    for z in arc[1:]:
+        bx, by = z[0] - wx, z[1] - wy
+        area += ax * by - ay * bx  # twice the signed area
+        chord = max(chord, math.hypot(bx - ax, by - ay))
+        ax, ay = bx, by
+    margin = TRAP_MARGIN * chord
+    sides = list(map(home.signed_distance, arc))
+    if not (min(sides) > margin or max(sides) < -margin):
+        return False
+    closed = (math.hypot(w2[0] - wx, w2[1] - wy)
+              <= 1e-9 * max(1.0, math.hypot(wx, wy)))
+    if not (closed or area * section.along(w2) > 0):
+        return False
+    nx, ny = section.normal
+    for k in range(1, TRAP_SAMPLES + 1):
+        c = k / TRAP_SAMPLES
+        vx, vy = system((wx + c * (w2[0] - wx), wy + c * (w2[1] - wy)))
+        if not vx * nx + vy * ny > 0:  # nan fails
+            return False
+    return True
 
 
 def _first_return(system, section, z0, t_max: float, loop=None, stop=None):
@@ -726,9 +838,10 @@ def detect_limit_cycle(system: VectorField, seed, *,
     seed, normal to the field X there and crossed in the direction of X.
     Each of its returns, the slope probe's too, takes the stop inputs
     ``region`` and ``known`` (see ``poincare_return``): an orbit that
-    escapes the enlarged region or is captured by a known stable cycle
-    ends the search with CycleNotFoundError.  Without them every return
-    runs to its section or to t = ``CYCLE_MAX_TIME``.
+    escapes the enlarged region, is captured by a known stable cycle or is
+    trapped inside a loop of its own clear of the section ends the search
+    with CycleNotFoundError.  Without them every return runs to its section
+    or to t = ``CYCLE_MAX_TIME``.
     Convergence is successive section crossings within 1e-9, reached within
     ``CYCLE_MAX_ITERS`` + 1 returns; the return-map slope comes
     from a divided difference of two nearby returns.  A slope within 1e-3

@@ -1120,6 +1120,8 @@ class TestDetectLimitCycle:
 
 
 ANNULUS = "P = -x - y + x*(x^2+y^2)\nQ = x - y + y*(x^2+y^2)"
+# r' = r^3 about a weak focus at the origin: every orbit spirals outward
+WEAK_FOCUS = "P = -y + x*(x^2+y^2)\nQ = x + y*(x^2+y^2)"
 REGION4 = Box2(Fraction(-4), Fraction(4), Fraction(-4), Fraction(4))
 
 
@@ -1132,8 +1134,8 @@ def _unit_circle(stability):
 
 class TestScanStops:
     """analyze's cycle scan ends a seed whose orbit leaves the region with
-    its half-widths doubled, or falls onto a stable cycle it already
-    holds."""
+    its half-widths doubled, falls onto a stable cycle it already holds,
+    or is trapped inside a loop of its own clear of its section."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -1148,20 +1150,21 @@ class TestScanStops:
         return taken
 
     @pytest.mark.parametrize("name,count", [
-        ("saddle", 446), ("vanderpol", 18_655)])
+        ("cubic_circle", 4_655), ("saddle", 446), ("vanderpol", 8_792)])
     def test_analyze_step_counts(self, steps, name, count):
-        # 29,610 and 40,284 accepted steps without the stops: every
-        # saddle.vf seed escapes, and 8 of 12 Van der Pol seeds fall onto
-        # the cycle an earlier seed found
+        # 27,544, 29,610 and 40,284 accepted steps without the stops: every
+        # saddle.vf seed escapes, 8 of 12 Van der Pol seeds fall onto the
+        # cycle an earlier seed found, and the seeds before that one, like
+        # cubic_circle.vf's, are trapped inside loops of their own
         run_analyze(parse_system((SYSTEMS / f"{name}.vf").read_text()),
                     REGION4)
         assert len(steps) == count
 
     @pytest.mark.parametrize("name", sorted(
-        [p.stem for p in SYSTEMS.glob("*.vf")] + ["annulus"]))
+        [p.stem for p in SYSTEMS.glob("*.vf")] + ["annulus", "weak_focus"]))
     def test_stops_change_no_cycle(self, name):
         # the cycles plain detections find from the same seeds
-        text = ANNULUS if name == "annulus" else (
+        text = {"annulus": ANNULUS, "weak_focus": WEAK_FOCUS}.get(name) or (
             SYSTEMS / f"{name}.vf").read_text()
         system = parse_system(text)
         report = run_analyze(system, REGION4)
@@ -1228,6 +1231,71 @@ class TestScanStops:
         _, t = poincare_return(rot, section, (0.0, 1.0),
                                known=[_unit_circle(stability)])
         assert abs(t - 2 * math.pi) < 1e-6
+
+    def test_trapped_inside_its_own_loop(self, steps):
+        # the orbit settles onto the unit circle, which the seed's section
+        # never meets: 2,617 steps to t = 100 without the trapped-loop stop
+        field = parse_system((SYSTEMS / "cubic_circle.vf").read_text())
+        with pytest.raises(CycleNotFoundError,
+                           match="trapped inside its own loop through"):
+            detect_limit_cycle(field, (-3.6, -3.6), region=REGION4)
+        assert len(steps) < 600
+
+    @pytest.mark.parametrize("sign,home_x,trapped", [
+        ("+", 3.0, False), ("-", 3.0, True), ("-", 0.05, False)])
+    def test_only_an_inward_loop_clear_of_home_traps(self, monkeypatch, sign,
+                                                     home_x, trapped):
+        # from r = 0.1 the orbit of r' = +-r^3 turns about 6 times by
+        # t = 40 with r in [0.07, 0.23]: the home section x = 3 is clear of
+        # every loop, x = 0.05 cuts each one.  The outward spiral's loops
+        # and those that meet x = 0.05 close and are refused
+        field = parse_system(WEAK_FOCUS.replace("+", sign))
+        home = Section(anchor=Point(home_x, 0.0), normal=(1.0, 0.0))
+        stop = flow._stop_rule(field, home, REGION4, ())
+        verdicts = []
+        traps = flow._traps
+
+        def spy(*args):
+            verdicts.append(traps(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(flow, "_traps", spy)
+
+        def run():
+            for solver in flow._steps(flow.compile_field(field), (0.1, 0.0),
+                                      40.0, flow.CYCLE_TOL):
+                stop(solver)
+
+        if trapped:
+            with pytest.raises(NoReturnError, match="trapped"):
+                run()
+            assert verdicts[-1]
+        else:
+            run()
+            assert len(verdicts) >= 5 and not any(verdicts)
+
+    @pytest.mark.parametrize("end,trapped", [(0.5, True), (-1.0, False)])
+    def test_closing_segment_must_be_transversal(self, end, trapped):
+        # a loop of the rotation from (1, 0) through (0, 1), closed on the
+        # line y = 0: the segment to (-1, 0) crosses the centre, where X
+        # turns against the normal (0, 1)
+        rot = parse_system("P = -y\nQ = x")
+        home = Section(anchor=Point(5.0, 0.0), normal=(1.0, 0.0))
+        section = Section.through((1.0, 0.0), rot((1.0, 0.0)))
+        arc = [section.anchor, (0.0, 1.0), (end, 0.0)]
+        assert flow._traps(rot, home, section, arc) is trapped
+
+    @pytest.mark.parametrize("value", [(0.0, -0.0), (math.inf, 0.0)])
+    def test_no_anchor_where_the_field_is_zero_or_not_finite(self, value):
+        # a step ending there anchors nothing, so nothing raises
+        class Solver:
+            t, y_old, y, f, K = 1.0, [1.0, 0.0], [0.0, 0.0], list(value), ()
+
+        sink = parse_system("P = -x\nQ = -y")
+        home = Section(anchor=Point(3.0, 0.0), normal=(1.0, 0.0))
+        stop = flow._stop_rule(sink, home, REGION4, ())
+        stop(Solver())
+        stop(Solver())
 
     def test_without_stop_inputs_no_stop_runs(self, monkeypatch):
         # limit-cycle's detection takes no stop rule at all
